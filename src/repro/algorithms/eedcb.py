@@ -129,9 +129,9 @@ class EEDCB(Scheduler):
         """Build (or fetch and re-root) the auxiliary graph for ``source``.
 
         The construction depends only on (TVEG, deadline, targets), so
-        compact-form builds are kept on the TVEG's LRU
+        compact and implicit builds are kept on the TVEG's LRU
         :meth:`~repro.tveg.graph.TVEG.aux_cache` and re-rooted with
-        :meth:`~repro.auxgraph.compact.CompactAuxGraph.retarget` — a hit
+        :meth:`~repro.auxgraph.compact.RowGraph.retarget` — a hit
         skips the single most expensive stage of the pipeline.  The nx
         mode is exempt (it exists to exercise the construction itself).
         """
@@ -201,7 +201,6 @@ class EEDCB(Scheduler):
                     method=self._method,
                     level=self._level,
                     stats=steiner_stats,
-                    compute=self._mode if self._mode == "numpy" else None,
                 )
             with obs.stage(stage_seconds, "extract", "eedcb.extract"):
                 schedule = extract_schedule(aux, edges)

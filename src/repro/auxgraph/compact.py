@@ -36,41 +36,27 @@ from ..tveg.graph import TVEG
 from .build import AuxGraph, _point_index
 from .model import AuxNode, state_node, tx_node
 
-__all__ = ["CompactAuxGraph", "build_compact_aux_graph", "from_aux_graph"]
+__all__ = [
+    "RowGraph",
+    "CompactAuxGraph",
+    "build_compact_aux_graph",
+    "from_aux_graph",
+]
 
 Node = Hashable
 
 
-@dataclass
-class CompactAuxGraph:
-    """Int-indexed CSR auxiliary graph plus decoding bookkeeping.
+class RowGraph:
+    """The decoding and conversion surface shared by the int-indexed forms.
 
-    ``aux_nodes[i]`` is the tuple-form auxiliary node with id ``i``;
-    out-edges of ``i`` are ``targets[indptr[i]:indptr[i+1]]`` with parallel
-    ``weights``.  Exposes the same decoding surface as
-    :class:`~repro.auxgraph.build.AuxGraph` (``root`` / ``terminals`` /
-    ``cost_sets`` / ``time_of``), so schedule extraction works unchanged.
+    Written against a small core each form provides: ``aux_nodes``,
+    ``times``, ``dts``, ``source``, ``state_base``, the root/terminal
+    bookkeeping, ``num_edges``, :meth:`index_of` and :meth:`out_edges`
+    (``(target id, weight)`` pairs in the nx build's insertion order).
+    :class:`CompactAuxGraph` reads its rows from CSR arrays; the numpy
+    kernel's :class:`~repro.compute.numpy_backend.NumpyAuxGraph` derives
+    them from per-state and per-transmission arrays.
     """
-
-    indptr: array
-    targets: array
-    weights: array
-    aux_nodes: List[AuxNode]
-    times: array
-    dts: DiscreteTimeSet
-    source: Node
-    root: AuxNode
-    terminals: Tuple[AuxNode, ...]
-    root_index: int
-    terminal_indices: Tuple[int, ...]
-    #: DCS per (node, point index) — reused during schedule extraction
-    cost_sets: Dict[Tuple[Node, int], DiscreteCostSet] = field(
-        default_factory=dict
-    )
-    _index: Optional[Dict[AuxNode, int]] = field(default=None, repr=False)
-    #: graph node → id of its first state node; filled by the builders,
-    #: ``None`` on converted graphs.  Enables :meth:`retarget`.
-    state_base: Optional[Dict[Node, int]] = field(default=None, repr=False)
 
     # ------------------------------------------------------------------
     # sizes (same surface as AuxGraph / nx.DiGraph)
@@ -79,54 +65,29 @@ class CompactAuxGraph:
     def num_nodes(self) -> int:
         return len(self.aux_nodes)
 
-    @property
-    def num_edges(self) -> int:
-        return len(self.targets)
-
     def number_of_nodes(self) -> int:
-        return len(self.aux_nodes)
+        return self.num_nodes
 
     def number_of_edges(self) -> int:
-        return len(self.targets)
-
-    @property
-    def dcs_levels(self) -> int:
-        """Total DCS levels over every (node, point) with a usable DCS."""
-        return sum(len(cs) for cs in self.cost_sets.values())
+        return self.num_edges
 
     def time_of(self, node: Node, point_index: int) -> float:
         return self.dts.points(node)[point_index]
 
-    # ------------------------------------------------------------------
-    # lookups
-    # ------------------------------------------------------------------
-    def index_of(self, aux: AuxNode) -> int:
-        """Int id of a tuple-form auxiliary node (index built lazily)."""
-        if self._index is None:
-            self._index = {n: i for i, n in enumerate(self.aux_nodes)}
-        return self._index[aux]
-
     def edge_weight(self, u: AuxNode, v: AuxNode) -> float:
         """Weight of the edge ``u → v`` (KeyError-style failure if absent)."""
-        ui, vi = self.index_of(u), self.index_of(v)
-        for k in range(self.indptr[ui], self.indptr[ui + 1]):
-            if self.targets[k] == vi:
-                return self.weights[k]
+        vi = self.index_of(v)
+        for j, w in self.out_edges(self.index_of(u)):
+            if j == vi:
+                return w
         raise GraphModelError(f"no auxiliary edge {u!r} → {v!r}")
-
-    def out_edges(self, i: int) -> Tuple[Tuple[int, float], ...]:
-        """``(target id, weight)`` pairs of node id ``i``, CSR order."""
-        lo, hi = self.indptr[i], self.indptr[i + 1]
-        return tuple(
-            (self.targets[k], self.weights[k]) for k in range(lo, hi)
-        )
 
     # ------------------------------------------------------------------
     # retargeting (the batch-planning amortization)
     # ------------------------------------------------------------------
     def retarget(
         self, source: Node, targets: Optional[Tuple[Node, ...]] = None
-    ) -> "CompactAuxGraph":
+    ) -> "RowGraph":
         """The same auxiliary graph, re-rooted at a different source.
 
         The Section VI-A construction depends only on the TVEG and the
@@ -178,12 +139,12 @@ class CompactAuxGraph:
         import networkx as nx
 
         g = nx.DiGraph()
-        for aux, t in zip(self.aux_nodes, self.times):
+        nodes = self.aux_nodes
+        for aux, t in zip(nodes, self.times):
             g.add_node(aux, time=t)
-        indptr, targets, weights = self.indptr, self.targets, self.weights
-        for i, u in enumerate(self.aux_nodes):
-            for k in range(indptr[i], indptr[i + 1]):
-                g.add_edge(u, self.aux_nodes[targets[k]], weight=weights[k])
+        for i, u in enumerate(nodes):
+            for j, w in self.out_edges(i):
+                g.add_edge(u, nodes[j], weight=w)
         return g
 
     def to_aux_graph(self) -> AuxGraph:
@@ -199,9 +160,61 @@ class CompactAuxGraph:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"CompactAuxGraph(nodes={self.num_nodes}, "
+            f"{type(self).__name__}(nodes={self.num_nodes}, "
             f"edges={self.num_edges}, terminals={len(self.terminals)})"
         )
+
+
+@dataclass(repr=False)
+class CompactAuxGraph(RowGraph):
+    """Int-indexed CSR auxiliary graph plus decoding bookkeeping.
+
+    ``aux_nodes[i]`` is the tuple-form auxiliary node with id ``i``;
+    out-edges of ``i`` are ``targets[indptr[i]:indptr[i+1]]`` with parallel
+    ``weights``.  Exposes the same decoding surface as
+    :class:`~repro.auxgraph.build.AuxGraph` (``root`` / ``terminals`` /
+    ``cost_sets`` / ``time_of``), so schedule extraction works unchanged.
+    """
+
+    indptr: array
+    targets: array
+    weights: array
+    aux_nodes: List[AuxNode]
+    times: array
+    dts: DiscreteTimeSet
+    source: Node
+    root: AuxNode
+    terminals: Tuple[AuxNode, ...]
+    root_index: int
+    terminal_indices: Tuple[int, ...]
+    #: DCS per (node, point index) — reused during schedule extraction
+    cost_sets: Dict[Tuple[Node, int], DiscreteCostSet] = field(
+        default_factory=dict
+    )
+    _index: Optional[Dict[AuxNode, int]] = field(default=None, repr=False)
+    #: graph node → id of its first state node; filled by the builders,
+    #: ``None`` on converted graphs.  Enables :meth:`retarget`.
+    state_base: Optional[Dict[Node, int]] = field(default=None, repr=False)
+
+    @property
+    def num_edges(self) -> int:
+        return len(self.targets)
+
+    @property
+    def dcs_levels(self) -> int:
+        """Total DCS levels over every (node, point) with a usable DCS."""
+        return sum(len(cs) for cs in self.cost_sets.values())
+
+    def index_of(self, aux: AuxNode) -> int:
+        """Int id of a tuple-form auxiliary node (index built lazily)."""
+        if self._index is None:
+            self._index = {n: i for i, n in enumerate(self.aux_nodes)}
+        return self._index[aux]
+
+    def out_edges(self, i: int) -> List[Tuple[int, float]]:
+        """``(target id, weight)`` pairs of node id ``i``, CSR order."""
+        lo, hi = self.indptr[i], self.indptr[i + 1]
+        return list(zip(self.targets[lo:hi], self.weights[lo:hi]))
 
 
 def from_aux_graph(aux: AuxGraph) -> CompactAuxGraph:

@@ -1,10 +1,10 @@
 """Array-native kernels for the sweep/DCS/Steiner hot path.
 
-Three stages of the EEDCB pipeline dominate ``eedcb_run`` (the auxiliary
-graph build is ~80 % of it at N=50): the per-node timeline sweeps plus
-contact-cost evaluation, the DCS level construction, and the greedy
-directed-Steiner expansion.  This module reimplements them as batched
-numpy operations while reproducing the stdlib path **byte for byte**:
+Three stages of the EEDCB pipeline dominate ``eedcb_run``: the per-node
+timeline sweeps plus contact-cost evaluation, the DCS level construction
+and auxiliary-graph build, and the greedy directed-Steiner expansion.
+This module reimplements them with batched numpy operations while
+reproducing the stdlib path **byte for byte**:
 
 * :func:`node_components` replaces the event-by-event
   :class:`~repro.temporal.sweep.NodeSweep` with per-node *contact
@@ -13,41 +13,41 @@ numpy operations while reproducing the stdlib path **byte for byte**:
   TVEG's shared per-contact cost cache so they are the same float objects
   the point-query path produces.
 * :func:`build_numpy_aux_graph` derives every DCS and every auxiliary
-  node/edge from those arrays with ``searchsorted`` / cumulative-sum
-  queries instead of per-entry Python loops, emitting the exact node ids,
-  edge order, and weights of
+  node from those arrays with ``searchsorted`` / cumulative-sum queries
+  instead of per-entry Python loops, and returns the graph in *implicit*
+  form (:class:`NumpyAuxGraph`): per-state and per-transmission arrays
+  from which each adjacency row, node tuple and cost set is derived on
+  demand, with the exact node ids, row order and weights of
   :func:`~repro.auxgraph.compact.build_compact_aux_graph` (whose module
-  docstring explains why insertion order is part of the contract).
+  docstring explains why insertion order is part of the contract).  The
+  Steiner search expands about a tenth of the nodes, so no per-edge
+  array is ever materialized.
 * :func:`greedy_incremental_dst_numpy` runs the same incremental
   multi-source Dijkstra as
-  :func:`~repro.steiner.dst.greedy_incremental_dst` but decodes each
-  settled CSR row with two bulk ``tolist`` calls and relaxes over native
-  ints and floats (auxiliary rows are short, so batch decoding beats both
-  per-element ``array`` indexing and per-row vectorization).  The heap
-  receives the same (distance, node) multiset, so the pop sequence — and
+  :func:`~repro.steiner.dst.greedy_incremental_dst`, reading each settled
+  row straight from those arrays.  The heap receives the same
+  (distance, node) pushes in the same order, so the pop sequence — and
   with it the ``expansions`` counter — is identical.
 
 Byte-identity has one precondition: the distance provider must certify
 ``constant_within_contacts`` (the standard trace pipeline does), because
 the component arrays evaluate each contact's cost once at its start.
 :func:`build_numpy_aux_graph` delegates to the stdlib builder otherwise.
-
-Nothing here imports at package-import time — ``import numpy`` happens
-only when a numpy kernel is actually requested, keeping the stdlib path
-self-sufficient.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import (
+    Dict, Hashable, List, Mapping, Optional, Sequence, Set, Tuple,
+)
 
 import numpy as np
 
 from .. import obs
-from ..auxgraph.compact import CompactAuxGraph, build_compact_aux_graph
+from ..auxgraph.compact import RowGraph, build_compact_aux_graph
 from ..auxgraph.model import AuxNode, state_node, tx_node
 from ..dts.dts import DiscreteTimeSet, build_dts
 from ..errors import GraphModelError, InfeasibleError
@@ -133,27 +133,33 @@ def node_components(tveg: TVEG, node: Node) -> NodeComponents:
 
 
 class LazyAuxNodes(Sequence):
-    """The auxiliary node-id → tuple mapping, materialized on demand.
+    """The auxiliary node-id → tuple mapping, decoded on demand.
 
-    The numpy build knows every transmission node as three flat arrays
-    ``(owner, point, level)``; creating millions of ``("tx", node, l, k)``
-    tuples eagerly would cost more than the rest of the build combined.
-    The Steiner solver only ever decodes the handful of ids that end up on
-    tree edges, so this sequence builds each tuple at access time instead.
-    State-node tuples (few) are materialized eagerly.
+    Ids follow the stdlib build's numbering: every state node (graph
+    nodes in TVEG order, points ascending), then every transmission node
+    (point-major, level-minor).  Millions of ``("state", node, l)`` and
+    ``("tx", node, l, k)`` tuples would cost more than the rest of the
+    build, while the Steiner search decodes only the ids on tree edges,
+    so each tuple is recovered from its id at access time: a state's
+    graph node by bisecting ``node_base``, a transmission's state by
+    bisecting ``tx_ptr``.
     """
 
-    __slots__ = ("_state", "_labels", "_tx_owner", "_tx_l", "_tx_k")
+    __slots__ = ("_labels", "_node_base", "_tx_ptr", "_tx_k")
 
-    def __init__(self, state_nodes, labels, tx_owner, tx_l, tx_k):
-        self._state = state_nodes
+    def __init__(self, labels, node_base, tx_ptr, tx_k):
         self._labels = labels
-        self._tx_owner = tx_owner
-        self._tx_l = tx_l
+        self._node_base = node_base  #: (N+1,) first state id per graph node
+        self._tx_ptr = tx_ptr
         self._tx_k = tx_k
 
     def __len__(self) -> int:
-        return len(self._state) + len(self._tx_l)
+        return len(self._tx_ptr) - 1 + len(self._tx_k)
+
+    def locate(self, s: int) -> Tuple[Node, int]:
+        """``(graph node, point index)`` of state id ``s``."""
+        ni = int(np.searchsorted(self._node_base, s, "right")) - 1
+        return self._labels[ni], s - int(self._node_base[ni])
 
     def __getitem__(self, i):
         if isinstance(i, slice):
@@ -163,70 +169,168 @@ class LazyAuxNodes(Sequence):
             i += n
         if not 0 <= i < n:
             raise IndexError(i)
-        s = len(self._state)
-        if i < s:
-            return self._state[i]
-        j = i - s
-        return tx_node(
-            self._labels[self._tx_owner[j]],
-            int(self._tx_l[j]),
-            int(self._tx_k[j]),
-        )
+        num_states = len(self._tx_ptr) - 1
+        if i < num_states:
+            return state_node(*self.locate(i))
+        j = i - num_states
+        s = int(np.searchsorted(self._tx_ptr, j, "right")) - 1
+        return tx_node(*self.locate(s), int(self._tx_k[j]))
 
 
-@dataclass
-class NumpyAuxGraph(CompactAuxGraph):
-    """A :class:`CompactAuxGraph` whose big sequences are numpy arrays.
+class LazyCostSets(Mapping):
+    """``(node, point index) → DiscreteCostSet``, each built on first access.
 
-    Structurally identical to the stdlib-built graph; the only behavioral
-    addition is an arithmetic :meth:`index_of` — node ids are recovered
-    from ``state_base`` and the flat transmission arrays instead of a
-    materialized ``{tuple: id}`` dict, because hashing millions of lazy
-    tuples would cost more than the vectorized build saved.
+    The keys are the points that emitted a transmission node — the stdlib
+    build's ``cost_sets`` keys, iterated in the same order.  A point's
+    DCS entries are its node's active contact components in canonical
+    order (:class:`NodeComponents`), so a set is rebuilt from the
+    component runs ``a[j] <= l < b[j]`` when schedule extraction or
+    :meth:`NumpyAuxGraph.tree_cost` asks for it, and then memoized.
     """
 
-    #: per-graph-node slice bounds into the flat tx arrays (len = nodes+1)
-    tx_offsets: Optional["np.ndarray"] = field(default=None, repr=False)
-    _label_index: Optional[Dict[Node, int]] = field(default=None, repr=False)
-    #: total DCS levels, counted during the build (same sum the base-class
-    #: property would take over every cost set)
-    dcs_level_count: Optional[int] = field(default=None, repr=False)
+    __slots__ = ("_dts", "_state_base", "_tx_ptr", "_runs", "_len", "_memo")
+
+    def __init__(self, dts, state_base, tx_ptr, runs):
+        self._dts = dts
+        self._state_base = state_base
+        self._tx_ptr = tx_ptr
+        #: graph node → ``(components, a, b)``
+        self._runs = runs
+        self._len = int(np.count_nonzero(np.diff(tx_ptr)))
+        self._memo: Dict[Tuple[Node, int], DiscreteCostSet] = {}
+
+    def _emits(self, node: Node, l: int) -> bool:
+        base = self._state_base.get(node)
+        return (
+            base is not None
+            and 0 <= l < len(self._dts.points(node))
+            and self._tx_ptr[base + l] < self._tx_ptr[base + l + 1]
+        )
+
+    def __getitem__(self, key) -> DiscreteCostSet:
+        dcs = self._memo.get(key)
+        if dcs is None:
+            node, l = key
+            if not self._emits(node, l):
+                raise KeyError(key)
+            comp, a, b = self._runs[node]
+            js = np.flatnonzero((a <= l) & (l < b))
+            entries = tuple(zip(
+                comp.costs[js].tolist(),
+                [comp.neighbors[j] for j in js.tolist()],
+            ))
+            dcs = self._memo[key] = DiscreteCostSet(
+                node=node, time=self._dts.points(node)[l], entries=entries
+            )
+        return dcs
+
+    def __iter__(self):
+        ptr = self._tx_ptr
+        for node, base in self._state_base.items():
+            end = base + len(self._dts.points(node))
+            emits = ptr[base + 1:end + 1] > ptr[base:end]
+            for l in np.flatnonzero(emits).tolist():
+                yield (node, l)
+
+    def __len__(self) -> int:
+        return self._len
+
+
+@dataclass(repr=False, eq=False)
+class NumpyAuxGraph(RowGraph):
+    """The Section VI-A auxiliary graph, its rows derived on demand.
+
+    Same node ids, per-row edge order and weights as
+    :func:`~repro.auxgraph.compact.build_compact_aux_graph`, but no
+    per-edge array.  The construction is local to each (node, DTS point),
+    and Property 6.1(i) makes the coverage of cost level ``k`` a prefix of
+    the point's receivers in DCS order, so every row follows from:
+
+    * per state ``s`` (``num_states`` of them): ``tx_ptr[s]``, the first
+      transmission index of its point.  Transmission nodes are numbered
+      point-major and level-minor after the states, so the row is the
+      0-weight waiting edge to ``s + 1`` (unless ``s`` is its node's last
+      point, ``wait[s] == 0``), then the edges to ids
+      ``num_states + tx_ptr[s] … num_states + tx_ptr[s+1] - 1``,
+      weighted by their cost levels ``tx_w``;
+    * per transmission node ``j``: the 0-weight coverage edges to the
+      receiver states ``recv[tx_off[j] : tx_off[j] + tx_cnt[j]]``.
+      ``recv`` holds each point's valid receivers, point-major and
+      DCS-order-minor.
+
+    ``num_edges`` and ``dcs_levels`` are counted during the build;
+    ``aux_nodes`` and ``cost_sets`` decode on access.  The id lookup
+    :meth:`index_of` is arithmetic.
+    """
+
+    aux_nodes: LazyAuxNodes
+    dts: DiscreteTimeSet
+    source: Node
+    root: AuxNode
+    terminals: Tuple[AuxNode, ...]
+    root_index: int
+    terminal_indices: Tuple[int, ...]
+    cost_sets: LazyCostSets
+    state_base: Dict[Node, int]
+    #: (S+1,) int64 — first transmission index of each state's point
+    tx_ptr: "np.ndarray"
+    #: S bytes — 1 where the state has a waiting edge
+    wait: bytes
+    #: (T,) float64 — each transmission's cost level (its in-edge weight)
+    tx_w: "np.ndarray"
+    #: (T,) int64 — each transmission's DCS level index ``k``
+    tx_k: "np.ndarray"
+    #: (T,) int64 — each transmission's coverage count
+    tx_cnt: "np.ndarray"
+    #: (T,) int64 — each transmission's coverage offset into ``recv``
+    tx_off: "np.ndarray"
+    #: int64 — valid receiver state ids, point-major, DCS-order-minor
+    recv: "np.ndarray"
+    num_edges: int
+    dcs_levels: int
 
     @property
-    def dcs_levels(self) -> int:
-        if self.dcs_level_count is not None:
-            return self.dcs_level_count
-        return CompactAuxGraph.dcs_levels.fget(self)
+    def num_states(self) -> int:
+        return len(self.tx_ptr) - 1
+
+    @property
+    def times(self) -> "np.ndarray":
+        """Node times in id order; a transmission is at its state's time."""
+        st = np.array(
+            [t for n in self.state_base for t in self.dts.points(n)],
+            dtype=np.float64,
+        )
+        return np.concatenate([st, np.repeat(st, np.diff(self.tx_ptr))])
 
     def index_of(self, aux: AuxNode) -> int:
         kind = aux[0] if isinstance(aux, tuple) and aux else None
-        if kind == "state" and len(aux) == 3:
+        if (kind == "state" and len(aux) == 3) or (
+            kind == "tx" and len(aux) == 4
+        ):
             base = self.state_base.get(aux[1])
-            if base is not None and 0 <= aux[2] < len(
-                self.dts.points(aux[1])
-            ):
-                return base + aux[2]
-        elif kind == "tx" and len(aux) == 4:
-            ni = self._label_index.get(aux[1])
-            if ni is not None:
-                nodes: LazyAuxNodes = self.aux_nodes
-                lo, hi = int(self.tx_offsets[ni]), int(self.tx_offsets[ni + 1])
-                tx_l, tx_k = nodes._tx_l, nodes._tx_k
-                # tx nodes are point-major, level-minor within each node
-                a = lo + int(np.searchsorted(tx_l[lo:hi], aux[2], "left"))
-                b = lo + int(np.searchsorted(tx_l[lo:hi], aux[2], "right"))
-                j = a + int(np.searchsorted(tx_k[a:b], aux[3], "left"))
-                if j < b and tx_k[j] == aux[3]:
-                    return len(nodes._state) + j
+            if base is not None and 0 <= aux[2] < len(self.dts.points(aux[1])):
+                s = base + aux[2]
+                if kind == "state":
+                    return s
+                lo, hi = int(self.tx_ptr[s]), int(self.tx_ptr[s + 1])
+                j = lo + int(np.searchsorted(self.tx_k[lo:hi], aux[3]))
+                if j < hi and self.tx_k[j] == aux[3]:
+                    return self.num_states + j
         raise KeyError(aux)
 
-    def edge_weight(self, u: AuxNode, v: AuxNode) -> float:
-        ui, vi = self.index_of(u), self.index_of(v)
-        lo, hi = int(self.indptr[ui]), int(self.indptr[ui + 1])
-        hits = np.nonzero(self.targets[lo:hi] == vi)[0]
-        if len(hits):
-            return float(self.weights[lo + int(hits[0])])
-        raise GraphModelError(f"no auxiliary edge {u!r} → {v!r}")
+    def out_edges(self, i: int) -> List[Tuple[int, float]]:
+        """``(target id, weight)`` pairs of node id ``i``, stdlib order."""
+        num_states = self.num_states
+        if i < num_states:
+            lo, hi = int(self.tx_ptr[i]), int(self.tx_ptr[i + 1])
+            row = [(i + 1, 0.0)] if self.wait[i] else []
+            row.extend(zip(range(num_states + lo, num_states + hi),
+                           self.tx_w[lo:hi].tolist()))
+            return row
+        j = i - num_states
+        lo = int(self.tx_off[j])
+        hi = lo + int(self.tx_cnt[j])
+        return [(v, 0.0) for v in self.recv[lo:hi].tolist()]
 
     def tree_cost(self, edges) -> float:
         """Summed edge weights without per-edge id recovery.
@@ -249,6 +353,10 @@ class NumpyAuxGraph(CompactAuxGraph):
         return float(math.fsum(weights))
 
 
+def _concat(parts: List["np.ndarray"], dtype) -> "np.ndarray":
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=dtype)
+
+
 @obs.span("auxgraph.numpy_build")
 def build_numpy_aux_graph(
     tveg: TVEG,
@@ -256,13 +364,13 @@ def build_numpy_aux_graph(
     deadline: Optional[float] = None,
     dts: Optional[DiscreteTimeSet] = None,
     targets: Optional[Tuple[Node, ...]] = None,
-) -> CompactAuxGraph:
-    """Build the Section VI-A auxiliary graph with batched array ops.
+) -> RowGraph:
+    """Build the Section VI-A auxiliary graph in implicit form.
 
-    Produces a :class:`~repro.auxgraph.compact.CompactAuxGraph` whose node
-    numbering, CSR edge order, weights, and ``cost_sets`` are identical to
+    Returns a :class:`NumpyAuxGraph` whose node numbering, per-row edge
+    order, weights and ``cost_sets`` are identical to
     :func:`~repro.auxgraph.compact.build_compact_aux_graph`'s — verified
-    element-for-element by the compute-parity suite.  When the TVEG cannot
+    row for row by the compute-parity suite.  When the TVEG cannot
     certify per-contact-constant costs the stdlib builder is used instead
     (the batched cost evaluation could not guarantee bit-identity there).
     """
@@ -281,66 +389,42 @@ def build_numpy_aux_graph(
 
     labels = list(tveg.nodes)
     pts_of: Dict[Node, np.ndarray] = {}
-    raw_pts: Dict[Node, Tuple[float, ...]] = {}
     state_base: Dict[Node, int] = {}
-    state_nodes: List[AuxNode] = []
+    num_states = 0
     for node in labels:
-        pts = d.points(node)
-        raw_pts[node] = pts
-        pts_of[node] = np.asarray(pts, dtype=np.float64)
-        state_base[node] = len(state_nodes)
-        state_nodes.extend(state_node(node, l) for l in range(len(pts)))
-    S = len(state_nodes)
+        pts_of[node] = np.asarray(d.points(node), dtype=np.float64)
+        state_base[node] = num_states
+        num_states += len(pts_of[node])
 
-    state_cnt_parts: List[np.ndarray] = []
-    state_tgt_parts: List[np.ndarray] = []
-    state_w_parts: List[np.ndarray] = []
-    state_time_parts: List[np.ndarray] = []
-    tx_cnt_parts: List[np.ndarray] = []
-    tx_tgt_parts: List[np.ndarray] = []
-    tx_time_parts: List[np.ndarray] = []
-    tx_owner_parts: List[np.ndarray] = []
-    tx_l_parts: List[np.ndarray] = []
+    per_point_parts: List[np.ndarray] = []
+    tx_w_parts: List[np.ndarray] = []
     tx_k_parts: List[np.ndarray] = []
-    tx_w_by_state: Dict[int, np.ndarray] = {}
-    cost_sets: Dict[Tuple[Node, int], DiscreteCostSet] = {}
-    tx_total = 0
+    tx_cnt_parts: List[np.ndarray] = []
+    tx_off_parts: List[np.ndarray] = []
+    recv_parts: List[np.ndarray] = []
+    runs: Dict[Node, Tuple[NodeComponents, np.ndarray, np.ndarray]] = {}
+    recv_total = 0
+    num_edges = 0
     dcs_level_total = 0
 
-    for node_idx, node in enumerate(labels):
+    for node in labels:
         pts = pts_of[node]
         P = len(pts)
-        base = state_base[node]
-        state_time_parts.append(pts)
         comp = node_components(tveg, node)
         C = len(comp)
-
-        wait_rows = np.arange(max(P - 1, 0), dtype=np.int64)
-        wait_tgts = base + wait_rows + 1
-
-        a = (
-            np.searchsorted(pts, comp.starts, side="left")
-            if C
-            else np.zeros(0, dtype=np.int64)
-        )
-        b = (
-            np.searchsorted(pts, comp.ends, side="left")
-            if C
-            else np.zeros(0, dtype=np.int64)
-        )
-        # Active cells of this node, sparsely: component j is adjacent at
-        # point l  ⇔  a[j] <= l < b[j], so each component contributes one
-        # contiguous run of points.  Everything below works on the ~8 % of
-        # (point, component) cells that are actually active instead of
-        # cumsum/mask passes over the dense matrix.
+        # Component j is adjacent at point l  ⇔  a[j] <= l < b[j].
+        a = np.searchsorted(pts, comp.starts, side="left")
+        b = np.searchsorted(pts, comp.ends, side="left")
+        runs[node] = (comp, a, b)
+        num_edges += max(P - 1, 0)  # waiting edges
+        # Active cells of this node, sparsely: each component contributes
+        # one contiguous run of points.  Everything below works on the
+        # ~8 % of (point, component) cells that are actually active
+        # instead of cumsum/mask passes over the dense matrix.
         lens = np.maximum(b - a, 0)
         tot = int(lens.sum())
-
         if tot == 0 or P == 0:
-            state_cnt_parts.append(np.bincount(wait_rows, minlength=P)
-                                   .astype(np.int64))
-            state_tgt_parts.append(wait_tgts)
-            state_w_parts.append(np.zeros(len(wait_rows)))
+            per_point_parts.append(np.zeros(P, dtype=np.int64))
             continue
 
         # Cells in component-major order: j_rep[i], l_rep[i] enumerate
@@ -400,130 +484,42 @@ def build_numpy_aux_graph(
         can_tx = (pts + tau) <= end
         keep = cnt_s > 0 if can_tx.all() else (cnt_s > 0) & can_tx[l_s]
 
+        # The DCS level index k of a cell is its rank among its point's
+        # active cells; ``l_s`` is sorted, so each point's cells are one
+        # run starting at the exclusive prefix sum of the run lengths.
+        active = np.bincount(l_s, minlength=P)
+        run_start = np.cumsum(active) - active
+        k_s = np.arange(tot, dtype=np.int64) - run_start[l_s]
+
         # Transmission nodes in creation order: point-major, level-minor.
-        l_arr = l_s[keep]
-        j_arr = j_s[keep]
-        E = len(l_arr)
-        # k = rank of the cell among its point's active cells (exclusive
-        # count of active components with smaller canonical index).
-        # ``l_s`` is sorted, so each point's run start is read off the
-        # run boundaries instead of a per-cell binary search.
-        cell_pos = np.arange(tot, dtype=np.int64)
-        run_change = np.flatnonzero(l_s[1:] != l_s[:-1]) + 1
-        starts = np.concatenate([np.zeros(1, dtype=np.int64), run_change])
-        run_counts = np.diff(np.concatenate([starts, [tot]]))
-        row_start = np.repeat(starts, run_counts)
-        k_arr = (cell_pos - row_start)[keep]
-        w_arr = comp.costs[j_arr]
+        per_point = np.bincount(l_s[keep], minlength=P)
+        per_point_parts.append(per_point)
         cnt_arr = cnt_s[keep]
-        ids = S + tx_total + np.arange(E, dtype=np.int64)
-        tx_total += E
-
-        # State rows: the waiting edge first, then this row's transmission
-        # edges in creation order — the stdlib insertion order.
-        rows = np.concatenate([wait_rows, l_arr])
-        keys = np.concatenate(
-            [np.full(len(wait_rows), -1, dtype=np.int64),
-             np.arange(E, dtype=np.int64)]
-        )
-        tgts = np.concatenate([wait_tgts, ids])
-        wgts = np.concatenate([np.zeros(len(wait_rows)), w_arr])
-        order = np.lexsort((keys, rows))
-        state_cnt_parts.append(np.bincount(rows, minlength=P)
-                               .astype(np.int64))
-        state_tgt_parts.append(tgts[order])
-        state_w_parts.append(wgts[order])
-
-        # Transmission rows: each level's coverage is the first
-        # ``cnt`` valid receivers of its point, in canonical (DCS entry)
-        # order — the valid subsequence is already point-major/canonical-
-        # minor, and ``vlo`` marks each point's start in it, so one flat
-        # indexing expression gathers every coverage list.
-        vs = rs_s[ok_s]
-        row_voff = vlo[keep]
-        total_recv = int(cnt_arr.sum())
-        excl = np.concatenate(
-            [np.zeros(1, dtype=np.int64), np.cumsum(cnt_arr)]
-        )[:-1]
-        pos = np.arange(total_recv, dtype=np.int64) - np.repeat(excl, cnt_arr)
-        tx_tgt_parts.append(vs[np.repeat(row_voff, cnt_arr) + pos])
+        tx_w_parts.append(comp.costs[j_s[keep]])
+        tx_k_parts.append(k_s[keep])
         tx_cnt_parts.append(cnt_arr)
-        tx_time_parts.append(pts[l_arr])
-        tx_owner_parts.append(np.full(E, node_idx, dtype=np.int64))
-        tx_l_parts.append(l_arr)
-        tx_k_parts.append(k_arr)
+        # Level k covers the first cnt valid receivers of its point, in
+        # DCS entry order; ``vlo`` is the point's start among them.
+        tx_off_parts.append(recv_total + vlo[keep])
+        vs = rs_s[ok_s]
+        recv_parts.append(vs)
+        recv_total += len(vs)
+        num_edges += len(cnt_arr) + int(cnt_arr.sum())
+        # A kept point's DCS has one level per active component.
+        dcs_level_total += int(active[per_point > 0].sum())
 
-        # Cost sets for the points that emitted a transmission node.  The
-        # entries tuple only changes at component boundaries, so one tuple
-        # is built per constant-active segment and shared (exactly the
-        # sweep's event-free-gap reuse).
-        # ``l_arr`` is sorted (point-major creation order), so dedup is a
-        # neighbor comparison rather than a hash/sort pass.
-        kept_cols = (
-            l_arr[np.concatenate([[True], l_arr[1:] != l_arr[:-1]])]
-            if E
-            else l_arr
-        )
-        if len(kept_cols):
-            boundaries = np.unique(np.concatenate(
-                [np.clip(a, 0, P), np.clip(b, 0, P), [0, P]]
-            ))
-            seg = np.searchsorted(boundaries, kept_cols, side="right") - 1
-            ent_cache: Dict[int, Tuple] = {}
-            for l, s in zip(kept_cols.tolist(), seg.tolist()):
-                ent = ent_cache.get(s)
-                if ent is None:
-                    js = np.flatnonzero((a <= l) & (l < b))
-                    ent = tuple(
-                        (float(comp.costs[j]), comp.neighbors[j])
-                        for j in js.tolist()
-                    )
-                    ent_cache[s] = ent
-                cost_sets[(node, l)] = DiscreteCostSet(
-                    node=node, time=float(pts[l]), entries=ent
-                )
-                dcs_level_total += len(ent)
-
-    counts = np.concatenate(
-        state_cnt_parts + tx_cnt_parts
-        if (state_cnt_parts or tx_cnt_parts)
-        else [np.zeros(0, dtype=np.int64)]
+    tx_ptr = np.concatenate(
+        [np.zeros(1, dtype=np.int64),
+         np.cumsum(_concat(per_point_parts, np.int64))]
     )
-    indptr = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(counts)])
-    targets_arr = (
-        np.concatenate(state_tgt_parts + tx_tgt_parts)
-        if (state_tgt_parts or tx_tgt_parts)
-        else np.zeros(0, dtype=np.int64)
+    tx_k = _concat(tx_k_parts, np.int64)
+    node_base = np.array(
+        [state_base[n] for n in labels] + [num_states], dtype=np.int64
     )
-    weights_arr = (
-        np.concatenate(
-            state_w_parts + [np.zeros(int(c.sum())) for c in tx_cnt_parts]
-        )
-        if (state_w_parts or tx_cnt_parts)
-        else np.zeros(0)
-    )
-    times = (
-        np.concatenate(state_time_parts + tx_time_parts)
-        if (state_time_parts or tx_time_parts)
-        else np.zeros(0)
-    )
-    aux_nodes = LazyAuxNodes(
-        state_nodes,
-        labels,
-        np.concatenate(tx_owner_parts) if tx_owner_parts
-        else np.zeros(0, dtype=np.int64),
-        np.concatenate(tx_l_parts) if tx_l_parts
-        else np.zeros(0, dtype=np.int64),
-        np.concatenate(tx_k_parts) if tx_k_parts
-        else np.zeros(0, dtype=np.int64),
-    )
-    tx_counts = np.zeros(len(labels), dtype=np.int64)
-    for part in tx_owner_parts:
-        if len(part):
-            tx_counts[int(part[0])] = len(part)
-    tx_offsets = np.concatenate(
-        [np.zeros(1, dtype=np.int64), np.cumsum(tx_counts)]
-    )
+    wait = np.ones(num_states, dtype=np.uint8)
+    last = node_base[1:] - 1
+    wait[last[last >= 0]] = 0  # a node's last point has no waiting edge
+    aux_nodes = LazyAuxNodes(labels, node_base, tx_ptr, tx_k)
 
     wanted = (
         tuple(n for n in labels if n != source)
@@ -531,54 +527,53 @@ def build_numpy_aux_graph(
         else tuple(n for n in targets if n != source)
     )
     obs.gauge("auxgraph.nodes", len(aux_nodes))
-    obs.gauge("auxgraph.edges", len(targets_arr))
+    obs.gauge("auxgraph.edges", num_edges)
     obs.gauge("auxgraph.dcs_levels", dcs_level_total)
     obs.counter("auxgraph.numpy_builds")
     return NumpyAuxGraph(
-        indptr=indptr,
-        targets=targets_arr,
-        weights=weights_arr,
         aux_nodes=aux_nodes,
-        times=times,
         dts=d,
         source=source,
         root=state_node(source, 0),
         terminals=tuple(
-            state_node(n, len(raw_pts[n]) - 1) for n in wanted
+            state_node(n, len(pts_of[n]) - 1) for n in wanted
         ),
         root_index=state_base[source],
         terminal_indices=tuple(
-            state_base[n] + len(raw_pts[n]) - 1 for n in wanted
+            state_base[n] + len(pts_of[n]) - 1 for n in wanted
         ),
-        cost_sets=cost_sets,
+        cost_sets=LazyCostSets(d, state_base, tx_ptr, runs),
         state_base=state_base,
-        tx_offsets=tx_offsets,
-        _label_index={n: i for i, n in enumerate(labels)},
-        dcs_level_count=dcs_level_total,
+        tx_ptr=tx_ptr,
+        wait=wait.tobytes(),
+        tx_w=_concat(tx_w_parts, np.float64),
+        tx_k=tx_k,
+        tx_cnt=_concat(tx_cnt_parts, np.int64),
+        tx_off=_concat(tx_off_parts, np.int64),
+        recv=_concat(recv_parts, np.int64),
+        num_edges=num_edges,
+        dcs_levels=dcs_level_total,
     )
 
 
 def greedy_incremental_dst_numpy(
-    graph: CompactAuxGraph,
+    graph: NumpyAuxGraph,
     root: AuxNode,
     terminals: Sequence[AuxNode],
     stats: Optional[Dict[str, int]] = None,
 ) -> Set[Edge]:
-    """The incremental multi-source Dijkstra with batched row decoding.
+    """The incremental multi-source Dijkstra over the implicit graph.
 
     Identical search to :func:`~repro.steiner.dst.greedy_incremental_dst`
-    on a :class:`~repro.auxgraph.compact.CompactAuxGraph` — same pop
-    sequence, same ``expansions`` / ``grafts`` counters, same tree.  The
-    auxiliary graph's rows are short (a state node links its waiting edge
-    plus the point's transmission levels; a transmission node its covered
-    receivers), so the win over the stdlib loop is not per-row
-    vectorization — whose call overhead would dominate rows this size —
-    but decoding each settled row from the CSR arrays in two bulk
-    ``tolist`` calls and relaxing over native ints and floats, instead of
-    per-element ``array`` indexing.  Float arithmetic, improvement
-    checks, and heap pushes are element-for-element those of the stdlib
-    solver, so the heap multiset — hence the pop order — matches bit for
-    bit.
+    — same pop sequence, same ``expansions`` / ``grafts`` counters, same
+    tree — but each settled row is read straight from the build's arrays
+    (zero-copy memoryviews, which index and slice into native ints and
+    floats) instead of a materialized adjacency list.  Relaxations visit
+    a row's targets in :meth:`NumpyAuxGraph.out_edges` order with the
+    same float arithmetic, so the heap receives the same (distance, node)
+    pushes in the same order.  The 0-weight waiting and coverage edges
+    skip the ``+ 0.0``: distances are never below ``+0.0``, where adding
+    ``0.0`` is exact.
 
     The tree edges are decoded to tuple form at insertion, in graft order —
     downstream set-iteration order is part of the parity contract, so the
@@ -586,10 +581,13 @@ def greedy_incremental_dst_numpy(
     own (same elements *and* same insertion history).
     """
     nodes = graph.aux_nodes
-    indptr = np.asarray(graph.indptr, dtype=np.int64)
-    tgt = np.asarray(graph.targets, dtype=np.int64)
-    wts = np.asarray(graph.weights, dtype=np.float64)
-    iptr = indptr.tolist()
+    num_states = graph.num_states
+    wait = graph.wait
+    tx_ptr = graph.tx_ptr.tolist()
+    tx_w = memoryview(graph.tx_w)
+    tx_off = memoryview(graph.tx_off)
+    tx_cnt = memoryview(graph.tx_cnt)
+    recv = memoryview(graph.recv)
     root_i = (
         graph.root_index if root == graph.root else graph.index_of(root)
     )
@@ -634,13 +632,29 @@ def greedy_incremental_dst_numpy(
             if u in uncovered:
                 target = u
                 break
-            lo, hi = iptr[u], iptr[u + 1]
-            for v, w in zip(tgt[lo:hi].tolist(), wts[lo:hi].tolist()):
-                nd = dd + w
-                if nd < dist[v]:
-                    dist[v] = nd
-                    pred[v] = u
-                    heappush(heap, (nd, v))
+            if u < num_states:
+                if wait[u]:
+                    v = u + 1
+                    if dd < dist[v]:
+                        dist[v] = dd
+                        pred[v] = u
+                        heappush(heap, (dd, v))
+                lo = tx_ptr[u]
+                v = num_states + lo
+                for w in tx_w[lo:tx_ptr[u + 1]]:
+                    nd = dd + w
+                    if nd < dist[v]:
+                        dist[v] = nd
+                        pred[v] = u
+                        heappush(heap, (nd, v))
+                    v += 1
+            else:
+                lo = tx_off[u - num_states]
+                for v in recv[lo:lo + tx_cnt[u - num_states]]:
+                    if dd < dist[v]:
+                        dist[v] = dd
+                        pred[v] = u
+                        heappush(heap, (dd, v))
         if target < 0:
             first = nodes[next(iter(uncovered))]
             raise InfeasibleError(

@@ -48,20 +48,29 @@ def greedy_incremental_dst(
     Dijkstra pass instead of one per terminal.
 
     ``graph`` is either a weighted :class:`networkx.DiGraph` (indexed to
-    flat int adjacency once per call) or a
-    :class:`~repro.auxgraph.compact.CompactAuxGraph`, whose CSR arrays are
-    consumed natively with no re-indexing.  Both paths run the identical
-    search over identical node numbering, so they return identical trees.
+    flat int adjacency once per call) or an int-indexed auxiliary graph
+    (:class:`~repro.auxgraph.compact.RowGraph`), whose rows are read
+    through ``graph.out_edges`` as nodes settle, with no re-indexing.  Both
+    paths run the identical search over identical node numbering, so they
+    return identical trees.
 
     ``stats``, when given, receives ``expansions`` (settled heap pops) and
     ``grafts`` (paths attached to the tree) — the same numbers the obs
     counters ``steiner.expansions`` / ``steiner.grafts`` record.
     """
-    from ..auxgraph.compact import CompactAuxGraph
-
-    if isinstance(graph, CompactAuxGraph):
+    if isinstance(graph, nx.DiGraph):
+        # Index the graph once: tuple keys → ints, adjacency as flat lists.
+        nodes = list(graph.nodes)
+        index = {n: i for i, n in enumerate(nodes)}
+        adj = [[] for _ in nodes]
+        for u, v, data in graph.edges(data=True):
+            adj[index[u]].append((index[v], float(data.get("weight", 0.0))))
+        row_of = None
+        root_i = index[root]
+        uncovered = {index[t] for t in terminals if t != root}
+    else:
         nodes = graph.aux_nodes
-        indptr, tgt, wts = graph.indptr, graph.targets, graph.weights
+        row_of = graph.out_edges
         root_i = (
             graph.root_index if root == graph.root else graph.index_of(root)
         )
@@ -69,17 +78,7 @@ def greedy_incremental_dst(
             uncovered = set(graph.terminal_indices)
         else:
             uncovered = {graph.index_of(t) for t in terminals if t != root}
-        adj: List = [None] * len(nodes)  # filled lazily from CSR below
-    else:
-        # Index the graph once: tuple keys → ints, adjacency as flat lists.
-        nodes = list(graph.nodes)
-        index = {n: i for i, n in enumerate(nodes)}
-        adj = [[] for _ in nodes]
-        for u, v, data in graph.edges(data=True):
-            adj[index[u]].append((index[v], float(data.get("weight", 0.0))))
-        indptr = tgt = wts = None
-        root_i = index[root]
-        uncovered = {index[t] for t in terminals if t != root}
+        adj = [None] * len(nodes)  # rows memoized as they settle
     uncovered.discard(root_i)
 
     n = len(nodes)
@@ -118,9 +117,8 @@ def greedy_incremental_dst(
                 target = u
                 break
             row = adj[u]
-            if row is None:  # CSR path: materialize visited rows lazily
-                lo, hi = indptr[u], indptr[u + 1]
-                row = adj[u] = list(zip(tgt[lo:hi], wts[lo:hi]))
+            if row is None:
+                row = adj[u] = row_of(u)
             for v, w in row:
                 nd = d + w
                 if nd < dist[v]:

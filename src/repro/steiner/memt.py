@@ -21,6 +21,7 @@ from typing import Dict, Hashable, Optional, Sequence, Set, Tuple
 import networkx as nx
 
 from .. import obs
+from ..compute.numpy_backend import NumpyAuxGraph, greedy_incremental_dst_numpy
 from ..errors import SolverError
 from .dst import charikar_dst, greedy_incremental_dst
 from .prune import prune_tree
@@ -42,20 +43,19 @@ def solve_memt(
     level: int = 2,
     max_candidates: Optional[int] = None,
     stats: Optional[Dict[str, int]] = None,
-    compute: Optional[str] = None,
 ) -> Set[Edge]:
     """Solve the MEMT instance and return the pruned Steiner edge set.
 
-    ``graph`` is a weighted :class:`networkx.DiGraph` or a
-    :class:`~repro.auxgraph.compact.CompactAuxGraph`.  The greedy solver
-    consumes the compact form natively; the networkx-based solvers
-    (``sptree``, ``charikar``) receive its lossless ``to_networkx()`` view,
-    so every method accepts every graph form and returns identical trees.
-
-    ``compute="numpy"`` routes the greedy solver through the array-kernel
-    variant (:func:`repro.compute.numpy_backend.greedy_incremental_dst_numpy`
-    — byte-identical tree and counters, batched row decoding); any other
-    value, or a networkx graph, runs the stdlib solver.
+    ``graph`` is a weighted :class:`networkx.DiGraph`, a
+    :class:`~repro.auxgraph.compact.CompactAuxGraph`, or the numpy
+    kernel's implicit :class:`~repro.compute.numpy_backend.NumpyAuxGraph`.
+    The greedy solver is chosen by graph form: the implicit graph gets
+    :func:`~repro.compute.numpy_backend.greedy_incremental_dst_numpy`,
+    which reads its rows straight from the build's arrays; every other
+    form gets the stdlib :func:`greedy_incremental_dst`.  The
+    networkx-based solvers (``sptree``, ``charikar``) receive a lossless
+    ``to_networkx()`` view, so every method accepts every graph form and
+    returns identical trees.
 
     ``stats``, when given, receives the solver's work counters (at least
     ``expansions``; the greedy solver adds ``grafts``) — the numbers the
@@ -69,18 +69,12 @@ def solve_memt(
         terminals=len(terminals),
     ):
         if method == "greedy":
-            if compute == "numpy" and not isinstance(graph, nx.DiGraph):
-                from ..compute.numpy_backend import (
-                    greedy_incremental_dst_numpy,
-                )
-
-                edges = greedy_incremental_dst_numpy(
-                    graph, root, terminals, stats=stats
-                )
-            else:
-                edges = greedy_incremental_dst(
-                    graph, root, terminals, stats=stats
-                )
+            search = (
+                greedy_incremental_dst_numpy
+                if isinstance(graph, NumpyAuxGraph)
+                else greedy_incremental_dst
+            )
+            edges = search(graph, root, terminals, stats=stats)
         elif method == "sptree":
             if not isinstance(graph, nx.DiGraph):
                 graph = graph.to_networkx()

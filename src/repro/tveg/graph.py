@@ -110,9 +110,9 @@ class TVEG:
         # component arrays etc.), same version discipline as the DCS memo.
         self._compute_cache: dict = {}
         self._compute_cache_version = tvg.version
-        # Auxiliary-graph cache: (mode, deadline, targets) → CompactAuxGraph.
+        # Auxiliary-graph cache: (mode, deadline, targets) → aux graph.
         # The Section VI-A construction is source-independent, so one build
-        # serves every source via CompactAuxGraph.retarget; bounded LRU.
+        # serves every source via RowGraph.retarget; bounded LRU.
         self._aux_cache: "OrderedDict" = OrderedDict()
         self._aux_cache_version = tvg.version
         # Replay memo: neighbor tuples and failure probabilities looked up
@@ -252,7 +252,7 @@ class TVEG:
 
         Keyed by ``(mode, deadline, targets)`` — *not* the source, because
         the construction is source-independent and consumers re-root via
-        :meth:`~repro.auxgraph.compact.CompactAuxGraph.retarget`.  Like
+        :meth:`~repro.auxgraph.compact.RowGraph.retarget`.  Like
         every other TVEG cache this is pure memoization: entries never
         change results, only skip rebuilds (the batch-planning and
         service amortization).

@@ -11,6 +11,7 @@ traces, the ``plan_broadcast_many ≡ N × plan_broadcast`` equivalence, the
 ``TVEG.clear_caches`` invalidation satellite.
 """
 
+import dataclasses
 import warnings
 
 import pytest
@@ -27,7 +28,7 @@ from repro.compute import (
     canonical_compute_name,
     resolve_compute,
 )
-from repro.compute.numpy_backend import build_numpy_aux_graph
+from repro.compute.numpy_backend import NumpyAuxGraph, build_numpy_aux_graph
 from repro.errors import GraphModelError, InfeasibleError, SolverError
 from repro.schedule import (
     doc_to_planset,
@@ -125,16 +126,19 @@ def test_python_and_numpy_plans_byte_identical(algorithm, trace):
     assert_plans_identical(py, np_)
 
 
-@given(contact_traces(), st.integers(0, 2**16))
+@given(contact_traces(), st.integers(0, 2**16),
+       st.sampled_from((0.0, 1.0, 5.0)))
 @slow
-def test_numpy_builder_matches_compact_builder(trace, seed):
-    tveg = tveg_from_trace(trace, "static", seed=seed)
+def test_numpy_builder_matches_compact_builder(trace, seed, tau):
+    tveg = tveg_from_trace(trace, "static", seed=seed, tau=tau)
     ca = build_compact_aux_graph(tveg, 0, HORIZON)
     na = build_numpy_aux_graph(tveg, 0, HORIZON)
     assert list(na.aux_nodes) == list(ca.aux_nodes)
-    assert list(na.indptr) == list(ca.indptr)
-    assert list(na.targets) == list(ca.targets)
-    assert list(na.weights) == list(ca.weights)
+    n = ca.num_nodes
+    assert na.num_edges == ca.num_edges
+    assert [na.out_edges(i) for i in range(n)] == [
+        ca.out_edges(i) for i in range(n)
+    ]
     assert na.root == ca.root and na.root_index == ca.root_index
     assert na.terminals == ca.terminals
     assert na.terminal_indices == ca.terminal_indices
@@ -147,6 +151,28 @@ def test_numpy_builder_matches_compact_builder(trace, seed):
                 solve_memt(na, na.root, na.terminals, method=method)
             continue
         assert solve_memt(na, na.root, na.terminals, method=method) == e_c
+
+
+@given(contact_traces(), st.integers(0, 2**16), st.floats(30.0, HORIZON),
+       st.sampled_from((0.0, 1.0, 5.0)))
+@slow
+def test_numpy_counted_sizes_match_what_they_count(trace, seed, deadline,
+                                                   tau):
+    """``num_edges``, ``dcs_levels`` and the ``cost_sets`` keys of the
+    implicit graph are counted apart from the rows and cost sets they
+    describe, so pin each to a recount and to the compact build.  A
+    positive ``tau`` leaves points with active contacts but no
+    transmission node (too late to finish, or no receiver state)."""
+    tveg = tveg_from_trace(trace, "static", seed=seed, tau=tau)
+    na = build_numpy_aux_graph(tveg, 0, deadline)
+    ca = build_compact_aux_graph(tveg, 0, deadline)
+    assert isinstance(na, NumpyAuxGraph)
+    recount = sum(len(na.out_edges(i)) for i in range(na.num_nodes))
+    assert na.num_edges == recount == ca.num_edges
+    levels = sum(len(cs) for cs in na.cost_sets.values())
+    assert na.dcs_levels == levels == ca.dcs_levels
+    assert len(na.cost_sets) == len(ca.cost_sets)
+    assert list(na.cost_sets) == list(ca.cost_sets)
 
 
 # ----------------------------------------------------------------------
@@ -300,20 +326,28 @@ class TestComputeResolution:
 
 class TestRetargetAndAuxCache:
     def test_retarget_equals_fresh_build(self, det_static):
-        base = build_compact_aux_graph(det_static, 0, det_static.horizon)
-        fresh = build_compact_aux_graph(det_static, 1, det_static.horizon)
-        moved = base.retarget(1)
-        assert moved.root == fresh.root
-        assert moved.root_index == fresh.root_index
-        assert moved.terminals == fresh.terminals
-        assert moved.terminal_indices == fresh.terminal_indices
-        # the arrays are shared, not copied
-        assert moved.targets is base.targets
-        assert moved.weights is base.weights
-        assert moved.indptr is base.indptr
-        e1 = solve_memt(fresh, fresh.root, fresh.terminals, method="greedy")
-        e2 = solve_memt(moved, moved.root, moved.terminals, method="greedy")
-        assert e1 == e2
+        horizon = det_static.horizon
+        for builder in (build_compact_aux_graph, build_numpy_aux_graph):
+            base = builder(det_static, 0, horizon)
+            fresh = builder(det_static, 1, horizon)
+            moved = base.retarget(1)
+            assert type(moved) is type(base)
+            assert moved.root == fresh.root
+            assert moved.root_index == fresh.root_index
+            assert moved.terminals == fresh.terminals
+            assert moved.terminal_indices == fresh.terminal_indices
+            # every array (and lazy view) is shared, not copied
+            rooted = {"source", "root", "root_index", "terminals",
+                      "terminal_indices"}
+            for f in dataclasses.fields(base):
+                if f.name not in rooted:
+                    assert getattr(moved, f.name) is getattr(base, f.name)
+            e1 = solve_memt(fresh, fresh.root, fresh.terminals,
+                            method="greedy")
+            e2 = solve_memt(moved, moved.root, moved.terminals,
+                            method="greedy")
+            assert e1 == e2
+        assert isinstance(moved, NumpyAuxGraph)
 
     def test_retarget_rejects_unknown_nodes(self, det_static):
         base = build_compact_aux_graph(det_static, 0, det_static.horizon)

@@ -96,14 +96,15 @@ plan set as a `repro.planset/1` document.
 # Compute kernels
 
 `repro.compute` is the registry behind the `compute=` parameter: the
-pure-python kernels are the parity oracle, and an optional numpy layer
+pure-python kernels are the parity oracle, and the numpy layer
 accelerates the three hot stages (per-node timeline sweeps +
-contact-cost evaluation batched into contact-component arrays, DCS
-level lookups via `searchsorted`, and greedy Steiner expansion over
-batch-decoded CSR rows) while reproducing the python path **byte for
-byte** — same node ids, edge order, floats, heap pops, and expansion
-counters (`tests/test_compute_parity.py` enforces this
-property-based).
+contact-cost evaluation batched into contact-component arrays, the
+auxiliary graph built in implicit form — per-state and
+per-transmission arrays from which each row, node tuple and cost set
+is derived on demand — and greedy Steiner expansion reading those rows
+directly) while reproducing the python path **byte for byte** — same
+node ids, edge order, floats, heap pops, and expansion counters
+(`tests/test_compute_parity.py` enforces this property-based).
 
 Resolution order for `compute="auto"` (the default): the
 `REPRO_COMPUTE` environment variable, then numpy-if-importable, else

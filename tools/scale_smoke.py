@@ -14,10 +14,15 @@ and asserts the three scale acceptance properties:
 2. **bounded memory**: a child interpreter plans one source from the
    ``.ctrace`` file — windowed store → ``tveg_from_trace`` with an LRU
    ``dcs_capacity`` bound — under a hard ``resource.setrlimit``
-   address-space ceiling (``--limit-mb``).  The unbounded DCS memo
-   alone needs ~2.8 GB here, so a regression to per-contact objects or
-   an unbounded memo dies on ``MemoryError`` instead of quietly using
-   more RAM;
+   address-space ceiling (``--limit-mb``).  With the default GREED
+   scheduler, the unbounded DCS memo alone needs ~2.8 GB on the full
+   instance, so a regression to per-contact objects or an unbounded
+   memo dies on ``MemoryError`` instead of quietly using more RAM.
+   ``--algorithm eedcb`` guards the Section VI-A auxiliary graph
+   instead: on the quick instance (6.1M aux nodes, 19.1M edges) the
+   implicit graph plans within about 1470 MB of address space, while
+   materializing every edge as arrays needs about 2600 MB, so
+   ``--limit-mb 2048`` trips if per-edge arrays come back;
 3. **parity**: the store-backed schedule is byte-identical (relay ids,
    ``float.hex()`` times/costs, total cost) to the dict-backed
    ``ContactTrace`` path planned from the same text file in an
@@ -27,6 +32,8 @@ Usage::
 
     PYTHONPATH=src python tools/scale_smoke.py             # full instance
     PYTHONPATH=src python tools/scale_smoke.py --quick     # 50k contacts
+    PYTHONPATH=src python tools/scale_smoke.py --quick --algorithm eedcb \
+        --limit-mb 2048                                    # aux-graph guard
 
 Exits nonzero with a diagnostic on the first violated property.
 """
@@ -51,7 +58,7 @@ if SRC_ROOT not in sys.path:  # direct invocation without PYTHONPATH=src
 QUICK_NODES, QUICK_CONTACTS, QUICK_HORIZON = 200, 50_000, 20_000.0
 QUICK_WINDOW, QUICK_DEADLINE = (0.0, 2000.0), 1500.0
 SOURCE = 0
-ALGORITHM = "greed"
+ALGORITHMS = ("greed", "eedcb")
 PLAN_SEED = 5
 # The greedy event scheduler queries a DCS per (informed node, event
 # time); left unbounded the memo costs ~2.8 GB peak RSS on the full
@@ -112,7 +119,7 @@ def _child(args) -> int:
     tveg = tveg_from_trace(windowed, seed=PLAN_SEED,
                            dcs_capacity=DCS_CAPACITY)
     plan = plan_broadcast(
-        tveg, SOURCE, deadline, algorithm=ALGORITHM, seed=PLAN_SEED,
+        tveg, SOURCE, deadline, algorithm=args.algorithm, seed=PLAN_SEED,
     )
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     peak_mb = rss / 1e6 if sys.platform == "darwin" else rss / 1024.0
@@ -127,7 +134,8 @@ def _child(args) -> int:
 
 def _run_leg(leg: str, path: str, args, limit_mb: int) -> dict:
     cmd = [sys.executable, os.path.abspath(__file__), "--child", leg,
-           "--path", path, "--limit-mb", str(limit_mb)]
+           "--path", path, "--limit-mb", str(limit_mb),
+           "--algorithm", args.algorithm]
     if args.quick:
         cmd.append("--quick")
     env = dict(os.environ)
@@ -149,6 +157,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
                         help="50k-contact instance (local sanity runs)")
+    parser.add_argument("--algorithm", choices=ALGORITHMS,
+                        default=ALGORITHMS[0],
+                        help="scheduler the legs plan with (default greed; "
+                        "eedcb exercises the auxiliary graph)")
     parser.add_argument("--limit-mb", type=int, default=1024,
                         help="address-space ceiling for the store leg in MB "
                         "(0 disables; default 1024 — the unbounded DCS "
@@ -198,13 +210,15 @@ def main(argv=None) -> int:
     del generated, ingested
 
     store_doc = _run_leg("store", ctrace_path, args, args.limit_mb)
-    print(f"store leg: {len(store_doc['rows'])} transmissions, "
+    print(f"store leg ({args.algorithm}): {len(store_doc['rows'])} "
+          f"transmissions, "
           f"peak RSS {store_doc['peak_mb']} MB "
           f"(ceiling {args.limit_mb or 'none'} MB), "
           f"load {store_doc['load_s']}s, plan {store_doc['plan_s']}s")
 
     dict_doc = _run_leg("dict", text_path, args, 0)
-    print(f"dict leg:  {len(dict_doc['rows'])} transmissions, "
+    print(f"dict leg ({args.algorithm}):  {len(dict_doc['rows'])} "
+          f"transmissions, "
           f"peak RSS {dict_doc['peak_mb']} MB (oracle, unlimited), "
           f"load {dict_doc['load_s']}s, plan {dict_doc['plan_s']}s")
 
