@@ -15,27 +15,28 @@ The paper's main algorithm for static channels:
 On a fading TVEG the DCS weights are the ``w0`` single-hop costs, so the
 identical pipeline doubles as FR-EEDCB's backbone-selection stage.
 
-Stages 2–3 run on one of the interchangeable compute kernels selected by
-``compute=`` (see :mod:`repro.compute`): the pure-stdlib path (the
-bit-for-bit oracle, and the default when nothing is requested) or the
-numpy array kernels.  The auxiliary graph itself is source-independent,
-so built graphs are retained on the TVEG's
+The instance picks the auxiliary-graph form: the implicit numpy graph
+(:mod:`repro.compute.numpy_backend`) when the TVEG certifies
+per-contact-constant costs, the stdlib CSR graph
+(:mod:`repro.auxgraph.compact`) otherwise; the greedy Steiner search
+follows the form.  Both are byte-identical to the networkx construction
+(:func:`repro.auxgraph.build.build_aux_graph`), which the tests keep as
+the reference.  The auxiliary graph itself is source-independent, so
+built graphs are retained on the TVEG's
 :meth:`~repro.tveg.graph.TVEG.aux_cache` and re-rooted per source — the
 amortization behind :func:`repro.api.plan_broadcast_many`.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Dict, Hashable, Optional
+from typing import Dict, Hashable
 
 from .. import obs
-from ..auxgraph.build import build_aux_graph
 from ..auxgraph.compact import build_compact_aux_graph
 from ..auxgraph.extract import extract_schedule
-from ..compute import canonical_compute_name, resolve_compute
+from ..compute import numpy_backend
 from ..dts.dts import build_dts
-from ..errors import InfeasibleError, SolverError
+from ..errors import InfeasibleError
 from ..schedule.reduce import lower_costs, remove_redundant, upgrade_and_prune
 from ..steiner.memt import solve_memt
 from ..steiner.sptree import tree_cost
@@ -45,45 +46,6 @@ from .base import Scheduler, SchedulerResult, record_schedule, register
 __all__ = ["EEDCB"]
 
 Node = Hashable
-
-#: execution mode → the representation label reported in result ``info``
-_BACKEND_LABEL = {"python": "compact", "numpy": "numpy", "nx": "nx"}
-
-
-def _resolve_mode(backend: Optional[str], compute) -> str:
-    """Resolve the (deprecated) ``backend=`` / ``compute=`` pair to a mode.
-
-    Returns ``"nx"``, ``"python"``, or ``"numpy"``.  ``backend=`` keeps
-    working for callers that predate the compute layer, with a
-    :class:`DeprecationWarning`; an explicit ``backend="compact"`` or
-    ``backend="nx"`` without a compute spec pins the stdlib kernels, so
-    pre-existing call sites stay byte-identical run-for-run.  So does a
-    bare ``EEDCB()``: the ``"auto"`` preference for numpy is applied by
-    the API/CLI layer (:func:`repro.api.plan_broadcast`), never sprung on
-    direct constructor calls.
-    """
-    if backend is not None:
-        warnings.warn(
-            "the backend= parameter is deprecated; select kernels with "
-            "compute='python'|'numpy'|'auto' instead (backend='nx' remains "
-            "available for cross-checking the networkx construction)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        if backend not in ("compact", "nx"):
-            raise SolverError(
-                f"unknown auxgraph backend {backend!r}; "
-                "choose 'compact' or 'nx'"
-            )
-    spec = None if compute is None else canonical_compute_name(compute)
-    if backend == "nx":
-        if spec == "numpy":
-            raise SolverError(
-                "backend='nx' cannot run with compute='numpy'; the networkx "
-                "construction is the stdlib parity oracle"
-            )
-        return "nx"
-    return "python" if spec is None else resolve_compute(spec)
 
 
 @register("eedcb")
@@ -97,15 +59,6 @@ class EEDCB(Scheduler):
         ``"charikar"`` (small instances).
     charikar_level:
         Recursion level when ``memt_method="charikar"``.
-    compute:
-        Kernel selection — ``"python"``, ``"numpy"``, or ``"auto"`` (see
-        :mod:`repro.compute`).  ``None`` (the default) runs the stdlib
-        kernels.  Every choice produces byte-identical schedules, info
-        counters, and work counts; the switch is purely about speed.
-    backend:
-        Deprecated spelling of the same choice (``"compact"`` = stdlib
-        CSR, ``"nx"`` = the networkx construction kept for
-        cross-checking); superseded by ``compute=``.
     """
 
     def __init__(
@@ -114,43 +67,37 @@ class EEDCB(Scheduler):
         charikar_level: int = 2,
         reduce: bool = True,
         targets=None,
-        backend: Optional[str] = None,
-        compute: Optional[str] = None,
     ):
-        self._mode = _resolve_mode(backend, compute)
         self._method = memt_method
         self._level = charikar_level
         self._reduce = reduce
-        self._backend = _BACKEND_LABEL[self._mode]
         #: multicast terminal subset; None = broadcast (the paper's case)
         self._targets = tuple(targets) if targets is not None else None
 
     def _build_aux(self, tveg: TVEG, source: Node, deadline: float, dts):
         """Build (or fetch and re-root) the auxiliary graph for ``source``.
 
-        The construction depends only on (TVEG, deadline, targets), so
-        compact and implicit builds are kept on the TVEG's LRU
-        :meth:`~repro.tveg.graph.TVEG.aux_cache` and re-rooted with
-        :meth:`~repro.auxgraph.compact.RowGraph.retarget` — a hit
-        skips the single most expensive stage of the pipeline.  The nx
-        mode is exempt (it exists to exercise the construction itself).
+        The one place the graph form is chosen: the implicit
+        :class:`~repro.compute.numpy_backend.NumpyAuxGraph` when
+        ``tveg.cost_cacheable`` (its batched cost evaluation is exact only
+        for per-contact-constant costs), the stdlib
+        :class:`~repro.auxgraph.compact.CompactAuxGraph` otherwise.  The
+        construction depends only on (TVEG, deadline, targets), so builds
+        are kept on the TVEG's LRU :meth:`~repro.tveg.graph.TVEG.aux_cache`
+        and re-rooted with
+        :meth:`~repro.auxgraph.compact.RowGraph.retarget` — a hit skips the
+        single most expensive stage of the pipeline.
         """
-        if self._mode == "nx":
-            return build_aux_graph(
-                tveg, source, deadline, dts, targets=self._targets
-            )
         cache = tveg.aux_cache()
-        key = (self._mode, float(deadline), self._targets)
+        key = (float(deadline), self._targets)
         hit = cache.get(key)
         if hit is not None:
             cache.move_to_end(key)
             if hit.source == source:
                 return hit
             return hit.retarget(source, self._targets)
-        if self._mode == "numpy":
-            from ..compute.numpy_backend import build_numpy_aux_graph
-
-            builder = build_numpy_aux_graph
+        if tveg.cost_cacheable:
+            builder = numpy_backend.build_numpy_aux_graph
         else:
             builder = build_compact_aux_graph
         aux = builder(tveg, source, deadline, dts, targets=self._targets)
@@ -190,12 +137,11 @@ class EEDCB(Scheduler):
                 dts = build_dts(tveg.tvg, deadline)
             with obs.stage(stage_seconds, "auxgraph", "eedcb.auxgraph"):
                 aux = self._build_aux(tveg, source, deadline, dts)
-                solver_graph = aux if self._mode != "nx" else aux.graph
             with obs.stage(
                 stage_seconds, "steiner", "eedcb.steiner", method=self._method
             ):
                 edges = solve_memt(
-                    solver_graph,
+                    aux,
                     aux.root,
                     aux.terminals,
                     method=self._method,
@@ -206,20 +152,17 @@ class EEDCB(Scheduler):
                 schedule = extract_schedule(aux, edges)
             raw_cost = schedule.total_cost
             if self._reduce:
-                # Pin the replay kernel to the scheduler's resolved mode so
-                # a compute="python" run stays numpy-free end to end.
-                kw = {
-                    "targets": self._targets,
-                    "compute": "numpy" if self._mode == "numpy" else "python",
-                }
+                targets = self._targets
                 with obs.stage(stage_seconds, "reduce", "eedcb.reduce"):
                     schedule = remove_redundant(
-                        tveg, schedule, source, deadline, **kw
+                        tveg, schedule, source, deadline, targets=targets
                     )
                     schedule = upgrade_and_prune(
-                        tveg, schedule, source, deadline, **kw
+                        tveg, schedule, source, deadline, targets=targets
                     )
-                    schedule = lower_costs(tveg, schedule, source, deadline, **kw)
+                    schedule = lower_costs(
+                        tveg, schedule, source, deadline, targets=targets
+                    )
         record_schedule(schedule, "eedcb")
         return SchedulerResult(
             schedule=schedule,
@@ -229,11 +172,14 @@ class EEDCB(Scheduler):
                 "dts_points": dts.total_points(),
                 "dcs_levels": aux.dcs_levels,
                 "steiner_expansions": steiner_stats.get("expansions", 0),
-                "tree_cost": tree_cost(solver_graph, edges),
+                "tree_cost": tree_cost(aux, edges),
                 "raw_cost": raw_cost,
                 "memt_method": self._method,
-                "backend": self._backend,
-                "compute": "numpy" if self._mode == "numpy" else "python",
+                "backend": (
+                    "numpy"
+                    if isinstance(aux, numpy_backend.NumpyAuxGraph)
+                    else "compact"
+                ),
                 "stage_seconds": stage_seconds,
             },
         )

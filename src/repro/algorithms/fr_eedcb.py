@@ -15,7 +15,7 @@ Two stages, exactly as the paper decomposes TMEDB-R:
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Optional
+from typing import Dict, Hashable
 
 from .. import obs
 from ..allocation.nlp import solve_allocation
@@ -46,16 +46,8 @@ class FREEDCB(Scheduler):
         charikar_level: int = 2,
         use_slsqp: bool = True,
         targets=None,
-        backend: Optional[str] = None,
-        compute: Optional[str] = None,
     ):
-        self._backbone = EEDCB(
-            memt_method,
-            charikar_level,
-            targets=targets,
-            backend=backend,
-            compute=compute,
-        )
+        self._backbone = EEDCB(memt_method, charikar_level, targets=targets)
         self._use_slsqp = use_slsqp
         self._targets = tuple(targets) if targets is not None else None
 

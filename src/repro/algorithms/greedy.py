@@ -34,9 +34,7 @@ def _greedy_select(cands: List[Candidate]) -> Candidate:
 class Greed(Scheduler):
     """The greedy most-coverage baseline."""
 
-    def __init__(self, power_policy: str = "cover", compute=None):
-        # compute= is accepted for a uniform scheduler surface; GREED has
-        # no array-kernel stage, so every value runs the same code.
+    def __init__(self, power_policy: str = "cover"):
         self._policy = power_policy
 
     def run(
@@ -69,8 +67,7 @@ class Greed(Scheduler):
 class FRGreed(Scheduler):
     """GREED backbone + NLP energy allocation (the paper's FR-GREED)."""
 
-    def __init__(self, power_policy: str = "cover", use_slsqp: bool = True,
-                 compute=None):
+    def __init__(self, power_policy: str = "cover", use_slsqp: bool = True):
         self._inner = Greed(power_policy)
         self._use_slsqp = use_slsqp
 

@@ -38,9 +38,7 @@ State = Tuple[int, FrozenSet[Node]]  # (time index, informed set)
 class OracleExact(Scheduler):
     """Exact minimum-cost broadcast via state-space Dijkstra (tiny N only)."""
 
-    def __init__(self, max_nodes: int = 8, compute=None):
-        # compute= is accepted for a uniform scheduler surface; the oracle
-        # has no array-kernel stage, so every value runs the same code.
+    def __init__(self, max_nodes: int = 8):
         self._max_nodes = max_nodes
 
     def run(

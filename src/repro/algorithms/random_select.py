@@ -28,10 +28,7 @@ Node = Hashable
 class Rand(Scheduler):
     """The random-relay baseline."""
 
-    def __init__(self, power_policy: str = "cover", seed: SeedLike = None,
-                 compute=None):
-        # compute= is accepted for a uniform scheduler surface; RAND has
-        # no array-kernel stage, so every value runs the same code.
+    def __init__(self, power_policy: str = "cover", seed: SeedLike = None):
         self._policy = power_policy
         self._rng = as_generator(seed)
 
@@ -73,7 +70,6 @@ class FRRand(Scheduler):
         power_policy: str = "cover",
         seed: SeedLike = None,
         use_slsqp: bool = True,
-        compute=None,
     ):
         self._inner = Rand(power_policy, seed)
         self._use_slsqp = use_slsqp

@@ -43,7 +43,6 @@ from typing import Any, Dict, Hashable, Iterator, List, Optional, Sequence, Tupl
 from . import obs
 from .algorithms.base import canonical_scheduler_name, make_scheduler
 from .channels.models import ChannelModel
-from .compute import resolve_compute
 from .errors import GraphModelError, InfeasibleError
 from .obs.tracer import TraceSnapshot
 from .params import PAPER_PARAMS, PhyParams
@@ -178,7 +177,6 @@ def plan_config(
     window: Optional[Window] = None,
     seed=None,
     params: PhyParams = PAPER_PARAMS,
-    compute: Optional[str] = None,
     **scheduler_kwargs,
 ) -> Dict[str, Any]:
     """The canonical configuration of one :func:`plan_broadcast` call.
@@ -194,13 +192,6 @@ def plan_config(
     ``source=None`` (auto-pick) is part of the identity as-is; the pick is
     deterministic, so the key remains sound without resolving it here (and
     the hit path never has to build a graph to find out).
-
-    ``compute=`` is accepted and deliberately **ignored**: kernel
-    selection is a performance knob with byte-identical output (see
-    :mod:`repro.compute`), so it must never change a plan's identity —
-    a numpy-planned result legitimately answers a stdlib request and
-    vice versa.  (A legacy ``backend=`` in ``scheduler_kwargs`` keeps
-    flowing into the config unchanged, as it always did.)
     """
     algo = canonical_scheduler_name(algorithm)
     if isinstance(trace_or_tveg, TVEG):
@@ -253,23 +244,6 @@ def plan_cache_key(
     return obs.config_hash(plan_config(trace_or_tveg, source, deadline, **kwargs))
 
 
-def _scheduler_kwargs_with_compute(
-    scheduler_kwargs: Dict[str, Any], compute: Optional[str]
-) -> Dict[str, Any]:
-    """The kwargs a plan's scheduler is constructed with.
-
-    Resolves ``compute`` (``None`` → ``"auto"`` → numpy when importable)
-    and injects it — except when a legacy ``backend=`` was passed and no
-    explicit ``compute=`` accompanies it, where injecting the auto choice
-    would override the semantics that legacy spelling pinned.
-    """
-    kwargs = dict(scheduler_kwargs)
-    if "backend" in kwargs and compute is None:
-        return kwargs
-    kwargs["compute"] = resolve_compute(compute)
-    return kwargs
-
-
 def _plan_on_tveg(
     tveg: TVEG,
     source: Optional[Node],
@@ -277,7 +251,6 @@ def _plan_on_tveg(
     *,
     config: Dict[str, Any],
     seed,
-    compute: Optional[str],
     cache,
     key: str,
     feasible_memo: Optional[Dict[float, List[Node]]] = None,
@@ -307,9 +280,7 @@ def _plan_on_tveg(
             )
         source = feasible[0]
 
-    scheduler = make_scheduler(
-        algo, **_scheduler_kwargs_with_compute(config["scheduler_kwargs"], compute)
-    )
+    scheduler = make_scheduler(algo, **config["scheduler_kwargs"])
 
     t0 = time.perf_counter()
     with obs.span("api.plan_broadcast", algorithm=algo):
@@ -352,7 +323,6 @@ def plan_broadcast(
     seed=None,
     params: PhyParams = PAPER_PARAMS,
     cache=None,
-    compute: Optional[str] = None,
     **scheduler_kwargs,
 ) -> BroadcastPlan:
     """Plan one energy-efficient delay-constrained broadcast in a single call.
@@ -397,14 +367,6 @@ def plan_broadcast(
         byte-identical schedule, cost, and info — without touching a
         scheduler (a memory hit builds no graph at all), a miss computes
         normally and stores the result.
-    compute:
-        Kernel selection: ``"auto"`` (the default for ``None``) runs the
-        numpy array kernels when numpy is importable and the stdlib
-        kernels otherwise; ``"python"`` / ``"numpy"`` pin the choice (an
-        unavailable explicit ``"numpy"`` raises).  Every choice returns
-        byte-identical plans — ``compute`` never enters the config hash.
-        See :mod:`repro.compute`; the ``REPRO_COMPUTE`` environment
-        variable overrides the ``"auto"`` resolution.
     scheduler_kwargs:
         Extra constructor arguments forwarded to the scheduler (e.g.
         ``memt_method="charikar"``).
@@ -436,7 +398,7 @@ def plan_broadcast(
 
     return _plan_on_tveg(
         build_tveg(), source, deadline,
-        config=config, seed=seed, compute=compute, cache=cache, key=key,
+        config=config, seed=seed, cache=cache, key=key,
     )
 
 
@@ -451,7 +413,6 @@ def plan_broadcast_many(
     seed=None,
     params: PhyParams = PAPER_PARAMS,
     cache=None,
-    compute: Optional[str] = None,
     **scheduler_kwargs,
 ) -> BroadcastPlanSet:
     """Plan many broadcasts on one instance, amortizing the shared builds.
@@ -541,7 +502,7 @@ def plan_broadcast_many(
             plans.append(
                 _plan_on_tveg(
                     group_tveg(g), s, d,
-                    config=config, seed=seed, compute=compute,
+                    config=config, seed=seed,
                     cache=cache, key=key, feasible_memo=g["feas"],
                 )
             )

@@ -1,4 +1,4 @@
-"""Flat-array (CSR) auxiliary graph — the scheduler pipeline's fast path.
+"""Flat-array (CSR) auxiliary graph — the stdlib form EEDCB plans on.
 
 :func:`build_aux_graph` (the networkx construction) spends most of its time
 creating dict-of-dict adjacency and tuple node keys, only for the Steiner
@@ -7,16 +7,19 @@ module skips the round trip: :func:`build_compact_aux_graph` produces a
 :class:`CompactAuxGraph` — int node ids, CSR adjacency (``indptr`` /
 ``targets`` / ``weights`` stdlib arrays) — directly from the timeline-sweep
 DCS computation, and :func:`~repro.steiner.dst.greedy_incremental_dst`
-consumes it natively with no per-call re-indexing.
+consumes it natively with no per-call re-indexing.  EEDCB builds this form
+whenever link costs may vary within a contact (``tveg.cost_cacheable`` is
+false); otherwise it builds the implicit numpy graph, which mirrors this
+one row for row.
 
 The construction mirrors :func:`build_aux_graph` *exactly*: node ids follow
 the same insertion order (all state nodes, then transmission nodes as
 created) and per-node adjacency follows the same edge insertion order
 (waiting edge first, then transmission edges by level; coverage edges in
 DCS entry order).  Because the greedy Steiner solver breaks distance ties
-by node index and adjacency order, this makes ``backend="compact"`` and
-``backend="nx"`` runs byte-identical, not merely equivalent — a property
-the equivalence suite pins down.  :meth:`CompactAuxGraph.to_networkx` /
+by node index and adjacency order, this makes compact and networkx runs
+byte-identical, not merely equivalent — a property the equivalence suite
+pins down.  :meth:`CompactAuxGraph.to_networkx` /
 :func:`from_aux_graph` convert losslessly in both directions.
 """
 

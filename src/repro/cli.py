@@ -37,7 +37,6 @@ from typing import List, Optional
 
 from . import obs
 from .algorithms import SCHEDULERS, canonical_scheduler_name, make_scheduler
-from .compute import COMPUTE_BACKENDS, resolve_compute
 from .errors import InfeasibleError, ReproError, SolverError
 from .experiments import (
     ExperimentConfig,
@@ -159,13 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--source", type=int, default=None,
                    help="default: first broadcast-feasible node")
     c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--backend", choices=("compact", "nx"), default=None,
-                   help="auxiliary-graph backend for eedcb/fr-eedcb "
-                   "(deprecated; use --compute, keeping nx for cross-checks)")
-    c.add_argument("--compute", choices=COMPUTE_BACKENDS, default=None,
-                   help="kernel implementation for the scheduler hot path "
-                   "(default: auto — numpy when importable; the schedule is "
-                   "byte-identical either way)")
     c.add_argument("--save", default=None,
                    help="also write the schedule to this CSV file")
     _add_obs_flags(c)
@@ -185,13 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--workers", type=int, default=1,
                    help="Monte-Carlo worker processes (1 = serial, -1 = one "
                    "per CPU); results are bit-identical for any value")
-    m.add_argument("--backend", choices=("compact", "nx"), default=None,
-                   help="auxiliary-graph backend for eedcb/fr-eedcb "
-                   "(deprecated; use --compute, keeping nx for cross-checks)")
-    m.add_argument("--compute", choices=COMPUTE_BACKENDS, default=None,
-                   help="kernel implementation for the scheduler hot path "
-                   "(default: auto — numpy when importable; the schedule is "
-                   "byte-identical either way)")
     m.add_argument("--schedule-file", default=None,
                    help="simulate this saved schedule instead of rescheduling")
     m.add_argument("--protocol", action="store_true",
@@ -217,10 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1,
                    help="trial worker processes (1 = serial, -1 = one per "
                    "CPU); results are bit-identical for any value")
-    p.add_argument("--backend", choices=("compact", "nx"), default=None,
-                   help=argparse.SUPPRESS)
-    p.add_argument("--compute", choices=COMPUTE_BACKENDS, default=None,
-                   help="kernel implementation for the scheduler hot path")
     p.add_argument("--schedule-file", default=None,
                    help="execute this saved schedule instead of rescheduling")
     p.add_argument("--max-retries", type=int, default=2,
@@ -281,13 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--tolerance", type=float, default=0.25,
                    help="fractional p50/counter regression tolerance "
                    "(default 0.25)")
-    b.add_argument("--backend", choices=("compact", "nx"), default="compact",
-                   help="auxiliary-graph backend for the scheduler ops "
-                   "(default: compact)")
-    b.add_argument("--compute", choices=COMPUTE_BACKENDS, default=None,
-                   help="kernel implementation for the scheduler ops; when "
-                   "set it supersedes --backend (default: the stdlib python "
-                   "path, matching committed baselines)")
     b.add_argument("--strict-ops", action="store_true",
                    help="fail the gate when a tier-1 op present in the "
                    "baseline is missing from this run")
@@ -405,14 +379,6 @@ def _prepare(args):
             )
         source = feasible[0]
     kwargs = {"seed": args.seed} if "rand" in args.algorithm else {}
-    backend = getattr(args, "backend", None)
-    compute = getattr(args, "compute", None)
-    if backend and args.algorithm in ("eedcb", "fr-eedcb"):
-        kwargs["backend"] = backend
-    if compute is not None or not backend:
-        # Mirror the API default: auto-resolve the kernel unless a legacy
-        # --backend alone pinned the classic semantics.
-        kwargs["compute"] = resolve_compute(compute)
     scheduler = make_scheduler(args.algorithm, **kwargs)
     return tveg, source, scheduler
 
@@ -641,8 +607,7 @@ def _cmd_bench(args) -> int:
     old_ledger = obs.set_ledger(None)
     try:
         doc = bench.run_bench(quick=args.quick, repeats=args.repeats,
-                              num_nodes=args.nodes, backend=args.backend,
-                              compute=args.compute)
+                              num_nodes=args.nodes)
     finally:
         obs.set_ledger(old_ledger)
     frac = doc["overhead"]["estimated_fraction_of_eedcb"]

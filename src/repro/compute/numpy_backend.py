@@ -32,7 +32,9 @@ reproducing the stdlib path **byte for byte**:
 Byte-identity has one precondition: the distance provider must certify
 ``constant_within_contacts`` (the standard trace pipeline does), because
 the component arrays evaluate each contact's cost once at its start.
-:func:`build_numpy_aux_graph` delegates to the stdlib builder otherwise.
+:func:`build_numpy_aux_graph` raises :class:`~repro.errors.GraphModelError`
+on any other TVEG; :class:`~repro.algorithms.eedcb.EEDCB` builds the
+stdlib CSR graph there instead.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from typing import (
 import numpy as np
 
 from .. import obs
-from ..auxgraph.compact import RowGraph, build_compact_aux_graph
+from ..auxgraph.compact import RowGraph
 from ..auxgraph.model import AuxNode, state_node, tx_node
 from ..dts.dts import DiscreteTimeSet, build_dts
 from ..errors import GraphModelError, InfeasibleError
@@ -59,8 +61,6 @@ __all__ = [
     "NumpyAuxGraph",
     "build_numpy_aux_graph",
     "greedy_incremental_dst_numpy",
-    "round_down_many",
-    "level_index_many",
 ]
 
 Node = Hashable
@@ -364,19 +364,22 @@ def build_numpy_aux_graph(
     deadline: Optional[float] = None,
     dts: Optional[DiscreteTimeSet] = None,
     targets: Optional[Tuple[Node, ...]] = None,
-) -> RowGraph:
+) -> NumpyAuxGraph:
     """Build the Section VI-A auxiliary graph in implicit form.
 
     Returns a :class:`NumpyAuxGraph` whose node numbering, per-row edge
     order, weights and ``cost_sets`` are identical to
     :func:`~repro.auxgraph.compact.build_compact_aux_graph`'s — verified
-    row for row by the compute-parity suite.  When the TVEG cannot
-    certify per-contact-constant costs the stdlib builder is used instead
-    (the batched cost evaluation could not guarantee bit-identity there).
+    row for row by the compute-parity suite.  Raises
+    :class:`~repro.errors.GraphModelError` when the TVEG cannot certify
+    per-contact-constant costs (``tveg.cost_cacheable``): the batched cost
+    evaluation could not guarantee bit-identity there.
     """
     if not tveg.cost_cacheable:
-        return build_compact_aux_graph(tveg, source, deadline, dts,
-                                       targets=targets)
+        raise GraphModelError(
+            "the implicit auxiliary graph needs per-contact-constant link "
+            "costs (tveg.cost_cacheable); build the compact graph instead"
+        )
     if not tveg.tvg.has_node(source):
         raise GraphModelError(f"unknown source {source!r}")
     if targets is not None:
@@ -675,50 +678,3 @@ def greedy_incremental_dst_numpy(
     obs.counter("steiner.expansions", expansions)
     obs.counter("steiner.grafts", grafts)
     return tree_edges
-
-
-# ----------------------------------------------------------------------
-# batched DCS queries (searchsorted over per-set level arrays)
-# ----------------------------------------------------------------------
-
-def _level_array(dcs: DiscreteCostSet) -> "np.ndarray":
-    """The cost-level array of one DCS, cached on the instance."""
-    arr = dcs.__dict__.get("_level_array")
-    if arr is None:
-        arr = np.asarray(dcs.costs, dtype=np.float64)
-        # frozen dataclass: cache through __dict__, never mutate fields
-        dcs.__dict__["_level_array"] = arr
-    return arr
-
-
-def round_down_many(dcs: DiscreteCostSet, ws: Sequence[float]) -> List[float]:
-    """``[dcs.round_down(w) for w in ws]`` as one ``searchsorted`` query."""
-    from ..errors import ScheduleError
-
-    levels = _level_array(dcs)
-    qs = np.asarray(list(ws), dtype=np.float64)
-    idx = np.searchsorted(levels, qs, side="right")
-    if len(qs) and int(idx.min()) == 0:
-        w = float(qs[int(np.argmin(idx))])
-        raise ScheduleError(
-            f"cost {w!r} is below the smallest DCS level of node "
-            f"{dcs.node!r} at t={dcs.time!r}"
-        )
-    return [dcs.entries[i - 1][0] for i in idx.tolist()]
-
-
-def level_index_many(dcs: DiscreteCostSet, ws: Sequence[float]) -> List[int]:
-    """``[dcs.level_index(w) for w in ws]`` as one ``searchsorted`` query."""
-    from ..errors import ScheduleError
-
-    levels = _level_array(dcs)
-    qs = np.asarray(list(ws), dtype=np.float64)
-    idx = np.searchsorted(levels, qs, side="left")
-    out: List[int] = []
-    for w, k in zip(qs.tolist(), idx.tolist()):
-        if k >= len(levels) or levels[k] != w:
-            raise ScheduleError(
-                f"{w!r} is not a DCS level of node {dcs.node!r}"
-            )
-        out.append(k)
-    return out

@@ -38,9 +38,6 @@ class ExperimentConfig:
     #: Monte-Carlo worker processes (1 = serial; -1 = one per CPU); results
     #: are bit-identical for any value (see repro.parallel)
     workers: int = 1
-    #: compute kernel for the schedulers ("auto" | "python" | "numpy");
-    #: results are bit-identical for any value (see repro.compute)
-    compute: str = "auto"
 
     def with_(self, **changes) -> "ExperimentConfig":
         return replace(self, **changes)

@@ -148,9 +148,7 @@ def evaluate_algorithm(
     else:
         raise ValueError(f"unknown execution channel {execution_channel!r}")
 
-    scheduler = make_scheduler(
-        name, **{"compute": config.compute, **scheduler_kwargs}
-    )
+    scheduler = make_scheduler(name, **scheduler_kwargs)
     t0 = time.perf_counter()
     try:
         with obs.span("experiment.schedule", algorithm=name):

@@ -133,18 +133,13 @@ def _build_instance(num_nodes: int, delay: float, seed: int):
 
 def _ops(
     static, fading, source, trace, delay: float, trials: int,
-    backend: str = "compact", compute: Optional[str] = None,
 ) -> List[Tuple[str, Callable[[], Optional[Dict[str, float]]]]]:
     """(name, thunk) pairs; a thunk may return a counters dict.
 
-    ``compute`` selects the kernel implementation the scheduler and batch
-    ops run on (``None`` → the stdlib ``"python"`` path, matching the
-    committed baselines); ``backend`` keeps selecting the ``nx``
-    cross-check representation.  All selections report identical work
-    counters, which CI cross-checks.  The aux-build and scheduler ops
-    clear the TVEG's DCS/cost caches before each repeat so every timing is
-    a cold build — otherwise the first op to run would warm the memo for
-    the rest and the numbers would depend on suite order.
+    The aux-build and scheduler ops clear the TVEG's DCS/cost caches
+    before each repeat so every timing is a cold build — otherwise the
+    first op to run would warm the memo for the rest and the numbers
+    would depend on suite order.
     """
     from ..algorithms import make_scheduler
     from ..api import plan_broadcast, plan_broadcast_many, plan_cache_key
@@ -163,11 +158,6 @@ def _ops(
     from ..temporal import earliest_arrivals
     from ..temporal.reachability import broadcast_feasible_sources
 
-    kernel = compute or "python"
-    if backend == "nx" and compute is None:
-        sched_kwargs: Dict[str, Any] = {"backend": "nx"}
-    else:
-        sched_kwargs = {"compute": kernel}
     dts = build_dts(static.tvg, delay)
     aux = build_aux_graph(static, source, delay, dts)
     schedule = make_scheduler("eedcb").run(static, source, delay).schedule
@@ -183,8 +173,7 @@ def _ops(
     # request so its TVEG registry is hot — the ops time *serving*, not
     # graph construction.  ``svc_throughput``'s plan cache is cleared per
     # repeat (mixed hit/miss workload); ``svc_hit``'s stays warm.
-    service_body = {"deadline": delay, "window": 9000.0, "seed": 5,
-                    "compute": kernel}
+    service_body = {"deadline": delay, "window": 9000.0, "seed": 5}
     service_req = parse_plan_request("/plan", dict(service_body))
     miss_reqs = [
         parse_plan_request("/plan", dict(service_body, source=s))
@@ -219,16 +208,12 @@ def _ops(
 
     def eedcb_run():
         static.clear_caches()
-        info = make_scheduler(
-            "eedcb", **sched_kwargs
-        ).run(static, source, delay).info
+        info = make_scheduler("eedcb").run(static, source, delay).info
         return {"steiner_expansions": float(info["steiner_expansions"])}
 
     def fr_eedcb_run():
         fading.clear_caches()
-        info = make_scheduler(
-            "fr-eedcb", **sched_kwargs
-        ).run(fading, source, delay).info
+        info = make_scheduler("fr-eedcb").run(fading, source, delay).info
         return {"nlp_iterations": float(info["nlp_iterations"])}
 
     def monte_carlo():
@@ -244,9 +229,7 @@ def _ops(
         # The EEDCB plan executed as protocol behavior on the fading twin
         # (the lossy case exercises ACKs and retransmissions).  Frame and
         # retransmit totals are summed from the per-trial results, so the
-        # counters are exact integers — deterministic for the fixed seed
-        # and independent of backend/compute (the schedule is
-        # byte-identical across them).
+        # counters are exact integers — deterministic for the fixed seed.
         s = run_protocol_trials(
             fading, schedule, source, delay, num_trials=trials, seed=1,
             keep_outcomes=True,
@@ -304,9 +287,7 @@ def _ops(
         # the acceptance bar is beating k independent plan_broadcast calls
         # by amortizing the TVEG/DCS/aux construction across the batch.
         static.clear_caches()
-        planset = plan_broadcast_many(
-            static, many_sources, delay, compute=kernel
-        )
+        planset = plan_broadcast_many(static, many_sources, delay)
         return {"requests": float(len(planset))}
 
     def service_throughput():
@@ -409,7 +390,7 @@ print(json.dumps({{
 
 
 def _scale_ops(
-    quick: bool, repeats: int, compute: Optional[str]
+    quick: bool, repeats: int
 ) -> Tuple[List[Tuple[str, Callable[[], Dict[str, float]], int]],
            Callable[[], None]]:
     """The columnar-store scale ops: ``trace_ingest`` and ``plan_n1000``.
@@ -487,9 +468,6 @@ def _scale_ops(
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (src_root, env.get("PYTHONPATH")) if p
         )
-        # Pin the child's auto kernel resolution to the suite's kernel so
-        # a python-mode baseline stays numpy-free end to end.
-        env["REPRO_COMPUTE"] = compute or "python"
 
         def plan_n1000() -> Dict[str, float]:
             out = subprocess.run(
@@ -561,22 +539,14 @@ def run_bench(
     repeats: Optional[int] = None,
     num_nodes: Optional[int] = None,
     seed: int = 99,
-    backend: str = "compact",
-    compute: Optional[str] = None,
 ) -> Dict[str, Any]:
     """Run the suite; returns the bench document (see :data:`BENCH_SCHEMA`).
 
     ``quick`` shrinks the instance and repeat count for CI smoke runs (and
     skips the large ``eedcb_run_n50`` instance, which only full runs
-    time).  ``compute`` selects the kernel implementation for the
-    scheduler and batch ops (``None`` → the stdlib path the committed
-    baselines record; pass ``"numpy"`` to benchmark the array kernels
-    against :file:`benchmarks/baseline_numpy.json`).  ``backend`` keeps
-    selecting the ``nx`` cross-check representation.  Instrumentation is
-    forced off during timing so the numbers reflect the shipped default
-    configuration.
+    time).  Instrumentation is forced off during timing so the numbers
+    reflect the shipped default configuration.
     """
-    from ..compute import resolve_compute
     from .tracer import is_enabled
 
     if is_enabled() or get_ledger().enabled:
@@ -584,8 +554,6 @@ def run_bench(
             "disable tracing and the ledger before benchmarking; the suite "
             "times the default (disabled) configuration"
         )
-    if compute is not None:
-        compute = resolve_compute(compute)
     r = repeats if repeats is not None else (3 if quick else 7)
     n = num_nodes if num_nodes is not None else (12 if quick else 20)
     delay = 2000.0
@@ -611,13 +579,12 @@ def run_bench(
 
     results: Dict[str, Any] = {}
     eedcb_thunk = None
-    for name, thunk in _ops(static, fading, source, trace, delay, trials,
-                            backend, compute):
+    for name, thunk in _ops(static, fading, source, trace, delay, trials):
         if name == "eedcb_run":
             eedcb_thunk = thunk
         time_op(name, thunk, r)
 
-    scale_ops, scale_cleanup = _scale_ops(quick, r, compute)
+    scale_ops, scale_cleanup = _scale_ops(quick, r)
     try:
         for name, thunk, rep in scale_ops:
             time_op(name, thunk, rep)
@@ -625,21 +592,17 @@ def run_bench(
         scale_cleanup()
 
     if not quick:
-        # The scaling instance: N=50 is where the array kernels earn their
-        # keep (the stdlib path spends tens of seconds here), so cap the
+        # The scaling instance: one plan takes seconds here, so cap the
         # repeats rather than multiply them.
         from ..algorithms import make_scheduler
 
         static50, _fading50, source50, _trace50 = _build_instance(
             50, delay, seed
         )
-        kernel50 = compute or "python"
 
         def eedcb_run_n50():
             static50.clear_caches()
-            info = make_scheduler(
-                "eedcb", compute=kernel50
-            ).run(static50, source50, delay).info
+            info = make_scheduler("eedcb").run(static50, source50, delay).info
             return {"steiner_expansions": float(info["steiner_expansions"])}
 
         time_op("eedcb_run_n50", eedcb_run_n50, min(r, 2))
@@ -651,12 +614,9 @@ def run_bench(
         "schema": BENCH_SCHEMA,
         "quick": quick,
         "calibration_ms": _calibrate(),
-        "backend": backend,
-        "compute": compute,
         "manifest": run_manifest(
             config={"num_nodes": n, "delay": delay, "trials": trials,
-                    "repeats": r, "seed": seed, "quick": quick,
-                    "backend": backend, "compute": compute},
+                    "repeats": r, "seed": seed, "quick": quick},
         ),
         "results": results,
         "overhead": overhead,
@@ -689,12 +649,6 @@ def compare(
         return [
             "bench modes differ (quick vs full); regenerate the baseline "
             "with the same mode"
-        ]
-    if current.get("compute") != baseline.get("compute"):
-        return [
-            f"bench kernels differ (compute={current.get('compute')!r} vs "
-            f"baseline {baseline.get('compute')!r}); gate numpy runs "
-            "against benchmarks/baseline_numpy.json"
         ]
     cur_cal = current.get("calibration_ms") or 0.0
     base_cal = baseline.get("calibration_ms") or 0.0

@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Tuple
 
 from .. import obs
-from ..compute import resolve_compute
 from ..tveg.graph import TVEG
 from .schedule import Schedule, Transmission
 
@@ -75,7 +74,6 @@ def _causal_replay(
     source: Node,
     eps: float,
     start_time: float,
-    compute: Optional[str] = None,
 ):
     """Fire the schedule causally; return (informed times, unfired rows).
 
@@ -84,15 +82,7 @@ def _causal_replay(
     transmissions fire in fixpoint rounds: a relay informed by an
     already-fired same-instant transmission may itself fire (Eq. 6 admits
     ``t_j ≤ t_k``), but mutually dependent pairs never do.
-
-    Two interchangeable kernels (``compute=`` semantics as everywhere —
-    see :mod:`repro.compute`): this stdlib loop is the parity oracle, and
-    :func:`_causal_replay_numpy` applies each firing's failure factors as
-    one elementwise float64 multiply — bit-identical IEEE results, same
-    neighbor/failure evaluation counts, same memo entries.
     """
-    if resolve_compute(compute) == "numpy":
-        return _causal_replay_numpy(tveg, schedule, source, eps, start_time)
     probs: Dict[Node, float] = {n: 1.0 for n in tveg.nodes}
     informed_at: Dict[Node, float] = {n: math.inf for n in tveg.nodes}
     probs[source] = 0.0
@@ -148,114 +138,6 @@ def _causal_replay(
     return informed_at, unfired
 
 
-def _replay_arrays(tveg, cache, pos, s, np):
-    """``(neighbor positions, failure factors)`` arrays for one firing.
-
-    Built from — and backfilling — the same scalar ``("nbr", ...)`` /
-    ``("fail", ...)`` memo entries the stdlib kernel uses, so the two
-    kernels share one cache, make identical ``tveg.neighbors`` /
-    ``tveg.failure`` call sequences on misses, and stay interchangeable
-    mid-run.
-    """
-    nkey = ("nbr", s.relay, s.time)
-    nbrs = cache.get(nkey)
-    if nbrs is None:
-        nbrs = tveg.neighbors(s.relay, s.time)
-        cache[nkey] = nbrs
-    idx: List[int] = []
-    fails: List[float] = []
-    for v in nbrs:
-        if v == s.relay:
-            continue
-        fkey = ("fail", s.relay, v, s.time, s.cost)
-        f = cache.get(fkey)
-        if f is None:
-            f = tveg.failure(s.relay, v, s.time, s.cost)
-            cache[fkey] = f
-        idx.append(pos[v])
-        fails.append(f)
-    return (np.array(idx, dtype=np.intp), np.array(fails, dtype=np.float64))
-
-
-def _causal_replay_numpy(
-    tveg: TVEG,
-    schedule: Schedule,
-    source: Node,
-    eps: float,
-    start_time: float,
-):
-    """The array kernel of :func:`_causal_replay` (byte-identical results).
-
-    Node uninformed-probabilities live in one ``float64`` vector; each
-    firing multiplies its neighbors' entries by a cached failure-factor
-    array in a single elementwise operation.  Elementwise float64 multiply
-    is the same IEEE operation the scalar loop performs, the still-live
-    mask reproduces the loop's ``probs[v] > 0.0`` guard, and first-crossing
-    times are recorded per firing exactly as the loop does — so informed
-    times, unfired rows, and every probability are bit-for-bit equal (the
-    parity suite asserts it).  The reduce passes replay near-identical
-    schedules once per candidate; this turns each replay's inner loop over
-    neighbors into a handful of vector ops.
-    """
-    import numpy as np
-
-    cache_fn = getattr(tveg, "replay_cache", None)
-    cache: Dict = cache_fn() if cache_fn is not None else {}
-    nodes = tveg.nodes
-    pos = cache.get(("pos",))
-    if pos is None:
-        pos = {n: i for i, n in enumerate(nodes)}
-        cache[("pos",)] = pos
-
-    probs = np.ones(len(nodes), dtype=np.float64)
-    informed_at: Dict[Node, float] = {n: math.inf for n in nodes}
-    #: informed_at already recorded (mirrors the ``== math.inf`` guard)
-    recorded = np.zeros(len(nodes), dtype=bool)
-    src = pos[source]
-    probs[src] = 0.0
-    informed_at[source] = start_time
-    recorded[src] = True
-
-    unfired: List[Transmission] = []
-    rows = list(schedule)
-    i = 0
-    while i < len(rows):
-        j = i
-        while j < len(rows) and rows[j].time == rows[i].time:
-            j += 1
-        pending = rows[i:j]
-        progress = True
-        while pending and progress:
-            progress = False
-            still = []
-            for s in pending:
-                if s.time >= start_time and probs[pos[s.relay]] <= eps:
-                    vkey = ("vec", s.relay, s.time, s.cost)
-                    vec = cache.get(vkey)
-                    if vec is None:
-                        vec = _replay_arrays(tveg, cache, pos, s, np)
-                        cache[vkey] = vec
-                    idx, fails = vec
-                    if len(idx):
-                        sub = probs[idx]
-                        live = sub > 0.0
-                        if live.any():
-                            sub[live] *= fails[live]
-                            probs[idx] = sub
-                        newly = idx[(sub <= eps) & ~recorded[idx]]
-                        if len(newly):
-                            recorded[newly] = True
-                            for p in newly.tolist():
-                                informed_at[nodes[p]] = s.time
-                    progress = True
-                else:
-                    still.append(s)
-            pending = still
-        unfired.extend(pending)
-        i = j
-    return informed_at, unfired
-
-
 def check_feasibility(
     tveg: TVEG,
     schedule: Schedule,
@@ -266,7 +148,6 @@ def check_feasibility(
     start_time: float = 0.0,
     targets: Optional[Tuple[Node, ...]] = None,
     record: Optional[str] = None,
-    compute: Optional[str] = None,
 ) -> FeasibilityReport:
     """Evaluate conditions (i)–(iv) for ``schedule`` on ``tveg``.
 
@@ -282,10 +163,6 @@ def check_feasibility(
     end-of-pipeline check should land in the ledger.  The cheap
     ``feasibility.checks`` / ``feasibility.failed`` counters are bumped
     either way.
-
-    ``compute`` picks the causal-replay kernel (``None`` → ``"auto"`` →
-    numpy when importable; see :mod:`repro.compute`).  Reports are
-    byte-identical across kernels — the knob never changes an outcome.
     """
     e = tveg.params.epsilon if eps is None else eps
     tau = tveg.tau
@@ -293,7 +170,7 @@ def check_feasibility(
 
     with obs.span("feasibility.check", rows=len(schedule)):
         informed_at, unfired = _causal_replay(
-            tveg, schedule, source, e, start_time, compute=compute
+            tveg, schedule, source, e, start_time
         )
 
         # (i) every relay informed when it transmits (causally)

@@ -34,7 +34,6 @@ def remove_redundant(
     deadline: float,
     eps: Optional[float] = None,
     targets=None,
-    compute: Optional[str] = None,
 ) -> Schedule:
     """Greedily delete transmissions whose removal keeps the schedule
     feasible, trying the most expensive ones first.
@@ -42,7 +41,7 @@ def remove_redundant(
     If the input schedule is itself infeasible it is returned unchanged —
     reduction is defined relative to a feasible baseline.
     """
-    if not check_feasibility(tveg, schedule, source, deadline, eps=eps, targets=targets, compute=compute).feasible:
+    if not check_feasibility(tveg, schedule, source, deadline, eps=eps, targets=targets).feasible:
         return schedule
     current = list(schedule.transmissions)
     # Most expensive first: dropping a big transmission saves the most and
@@ -53,7 +52,7 @@ def remove_redundant(
         trial = Schedule(
             s for j, s in enumerate(current) if j != i and j not in removed
         )
-        if check_feasibility(tveg, trial, source, deadline, eps=eps, targets=targets, compute=compute).feasible:
+        if check_feasibility(tveg, trial, source, deadline, eps=eps, targets=targets).feasible:
             removed.add(i)
     if not removed:
         return schedule
@@ -68,7 +67,6 @@ def upgrade_and_prune(
     eps: Optional[float] = None,
     max_rounds: int = 3,
     targets=None,
-    compute: Optional[str] = None,
 ) -> Schedule:
     """Local search: raise one transmission's DCS level, drop what becomes
     redundant, keep the move iff total cost falls.
@@ -79,7 +77,7 @@ def upgrade_and_prune(
     accepted move strictly decreases cost, so the search terminates; rounds
     are bounded for predictable runtime.
     """
-    if not check_feasibility(tveg, schedule, source, deadline, eps=eps, targets=targets, compute=compute).feasible:
+    if not check_feasibility(tveg, schedule, source, deadline, eps=eps, targets=targets).feasible:
         return schedule
     current = schedule
     for _ in range(max_rounds):
@@ -93,7 +91,7 @@ def upgrade_and_prune(
                 rows[i] = s.with_cost(level)
                 trial = remove_redundant(
                     tveg, Schedule(rows), source, deadline, eps=eps,
-                    targets=targets, compute=compute,
+                    targets=targets,
                 )
                 if trial.total_cost < current.total_cost * (1 - 1e-12):
                     current = trial
@@ -113,11 +111,10 @@ def lower_costs(
     deadline: float,
     eps: Optional[float] = None,
     targets=None,
-    compute: Optional[str] = None,
 ) -> Schedule:
     """Round each transmission down to the lowest DCS level that keeps the
     schedule feasible (Property 6.1(ii) in reverse, re-verified per step)."""
-    if not check_feasibility(tveg, schedule, source, deadline, eps=eps, targets=targets, compute=compute).feasible:
+    if not check_feasibility(tveg, schedule, source, deadline, eps=eps, targets=targets).feasible:
         return schedule
     rows = list(schedule.transmissions)
     for i, s in enumerate(rows):
@@ -129,7 +126,7 @@ def lower_costs(
             trial_rows = list(rows)
             trial_rows[i] = s.with_cost(level)
             trial = Schedule(trial_rows)
-            if check_feasibility(tveg, trial, source, deadline, eps=eps, targets=targets, compute=compute).feasible:
+            if check_feasibility(tveg, trial, source, deadline, eps=eps, targets=targets).feasible:
                 rows = trial_rows
                 break
     return Schedule(rows)

@@ -95,7 +95,7 @@ class HashRing:
 #: server.parse_plan_request's field whitelists, plus plan_many spellings)
 _NON_SCHEDULER_FIELDS = frozenset((
     "trace", "deadline", "deadlines", "source", "sources", "algorithm",
-    "channel", "window", "seed", "compute", "timeout",
+    "channel", "window", "seed", "timeout",
 ))
 
 

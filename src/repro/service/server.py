@@ -135,13 +135,13 @@ class PlanSetResponse:
 #: request-body fields POST /plan forwards to PlanningService.plan
 _PLAN_FIELDS = (
     "trace", "deadline", "source", "algorithm", "channel", "window", "seed",
-    "compute", "timeout",
+    "timeout",
 )
 
 #: request-body fields POST /plan_many forwards to PlanningService.plan_many
 _PLAN_MANY_FIELDS = (
     "trace", "deadlines", "sources", "algorithm", "channel", "window",
-    "seed", "compute",
+    "seed",
 )
 
 
@@ -473,16 +473,10 @@ class PlanningService:
         channel: str = "static",
         window=None,
         seed=None,
-        compute: Optional[str] = None,
         timeout: Optional[float] = None,
         **scheduler_kwargs,
     ) -> PlanResponse:
         """Plan one broadcast through the cache and the batch queue.
-
-        ``compute`` selects the kernel implementation (``"auto"`` /
-        ``"python"`` / ``"numpy"``, see :mod:`repro.compute`); it never
-        enters the cache key because every value yields byte-identical
-        plans.
 
         Raises :class:`KeyError` for an unknown trace name,
         :class:`~repro.errors.ServiceOverloaded` when admission control
@@ -506,7 +500,7 @@ class PlanningService:
         def run() -> BroadcastPlan:
             return plan_broadcast(
                 tveg, source, deadline, algorithm=algorithm, seed=seed,
-                cache=self._cache, compute=compute, **scheduler_kwargs,
+                cache=self._cache, **scheduler_kwargs,
             )
 
         try:
@@ -535,7 +529,6 @@ class PlanningService:
         channel: str = "static",
         window=None,
         seed=None,
-        compute: Optional[str] = None,
         **scheduler_kwargs,
     ) -> PlanSetResponse:
         """Plan a batch of broadcasts over one shared instance.
@@ -594,7 +587,7 @@ class PlanningService:
                     [src_list[i] for i in idxs],
                     [dl_list[i] for i in idxs],
                     algorithm=algorithm, seed=seed, cache=self._cache,
-                    compute=compute, **scheduler_kwargs,
+                    **scheduler_kwargs,
                 )
                 for i, plan in zip(idxs, planset):
                     plans[i] = plan

@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
+from repro.auxgraph import build_aux_graph, extract_schedule
 from repro.channels import RayleighChannel, StaticChannel
+from repro.dts import build_dts
 from repro.params import PAPER_PARAMS
+from repro.schedule.reduce import lower_costs, remove_redundant, upgrade_and_prune
+from repro.steiner import solve_memt
+from repro.steiner.sptree import tree_cost
 from repro.traces import DistanceModel, deterministic_trace, uniform_trace
 from repro.tveg import TVEG, tveg_from_trace
 
@@ -54,3 +61,61 @@ def make_random_instance(num_nodes=6, horizon=300.0, seed=0, channel="static"):
         seed=seed,
     )
     return trace, tveg_from_trace(trace, channel, seed=seed)
+
+
+def reference_pipeline(tveg, source, deadline, targets=None):
+    """EEDCB's Section VI-A pipeline on the networkx reference graph.
+
+    DTS → :func:`~repro.auxgraph.build.build_aux_graph` → greedy
+    :func:`~repro.steiner.memt.solve_memt` on the networkx graph →
+    :func:`~repro.auxgraph.extract.extract_schedule` → the three reduce
+    passes.  The production scheduler builds a different graph form, so
+    equality with this pins both forms to the plain construction.
+    Returns the reduced ``schedule`` (FR-EEDCB's backbone) with
+    ``raw_cost`` (before reduction), ``tree_cost``,
+    ``steiner_expansions``, ``aux_nodes`` and ``aux_edges``.  Raises
+    :class:`~repro.errors.InfeasibleError` when no Steiner tree spans the
+    terminals.
+    """
+    dts = build_dts(tveg.tvg, deadline)
+    aux = build_aux_graph(tveg, source, deadline, dts, targets=targets)
+    stats = {}
+    edges = solve_memt(aux.graph, aux.root, aux.terminals, method="greedy",
+                       stats=stats)
+    extracted = extract_schedule(aux, edges)
+    schedule = remove_redundant(tveg, extracted, source, deadline,
+                                targets=targets)
+    schedule = upgrade_and_prune(tveg, schedule, source, deadline,
+                                 targets=targets)
+    schedule = lower_costs(tveg, schedule, source, deadline, targets=targets)
+    return SimpleNamespace(
+        schedule=schedule,
+        raw_cost=extracted.total_cost,
+        tree_cost=tree_cost(aux.graph, edges),
+        steiner_expansions=stats.get("expansions", 0),
+        aux_nodes=aux.num_nodes,
+        aux_edges=aux.num_edges,
+    )
+
+
+def assert_matches_reference(result, ref):
+    """An EEDCB-family plan or result equals :func:`reference_pipeline`'s.
+
+    Graph size, Steiner work and costs always match.  EEDCB's schedule
+    matches row for row; FR-EEDCB re-costs the reference schedule as its
+    backbone, so its relays and times match and ``backbone_cost`` equals
+    the reference cost.
+    """
+    info = result.info
+    assert info["aux_nodes"] == ref.aux_nodes
+    assert info["aux_edges"] == ref.aux_edges
+    assert info["steiner_expansions"] == ref.steiner_expansions
+    assert info["tree_cost"] == ref.tree_cost
+    assert info["raw_cost"] == ref.raw_cost
+    if "backbone_cost" in info:
+        assert [(s.relay, s.time) for s in result.schedule] == [
+            (s.relay, s.time) for s in ref.schedule
+        ]
+        assert info["backbone_cost"] == ref.schedule.total_cost
+    else:
+        assert result.schedule.transmissions == ref.schedule.transmissions

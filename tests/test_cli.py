@@ -171,10 +171,8 @@ class TestObservabilityFlags:
         assert trace_out.exists() and trace_out.read_text().strip()
         metrics = metrics_out.read_text()
         assert metrics.startswith("kind,name,count")  # aggregate CSV
-        # each kernel names its build span; the default resolves per
-        # numpy availability / REPRO_COMPUTE, so accept either
-        assert ("auxgraph.compact_build" in metrics
-                or "auxgraph.numpy_build" in metrics)
+        # the trace's constant distances select the implicit numpy graph
+        assert "auxgraph.numpy_build" in metrics
 
     def test_simulate_ledger_roundtrip(self, trace_file, tmp_path):
         ledger = tmp_path / "sim.ndjson"

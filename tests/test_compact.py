@@ -1,12 +1,14 @@
-"""Compact (CSR) auxiliary-graph backend: equivalence with the nx build.
+"""Compact (CSR) auxiliary graph: equivalence with the nx build.
 
-The compact backend's contract is stronger than "same answer": the CSR
+The compact graph's contract is stronger than "same answer": the CSR
 construction must mirror the networkx build's node and edge *insertion
 order*, because the greedy Steiner solver breaks distance ties by node
 index and adjacency order.  These tests pin the full contract — graph
 equality node-for-node/edge-for-edge/weight-for-weight over random TVEGs,
-lossless round-trips, and schedule identity of the eedcb / fr-eedcb
-pipelines under both backends.
+lossless round-trips, and schedule identity of the production eedcb /
+fr-eedcb schedulers with the networkx reference pipeline, on both the
+per-contact-constant distance profile (implicit numpy graph) and a
+profile that varies within contacts (compact graph).
 """
 
 import math
@@ -22,10 +24,13 @@ from repro.auxgraph import (
     from_aux_graph,
 )
 from repro.dts import build_dts
-from repro.errors import GraphModelError, InfeasibleError, SolverError
+from repro.errors import GraphModelError, InfeasibleError
+from repro.obs.bench import _build_instance
 from repro.steiner import solve_memt
-from repro.traces import Contact, ContactTrace
+from repro.traces import Contact, ContactTrace, DistanceModel
 from repro.tveg import tveg_from_trace
+
+from .conftest import assert_matches_reference, reference_pipeline
 
 NODES = 5
 HORIZON = 120.0
@@ -95,33 +100,50 @@ def test_from_aux_graph_round_trip(trace, seed):
     assert back.terminals == nxa.terminals
 
 
-@given(contact_traces(), st.integers(0, 2**16))
-@slow
-def test_eedcb_schedules_identical_across_backends(trace, seed):
-    tveg = tveg_from_trace(trace, "static", seed=seed)
-    try:
-        r_nx = make_scheduler("eedcb", backend="nx").run(tveg, 0, HORIZON)
-    except InfeasibleError:
-        return
-    r_c = make_scheduler("eedcb", backend="compact").run(tveg, 0, HORIZON)
-    assert r_nx.schedule.transmissions == r_c.schedule.transmissions
-    assert r_nx.info["steiner_expansions"] == r_c.info["steiner_expansions"]
-    assert r_nx.info["tree_cost"] == r_c.info["tree_cost"]
-    assert r_nx.info["aux_nodes"] == r_c.info["aux_nodes"]
-    assert r_nx.info["aux_edges"] == r_c.info["aux_edges"]
-    assert r_nx.info["backend"] == "nx" and r_c.info["backend"] == "compact"
+#: distance profiles: per-contact constant (implicit numpy graph) and one
+#: varying within each contact (compact graph)
+PROFILES = st.sampled_from(["constant", "approach"])
 
 
-@given(contact_traces(), st.integers(0, 2**16))
+@given(contact_traces(), st.integers(0, 2**16), PROFILES)
 @slow
-def test_fr_eedcb_schedules_identical_across_backends(trace, seed):
-    tveg = tveg_from_trace(trace, "rayleigh", seed=seed)
+def test_eedcb_schedules_identical_across_backends(trace, seed, profile):
+    tveg = tveg_from_trace(trace, "static", seed=seed,
+                           distance_model=DistanceModel(profile=profile))
     try:
-        r_nx = make_scheduler("fr-eedcb", backend="nx").run(tveg, 0, HORIZON)
+        result = make_scheduler("eedcb").run(tveg, 0, HORIZON)
     except InfeasibleError:
         return
-    r_c = make_scheduler("fr-eedcb", backend="compact").run(tveg, 0, HORIZON)
-    assert r_nx.schedule.transmissions == r_c.schedule.transmissions
+    assert_matches_reference(result, reference_pipeline(tveg, 0, HORIZON))
+    assert result.info["backend"] == (
+        "numpy" if profile == "constant" else "compact"
+    )
+
+
+@given(contact_traces(), st.integers(0, 2**16), PROFILES)
+@slow
+def test_fr_eedcb_schedules_identical_across_backends(trace, seed, profile):
+    tveg = tveg_from_trace(trace, "rayleigh", seed=seed,
+                           distance_model=DistanceModel(profile=profile))
+    try:
+        result = make_scheduler("fr-eedcb").run(tveg, 0, HORIZON)
+    except InfeasibleError:
+        return
+    assert_matches_reference(result, reference_pipeline(tveg, 0, HORIZON))
+
+
+def test_bench_instance_matches_reference():
+    """The N=12 bench instance, both channels, against the reference."""
+    delay = 2000.0
+    static, fading, source, _ = _build_instance(12, delay, 99)
+    assert_matches_reference(
+        make_scheduler("eedcb").run(static, source, delay),
+        reference_pipeline(static, source, delay),
+    )
+    assert_matches_reference(
+        make_scheduler("fr-eedcb").run(fading, source, delay),
+        reference_pipeline(fading, source, delay),
+    )
 
 
 @given(contact_traces(), st.integers(0, 2**16))
@@ -158,11 +180,6 @@ def test_compact_lookup_surface(det_static):
     assert ca.number_of_nodes() == ca.num_nodes == len(ca.aux_nodes)
     assert ca.number_of_edges() == ca.num_edges == len(ca.targets)
     assert len(ca.indptr) == ca.num_nodes + 1
-
-
-def test_unknown_backend_rejected():
-    with pytest.raises(SolverError):
-        make_scheduler("eedcb", backend="csr")
 
 
 def test_unknown_source_and_targets_rejected(det_static):

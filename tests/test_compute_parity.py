@@ -1,35 +1,26 @@
-"""Array-kernel parity and the unified ``compute=`` selection surface.
+"""The implicit numpy auxiliary graph and the plans built on it.
 
-The :mod:`repro.compute` contract is stronger than "same answer": the
-numpy kernels must be *byte-identical* to the stdlib path — same
-schedules, same work counters, same ``config_hash`` — for every
-scheduler, because kernel selection is a performance knob that must never
-change a plan's identity.  These tests pin that contract over random
-traces, the ``plan_broadcast_many ≡ N × plan_broadcast`` equivalence, the
-``compute=`` resolution rules (aliases, env var, missing numpy), the
-``retarget``/aux-cache reuse the batch API rides on, and the
-``TVEG.clear_caches`` invalidation satellite.
+The numpy graph must be *byte-identical* to the stdlib CSR build — same
+node ids, rows, weights and cost sets — and the plans EEDCB derives from
+it must equal the networkx reference pipeline's, counters included.
+These tests pin that contract over random traces, the
+``plan_broadcast_many ≡ N × plan_broadcast`` equivalence, the graph form
+EEDCB picks per instance, the ``retarget``/aux-cache reuse the batch API
+rides on, and ``TVEG.clear_caches`` invalidation.
 """
 
 import dataclasses
-import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import repro.compute as compute_mod
 from repro import obs, plan_broadcast, plan_broadcast_many
 from repro.algorithms import make_scheduler
 from repro.api import BroadcastPlanSet
 from repro.auxgraph import build_compact_aux_graph
-from repro.compute import (
-    COMPUTE_ENV_VAR,
-    canonical_compute_name,
-    resolve_compute,
-)
 from repro.compute.numpy_backend import NumpyAuxGraph, build_numpy_aux_graph
-from repro.errors import GraphModelError, InfeasibleError, SolverError
+from repro.errors import GraphModelError, InfeasibleError
 from repro.schedule import (
     doc_to_planset,
     planset_to_doc,
@@ -37,10 +28,14 @@ from repro.schedule import (
     write_planset_json,
 )
 from repro.steiner import solve_memt
-from repro.traces import Contact, ContactTrace
+from repro.traces import Contact, ContactTrace, DistanceModel
 from repro.tveg import tveg_from_trace
 
-from .conftest import make_random_instance
+from .conftest import (
+    assert_matches_reference,
+    make_random_instance,
+    reference_pipeline,
+)
 
 NODES = 5
 HORIZON = 120.0
@@ -51,8 +46,8 @@ slow = settings(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 
-#: info keys legitimately differing between kernels (identity-neutral)
-VOLATILE_INFO = ("stage_seconds", "backend", "compute")
+#: info keys that vary run-to-run
+VOLATILE_INFO = ("stage_seconds",)
 #: manifest keys that vary run-to-run
 VOLATILE_MANIFEST = ("created_unix", "wall_seconds")
 
@@ -77,16 +72,6 @@ def _strip(mapping, volatile):
     return {k: v for k, v in mapping.items() if k not in volatile}
 
 
-def _plan_or_infeasible(trace, algorithm, channel, compute):
-    try:
-        return plan_broadcast(
-            trace, None, HORIZON, algorithm=algorithm, channel=channel,
-            seed=11, compute=compute,
-        )
-    except InfeasibleError as exc:
-        return ("infeasible", str(exc))
-
-
 def assert_plans_identical(a, b):
     assert a.schedule.transmissions == b.schedule.transmissions
     assert a.feasibility == b.feasibility
@@ -98,32 +83,31 @@ def assert_plans_identical(a, b):
 
 
 # ----------------------------------------------------------------------
-# kernel parity, all schedulers
+# planned broadcasts ≡ the networkx reference pipeline
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "algorithm", ("eedcb", "fr-eedcb", "greed", "fr-greed", "rand",
-                  "fr-rand", "oracle")
-)
-@given(contact_traces())
+@pytest.mark.parametrize("algorithm", ("eedcb", "fr-eedcb"))
+@given(contact_traces(), st.sampled_from(["constant", "approach"]))
 @settings(
     max_examples=10,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
-def test_python_and_numpy_plans_byte_identical(algorithm, trace):
+def test_python_and_numpy_plans_byte_identical(algorithm, trace, profile):
+    """A ``plan_broadcast`` plan equals the reference pipeline's, on the
+    implicit numpy graph (constant profile) and the stdlib compact graph
+    (approach profile) alike."""
     channel = "rayleigh" if algorithm.startswith("fr-") else "static"
-    py = _plan_or_infeasible(trace, algorithm, channel, "python")
-    np_ = _plan_or_infeasible(trace, algorithm, channel, "numpy")
-    if isinstance(py, tuple):
-        assert np_ == py  # same InfeasibleError message
+    tveg = tveg_from_trace(trace, channel, seed=11,
+                           distance_model=DistanceModel(profile=profile))
+    try:
+        plan = plan_broadcast(tveg, None, HORIZON, algorithm=algorithm)
+    except InfeasibleError:
         return
-    if algorithm in ("eedcb", "fr-eedcb"):
-        # only the EEDCB family has an array-kernel stage to report
-        assert py.info["compute"] == "python"
-        assert np_.info["compute"] == "numpy"
-    assert_plans_identical(py, np_)
+    assert_matches_reference(
+        plan, reference_pipeline(tveg, plan.source, HORIZON)
+    )
 
 
 @given(contact_traces(), st.integers(0, 2**16),
@@ -264,59 +248,41 @@ def test_planset_doc_rejects_wrong_schema_and_tveg_count():
 
 
 # ----------------------------------------------------------------------
-# compute= resolution rules
+# the graph form follows the instance
 # ----------------------------------------------------------------------
 
 
-class TestComputeResolution:
-    def test_canonical_names_and_aliases(self):
-        assert canonical_compute_name(None) == "auto"
-        assert canonical_compute_name("NumPy") == "numpy"
-        assert canonical_compute_name("np") == "numpy"
-        assert canonical_compute_name("vectorized") == "numpy"
-        assert canonical_compute_name("stdlib") == "python"
-        assert canonical_compute_name("pure") == "python"
-        assert canonical_compute_name("default") == "auto"
-        with pytest.raises(SolverError):
-            canonical_compute_name("fortran")
+@pytest.mark.parametrize(
+    "profile, form, counter",
+    [("constant", "numpy", "auxgraph.numpy_builds"),
+     ("approach", "compact", "auxgraph.compact_builds")],
+)
+def test_backend_label_names_the_built_graph(profile, form, counter):
+    trace, _ = make_random_instance(seed=5)
+    tveg = tveg_from_trace(trace, "static", seed=5,
+                           distance_model=DistanceModel(profile=profile))
+    builds = ("auxgraph.numpy_builds", "auxgraph.compact_builds")
+    obs.enable()
+    try:
+        before = [obs.snapshot().counters.get(c, 0) for c in builds]
+        result = make_scheduler("eedcb").run(tveg, 0, 300.0)
+        after = [obs.snapshot().counters.get(c, 0) for c in builds]
+    finally:
+        obs.disable()
+    assert result.info["backend"] == form
+    assert "compute" not in result.info
+    assert [a - b for a, b in zip(after, before)] == [
+        1 if c == counter else 0 for c in builds
+    ]
 
-    def test_auto_prefers_numpy_when_importable(self, monkeypatch):
-        monkeypatch.delenv(COMPUTE_ENV_VAR, raising=False)
-        monkeypatch.setattr(compute_mod, "_HAS_NUMPY", True)
-        assert resolve_compute(None) == "numpy"
-        assert resolve_compute("auto") == "numpy"
 
-    def test_auto_falls_back_without_numpy(self, monkeypatch):
-        monkeypatch.delenv(COMPUTE_ENV_VAR, raising=False)
-        monkeypatch.setattr(compute_mod, "_HAS_NUMPY", False)
-        assert resolve_compute(None) == "python"
-
-    def test_env_var_steers_auto(self, monkeypatch):
-        monkeypatch.setenv(COMPUTE_ENV_VAR, "python")
-        assert resolve_compute(None) == "python"
-        assert resolve_compute("auto") == "python"
-        # ...but an explicit request wins over the environment
-        monkeypatch.setattr(compute_mod, "_HAS_NUMPY", True)
-        assert resolve_compute("numpy") == "numpy"
-
-    def test_explicit_numpy_without_numpy_errors(self, monkeypatch):
-        monkeypatch.setattr(compute_mod, "_HAS_NUMPY", False)
-        with pytest.raises(SolverError, match=r"repro\[fast\]"):
-            resolve_compute("numpy")
-
-    def test_nx_backend_with_numpy_compute_rejected(self):
-        with pytest.raises(SolverError):
-            make_scheduler("eedcb", backend="nx", compute="numpy")
-
-    def test_legacy_backend_kwarg_deprecation_warning(self):
-        with pytest.warns(DeprecationWarning, match="compute="):
-            make_scheduler("eedcb", backend="compact")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            make_scheduler("eedcb", compute="python")  # no warning
-
-    def test_bare_scheduler_stays_python(self):
-        assert make_scheduler("eedcb")._mode == "python"
+def test_numpy_builder_rejects_non_constant_costs():
+    trace, _ = make_random_instance(seed=5)
+    tveg = tveg_from_trace(trace, "static", seed=5,
+                           distance_model=DistanceModel(profile="approach"))
+    assert not tveg.cost_cacheable
+    with pytest.raises(GraphModelError, match="cost_cacheable"):
+        build_numpy_aux_graph(tveg, 0, 300.0)
 
 
 # ----------------------------------------------------------------------
@@ -356,16 +322,18 @@ class TestRetargetAndAuxCache:
         with pytest.raises(GraphModelError):
             base.retarget(0, targets=("nope",))
 
-    @pytest.mark.parametrize("compute", ("python", "numpy"))
-    def test_second_source_reuses_cached_aux_graph(self, compute):
-        _, tveg = make_random_instance(seed=5)
-        counter = ("auxgraph.compact_builds" if compute == "python"
-                   else "auxgraph.numpy_builds")
+    @pytest.mark.parametrize("form", ("numpy", "compact"))
+    def test_second_source_reuses_cached_aux_graph(self, form):
+        trace, _ = make_random_instance(seed=5)
+        profile = "constant" if form == "numpy" else "approach"
+        tveg = tveg_from_trace(trace, "static", seed=5,
+                               distance_model=DistanceModel(profile=profile))
+        counter = f"auxgraph.{form}_builds"
         obs.enable()
         try:
             before = obs.snapshot().counters.get(counter, 0)
-            r0 = make_scheduler("eedcb", compute=compute).run(tveg, 0, 300.0)
-            r1 = make_scheduler("eedcb", compute=compute).run(tveg, 1, 300.0)
+            r0 = make_scheduler("eedcb").run(tveg, 0, 300.0)
+            r1 = make_scheduler("eedcb").run(tveg, 1, 300.0)
             after = obs.snapshot().counters.get(counter, 0)
         finally:
             obs.disable()
@@ -374,7 +342,7 @@ class TestRetargetAndAuxCache:
 
     def test_aux_cache_invalidated_by_clear_caches(self):
         _, tveg = make_random_instance(seed=5)
-        make_scheduler("eedcb", compute="python").run(tveg, 0, 300.0)
+        make_scheduler("eedcb").run(tveg, 0, 300.0)
         assert len(tveg.aux_cache()) == 1
         tveg.clear_caches()
         assert len(tveg.aux_cache()) == 0
@@ -388,7 +356,7 @@ class TestRetargetAndAuxCache:
 def test_clear_caches_clears_compute_and_event_caches():
     _, tveg = make_random_instance(seed=5)
     # warm every cache layer
-    make_scheduler("eedcb", compute="numpy").run(tveg, 0, 300.0)
+    make_scheduler("eedcb").run(tveg, 0, 300.0)
     tveg.tvg.adjacency_events(0)
     assert tveg.compute_cache()
     assert tveg.aux_cache()
@@ -399,5 +367,5 @@ def test_clear_caches_clears_compute_and_event_caches():
     assert not tveg.tvg._events
     assert not tveg.dcs_memo()
     # the graph still plans correctly after the purge, cold
-    r = make_scheduler("eedcb", compute="numpy").run(tveg, 0, 300.0)
+    r = make_scheduler("eedcb").run(tveg, 0, 300.0)
     assert r.schedule is not None

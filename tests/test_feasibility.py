@@ -98,75 +98,103 @@ class TestConditions:
 
 
 class TestReplayKernelParity:
-    """The numpy causal-replay kernel must match the stdlib loop
-    byte-for-byte: same reports, same informed times, same memo-backed
-    neighbor/failure evaluations."""
+    """The causal-replay kernel against hand-derived outcomes: the full
+    report and every node's informed time, including the same-instant
+    fixpoint and fractional fading failure factors."""
 
-    def _both(self, tveg, sched, source, deadline, **kw):
-        a = check_feasibility(tveg, sched, source, deadline,
-                              compute="python", **kw)
-        tveg.clear_caches()
-        b = check_feasibility(tveg, sched, source, deadline,
-                              compute="numpy", **kw)
-        return a, b
-
-    def _assert_equal(self, a, b):
-        assert a.feasible == b.feasible
-        assert a.violations == b.violations
-        assert repr(a.informed_times) == repr(b.informed_times)
-        assert (a.relays_informed, a.all_informed, a.latency_ok,
-                a.budget_ok) == (b.relays_informed, b.all_informed,
-                                 b.latency_ok, b.budget_ok)
+    @staticmethod
+    def _assert_report(rep, flags, times, violations=()):
+        assert (rep.relays_informed, rep.all_informed, rep.latency_ok,
+                rep.budget_ok) == flags
+        assert rep.feasible == all(flags)
+        assert rep.informed_times == times
+        assert rep.violations == violations
 
     def test_feasible_schedule(self, det_static):
-        a, b = self._both(det_static, full_schedule(det_static), 0, 100.0)
-        self._assert_equal(a, b)
-        assert a.feasible
+        rep = check_feasibility(det_static, full_schedule(det_static), 0,
+                                100.0)
+        self._assert_report(rep, (True, True, True, True),
+                            ((0, 0.0), (1, 15.0), (2, 25.0), (3, 15.0)))
 
     def test_infeasible_and_unfired(self, det_static):
         sched = Schedule([Transmission(1, 25.0, _w(det_static, 1, 2, 25.0))])
-        a, b = self._both(det_static, sched, 0, 100.0)
-        self._assert_equal(a, b)
-        assert not a.relays_informed
+        rep = check_feasibility(det_static, sched, 0, 100.0)
+        inf = float("inf")
+        self._assert_report(
+            rep, (False, False, True, True),
+            ((0, 0.0), (1, inf), (2, inf), (3, inf)),
+            ("relay 1 uninformed at its transmission time 25 "
+             "(no causal firing order exists)",)
+            + tuple(f"node {n} not informed by T−τ=100 (informed at inf)"
+                    for n in (1, 2, 3)),
+        )
 
     def test_same_instant_chain(self, det_static):
-        # 0 and 1 both fire at t=20: 1 is informed by 0's same-instant
-        # transmission, so the fixpoint fires both — on either kernel.
+        # From source 3, the chain 3→0→1→2 fires entirely at t=20.  Rows
+        # sort by relay within an instant, so relay 0's row comes up
+        # before relay 3's, which informs it: only a second fixpoint round
+        # fires 0, and 1 after it.
         sched = Schedule([
+            Transmission(3, 20.0, _w(det_static, 3, 0, 20.0)),
             Transmission(0, 20.0, _w(det_static, 0, 1, 20.0)),
             Transmission(1, 20.0, _w(det_static, 1, 2, 20.0)),
-            Transmission(0, 15.0, _w(det_static, 0, 3, 15.0)),
         ])
-        a, b = self._both(det_static, sched, 0, 100.0)
-        self._assert_equal(a, b)
+        assert [s.relay for s in sched] == [0, 1, 3]
+        rep = check_feasibility(det_static, sched, 3, 100.0)
+        self._assert_report(rep, (True, True, True, True),
+                            ((0, 20.0), (1, 20.0), (2, 20.0), (3, 0.0)))
+        # a mutually dependent same-instant pair never fires
+        cycle = Schedule([
+            Transmission(0, 20.0, _w(det_static, 0, 1, 20.0)),
+            Transmission(1, 20.0, _w(det_static, 1, 0, 20.0)),
+        ])
+        rep = check_feasibility(det_static, cycle, 3, 100.0)
+        assert not rep.relays_informed
+        assert rep.violations[:2] == tuple(
+            f"relay {r} uninformed at its transmission time 20 "
+            "(no causal firing order exists)" for r in (0, 1)
+        )
 
     def test_fading_probabilities(self, det_fading):
-        # fractional failure factors: partial informing exercises the
-        # masked elementwise multiply against the scalar product chain
+        # Each row spends 0.4·w0, so one firing leaves its receivers a
+        # fractional failure factor (0.0248 for 0→1, 0.0067 for 0→3 at
+        # t=15); an ε between a single factor and a product of two makes
+        # the second firing the one that informs.
         sched = Schedule([
             Transmission(0, 15.0, 0.4 * _w(det_fading, 0, 1, 15.0)),
             Transmission(0, 16.0, 0.4 * _w(det_fading, 0, 1, 16.0)),
             Transmission(0, 17.0, 0.4 * _w(det_fading, 0, 3, 17.0)),
             Transmission(1, 25.0, 0.4 * _w(det_fading, 1, 2, 25.0)),
         ])
-        for eps in (1e-6, 0.2, 0.999):
-            a, b = self._both(det_fading, sched, 0, 100.0, eps=eps)
-            self._assert_equal(a, b)
+        inf = float("inf")
+        never = (False, False, True, True)
+        partial = (True, False, True, True)
+        expected = {
+            1e-6: (never, ((0, 0.0), (1, inf), (2, inf), (3, inf))),
+            1e-3: (partial, ((0, 0.0), (1, 16.0), (2, inf), (3, 16.0))),
+            1e-2: (partial, ((0, 0.0), (1, 16.0), (2, inf), (3, 15.0))),
+            0.2: ((True, True, True, True),
+                  ((0, 0.0), (1, 15.0), (2, 25.0), (3, 15.0))),
+        }
+        for eps, (flags, times) in expected.items():
+            rep = check_feasibility(det_fading, sched, 0, 100.0, eps=eps)
+            assert (rep.relays_informed, rep.all_informed, rep.latency_ok,
+                    rep.budget_ok) == flags, eps
+            assert rep.informed_times == times, eps
 
     def test_scheduler_reduce_parity_across_kernels(self):
-        # full pipeline: an EEDCB run whose reduce passes replay on the
-        # pinned kernel must produce the identical schedule either way
+        # full pipeline: EEDCB on the implicit numpy graph, reduced by the
+        # replay passes, equals the networkx reference pipeline
         from repro.algorithms import make_scheduler
         from repro.tveg import tveg_from_trace
         from repro.traces import HaggleLikeConfig, haggle_like_trace
 
+        from .conftest import assert_matches_reference, reference_pipeline
+
         trace = haggle_like_trace(HaggleLikeConfig(num_nodes=10), seed=4)
         window = trace.restrict_window(8000.0, 11000.0).shift(-8000.0)
-        results = {}
-        for compute in ("python", "numpy"):
-            tveg = tveg_from_trace(window, "static", seed=4)
-            r = make_scheduler("eedcb", compute=compute).run(tveg, 0, 2500.0)
-            results[compute] = r
-        assert results["python"].schedule == results["numpy"].schedule
-        assert repr(results["python"].schedule.total_cost) == \
-            repr(results["numpy"].schedule.total_cost)
+        tveg = tveg_from_trace(window, "static", seed=4)
+        result = make_scheduler("eedcb").run(tveg, 0, 2500.0)
+        assert result.info["backend"] == "numpy"
+        assert_matches_reference(result, reference_pipeline(tveg, 0, 2500.0))
+        assert check_feasibility(tveg, result.schedule, 0, 2500.0).feasible

@@ -10,6 +10,7 @@ import json
 import pytest
 
 from repro import check_feasibility, make_scheduler, obs
+from repro.auxgraph import build_aux_graph
 from repro.obs import (
     MetricsReport,
     NoopTracer,
@@ -265,17 +266,18 @@ class TestInstrumentedPipeline:
         check_feasibility(tveg, result.schedule, 0, 300.0)
         snap = obs.snapshot()
         names = set(snap.span_names)
-        assert {"scheduler.run", "eedcb.steiner", "auxgraph.compact_build",
+        assert {"scheduler.run", "eedcb.steiner", "auxgraph.numpy_build",
                 "steiner.solve_memt"} <= names
-        assert snap.counters.get("auxgraph.compact_builds") == 1.0
+        assert snap.counters.get("auxgraph.numpy_builds") == 1.0
         assert snap.counters.get("steiner.expansions", 0) > 0
         assert snap.gauges.get("auxgraph.nodes") == float(result.info["aux_nodes"])
 
     def test_nx_backend_spans_and_counters_recorded(self):
         _, tveg = make_random_instance(seed=2)
         obs.enable()
-        result = make_scheduler("eedcb", backend="nx").run(tveg, 0, 300.0)
+        aux = build_aux_graph(tveg, 0, 300.0)
         snap = obs.snapshot()
         assert "auxgraph.build" in set(snap.span_names)
         assert snap.counters.get("auxgraph.builds") == 1.0
-        assert snap.gauges.get("auxgraph.nodes") == float(result.info["aux_nodes"])
+        assert snap.gauges.get("auxgraph.nodes") == float(aux.num_nodes)
+        assert snap.gauges.get("auxgraph.edges") == float(aux.num_edges)

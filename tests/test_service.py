@@ -445,7 +445,7 @@ class TestHTTP:
     def test_plan_many_endpoint(self, server):
         st, doc, _ = _request(server, "/plan_many", {
             "sources": [None, 1], "deadlines": 600, "window": 2000,
-            "seed": 3, "compute": "auto",
+            "seed": 3,
         })
         assert st == 200
         assert len(doc["keys"]) == 2 and len(doc["cached"]) == 2
@@ -467,6 +467,10 @@ class TestHTTP:
             "sources": [1], "timeout": 5,
         })
         assert st == 400 and "unknown fields" in doc["error"]
+        st, doc, _ = _request(server, "/plan_many", {
+            "sources": [1], "compute": "numpy",
+        })
+        assert st == 400 and doc["error"] == "unknown fields: compute"
 
     def test_plan_then_cached_replay(self, server):
         body = {"deadline": 600, "window": 2000, "seed": 3}

@@ -69,10 +69,11 @@ recomputation; `plan_config` / `plan_cache_key` expose the canonical
 config dict and its content-addressed hash (== the plan's
 `manifest["config_hash"]`) without planning.
 
-Every planning entry point takes `compute=` (`"auto"` | `"python"` |
-`"numpy"`, default auto) selecting the kernel implementation; see
-`repro.compute`. Kernel choice never changes results or the
-`config_hash` — it is an execution detail, not part of the problem.
+The instance, not the caller, decides how EEDCB builds its auxiliary
+graph: the implicit numpy graph when link costs are constant within each
+contact (`tveg.cost_cacheable`), the stdlib CSR graph otherwise. Both
+plan byte-identically to the networkx construction the tests keep as
+the reference; `plan.info["backend"]` names the form that was built.
 
 For many sources over one trace, `plan_broadcast_many` builds the TVEG,
 DCS cost sets, and auxiliary graph **once** and retargets them per
@@ -95,22 +96,16 @@ plan set as a `repro.planset/1` document.
     "repro.compute": """\
 # Compute kernels
 
-`repro.compute` is the registry behind the `compute=` parameter: the
-pure-python kernels are the parity oracle, and the numpy layer
-accelerates the three hot stages (per-node timeline sweeps +
-contact-cost evaluation batched into contact-component arrays, the
-auxiliary graph built in implicit form — per-state and
+`repro.compute.numpy_backend` holds EEDCB's numpy hot path: per-node
+timeline sweeps and contact costs batched into contact-component
+arrays, the auxiliary graph in implicit form — per-state and
 per-transmission arrays from which each row, node tuple and cost set
-is derived on demand — and greedy Steiner expansion reading those rows
-directly) while reproducing the python path **byte for byte** — same
-node ids, edge order, floats, heap pops, and expansion counters
-(`tests/test_compute_parity.py` enforces this property-based).
-
-Resolution order for `compute="auto"` (the default): the
-`REPRO_COMPUTE` environment variable, then numpy-if-importable, else
-python. Requesting `compute="numpy"` without numpy installed raises
-`SolverError` (install `repro[fast]`). Aliases are tolerated (`"np"`,
-`"vectorized"`, `"stdlib"`, `"pure"`).
+is derived on demand — and the greedy Steiner search reading those
+rows directly. It reproduces the stdlib CSR build **byte for byte**
+(same node ids, edge order, floats, heap pops and expansion counters;
+`tests/test_compute_parity.py` checks this property-based). EEDCB uses
+it whenever `tveg.cost_cacheable`; `build_numpy_aux_graph` raises
+`GraphModelError` on any other TVEG.
 """,
     "repro.protosim": """\
 # Protocol-level simulator
