@@ -15,14 +15,13 @@ The paper's main algorithm for static channels:
 On a fading TVEG the DCS weights are the ``w0`` single-hop costs, so the
 identical pipeline doubles as FR-EEDCB's backbone-selection stage.
 
-The instance picks the auxiliary-graph form: the implicit numpy graph
-(:mod:`repro.compute.numpy_backend`) when the TVEG certifies
-per-contact-constant costs, the stdlib CSR graph
-(:mod:`repro.auxgraph.compact`) otherwise; the greedy Steiner search
-follows the form.  Both are byte-identical to the networkx construction
-(:func:`repro.auxgraph.build.build_aux_graph`), which the tests keep as
-the reference.  The auxiliary graph itself is source-independent, so
-built graphs are retained on the TVEG's
+The auxiliary graph is always the implicit numpy graph
+(:mod:`repro.compute.numpy_backend`), searched by the greedy Steiner
+kernel that reads its rows in place.  It is byte-identical to the
+networkx construction (:func:`repro.auxgraph.build.build_aux_graph`),
+which the tests keep as the reference, whether link costs are constant
+within each contact or vary within one.  The auxiliary graph itself is
+source-independent, so built graphs are retained on the TVEG's
 :meth:`~repro.tveg.graph.TVEG.aux_cache` and re-rooted per source — the
 amortization behind :func:`repro.api.plan_broadcast_many`.
 """
@@ -32,7 +31,6 @@ from __future__ import annotations
 from typing import Dict, Hashable
 
 from .. import obs
-from ..auxgraph.compact import build_compact_aux_graph
 from ..auxgraph.extract import extract_schedule
 from ..compute import numpy_backend
 from ..dts.dts import build_dts
@@ -77,16 +75,11 @@ class EEDCB(Scheduler):
     def _build_aux(self, tveg: TVEG, source: Node, deadline: float, dts):
         """Build (or fetch and re-root) the auxiliary graph for ``source``.
 
-        The one place the graph form is chosen: the implicit
-        :class:`~repro.compute.numpy_backend.NumpyAuxGraph` when
-        ``tveg.cost_cacheable`` (its batched cost evaluation is exact only
-        for per-contact-constant costs), the stdlib
-        :class:`~repro.auxgraph.compact.CompactAuxGraph` otherwise.  The
-        construction depends only on (TVEG, deadline, targets), so builds
-        are kept on the TVEG's LRU :meth:`~repro.tveg.graph.TVEG.aux_cache`
-        and re-rooted with
-        :meth:`~repro.auxgraph.compact.RowGraph.retarget` — a hit skips the
-        single most expensive stage of the pipeline.
+        The construction depends only on (TVEG, deadline, targets), so
+        builds are kept on the TVEG's LRU
+        :meth:`~repro.tveg.graph.TVEG.aux_cache` and re-rooted with
+        :meth:`~repro.compute.numpy_backend.NumpyAuxGraph.retarget` — a
+        hit skips the single most expensive stage of the pipeline.
         """
         cache = tveg.aux_cache()
         key = (float(deadline), self._targets)
@@ -96,11 +89,9 @@ class EEDCB(Scheduler):
             if hit.source == source:
                 return hit
             return hit.retarget(source, self._targets)
-        if tveg.cost_cacheable:
-            builder = numpy_backend.build_numpy_aux_graph
-        else:
-            builder = build_compact_aux_graph
-        aux = builder(tveg, source, deadline, dts, targets=self._targets)
+        aux = numpy_backend.build_numpy_aux_graph(
+            tveg, source, deadline, dts, targets=self._targets
+        )
         cache[key] = aux
         while len(cache) > TVEG.AUX_CACHE_CAPACITY:
             cache.popitem(last=False)
@@ -175,11 +166,6 @@ class EEDCB(Scheduler):
                 "tree_cost": tree_cost(aux, edges),
                 "raw_cost": raw_cost,
                 "memt_method": self._method,
-                "backend": (
-                    "numpy"
-                    if isinstance(aux, numpy_backend.NumpyAuxGraph)
-                    else "compact"
-                ),
                 "stage_seconds": stage_seconds,
             },
         )

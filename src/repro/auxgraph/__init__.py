@@ -1,7 +1,6 @@
 """Auxiliary graph (Section VI-A): construction and schedule extraction."""
 
 from .build import AuxGraph, build_aux_graph
-from .compact import CompactAuxGraph, build_compact_aux_graph, from_aux_graph
 from .extract import extract_schedule
 from .model import (
     is_state,
@@ -16,9 +15,6 @@ from .model import (
 __all__ = [
     "AuxGraph",
     "build_aux_graph",
-    "CompactAuxGraph",
-    "build_compact_aux_graph",
-    "from_aux_graph",
     "extract_schedule",
     "state_node",
     "tx_node",

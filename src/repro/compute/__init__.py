@@ -4,8 +4,8 @@
 EEDCB hot path: the implicit Section VI-A auxiliary graph
 (:class:`~repro.compute.numpy_backend.NumpyAuxGraph`) and the greedy
 directed-Steiner search that reads its rows directly.
-:class:`~repro.algorithms.eedcb.EEDCB` builds that graph whenever the
-TVEG certifies per-contact-constant costs (``tveg.cost_cacheable``) and
-the stdlib :class:`~repro.auxgraph.compact.CompactAuxGraph` otherwise;
-callers never choose.
+:class:`~repro.algorithms.eedcb.EEDCB` builds that graph for every TVEG,
+whether link costs are constant within each contact or vary within one.
+The networkx construction (:func:`repro.auxgraph.build.build_aux_graph`)
+is the reference the tests hold it to.
 """

@@ -1,47 +1,45 @@
 """Array-native kernels for the sweep/DCS/Steiner hot path.
 
 Three stages of the EEDCB pipeline dominate ``eedcb_run``: the per-node
-timeline sweeps plus contact-cost evaluation, the DCS level construction
-and auxiliary-graph build, and the greedy directed-Steiner expansion.
-This module reimplements them with batched numpy operations while
-reproducing the stdlib path **byte for byte**:
+contact-cost evaluation, the DCS level construction and auxiliary-graph
+build, and the greedy directed-Steiner expansion.  This module
+implements them with batched numpy operations while reproducing the
+networkx reference construction
+(:func:`~repro.auxgraph.build.build_aux_graph`) **byte for byte**:
 
-* :func:`node_components` replaces the event-by-event
-  :class:`~repro.temporal.sweep.NodeSweep` with per-node *contact
-  component arrays* — one canonically sorted ``(cost, start, end,
-  neighbor)`` row per τ-eroded adjacency component, costs taken from the
-  TVEG's shared per-contact cost cache so they are the same float objects
-  the point-query path produces.
+* :func:`node_components` gives each node canonically sorted
+  ``(cost, neighbor)`` *component* rows, each active on one contiguous
+  run of the node's DTS points.  When link costs are constant within a
+  contact (``tveg.cost_cacheable``) a component is a τ-eroded adjacency
+  component, its cost taken once from the TVEG's shared per-contact cost
+  cache; otherwise every active (neighbor, point) cell is its own
+  one-point component, costed at that point.  Either way the costs are
+  the floats the reference's timeline sweep computes.
 * :func:`build_numpy_aux_graph` derives every DCS and every auxiliary
   node from those arrays with ``searchsorted`` / cumulative-sum queries
   instead of per-entry Python loops, and returns the graph in *implicit*
   form (:class:`NumpyAuxGraph`): per-state and per-transmission arrays
   from which each adjacency row, node tuple and cost set is derived on
-  demand, with the exact node ids, row order and weights of
-  :func:`~repro.auxgraph.compact.build_compact_aux_graph` (whose module
-  docstring explains why insertion order is part of the contract).  The
-  Steiner search expands about a tenth of the nodes, so no per-edge
-  array is ever materialized.
+  demand, with the exact node ids, row order and weights of the
+  reference.  Insertion order is part of the contract: the greedy
+  Steiner search breaks distance ties by node id and row order.  The
+  search expands about a tenth of the nodes, so no per-edge array is
+  ever materialized.
 * :func:`greedy_incremental_dst_numpy` runs the same incremental
   multi-source Dijkstra as
-  :func:`~repro.steiner.dst.greedy_incremental_dst`, reading each settled
-  row straight from those arrays.  The heap receives the same
-  (distance, node) pushes in the same order, so the pop sequence — and
-  with it the ``expansions`` counter — is identical.
-
-Byte-identity has one precondition: the distance provider must certify
-``constant_within_contacts`` (the standard trace pipeline does), because
-the component arrays evaluate each contact's cost once at its start.
-:func:`build_numpy_aux_graph` raises :class:`~repro.errors.GraphModelError`
-on any other TVEG; :class:`~repro.algorithms.eedcb.EEDCB` builds the
-stdlib CSR graph there instead.
+  :func:`~repro.steiner.dst.greedy_incremental_dst` does on the
+  reference graph, reading each settled row straight from those arrays.
+  The heap receives the same (distance, node) pushes in the same order,
+  so the pop sequence — and with it the ``expansions`` counter — is
+  identical.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, replace
 from typing import (
     Dict, Hashable, List, Mapping, Optional, Sequence, Set, Tuple,
 )
@@ -49,7 +47,6 @@ from typing import (
 import numpy as np
 
 from .. import obs
-from ..auxgraph.compact import RowGraph
 from ..auxgraph.model import AuxNode, state_node, tx_node
 from ..dts.dts import DiscreteTimeSet, build_dts
 from ..errors import GraphModelError, InfeasibleError
@@ -70,21 +67,19 @@ Edge = Tuple[AuxNode, AuxNode]
 class NodeComponents:
     """One node's contact components in canonical DCS order.
 
-    Rows are the τ-eroded adjacency components of every incident edge,
-    sorted by ``(cost, repr(neighbor))`` — the exact
-    :func:`~repro.tveg.costsets._sorted_entries` key.  At any instant at
-    most one component per neighbor is active (interval sets are
-    normalized), and distinct neighbors have distinct ``repr``, so the
-    *active subset* of this canonical order is precisely the entry order
-    of the stdlib-built :class:`~repro.tveg.costsets.DiscreteCostSet`.
+    Rows are sorted by ``(cost, repr(neighbor))`` — the exact
+    :func:`~repro.tveg.costsets._sorted_entries` key.  At any DTS point
+    at most one component per neighbor is active (interval sets are
+    normalized, and a one-point component covers a single point), and
+    distinct neighbors have distinct ``repr``, so the *active subset* of
+    this canonical order is precisely the entry order of that point's
+    :class:`~repro.tveg.costsets.DiscreteCostSet`.
     """
 
-    __slots__ = ("costs", "starts", "ends", "neighbors", "hi")
+    __slots__ = ("costs", "neighbors", "hi")
 
-    def __init__(self, costs, starts, ends, neighbors, hi):
+    def __init__(self, costs, neighbors, hi):
         self.costs = costs          #: (C,) float64, ascending
-        self.starts = starts        #: (C,) float64 component starts
-        self.ends = ends            #: (C,) float64 component ends
         self.neighbors = neighbors  #: list of C neighbor labels
         #: (C,) int64 — per row ``j``, the count of canonical rows with
         #: cost ≤ ``costs[j]`` (``bisect_right`` of each cost in the cost
@@ -95,47 +90,74 @@ class NodeComponents:
         return len(self.neighbors)
 
 
-def node_components(tveg: TVEG, node: Node) -> NodeComponents:
-    """The node's canonical contact-component arrays (cached on the TVEG).
-
-    Costs are evaluated once per component at its start instant through
-    :meth:`~repro.tveg.graph.TVEG.contact_cost`, which shares the TVEG's
-    per-contact cost cache with the sweep and point-query paths — so every
-    cost here is bit-for-bit the float the stdlib path computes.  Requires
-    ``tveg.cost_cacheable`` (checked by the caller); components with a
-    non-finite cost are dropped, matching the stdlib entry filter.
-    """
-    cache = tveg.compute_cache()
-    key = ("components", node)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    tvg = tveg.tvg
-    raw: List[Tuple[float, str, float, float, Node]] = []
-    for other in tvg.incident(node):
-        for s, e in tvg.adjacency_set(node, other).pairs:
-            # Erosion preserves component starts, so ``s`` is also the
-            # presence-interval start — the shared cost-cache key.
-            c = tveg.contact_cost(node, other, s, s)
-            if math.isfinite(c):
-                raw.append((c, repr(other), s, e, other))
+def _canonical(raw: List[tuple]):
+    """Sort ``(cost, repr(neighbor), lo, hi, neighbor)`` rows canonically;
+    returns the :class:`NodeComponents` and the ``lo`` / ``hi`` arrays."""
     raw.sort(key=lambda item: (item[0], item[1]))
     costs = np.array([r[0] for r in raw], dtype=np.float64)
     comp = NodeComponents(
         costs=costs,
-        starts=np.array([r[2] for r in raw], dtype=np.float64),
-        ends=np.array([r[3] for r in raw], dtype=np.float64),
         neighbors=[r[4] for r in raw],
         hi=np.searchsorted(costs, costs, side="right").astype(np.int64),
     )
-    cache[key] = comp
-    return comp
+    return comp, np.array([r[2] for r in raw]), np.array([r[3] for r in raw])
+
+
+def node_components(
+    tveg: TVEG, node: Node, points: "np.ndarray"
+) -> Tuple[NodeComponents, "np.ndarray", "np.ndarray"]:
+    """The node's canonical components and where each one is active.
+
+    Returns ``(components, a, b)``: component ``j`` is adjacent at DTS
+    point ``l`` (of the node's ascending ``points``) exactly when
+    ``a[j] <= l < b[j]``.  Components with a non-finite cost are dropped,
+    matching the DCS entry filter.
+
+    With ``tveg.cost_cacheable`` the components are the τ-eroded
+    adjacency components, costed once at their start through
+    :meth:`~repro.tveg.graph.TVEG.contact_cost` (which shares the TVEG's
+    per-contact cost cache with the sweep and point-query paths) and
+    cached per node on :meth:`~repro.tveg.graph.TVEG.compute_cache`.
+    Otherwise each active (neighbor, point) cell is a one-point component
+    costed by the same ``contact_cost(node, other, t, start)`` call the
+    timeline sweep makes at that point.
+    """
+    tvg = tveg.tvg
+    if not tveg.cost_cacheable:
+        pts = points.tolist()
+        raw = []
+        for other in tvg.incident(node):
+            key = repr(other)
+            for s, e in tvg.adjacency_set(node, other).pairs:
+                for l in range(bisect_left(pts, s), bisect_left(pts, e)):
+                    c = tveg.contact_cost(node, other, pts[l], s)
+                    if math.isfinite(c):
+                        raw.append((c, key, l, l + 1, other))
+        return _canonical(raw)
+    cache = tveg.compute_cache()
+    hit = cache.get(("components", node))
+    if hit is None:
+        raw = []
+        for other in tvg.incident(node):
+            for s, e in tvg.adjacency_set(node, other).pairs:
+                # Erosion preserves component starts, so ``s`` is also the
+                # presence-interval start — the shared cost-cache key.
+                c = tveg.contact_cost(node, other, s, s)
+                if math.isfinite(c):
+                    raw.append((c, repr(other), s, e, other))
+        hit = cache[("components", node)] = _canonical(raw)
+    comp, starts, ends = hit
+    return (
+        comp,
+        np.searchsorted(points, starts, side="left"),
+        np.searchsorted(points, ends, side="left"),
+    )
 
 
 class LazyAuxNodes(Sequence):
     """The auxiliary node-id → tuple mapping, decoded on demand.
 
-    Ids follow the stdlib build's numbering: every state node (graph
+    Ids follow the reference build's numbering: every state node (graph
     nodes in TVEG order, points ascending), then every transmission node
     (point-major, level-minor).  Millions of ``("state", node, l)`` and
     ``("tx", node, l, k)`` tuples would cost more than the rest of the
@@ -180,7 +202,7 @@ class LazyAuxNodes(Sequence):
 class LazyCostSets(Mapping):
     """``(node, point index) → DiscreteCostSet``, each built on first access.
 
-    The keys are the points that emitted a transmission node — the stdlib
+    The keys are the points that emitted a transmission node — the reference
     build's ``cost_sets`` keys, iterated in the same order.  A point's
     DCS entries are its node's active contact components in canonical
     order (:class:`NodeComponents`), so a set is rebuilt from the
@@ -237,11 +259,11 @@ class LazyCostSets(Mapping):
 
 
 @dataclass(repr=False, eq=False)
-class NumpyAuxGraph(RowGraph):
+class NumpyAuxGraph:
     """The Section VI-A auxiliary graph, its rows derived on demand.
 
-    Same node ids, per-row edge order and weights as
-    :func:`~repro.auxgraph.compact.build_compact_aux_graph`, but no
+    Same node ids, per-row edge order and weights as the networkx
+    reference (:func:`~repro.auxgraph.build.build_aux_graph`), but no
     per-edge array.  The construction is local to each (node, DTS point),
     and Property 6.1(i) makes the coverage of cost level ``k`` a prefix of
     the point's receivers in DCS order, so every row follows from:
@@ -260,7 +282,10 @@ class NumpyAuxGraph(RowGraph):
 
     ``num_edges`` and ``dcs_levels`` are counted during the build;
     ``aux_nodes`` and ``cost_sets`` decode on access.  The id lookup
-    :meth:`index_of` is arithmetic.
+    :meth:`index_of` is arithmetic.  Exposes the decoding surface of
+    :class:`~repro.auxgraph.build.AuxGraph` (``root`` / ``terminals`` /
+    ``cost_sets`` / :meth:`time_of`), so schedule extraction works
+    unchanged.
     """
 
     aux_nodes: LazyAuxNodes
@@ -294,6 +319,19 @@ class NumpyAuxGraph(RowGraph):
         return len(self.tx_ptr) - 1
 
     @property
+    def num_nodes(self) -> int:
+        return len(self.aux_nodes)
+
+    def number_of_nodes(self) -> int:
+        return self.num_nodes
+
+    def number_of_edges(self) -> int:
+        return self.num_edges
+
+    def time_of(self, node: Node, point_index: int) -> float:
+        return self.dts.points(node)[point_index]
+
+    @property
     def times(self) -> "np.ndarray":
         """Node times in id order; a transmission is at its state's time."""
         st = np.array(
@@ -319,7 +357,7 @@ class NumpyAuxGraph(RowGraph):
         raise KeyError(aux)
 
     def out_edges(self, i: int) -> List[Tuple[int, float]]:
-        """``(target id, weight)`` pairs of node id ``i``, stdlib order."""
+        """``(target id, weight)`` pairs of node id ``i``, reference order."""
         num_states = self.num_states
         if i < num_states:
             lo, hi = int(self.tx_ptr[i]), int(self.tx_ptr[i + 1])
@@ -337,10 +375,10 @@ class NumpyAuxGraph(RowGraph):
 
         Only state → transmission edges carry weight, and that weight is
         by construction the cost level the transmission node's ``(l, k)``
-        indexes in the owner's cost set — the same float
-        ``edge_weight`` would return.  Adding 0.0 for the waiting and
-        coverage edges is exact, so skipping them reproduces the
-        generic path's :func:`math.fsum` bit for bit; fsum's exact
+        indexes in the owner's cost set — the float its row holds.
+        Adding 0.0 for the waiting and coverage edges is exact, so
+        skipping them reproduces the reference graph's
+        :func:`math.fsum` over every edge bit for bit; fsum's exact
         rounding also makes the result independent of the set's
         hash-seed-dependent iteration order.
         """
@@ -351,6 +389,59 @@ class NumpyAuxGraph(RowGraph):
             if v[0] == "tx"
         ]
         return float(math.fsum(weights))
+
+    def retarget(
+        self, source: Node, targets: Optional[Tuple[Node, ...]] = None
+    ) -> "NumpyAuxGraph":
+        """The same auxiliary graph, re-rooted at a different source.
+
+        The Section VI-A construction depends only on the TVEG and the
+        deadline — the source merely selects the root state node and
+        drops itself from the terminal set — so a built graph can serve
+        every source.  Returns a shallow copy sharing all arrays with
+        ``self``; only root/terminal bookkeeping is recomputed, exactly
+        as the builder would have produced it.  This is what lets
+        ``plan_broadcast_many`` pay for one build across k sources.
+        """
+        if source not in self.state_base:
+            raise GraphModelError(f"unknown source {source!r}")
+        if targets is not None:
+            unknown = [t for t in targets if t not in self.state_base]
+            if unknown:
+                raise GraphModelError(f"unknown targets {unknown!r}")
+        wanted = (
+            tuple(n for n in self.dts.nodes if n != source)
+            if targets is None
+            else tuple(n for n in targets if n != source)
+        )
+        return replace(
+            self,
+            source=source,
+            root=state_node(source, 0),
+            root_index=self.state_base[source],
+            terminals=tuple(
+                state_node(n, len(self.dts.points(n)) - 1) for n in wanted
+            ),
+            terminal_indices=tuple(
+                self.state_base[n] + len(self.dts.points(n)) - 1
+                for n in wanted
+            ),
+        )
+
+    def to_networkx(self):
+        """The equivalent :class:`networkx.DiGraph` (node ``time`` attrs,
+        edge ``weight`` attrs, matching insertion order) — for the
+        networkx-based solvers and the reference comparisons."""
+        import networkx as nx
+
+        g = nx.DiGraph()
+        nodes = self.aux_nodes
+        for aux, t in zip(nodes, self.times.tolist()):
+            g.add_node(aux, time=t)
+        for i, u in enumerate(nodes):
+            for j, w in self.out_edges(i):
+                g.add_edge(u, nodes[j], weight=w)
+        return g
 
 
 def _concat(parts: List["np.ndarray"], dtype) -> "np.ndarray":
@@ -369,17 +460,10 @@ def build_numpy_aux_graph(
 
     Returns a :class:`NumpyAuxGraph` whose node numbering, per-row edge
     order, weights and ``cost_sets`` are identical to
-    :func:`~repro.auxgraph.compact.build_compact_aux_graph`'s — verified
-    row for row by the compute-parity suite.  Raises
-    :class:`~repro.errors.GraphModelError` when the TVEG cannot certify
-    per-contact-constant costs (``tveg.cost_cacheable``): the batched cost
-    evaluation could not guarantee bit-identity there.
+    :func:`~repro.auxgraph.build.build_aux_graph`'s — pinned row for row
+    by the compute-parity suite, on costs constant within each contact
+    and on costs that vary within one (see :func:`node_components`).
     """
-    if not tveg.cost_cacheable:
-        raise GraphModelError(
-            "the implicit auxiliary graph needs per-contact-constant link "
-            "costs (tveg.cost_cacheable); build the compact graph instead"
-        )
     if not tveg.tvg.has_node(source):
         raise GraphModelError(f"unknown source {source!r}")
     if targets is not None:
@@ -391,6 +475,7 @@ def build_numpy_aux_graph(
     tau = tveg.tau
 
     labels = list(tveg.nodes)
+    node_index = {n: i for i, n in enumerate(labels)}
     pts_of: Dict[Node, np.ndarray] = {}
     state_base: Dict[Node, int] = {}
     num_states = 0
@@ -413,11 +498,9 @@ def build_numpy_aux_graph(
     for node in labels:
         pts = pts_of[node]
         P = len(pts)
-        comp = node_components(tveg, node)
-        C = len(comp)
         # Component j is adjacent at point l  ⇔  a[j] <= l < b[j].
-        a = np.searchsorted(pts, comp.starts, side="left")
-        b = np.searchsorted(pts, comp.ends, side="left")
+        comp, a, b = node_components(tveg, node, pts)
+        C = len(comp)
         runs[node] = (comp, a, b)
         num_edges += max(P - 1, 0)  # waiting edges
         # Active cells of this node, sparsely: each component contributes
@@ -430,52 +513,61 @@ def build_numpy_aux_graph(
             per_point_parts.append(np.zeros(P, dtype=np.int64))
             continue
 
-        # Cells in component-major order: j_rep[i], l_rep[i] enumerate
-        # each component's run of active points.
-        j_rep = np.repeat(np.arange(C, dtype=np.int64), lens)
+        # Cells grouped by neighbor: j_rep[i], l_rep[i] enumerate each
+        # component's run of active points, components of one neighbor
+        # adjacent, so each neighbor's cells are one slice.
+        nbr = np.array([node_index[n] for n in comp.neighbors],
+                       dtype=np.int64)
+        order = np.argsort(nbr, kind="stable")
+        lens_o = lens[order]
+        j_rep = np.repeat(order, lens_o)
         run_off = np.concatenate(
-            [np.zeros(1, dtype=np.int64), np.cumsum(lens)]
+            [np.zeros(1, dtype=np.int64), np.cumsum(lens_o)]
         )
         l_rep = (
             np.arange(tot, dtype=np.int64)
-            - np.repeat(run_off[:-1], lens)
-            + np.repeat(a, lens)
+            - np.repeat(run_off[:-1], lens_o)
+            + np.repeat(a[order], lens_o)
         )
 
         # Reception state id and validity per active cell: the neighbor's
         # state at exactly t + tau, invalid when its DTS lacks that point
-        # (the provably-useless coverage the stdlib builder drops too).
-        # Exact float equality, matching auxgraph.build._point_index.
-        ok_parts: List[np.ndarray] = []
-        rs_parts: List[np.ndarray] = []
-        for j in range(C):
-            lo, hi = int(a[j]), int(b[j])
-            if hi <= lo:
-                continue
-            npts = pts_of[comp.neighbors[j]]
-            t_recv = pts[lo:hi] + tau
+        # (the provably-useless coverage the reference build drops too).
+        # Exact float equality, matching auxgraph.build._point_index.  One
+        # searchsorted per neighbor, not per component: with costs that
+        # vary within a contact every cell is its own component.
+        ok = np.empty(tot, dtype=bool)
+        rs = np.empty(tot, dtype=np.int64)
+        nbr_o = nbr[order]
+        firsts = np.flatnonzero(np.diff(nbr_o, prepend=-1))
+        for g0, g1 in zip(firsts.tolist(), firsts[1:].tolist() + [C]):
+            lo, hi = int(run_off[g0]), int(run_off[g1])
+            other = labels[nbr_o[g0]]
+            npts = pts_of[other]
+            t_recv = pts[l_rep[lo:hi]] + tau
             f = np.searchsorted(npts, t_recv, side="left")
-            ok = f < len(npts)
-            f_safe = np.where(ok, f, 0)
-            ok &= npts[f_safe] == t_recv
-            ok_parts.append(ok)
-            rs_parts.append(state_base[comp.neighbors[j]] + f_safe)
+            ok_g = f < len(npts)
+            f[~ok_g] = 0
+            ok[lo:hi] = ok_g & (npts[f] == t_recv)
+            rs[lo:hi] = state_base[other] + f
 
-        # Point-major, canonical-minor cell order — the stdlib creation
-        # order.  A stable sort on l alone suffices: within a point, the
-        # component-major order already lists canonical indices ascending.
-        perm = np.argsort(l_rep, kind="stable")
+        # Point-major, canonical-minor cell order — the reference build's
+        # creation order.  Keys l·(C+1)+j are unique and ascend along each
+        # component's run.
+        key = l_rep * (C + 1) + j_rep
+        perm = np.argsort(key, kind="stable")
+        key_s = key[perm]
         l_s = l_rep[perm]
         j_s = j_rep[perm]
-        ok_s = np.concatenate(ok_parts)[perm]
-        rs_s = np.concatenate(rs_parts)[perm]
+        ok_s = ok[perm]
+        rs_s = rs[perm]
 
         # cnt for cell (l, j) = |{valid receivers at l with canonical
-        # index < hi[j]}| — the stdlib ``bisect_right(r_costs, w)``.  With
-        # cells flattened to strictly increasing keys l·(C+1)+j, each
-        # per-point prefix count is a searchsorted range query against the
-        # valid subsequence (``hi >= 1`` always, so ``<= hi - 1``).
-        vkey = (l_s * (C + 1) + j_s)[ok_s]
+        # index < hi[j]}| — the reference's ``c <= w`` receiver filter.
+        # With cells flattened to strictly increasing keys, each per-point
+        # prefix count is a searchsorted range query against the valid
+        # subsequence (``hi >= 1`` always, so ``<= hi - 1``).
+        vkey = key_s[ok_s]
         row_key = l_s * (C + 1)
         vlo = np.searchsorted(vkey, row_key, side="left")
         cnt_s = (
@@ -568,8 +660,8 @@ def greedy_incremental_dst_numpy(
     """The incremental multi-source Dijkstra over the implicit graph.
 
     Identical search to :func:`~repro.steiner.dst.greedy_incremental_dst`
-    — same pop sequence, same ``expansions`` / ``grafts`` counters, same
-    tree — but each settled row is read straight from the build's arrays
+    on the equivalent networkx graph — same pop sequence, same
+    ``expansions`` / ``grafts`` counters, same tree — but each settled row is read straight from the build's arrays
     (zero-copy memoryviews, which index and slice into native ints and
     floats) instead of a materialized adjacency list.  Relaxations visit
     a row's targets in :meth:`NumpyAuxGraph.out_edges` order with the
@@ -580,7 +672,7 @@ def greedy_incremental_dst_numpy(
 
     The tree edges are decoded to tuple form at insertion, in graft order —
     downstream set-iteration order is part of the parity contract, so the
-    result set must be built exactly the way the stdlib solver builds its
+    result set must be built exactly the way the networkx solver builds its
     own (same elements *and* same insertion history).
     """
     nodes = graph.aux_nodes

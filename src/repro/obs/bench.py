@@ -59,7 +59,7 @@ BENCH_SCHEMA = "repro.bench/1"
 TIER1_OPS = (
     "dts_build",
     "aux_graph_build",
-    "aux_compact_build",
+    "aux_build",
     "steiner_solve",
     "eedcb_run",
     "eedcb_run_n50",
@@ -143,7 +143,8 @@ def _ops(
     """
     from ..algorithms import make_scheduler
     from ..api import plan_broadcast, plan_broadcast_many, plan_cache_key
-    from ..auxgraph import build_aux_graph, build_compact_aux_graph
+    from ..auxgraph import build_aux_graph
+    from ..compute.numpy_backend import build_numpy_aux_graph
     from ..dts import build_dts
     from ..schedule import check_feasibility
     from ..service import Batcher, PlanCache
@@ -195,9 +196,9 @@ def _ops(
         a = build_aux_graph(static, source, delay, dts)
         return {"aux_nodes": float(a.num_nodes), "aux_edges": float(a.num_edges)}
 
-    def aux_compact_build():
+    def aux_build():
         static.clear_caches()
-        a = build_compact_aux_graph(static, source, delay, dts)
+        a = build_numpy_aux_graph(static, source, delay, dts)
         return {"aux_nodes": float(a.num_nodes), "aux_edges": float(a.num_edges)}
 
     def steiner_solve():
@@ -340,7 +341,7 @@ def _ops(
     return [
         ("dts_build", dts_build),
         ("aux_graph_build", aux_graph_build),
-        ("aux_compact_build", aux_compact_build),
+        ("aux_build", aux_build),
         ("steiner_solve", steiner_solve),
         ("eedcb_run", eedcb_run),
         ("fr_eedcb_run", fr_eedcb_run),

@@ -1,8 +1,8 @@
 """Batched scheduling queue: group, dedupe, and amortize plan requests.
 
-Serving traffic one request at a time wastes exactly the work this package
-spent PR 4 making fast to do *once*: the compact auxiliary-graph build and
-the :class:`~repro.temporal.sweep.NodeSweep` timeline pass.  Concurrent
+Serving traffic one request at a time repeats the work the planner is
+built to do *once*: the auxiliary-graph build and the per-node contact
+components and cost sets it derives.  Concurrent
 requests against the same TVEG share those through the graph's DCS / cost
 caches — but only if they run in one process against one TVEG object, and
 only the *first* of K identical requests needs to run at all.
@@ -19,7 +19,7 @@ only the *first* of K identical requests needs to run at all.
   state); duplicates get the leader's result fanned out to their futures.
   A batch of K identical requests therefore performs exactly one
   auxiliary-graph build — the property the service smoke test asserts via
-  the ``auxgraph.compact_builds`` counter.
+  the ``auxgraph.numpy_builds`` counter.
 
 Admission control is the queue bound: ``submit`` on a full queue raises
 :class:`~repro.errors.ServiceOverloaded` immediately (the HTTP layer maps

@@ -42,7 +42,7 @@ from __future__ import annotations
 import json
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
@@ -57,7 +57,6 @@ from ..api import (
 )
 from ..errors import InfeasibleError, ReproError, ServiceOverloaded
 from ..obs.histogram import MetricsRegistry
-from ..obs.metrics import percentile
 from ..obs.promtext import (
     PROMETHEUS_CONTENT_TYPE,
     render_prometheus,
@@ -71,7 +70,6 @@ from .batcher import Batcher
 from .cache import PlanCache
 
 __all__ = [
-    "LatencyRecorder",
     "PlanResponse",
     "PlanSetResponse",
     "PlanningService",
@@ -275,49 +273,6 @@ def read_warm_file(path: str) -> List[Dict[str, Any]]:
     return configs
 
 
-class LatencyRecorder:
-    """Bounded per-endpoint request-latency reservoir with percentiles.
-
-    Keeps the most recent ``window`` samples per endpoint (an old-sample
-    reservoir would misreport a service whose latency shifted an hour ago)
-    and reports p50/p95/p99 through :func:`repro.obs.metrics.percentile`.
-    Thread-safe; recording is append-to-deque cheap.
-    """
-
-    def __init__(self, window: int = 2048) -> None:
-        if window < 1:
-            raise ValueError(f"latency window must be >= 1, got {window}")
-        self._window = int(window)
-        self._lock = threading.Lock()
-        self._samples: Dict[str, deque] = {}
-        self._counts: Dict[str, int] = {}
-
-    def record(self, endpoint: str, seconds: float) -> None:
-        with self._lock:
-            q = self._samples.get(endpoint)
-            if q is None:
-                q = self._samples[endpoint] = deque(maxlen=self._window)
-            q.append(seconds)
-            self._counts[endpoint] = self._counts.get(endpoint, 0) + 1
-
-    def as_dict(self) -> Dict[str, Dict[str, float]]:
-        """``{endpoint: {count, window, p50_ms, p95_ms, p99_ms, max_ms}}``."""
-        with self._lock:
-            snap = {k: list(v) for k, v in self._samples.items()}
-            counts = dict(self._counts)
-        doc: Dict[str, Dict[str, float]] = {}
-        for endpoint, values in snap.items():
-            doc[endpoint] = {
-                "count": float(counts.get(endpoint, len(values))),
-                "window": float(len(values)),
-                "p50_ms": percentile(values, 50.0) * 1e3,
-                "p95_ms": percentile(values, 95.0) * 1e3,
-                "p99_ms": percentile(values, 99.0) * 1e3,
-                "max_ms": max(values) * 1e3,
-            }
-        return doc
-
-
 class PlanningService:
     """Cache- and batch-backed broadcast planning over named traces.
 
@@ -380,7 +335,6 @@ class PlanningService:
         self._started = time.time()
         self._requests = 0
         self._errors = 0
-        self._latency = LatencyRecorder()
 
     # ------------------------------------------------------------------
     @property
@@ -430,7 +384,6 @@ class PlanningService:
 
     def _shared_tveg(
         self,
-        name: Optional[str],
         trace: ContactTrace,
         channel: str,
         window: Optional[Any],
@@ -438,7 +391,11 @@ class PlanningService:
         seed,
     ) -> TVEG:
         """The one TVEG every request with this (trace, channel, window,
-        seed) shares — so their NodeSweep/DCS cost work amortizes."""
+        seed) shares — so their DCS/cost and aux-graph work amortizes.
+
+        Keyed by the trace's content fingerprint, not the request's trace
+        name, so a request that omits the name (single hosted trace) and
+        one that spells it out share one graph."""
         if window is not None:
             if isinstance(window, (int, float)):
                 start, end = float(window), float(window) + deadline
@@ -447,7 +404,7 @@ class PlanningService:
             bounds: Optional[Tuple[float, float]] = (start, end)
         else:
             bounds = None
-        regkey = (name, trace.fingerprint(), channel, bounds, seed)
+        regkey = (trace.fingerprint(), channel, bounds, seed)
         with self._lock:
             tveg = self._tvegs.get(regkey)
             if tveg is not None:
@@ -490,7 +447,7 @@ class PlanningService:
             self._requests += 1
         base = self._resolve_trace(trace)
         deadline = float(deadline)
-        tveg = self._shared_tveg(trace, base, channel, window, deadline, seed)
+        tveg = self._shared_tveg(base, channel, window, deadline, seed)
         key = plan_cache_key(
             tveg, source, deadline, algorithm=algorithm, seed=seed,
             **scheduler_kwargs,
@@ -514,7 +471,6 @@ class PlanningService:
             self.telemetry.inc("service.plan_errors")
             raise
         wall = time.perf_counter() - t0
-        self._latency.record("plan", wall)
         self.telemetry.observe("request.plan", wall)
         return PlanResponse(plan=plan, key=key, cached=cached,
                             wall_seconds=wall)
@@ -574,7 +530,7 @@ class PlanningService:
             cached: List[bool] = [False] * len(src_list)
             for idxs in groups.values():
                 tveg = self._shared_tveg(
-                    trace, base, channel, window, dl_list[idxs[0]], seed
+                    base, channel, window, dl_list[idxs[0]], seed
                 )
                 for i in idxs:
                     keys[i] = plan_cache_key(
@@ -597,7 +553,6 @@ class PlanningService:
             self.telemetry.inc("service.plan_many_errors")
             raise
         wall = time.perf_counter() - t0
-        self._latency.record("plan_many", wall)
         self.telemetry.observe("request.plan_many", wall)
         return PlanSetResponse(
             planset=BroadcastPlanSet(plans=tuple(plans)),
@@ -645,7 +600,6 @@ class PlanningService:
             "shared_tvegs": shared,
             "cache": self._cache.stats(),
             "batcher": self._batcher.stats(),
-            "latency": self._latency.as_dict(),
             "telemetry": self.telemetry.as_doc(),
         }
 

@@ -33,7 +33,7 @@ Edge = Tuple[AuxNode, AuxNode]
 
 
 def greedy_incremental_dst(
-    graph,
+    graph: nx.DiGraph,
     root: AuxNode,
     terminals: Sequence[AuxNode],
     stats: Optional[Dict[str, int]] = None,
@@ -47,38 +47,23 @@ def greedy_incremental_dst(
     the usual lazy-deletion check and the total work stays near a single
     Dijkstra pass instead of one per terminal.
 
-    ``graph`` is either a weighted :class:`networkx.DiGraph` (indexed to
-    flat int adjacency once per call) or an int-indexed auxiliary graph
-    (:class:`~repro.auxgraph.compact.RowGraph`), whose rows are read
-    through ``graph.out_edges`` as nodes settle, with no re-indexing.  Both
-    paths run the identical search over identical node numbering, so they
-    return identical trees.
+    ``graph`` is a weighted :class:`networkx.DiGraph`, indexed to flat
+    int adjacency once per call.  The implicit auxiliary graph has its own
+    kernel running the identical search,
+    :func:`~repro.compute.numpy_backend.greedy_incremental_dst_numpy`.
 
     ``stats``, when given, receives ``expansions`` (settled heap pops) and
     ``grafts`` (paths attached to the tree) — the same numbers the obs
     counters ``steiner.expansions`` / ``steiner.grafts`` record.
     """
-    if isinstance(graph, nx.DiGraph):
-        # Index the graph once: tuple keys → ints, adjacency as flat lists.
-        nodes = list(graph.nodes)
-        index = {n: i for i, n in enumerate(nodes)}
-        adj = [[] for _ in nodes]
-        for u, v, data in graph.edges(data=True):
-            adj[index[u]].append((index[v], float(data.get("weight", 0.0))))
-        row_of = None
-        root_i = index[root]
-        uncovered = {index[t] for t in terminals if t != root}
-    else:
-        nodes = graph.aux_nodes
-        row_of = graph.out_edges
-        root_i = (
-            graph.root_index if root == graph.root else graph.index_of(root)
-        )
-        if tuple(terminals) == graph.terminals:
-            uncovered = set(graph.terminal_indices)
-        else:
-            uncovered = {graph.index_of(t) for t in terminals if t != root}
-        adj = [None] * len(nodes)  # rows memoized as they settle
+    # Index the graph once: tuple keys → ints, adjacency as flat lists.
+    nodes = list(graph.nodes)
+    index = {n: i for i, n in enumerate(nodes)}
+    adj = [[] for _ in nodes]
+    for u, v, data in graph.edges(data=True):
+        adj[index[u]].append((index[v], float(data.get("weight", 0.0))))
+    root_i = index[root]
+    uncovered = {index[t] for t in terminals if t != root}
     uncovered.discard(root_i)
 
     n = len(nodes)
@@ -116,10 +101,7 @@ def greedy_incremental_dst(
             if u in uncovered:
                 target = u
                 break
-            row = adj[u]
-            if row is None:
-                row = adj[u] = row_of(u)
-            for v, w in row:
+            for v, w in adj[u]:
                 nd = d + w
                 if nd < dist[v]:
                     dist[v] = nd

@@ -46,15 +46,14 @@ def solve_memt(
 ) -> Set[Edge]:
     """Solve the MEMT instance and return the pruned Steiner edge set.
 
-    ``graph`` is a weighted :class:`networkx.DiGraph`, a
-    :class:`~repro.auxgraph.compact.CompactAuxGraph`, or the numpy
-    kernel's implicit :class:`~repro.compute.numpy_backend.NumpyAuxGraph`.
-    The greedy solver is chosen by graph form: the implicit graph gets
+    ``graph`` is a weighted :class:`networkx.DiGraph` or the implicit
+    :class:`~repro.compute.numpy_backend.NumpyAuxGraph`.  The greedy
+    solver is chosen by graph form: the implicit graph gets
     :func:`~repro.compute.numpy_backend.greedy_incremental_dst_numpy`,
-    which reads its rows straight from the build's arrays; every other
-    form gets the stdlib :func:`greedy_incremental_dst`.  The
+    which reads its rows straight from the build's arrays; a networkx
+    graph gets the stdlib :func:`greedy_incremental_dst`.  The
     networkx-based solvers (``sptree``, ``charikar``) receive a lossless
-    ``to_networkx()`` view, so every method accepts every graph form and
+    ``to_networkx()`` view, so every method accepts either form and
     returns identical trees.
 
     ``stats``, when given, receives the solver's work counters (at least

@@ -42,7 +42,7 @@ def shortest_path_tree(
 
 
 def tree_cost(graph, edges: Set[Edge]) -> float:
-    """Total weight of an edge set (networkx or compact auxiliary graph).
+    """Total weight of an edge set (networkx or implicit auxiliary graph).
 
     Summed with :func:`math.fsum` (exactly rounded, hence independent of
     iteration order): ``edges`` is a set whose tuples contain strings, so
@@ -52,7 +52,4 @@ def tree_cost(graph, edges: Set[Edge]) -> float:
     """
     if isinstance(graph, nx.DiGraph):
         return float(math.fsum(graph[u][v]["weight"] for u, v in edges))
-    fast = getattr(graph, "tree_cost", None)
-    if fast is not None:
-        return fast(edges)
-    return float(math.fsum(graph.edge_weight(u, v) for u, v in edges))
+    return graph.tree_cost(edges)

@@ -110,9 +110,9 @@ class TVEG:
         # component arrays etc.), same version discipline as the DCS memo.
         self._compute_cache: dict = {}
         self._compute_cache_version = tvg.version
-        # Auxiliary-graph cache: (mode, deadline, targets) → aux graph.
+        # Auxiliary-graph cache: (deadline, targets) → aux graph.
         # The Section VI-A construction is source-independent, so one build
-        # serves every source via RowGraph.retarget; bounded LRU.
+        # serves every source via NumpyAuxGraph.retarget; bounded LRU.
         self._aux_cache: "OrderedDict" = OrderedDict()
         self._aux_cache_version = tvg.version
         # Replay memo: neighbor tuples and failure probabilities looked up
@@ -243,16 +243,16 @@ class TVEG:
             self._replay_cache_version = self._tvg.version
         return self._replay_cache
 
-    #: retained auxiliary-graph builds per TVEG (one per (mode, deadline,
-    #: targets) triple); small because each graph can be large
+    #: retained auxiliary-graph builds per TVEG (one per (deadline,
+    #: targets) pair); small because each graph can be large
     AUX_CACHE_CAPACITY = 4
 
     def aux_cache(self) -> "OrderedDict":
         """Bounded LRU of auxiliary-graph builds (version-checked).
 
-        Keyed by ``(mode, deadline, targets)`` — *not* the source, because
+        Keyed by ``(deadline, targets)`` — *not* the source, because
         the construction is source-independent and consumers re-root via
-        :meth:`~repro.auxgraph.compact.RowGraph.retarget`.  Like
+        :meth:`~repro.compute.numpy_backend.NumpyAuxGraph.retarget`.  Like
         every other TVEG cache this is pure memoization: entries never
         change results, only skip rebuilds (the batch-planning and
         service amortization).

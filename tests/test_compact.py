@@ -1,28 +1,23 @@
-"""Compact (CSR) auxiliary graph: equivalence with the nx build.
+"""The implicit auxiliary graph against the networkx reference build.
 
-The compact graph's contract is stronger than "same answer": the CSR
-construction must mirror the networkx build's node and edge *insertion
+The implicit graph's contract is stronger than "same answer": its node
+ids and rows must follow the networkx build's node and edge *insertion
 order*, because the greedy Steiner solver breaks distance ties by node
 index and adjacency order.  These tests pin the full contract — graph
-equality node-for-node/edge-for-edge/weight-for-weight over random TVEGs,
-lossless round-trips, and schedule identity of the production eedcb /
-fr-eedcb schedulers with the networkx reference pipeline, on both the
-per-contact-constant distance profile (implicit numpy graph) and a
-profile that varies within contacts (compact graph).
+equality node-for-node/edge-for-edge/weight-for-weight over random TVEGs
+(through the lossless ``to_networkx()`` view), identical solver trees,
+and schedule identity of the production eedcb / fr-eedcb schedulers with
+the networkx reference pipeline — on the per-contact-constant distance
+profile and on the two profiles whose costs vary within a contact.
 """
-
-import math
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import make_scheduler
-from repro.auxgraph import (
-    build_aux_graph,
-    build_compact_aux_graph,
-    from_aux_graph,
-)
+from repro.auxgraph import build_aux_graph
+from repro.compute.numpy_backend import build_numpy_aux_graph
 from repro.dts import build_dts
 from repro.errors import GraphModelError, InfeasibleError
 from repro.obs.bench import _build_instance
@@ -58,51 +53,37 @@ def contact_traces(draw):
     return ContactTrace(contacts, nodes=tuple(range(NODES)), horizon=HORIZON)
 
 
-def assert_same_graph(nxa, ca):
-    """Full structural identity of an AuxGraph and a CompactAuxGraph."""
-    g1, g2 = nxa.graph, ca.to_networkx()
+def assert_same_graph(nxa, na):
+    """Full structural identity of an AuxGraph and a NumpyAuxGraph."""
+    g1, g2 = nxa.graph, na.to_networkx()
     assert list(g1.nodes) == list(g2.nodes)
     assert [g1.nodes[n]["time"] for n in g1] == [
         g2.nodes[n]["time"] for n in g2
     ]
     assert list(g1.edges(data="weight")) == list(g2.edges(data="weight"))
-    assert nxa.root == ca.root
-    assert nxa.terminals == ca.terminals
-    assert nxa.cost_sets == ca.cost_sets
+    assert nxa.root == na.root
+    assert nxa.terminals == na.terminals
+    assert nxa.cost_sets == na.cost_sets
+
+
+#: distance profiles: per-contact constant, and two that vary within each
+#: contact (every active (neighbor, point) cell costed on its own)
+PROFILES = st.sampled_from(list(DistanceModel.PROFILES))
 
 
 @given(contact_traces(), st.integers(0, 2**16),
-       st.sampled_from(["static", "rayleigh"]))
+       st.sampled_from(["static", "rayleigh"]), PROFILES)
 @slow
-def test_compact_build_equals_nx_build(trace, seed, channel):
-    tveg = tveg_from_trace(trace, channel, seed=seed)
+def test_compact_build_equals_nx_build(trace, seed, channel, profile):
+    tveg = tveg_from_trace(trace, channel, seed=seed,
+                           distance_model=DistanceModel(profile=profile))
     dts = build_dts(tveg.tvg, HORIZON)
     nxa = build_aux_graph(tveg, 0, HORIZON, dts)
-    ca = build_compact_aux_graph(tveg, 0, HORIZON, dts)
-    assert_same_graph(nxa, ca)
-    assert ca.num_nodes == nxa.num_nodes
-    assert ca.num_edges == nxa.num_edges
-    assert ca.dcs_levels == nxa.dcs_levels
-
-
-@given(contact_traces(), st.integers(0, 2**16))
-@slow
-def test_from_aux_graph_round_trip(trace, seed):
-    tveg = tveg_from_trace(trace, "static", seed=seed)
-    nxa = build_aux_graph(tveg, 0, HORIZON)
-    ca = from_aux_graph(nxa)
-    assert_same_graph(nxa, ca)
-    # ...and back again through the networkx-backed form.
-    back = ca.to_aux_graph()
-    assert list(back.graph.edges(data="weight")) == list(
-        nxa.graph.edges(data="weight")
-    )
-    assert back.terminals == nxa.terminals
-
-
-#: distance profiles: per-contact constant (implicit numpy graph) and one
-#: varying within each contact (compact graph)
-PROFILES = st.sampled_from(["constant", "approach"])
+    na = build_numpy_aux_graph(tveg, 0, HORIZON, dts)
+    assert_same_graph(nxa, na)
+    assert na.num_nodes == nxa.num_nodes
+    assert na.num_edges == nxa.num_edges
+    assert na.dcs_levels == nxa.dcs_levels
 
 
 @given(contact_traces(), st.integers(0, 2**16), PROFILES)
@@ -115,9 +96,6 @@ def test_eedcb_schedules_identical_across_backends(trace, seed, profile):
     except InfeasibleError:
         return
     assert_matches_reference(result, reference_pipeline(tveg, 0, HORIZON))
-    assert result.info["backend"] == (
-        "numpy" if profile == "constant" else "compact"
-    )
 
 
 @given(contact_traces(), st.integers(0, 2**16), PROFILES)
@@ -146,46 +124,44 @@ def test_bench_instance_matches_reference():
     )
 
 
-@given(contact_traces(), st.integers(0, 2**16))
+@given(contact_traces(), st.integers(0, 2**16), PROFILES)
 @slow
-def test_solver_trees_identical_on_both_forms(trace, seed):
+def test_solver_trees_identical_on_both_forms(trace, seed, profile):
     """Every MEMT method returns the same tree on either graph form."""
-    tveg = tveg_from_trace(trace, "static", seed=seed)
+    tveg = tveg_from_trace(trace, "static", seed=seed,
+                           distance_model=DistanceModel(profile=profile))
     dts = build_dts(tveg.tvg, HORIZON)
     nxa = build_aux_graph(tveg, 0, HORIZON, dts)
-    ca = build_compact_aux_graph(tveg, 0, HORIZON, dts)
+    na = build_numpy_aux_graph(tveg, 0, HORIZON, dts)
     for method in ("greedy", "sptree"):
         try:
             e_nx = solve_memt(nxa.graph, nxa.root, nxa.terminals,
                               method=method)
         except InfeasibleError:
             with pytest.raises(InfeasibleError):
-                solve_memt(ca, ca.root, ca.terminals, method=method)
+                solve_memt(na, na.root, na.terminals, method=method)
             continue
-        e_c = solve_memt(ca, ca.root, ca.terminals, method=method)
-        assert e_nx == e_c
+        e_n = solve_memt(na, na.root, na.terminals, method=method)
+        assert e_nx == e_n
 
 
 def test_compact_lookup_surface(det_static):
-    ca = build_compact_aux_graph(det_static, 0, det_static.horizon)
-    assert ca.index_of(ca.root) == ca.root_index
-    for t, i in zip(ca.terminals, ca.terminal_indices):
-        assert ca.index_of(t) == i
-    # edge_weight agrees with the CSR rows and rejects absent edges.
-    i = ca.root_index
-    for j, w in ca.out_edges(i):
-        assert ca.edge_weight(ca.aux_nodes[i], ca.aux_nodes[j]) == w
-    with pytest.raises(GraphModelError):
-        ca.edge_weight(ca.aux_nodes[0], ca.aux_nodes[0])
-    assert ca.number_of_nodes() == ca.num_nodes == len(ca.aux_nodes)
-    assert ca.number_of_edges() == ca.num_edges == len(ca.targets)
-    assert len(ca.indptr) == ca.num_nodes + 1
+    na = build_numpy_aux_graph(det_static, 0, det_static.horizon)
+    assert na.index_of(na.root) == na.root_index
+    for t, i in zip(na.terminals, na.terminal_indices):
+        assert na.index_of(t) == i
+    for i in range(na.num_nodes):
+        assert na.index_of(na.aux_nodes[i]) == i
+    assert na.number_of_nodes() == na.num_nodes == len(na.aux_nodes)
+    assert na.number_of_edges() == na.num_edges == sum(
+        len(na.out_edges(i)) for i in range(na.num_nodes)
+    )
 
 
 def test_unknown_source_and_targets_rejected(det_static):
     with pytest.raises(GraphModelError):
-        build_compact_aux_graph(det_static, "nope", det_static.horizon)
+        build_numpy_aux_graph(det_static, "nope", det_static.horizon)
     with pytest.raises(GraphModelError):
-        build_compact_aux_graph(
+        build_numpy_aux_graph(
             det_static, 0, det_static.horizon, targets=("nope",)
         )

@@ -1,12 +1,13 @@
 """The implicit numpy auxiliary graph and the plans built on it.
 
-The numpy graph must be *byte-identical* to the stdlib CSR build — same
-node ids, rows, weights and cost sets — and the plans EEDCB derives from
-it must equal the networkx reference pipeline's, counters included.
-These tests pin that contract over random traces, the
-``plan_broadcast_many ≡ N × plan_broadcast`` equivalence, the graph form
-EEDCB picks per instance, the ``retarget``/aux-cache reuse the batch API
-rides on, and ``TVEG.clear_caches`` invalidation.
+The numpy graph must be *byte-identical* to the networkx reference build
+— same node ids, rows, weights and cost sets — and the plans EEDCB
+derives from it must equal the networkx reference pipeline's, counters
+included, whether link costs are constant within each contact or vary
+within one.  These tests pin that contract over random traces, the
+``plan_broadcast_many ≡ N × plan_broadcast`` equivalence, the one graph
+form EEDCB builds for every profile, the ``retarget``/aux-cache reuse
+the batch API rides on, and ``TVEG.clear_caches`` invalidation.
 """
 
 import dataclasses
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from repro import obs, plan_broadcast, plan_broadcast_many
 from repro.algorithms import make_scheduler
 from repro.api import BroadcastPlanSet
-from repro.auxgraph import build_compact_aux_graph
+from repro.auxgraph import build_aux_graph
 from repro.compute.numpy_backend import NumpyAuxGraph, build_numpy_aux_graph
 from repro.errors import GraphModelError, InfeasibleError
 from repro.schedule import (
@@ -45,6 +46,10 @@ slow = settings(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
+
+#: every distance profile: per-contact constant, and two varying within
+#: each contact
+PROFILES = DistanceModel.PROFILES
 
 #: info keys that vary run-to-run
 VOLATILE_INFO = ("stage_seconds",)
@@ -88,16 +93,15 @@ def assert_plans_identical(a, b):
 
 
 @pytest.mark.parametrize("algorithm", ("eedcb", "fr-eedcb"))
-@given(contact_traces(), st.sampled_from(["constant", "approach"]))
+@given(contact_traces(), st.sampled_from(PROFILES))
 @settings(
     max_examples=10,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 def test_python_and_numpy_plans_byte_identical(algorithm, trace, profile):
-    """A ``plan_broadcast`` plan equals the reference pipeline's, on the
-    implicit numpy graph (constant profile) and the stdlib compact graph
-    (approach profile) alike."""
+    """A ``plan_broadcast`` plan equals the reference pipeline's, whether
+    costs are constant within each contact or vary within one."""
     channel = "rayleigh" if algorithm.startswith("fr-") else "static"
     tveg = tveg_from_trace(trace, channel, seed=11,
                            distance_model=DistanceModel(profile=profile))
@@ -110,53 +114,66 @@ def test_python_and_numpy_plans_byte_identical(algorithm, trace, profile):
     )
 
 
-@given(contact_traces(), st.integers(0, 2**16),
-       st.sampled_from((0.0, 1.0, 5.0)))
-@slow
-def test_numpy_builder_matches_compact_builder(trace, seed, tau):
-    tveg = tveg_from_trace(trace, "static", seed=seed, tau=tau)
-    ca = build_compact_aux_graph(tveg, 0, HORIZON)
-    na = build_numpy_aux_graph(tveg, 0, HORIZON)
-    assert list(na.aux_nodes) == list(ca.aux_nodes)
-    n = ca.num_nodes
-    assert na.num_edges == ca.num_edges
-    assert [na.out_edges(i) for i in range(n)] == [
-        ca.out_edges(i) for i in range(n)
+def _reference_rows(nxa):
+    """The reference graph's nodes and ``(target id, weight)`` rows."""
+    nodes = list(nxa.graph.nodes)
+    index = {n: i for i, n in enumerate(nodes)}
+    rows = [
+        [(index[v], w) for _, v, w in nxa.graph.edges(u, data="weight")]
+        for u in nodes
     ]
-    assert na.root == ca.root and na.root_index == ca.root_index
-    assert na.terminals == ca.terminals
-    assert na.terminal_indices == ca.terminal_indices
-    assert na.cost_sets == ca.cost_sets
+    return nodes, index, rows
+
+
+@given(contact_traces(), st.integers(0, 2**16),
+       st.sampled_from((0.0, 1.0, 5.0)), st.sampled_from(PROFILES))
+@slow
+def test_numpy_builder_matches_compact_builder(trace, seed, tau, profile):
+    """Row-for-row identity with the networkx reference build."""
+    tveg = tveg_from_trace(trace, "static", seed=seed, tau=tau,
+                           distance_model=DistanceModel(profile=profile))
+    nxa = build_aux_graph(tveg, 0, HORIZON)
+    na = build_numpy_aux_graph(tveg, 0, HORIZON)
+    nodes, index, rows = _reference_rows(nxa)
+    assert list(na.aux_nodes) == nodes
+    assert na.num_edges == nxa.num_edges
+    assert [na.out_edges(i) for i in range(len(nodes))] == rows
+    assert na.root == nxa.root and na.root_index == index[nxa.root]
+    assert na.terminals == nxa.terminals
+    assert na.terminal_indices == tuple(index[t] for t in nxa.terminals)
+    assert na.cost_sets == nxa.cost_sets
     for method in ("greedy", "sptree"):
         try:
-            e_c = solve_memt(ca, ca.root, ca.terminals, method=method)
+            e_nx = solve_memt(nxa.graph, nxa.root, nxa.terminals,
+                              method=method)
         except InfeasibleError:
             with pytest.raises(InfeasibleError):
                 solve_memt(na, na.root, na.terminals, method=method)
             continue
-        assert solve_memt(na, na.root, na.terminals, method=method) == e_c
+        assert solve_memt(na, na.root, na.terminals, method=method) == e_nx
 
 
 @given(contact_traces(), st.integers(0, 2**16), st.floats(30.0, HORIZON),
-       st.sampled_from((0.0, 1.0, 5.0)))
+       st.sampled_from((0.0, 1.0, 5.0)), st.sampled_from(PROFILES))
 @slow
 def test_numpy_counted_sizes_match_what_they_count(trace, seed, deadline,
-                                                   tau):
+                                                   tau, profile):
     """``num_edges``, ``dcs_levels`` and the ``cost_sets`` keys of the
     implicit graph are counted apart from the rows and cost sets they
-    describe, so pin each to a recount and to the compact build.  A
+    describe, so pin each to a recount and to the reference build.  A
     positive ``tau`` leaves points with active contacts but no
     transmission node (too late to finish, or no receiver state)."""
-    tveg = tveg_from_trace(trace, "static", seed=seed, tau=tau)
+    tveg = tveg_from_trace(trace, "static", seed=seed, tau=tau,
+                           distance_model=DistanceModel(profile=profile))
     na = build_numpy_aux_graph(tveg, 0, deadline)
-    ca = build_compact_aux_graph(tveg, 0, deadline)
+    nxa = build_aux_graph(tveg, 0, deadline)
     assert isinstance(na, NumpyAuxGraph)
     recount = sum(len(na.out_edges(i)) for i in range(na.num_nodes))
-    assert na.num_edges == recount == ca.num_edges
+    assert na.num_edges == recount == nxa.num_edges
     levels = sum(len(cs) for cs in na.cost_sets.values())
-    assert na.dcs_levels == levels == ca.dcs_levels
-    assert len(na.cost_sets) == len(ca.cost_sets)
-    assert list(na.cost_sets) == list(ca.cost_sets)
+    assert na.dcs_levels == levels == nxa.dcs_levels
+    assert len(na.cost_sets) == len(nxa.cost_sets)
+    assert list(na.cost_sets) == list(nxa.cost_sets)
 
 
 # ----------------------------------------------------------------------
@@ -248,41 +265,26 @@ def test_planset_doc_rejects_wrong_schema_and_tveg_count():
 
 
 # ----------------------------------------------------------------------
-# the graph form follows the instance
+# one graph form for every instance
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "profile, form, counter",
-    [("constant", "numpy", "auxgraph.numpy_builds"),
-     ("approach", "compact", "auxgraph.compact_builds")],
-)
-def test_backend_label_names_the_built_graph(profile, form, counter):
+@pytest.mark.parametrize("profile", PROFILES)
+def test_every_profile_builds_the_implicit_graph(profile):
     trace, _ = make_random_instance(seed=5)
     tveg = tveg_from_trace(trace, "static", seed=5,
                            distance_model=DistanceModel(profile=profile))
-    builds = ("auxgraph.numpy_builds", "auxgraph.compact_builds")
+    assert tveg.cost_cacheable == (profile == "constant")
     obs.enable()
     try:
-        before = [obs.snapshot().counters.get(c, 0) for c in builds]
+        before = obs.snapshot().counters.get("auxgraph.numpy_builds", 0)
         result = make_scheduler("eedcb").run(tveg, 0, 300.0)
-        after = [obs.snapshot().counters.get(c, 0) for c in builds]
+        after = obs.snapshot().counters.get("auxgraph.numpy_builds", 0)
     finally:
         obs.disable()
-    assert result.info["backend"] == form
+    assert after - before == 1
+    assert "backend" not in result.info
     assert "compute" not in result.info
-    assert [a - b for a, b in zip(after, before)] == [
-        1 if c == counter else 0 for c in builds
-    ]
-
-
-def test_numpy_builder_rejects_non_constant_costs():
-    trace, _ = make_random_instance(seed=5)
-    tveg = tveg_from_trace(trace, "static", seed=5,
-                           distance_model=DistanceModel(profile="approach"))
-    assert not tveg.cost_cacheable
-    with pytest.raises(GraphModelError, match="cost_cacheable"):
-        build_numpy_aux_graph(tveg, 0, 300.0)
 
 
 # ----------------------------------------------------------------------
@@ -293,42 +295,37 @@ def test_numpy_builder_rejects_non_constant_costs():
 class TestRetargetAndAuxCache:
     def test_retarget_equals_fresh_build(self, det_static):
         horizon = det_static.horizon
-        for builder in (build_compact_aux_graph, build_numpy_aux_graph):
-            base = builder(det_static, 0, horizon)
-            fresh = builder(det_static, 1, horizon)
-            moved = base.retarget(1)
-            assert type(moved) is type(base)
-            assert moved.root == fresh.root
-            assert moved.root_index == fresh.root_index
-            assert moved.terminals == fresh.terminals
-            assert moved.terminal_indices == fresh.terminal_indices
-            # every array (and lazy view) is shared, not copied
-            rooted = {"source", "root", "root_index", "terminals",
-                      "terminal_indices"}
-            for f in dataclasses.fields(base):
-                if f.name not in rooted:
-                    assert getattr(moved, f.name) is getattr(base, f.name)
-            e1 = solve_memt(fresh, fresh.root, fresh.terminals,
-                            method="greedy")
-            e2 = solve_memt(moved, moved.root, moved.terminals,
-                            method="greedy")
-            assert e1 == e2
+        base = build_numpy_aux_graph(det_static, 0, horizon)
+        fresh = build_numpy_aux_graph(det_static, 1, horizon)
+        moved = base.retarget(1)
         assert isinstance(moved, NumpyAuxGraph)
+        assert moved.root == fresh.root
+        assert moved.root_index == fresh.root_index
+        assert moved.terminals == fresh.terminals
+        assert moved.terminal_indices == fresh.terminal_indices
+        # every array (and lazy view) is shared, not copied
+        rooted = {"source", "root", "root_index", "terminals",
+                  "terminal_indices"}
+        for f in dataclasses.fields(base):
+            if f.name not in rooted:
+                assert getattr(moved, f.name) is getattr(base, f.name)
+        e1 = solve_memt(fresh, fresh.root, fresh.terminals, method="greedy")
+        e2 = solve_memt(moved, moved.root, moved.terminals, method="greedy")
+        assert e1 == e2
 
     def test_retarget_rejects_unknown_nodes(self, det_static):
-        base = build_compact_aux_graph(det_static, 0, det_static.horizon)
+        base = build_numpy_aux_graph(det_static, 0, det_static.horizon)
         with pytest.raises(GraphModelError):
             base.retarget("nope")
         with pytest.raises(GraphModelError):
             base.retarget(0, targets=("nope",))
 
-    @pytest.mark.parametrize("form", ("numpy", "compact"))
-    def test_second_source_reuses_cached_aux_graph(self, form):
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_second_source_reuses_cached_aux_graph(self, profile):
         trace, _ = make_random_instance(seed=5)
-        profile = "constant" if form == "numpy" else "approach"
         tveg = tveg_from_trace(trace, "static", seed=5,
                                distance_model=DistanceModel(profile=profile))
-        counter = f"auxgraph.{form}_builds"
+        counter = "auxgraph.numpy_builds"
         obs.enable()
         try:
             before = obs.snapshot().counters.get(counter, 0)

@@ -6,6 +6,8 @@ import pytest
 from repro.errors import GraphModelError
 from repro.mobility import PositionTrace, RandomWaypoint
 
+from .conftest import assert_matches_reference, reference_pipeline
+
 
 class TestPositionTrace:
     @pytest.fixture
@@ -118,5 +120,7 @@ class TestRandomWaypoint:
             pytest.skip("mobility draw produced no feasible source")
         src = sorted(feasible)[0]
         tveg = TVEG(tvg, StaticChannel(PAPER_PARAMS), ptrace.distance_provider())
-        sched = make_scheduler("eedcb").schedule(tveg, src, 900.0)
-        assert check_feasibility(tveg, sched, src, 900.0).feasible
+        assert not tveg.cost_cacheable  # distances vary within contacts
+        result = make_scheduler("eedcb").run(tveg, src, 900.0)
+        assert_matches_reference(result, reference_pipeline(tveg, src, 900.0))
+        assert check_feasibility(tveg, result.schedule, src, 900.0).feasible

@@ -5,7 +5,7 @@ Covers the service acceptance properties directly:
 * a cached replay is byte-identical to the cold computation (schedule,
   total cost, info counters, feasibility);
 * K duplicate concurrent requests perform exactly one auxiliary-graph
-  build (asserted via the ``auxgraph.compact_builds`` tracer counter);
+  build (asserted via the ``auxgraph.numpy_builds`` tracer counter);
 * admission control surfaces as ``ServiceOverloaded`` / HTTP 429.
 """
 
@@ -359,6 +359,12 @@ class TestPlanningService:
         service.plan("demo", 600.0, window=2000.0, seed=3, algorithm="greed")
         assert service.metrics()["shared_tvegs"] == 1
 
+    def test_named_and_default_trace_share_one_tveg(self, service):
+        # the registry keys on trace content, not the request's name field
+        service.plan(None, 600.0, window=2000.0, seed=3)
+        service.plan("demo", 600.0, window=2000.0, seed=3, algorithm="greed")
+        assert service.metrics()["shared_tvegs"] == 1
+
     def test_unknown_trace(self, service):
         with pytest.raises(KeyError):
             service.plan("nope", 600.0)
@@ -419,13 +425,8 @@ class TestHTTP:
                 with urllib.request.urlopen(req, timeout=30) as resp:
                     results.append(json.loads(resp.read()))
 
-            # Either kernel may serve the request (auto prefers numpy);
-            # the dedupe property is about the *total* build count.
-            build_counters = ("auxgraph.compact_builds", "auxgraph.numpy_builds")
-
             def builds() -> float:
-                snap = obs.snapshot().counters
-                return sum(snap.get(c, 0) for c in build_counters)
+                return obs.snapshot().counters.get("auxgraph.numpy_builds", 0)
 
             before = builds()
             threads = [threading.Thread(target=post) for _ in range(6)]

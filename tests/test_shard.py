@@ -98,7 +98,7 @@ class TestShardPool:
         for entry in doc["shards"]:
             assert entry["alive"] is True
             assert entry["queue_depth"] is not None
-            assert "latency" in entry["service"]
+            assert "histograms" in entry["service"]["telemetry"]
 
     def test_healthz(self, pool):
         doc = pool.healthz()

@@ -69,11 +69,11 @@ recomputation; `plan_config` / `plan_cache_key` expose the canonical
 config dict and its content-addressed hash (== the plan's
 `manifest["config_hash"]`) without planning.
 
-The instance, not the caller, decides how EEDCB builds its auxiliary
-graph: the implicit numpy graph when link costs are constant within each
-contact (`tveg.cost_cacheable`), the stdlib CSR graph otherwise. Both
-plan byte-identically to the networkx construction the tests keep as
-the reference; `plan.info["backend"]` names the form that was built.
+EEDCB builds its auxiliary graph one way for every instance: the
+implicit numpy graph, whether link costs are constant within each
+contact (`tveg.cost_cacheable`) or vary within one. It plans
+byte-identically to the networkx construction the tests keep as the
+reference.
 
 For many sources over one trace, `plan_broadcast_many` builds the TVEG,
 DCS cost sets, and auxiliary graph **once** and retargets them per
@@ -97,15 +97,15 @@ plan set as a `repro.planset/1` document.
 # Compute kernels
 
 `repro.compute.numpy_backend` holds EEDCB's numpy hot path: per-node
-timeline sweeps and contact costs batched into contact-component
-arrays, the auxiliary graph in implicit form — per-state and
-per-transmission arrays from which each row, node tuple and cost set
-is derived on demand — and the greedy Steiner search reading those
-rows directly. It reproduces the stdlib CSR build **byte for byte**
-(same node ids, edge order, floats, heap pops and expansion counters;
-`tests/test_compute_parity.py` checks this property-based). EEDCB uses
-it whenever `tveg.cost_cacheable`; `build_numpy_aux_graph` raises
-`GraphModelError` on any other TVEG.
+contact costs batched into canonical component arrays (one component
+per contact when costs are constant within it, one per active
+(neighbor, point) cell when they vary), the auxiliary graph in implicit
+form — per-state and per-transmission arrays from which each row, node
+tuple and cost set is derived on demand — and the greedy Steiner search
+reading those rows directly. It reproduces the networkx reference build
+**byte for byte** (same node ids, edge order, floats, heap pops and
+expansion counters; `tests/test_compute_parity.py` checks this
+property-based). EEDCB uses it for every TVEG.
 """,
     "repro.protosim": """\
 # Protocol-level simulator

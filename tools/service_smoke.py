@@ -85,11 +85,7 @@ def main() -> int:
     body = {"deadline": 2000, "window": 9000, "seed": 3}
 
     def builds() -> float:
-        # either kernel may serve the request (auto prefers numpy); the
-        # dedupe property is about the total build count
-        snap = obs.snapshot().counters
-        return sum(snap.get(c, 0) for c in
-                   ("auxgraph.compact_builds", "auxgraph.numpy_builds"))
+        return obs.snapshot().counters.get("auxgraph.numpy_builds", 0)
 
     builds_before = builds()
     dup = _concurrent(lambda i: _post(url, body), 8)
