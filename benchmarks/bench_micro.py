@@ -11,6 +11,7 @@ import pytest
 
 from repro.allocation import build_allocation_problem, solve_allocation
 from repro.auxgraph import build_aux_graph
+from repro.compute.numpy_backend import build_numpy_aux_graph
 from repro.core.intervals import IntervalSet
 from repro.dts import build_dts
 from repro.algorithms import make_scheduler
@@ -79,8 +80,8 @@ def test_aux_graph_build(benchmark, instance):
 @pytest.mark.benchmark(group="micro")
 def test_steiner_solve(benchmark, instance):
     static, _, source = instance
-    aux = build_aux_graph(static, source, 2000.0)
-    edges = benchmark(solve_memt, aux.graph, aux.root, aux.terminals)
+    aux = build_numpy_aux_graph(static, source, 2000.0)
+    edges = benchmark(solve_memt, aux, aux.root, aux.terminals)
     assert edges
 
 

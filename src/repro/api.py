@@ -35,6 +35,7 @@ answered from that cache instead of recomputed::
 
 from __future__ import annotations
 
+import math
 import time
 from collections.abc import Sequence as SequenceABC
 from dataclasses import asdict, dataclass, field
@@ -192,7 +193,13 @@ def plan_config(
     ``source=None`` (auto-pick) is part of the identity as-is; the pick is
     deterministic, so the key remains sound without resolving it here (and
     the hit path never has to build a graph to find out).
+
+    Raises :class:`ValueError` for a non-finite ``deadline``: the delay
+    constraint is what bounds the plan.
     """
+    deadline = float(deadline)
+    if not math.isfinite(deadline):
+        raise ValueError(f"deadline must be finite, got {deadline!r}")
     algo = canonical_scheduler_name(algorithm)
     if isinstance(trace_or_tveg, TVEG):
         if window is not None:
@@ -221,7 +228,7 @@ def plan_config(
         "algorithm": algo,
         "channel": channel_label,
         "source": source,
-        "deadline": float(deadline),
+        "deadline": deadline,
         "window": window,
         "scheduler_kwargs": kwargs,
         "seed": seed,

@@ -29,16 +29,19 @@ networkx reference construction
   multi-source Dijkstra as
   :func:`~repro.steiner.dst.greedy_incremental_dst` does on the
   reference graph, reading each settled row straight from those arrays.
-  The heap receives the same (distance, node) pushes in the same order,
-  so the pop sequence — and with it the ``expansions`` counter — is
-  identical.
+  It keeps distances for state nodes only and queues one pending cost
+  level per state instead of every transmission node.  Every live heap
+  entry of the reference is either queued here too or outranked by a
+  queued level of its own state, and the heap orders by
+  ``(distance, id)``, so live entries pop in the reference's order: the
+  expansions, the ``expansions`` counter and the tree are identical.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from typing import (
     Dict, Hashable, List, Mapping, Optional, Sequence, Set, Tuple,
@@ -651,6 +654,11 @@ def build_numpy_aux_graph(
     )
 
 
+#: transmission flag bits of :func:`greedy_incremental_dst_numpy`
+_EXPANDED = 1  # expanded at its current distance
+_IN_TREE = 2
+
+
 def greedy_incremental_dst_numpy(
     graph: NumpyAuxGraph,
     root: AuxNode,
@@ -660,20 +668,68 @@ def greedy_incremental_dst_numpy(
     """The incremental multi-source Dijkstra over the implicit graph.
 
     Identical search to :func:`~repro.steiner.dst.greedy_incremental_dst`
-    on the equivalent networkx graph — same pop sequence, same
-    ``expansions`` / ``grafts`` counters, same tree — but each settled row is read straight from the build's arrays
-    (zero-copy memoryviews, which index and slice into native ints and
-    floats) instead of a materialized adjacency list.  Relaxations visit
-    a row's targets in :meth:`NumpyAuxGraph.out_edges` order with the
-    same float arithmetic, so the heap receives the same (distance, node)
-    pushes in the same order.  The 0-weight waiting and coverage edges
-    skip the ``+ 0.0``: distances are never below ``+0.0``, where adding
-    ``0.0`` is exact.
+    on the equivalent networkx graph — same expansions in the same order,
+    same ``expansions`` / ``grafts`` counters, same tree — but it keeps
+    distances for the state nodes only and queues at most one pending
+    cost level per state instead of every transmission node.  Rows are
+    read straight from the build's arrays (zero-copy memoryviews, which
+    index and slice into native ints and floats).
 
-    The tree edges are decoded to tuple form at insertion, in graft order —
-    downstream set-iteration order is part of the parity contract, so the
-    result set must be built exactly the way the networkx solver builds its
-    own (same elements *and* same insertion history).
+    **Why only states need distances.**  A transmission node ``j`` of
+    state ``s`` has exactly one in-edge, ``s → j``, weighted by its cost
+    level ``w_j``.  A state is only ever expanded at a distance no higher
+    than the one before (the lazy-deletion check admits a pop only at the
+    current distance, distances only fall, and a graft resets them to
+    ``0.0``), and float addition is monotone, so the reference's
+    ``dist[j]`` is always ``fl(dlast[s] + w_j)``, with ``dlast[s]`` the
+    distance ``s`` was last expanded at — or ``0.0`` once ``j`` is in the
+    tree — and its ``pred`` is always ``s``, recovered by bisecting
+    ``tx_ptr``.  Per transmission there is one flag byte: "expanded at
+    its current distance" and "in the tree".  A transmission is
+    *pending* (the reference holds a live heap entry for it) when neither
+    flag is set and ``s`` has been expanded.
+
+    **Why one pending level per state is enough.**  A state's levels
+    have consecutive ids and non-decreasing weights (a DCS lists its
+    costs ``w¹ ≤ … ≤ wᵐ``), so the keys ``(distance, id)`` of its pending
+    levels strictly rise with the level: only the first pending one can
+    be the next of them to pop.  The search keeps that one queued:
+
+    * the first expansion of a state queues its first level;
+    * expanding a pending level queues the next pending level of the
+      same state;
+    * a re-expansion at a lower distance walks the state's levels once,
+      makes pending again each expanded non-tree level whose distance
+      fell (``dd + w < old + w`` — a drop that float rounding absorbs
+      leaves the level expanded, exactly as the reference then pushes
+      nothing), and queues the first pending level;
+    * a graft pushes ``(0.0, i)`` for every chain node, transmissions
+      included, and clears their "expanded" flag, which reproduces the
+      reference's re-expansions after a graft.  Every chain node was
+      expanded at its current distance (an earlier live entry would
+      have popped before the target), so no pending level leaves the
+      pending set and nothing else needs queueing.
+
+    Every live entry of the reference is therefore either queued here or
+    has a strictly smaller live entry of its own state queued, and every
+    entry admitted here is live in the reference.  The heap orders by
+    ``(distance, id)`` and entries with equal keys are interchangeable,
+    so live entries pop in the reference's order.  A popped level is
+    skipped when its key is stale (``dd`` above its current distance) or
+    when it is already expanded: a re-expansion queues its state's first
+    pending level again even if that entry is already queued under the
+    same key (as after an absorbed drop), where the reference holds one
+    entry, and only the first may expand.  A level whose distance
+    overflows to ``inf`` is never queued, as the reference never pushes
+    ``inf``.
+
+    The 0-weight waiting and coverage edges skip the ``+ 0.0``:
+    distances are never below ``+0.0``, where adding ``0.0`` is exact.
+    The tree edges are decoded to tuple form at insertion, in graft
+    order — downstream set-iteration order is part of the parity
+    contract, so the result set must be built exactly the way the
+    networkx solver builds its own (same elements *and* same insertion
+    history).
     """
     nodes = graph.aux_nodes
     num_states = graph.num_states
@@ -686,48 +742,51 @@ def greedy_incremental_dst_numpy(
     root_i = (
         graph.root_index if root == graph.root else graph.index_of(root)
     )
+    # Built like the reference's set, so an error names the same terminal.
     if tuple(terminals) == graph.terminals:
-        uncovered = set(graph.terminal_indices)
+        uncovered = {i for i in graph.terminal_indices if i != root_i}
     else:
         uncovered = {graph.index_of(t) for t in terminals if t != root}
     uncovered.discard(root_i)
 
-    n = len(nodes)
     INF = float("inf")
-    dist = [INF] * n
-    pred = [-1] * n
-    in_tree = bytearray(n)
+    dist = [INF] * num_states
+    dlast = [INF] * num_states  #: distance of each state's last expansion
+    pred = [-1] * num_states
+    in_tree = bytearray(num_states)
+    flags = bytearray(len(graph.tx_w))  #: _EXPANDED | _IN_TREE bits
     tree_edges: Set[Edge] = set()
 
     heap: List[Tuple[float, int]] = []
     expansions = 0
     grafts = 0
+    heappop = heapq.heappop
+    heappush = heapq.heappush
 
     def enter_tree(i: int, parent: int) -> None:
-        if in_tree[i]:
-            return
-        in_tree[i] = 1
+        if i < num_states:
+            in_tree[i] = 1
+            dist[i] = 0.0
+        else:
+            flags[i - num_states] = _IN_TREE
         if parent >= 0:
             tree_edges.add((nodes[parent], nodes[i]))
-        dist[i] = 0.0
-        heapq.heappush(heap, (0.0, i))
+        heappush(heap, (0.0, i))
         uncovered.discard(i)
 
     enter_tree(int(root_i), -1)
 
-    heappop = heapq.heappop
-    heappush = heapq.heappush
     while uncovered:
         target = -1
         while heap:
             dd, u = heappop(heap)
-            if dd > dist[u]:
-                continue  # stale entry
-            expansions += 1
-            if u in uncovered:
-                target = u
-                break
             if u < num_states:
+                if dd > dist[u]:
+                    continue  # stale entry
+                expansions += 1
+                if u in uncovered:
+                    target = u
+                    break
                 if wait[u]:
                     v = u + 1
                     if dd < dist[v]:
@@ -735,34 +794,74 @@ def greedy_incremental_dst_numpy(
                         pred[v] = u
                         heappush(heap, (dd, v))
                 lo = tx_ptr[u]
-                v = num_states + lo
-                for w in tx_w[lo:tx_ptr[u + 1]]:
-                    nd = dd + w
-                    if nd < dist[v]:
-                        dist[v] = nd
-                        pred[v] = u
-                        heappush(heap, (nd, v))
-                    v += 1
+                hi = tx_ptr[u + 1]
+                if lo < hi:
+                    old = dlast[u]
+                    dlast[u] = dd
+                    if dd < old < INF:  # a re-expansion at a lower distance
+                        for j in range(lo, hi):
+                            if flags[j] == _EXPANDED:
+                                w = tx_w[j]
+                                if dd + w < old + w:
+                                    flags[j] = 0
+                    j = flags.find(0, lo, hi)
+                    if j >= 0:
+                        nd = dd + tx_w[j]
+                        if nd < INF:
+                            heappush(heap, (nd, num_states + j))
+                continue
+            j = u - num_states
+            f = flags[j]
+            if f & _EXPANDED:
+                continue  # an equal-key duplicate
+            if f:  # in the tree: only its graft entry (0.0, u) is live
+                if dd > 0.0:
+                    continue
+                flags[j] = _IN_TREE | _EXPANDED
             else:
-                lo = tx_off[u - num_states]
-                for v in recv[lo:lo + tx_cnt[u - num_states]]:
-                    if dd < dist[v]:
-                        dist[v] = dd
-                        pred[v] = u
-                        heappush(heap, (dd, v))
+                s = bisect_right(tx_ptr, j) - 1
+                d = dlast[s]
+                if dd > d + tx_w[j]:
+                    continue  # stale entry
+                flags[j] = _EXPANDED
+                nxt = flags.find(0, j + 1, tx_ptr[s + 1])
+                if nxt >= 0:
+                    nd = d + tx_w[nxt]
+                    if nd < INF:
+                        heappush(heap, (nd, num_states + nxt))
+            expansions += 1
+            if u in uncovered:
+                target = u
+                break
+            lo = tx_off[j]
+            for v in recv[lo:lo + tx_cnt[j]]:
+                if dd < dist[v]:
+                    dist[v] = dd
+                    pred[v] = u
+                    heappush(heap, (dd, v))
         if target < 0:
             first = nodes[next(iter(uncovered))]
             raise InfeasibleError(
                 f"{len(uncovered)} terminal(s) unreachable from the tree "
                 f"(first: {first!r})"
             )
-        chain: List[int] = []
+        # Graft the pred-chain back to the nearest tree node; a
+        # transmission's pred is its state.
+        chain: List[Tuple[int, int]] = []
         v = int(target)
-        while v >= 0 and not in_tree[v]:
-            chain.append(v)
-            v = pred[v]
-        for i in reversed(chain):
-            enter_tree(i, pred[i])
+        while v >= 0:
+            if v < num_states:
+                if in_tree[v]:
+                    break
+                p = pred[v]
+            else:
+                if flags[v - num_states] & _IN_TREE:
+                    break
+                p = bisect_right(tx_ptr, v - num_states) - 1
+            chain.append((v, p))
+            v = p
+        for i, p in reversed(chain):
+            enter_tree(i, p)
         grafts += 1
     if stats is not None:
         stats["expansions"] = stats.get("expansions", 0) + expansions

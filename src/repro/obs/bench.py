@@ -160,7 +160,7 @@ def _ops(
     from ..temporal.reachability import broadcast_feasible_sources
 
     dts = build_dts(static.tvg, delay)
-    aux = build_aux_graph(static, source, delay, dts)
+    aux = build_numpy_aux_graph(static, source, delay, dts)
     schedule = make_scheduler("eedcb").run(static, source, delay).schedule
     plan_cache = PlanCache()
     plan_broadcast(static, source, delay, cache=plan_cache)  # prewarm
@@ -202,8 +202,9 @@ def _ops(
         return {"aux_nodes": float(a.num_nodes), "aux_edges": float(a.num_edges)}
 
     def steiner_solve():
+        # the production search, on the implicit graph built above
         stats: Dict[str, int] = {}
-        solve_memt(aux.graph, aux.root, aux.terminals, method="greedy",
+        solve_memt(aux, aux.root, aux.terminals, method="greedy",
                    stats=stats)
         return {"steiner_expansions": float(stats.get("expansions", 0))}
 

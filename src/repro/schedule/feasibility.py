@@ -185,11 +185,14 @@ def check_feasibility(
         required = tveg.nodes if targets is None else targets
         all_ok = True
         for node in required:
-            if informed_at[node] > deadline - tau:
+            # A never-informed node (inf) fails whatever T is, even
+            # T = inf; ``not <=`` also fails a NaN T.
+            informed = informed_at[node]
+            if informed == math.inf or not informed <= deadline - tau:
                 all_ok = False
                 violations.append(
                     f"node {node!r} not informed by T−τ={deadline - tau:g} "
-                    f"(informed at {informed_at[node]:g})"
+                    f"(informed at {informed:g})"
                 )
 
         # (iii) latency bound

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro import (
@@ -11,8 +13,10 @@ from repro import (
     make_scheduler,
     obs,
     plan_broadcast,
+    plan_broadcast_many,
     tveg_from_trace,
 )
+from repro.api import plan_cache_key
 from repro.errors import GraphModelError, InfeasibleError, SolverError
 
 from .conftest import make_random_instance
@@ -97,6 +101,17 @@ class TestPlanBroadcast:
     def test_bad_input_type_rejected(self):
         with pytest.raises(TypeError, match="ContactTrace, ContactStore, or TVEG"):
             plan_broadcast([("not", "a", "trace")], 0, 100.0)
+
+    @pytest.mark.parametrize("deadline", [math.inf, -math.inf, math.nan])
+    def test_non_finite_deadline_rejected(self, deadline):
+        # T = inf used to return an empty schedule marked feasible
+        trace, _ = make_random_instance(seed=1)
+        with pytest.raises(ValueError, match="deadline must be finite"):
+            plan_broadcast(trace, 0, deadline)
+        with pytest.raises(ValueError, match="deadline must be finite"):
+            plan_broadcast_many(trace, [0], deadline)
+        with pytest.raises(ValueError, match="deadline must be finite"):
+            plan_cache_key(trace, 0, deadline)
 
     def test_algorithm_alias_and_channel(self):
         trace, _ = make_random_instance(seed=2)

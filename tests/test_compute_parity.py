@@ -5,6 +5,7 @@ The numpy graph must be *byte-identical* to the networkx reference build
 derives from it must equal the networkx reference pipeline's, counters
 included, whether link costs are constant within each contact or vary
 within one.  These tests pin that contract over random traces, the
+greedy search on the implicit graph against the networkx search, the
 ``plan_broadcast_many ≡ N × plan_broadcast`` equivalence, the one graph
 form EEDCB builds for every profile, the ``retarget``/aux-cache reuse
 the batch API rides on, and ``TVEG.clear_caches`` invalidation.
@@ -12,15 +13,23 @@ the batch API rides on, and ``TVEG.clear_caches`` invalidation.
 
 import dataclasses
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro import obs, plan_broadcast, plan_broadcast_many
 from repro.algorithms import make_scheduler
 from repro.api import BroadcastPlanSet
 from repro.auxgraph import build_aux_graph
-from repro.compute.numpy_backend import NumpyAuxGraph, build_numpy_aux_graph
+from repro.compute.numpy_backend import (
+    LazyAuxNodes,
+    NumpyAuxGraph,
+    build_numpy_aux_graph,
+    greedy_incremental_dst_numpy,
+)
+from repro.core.partitions import Partition
+from repro.dts.dts import DiscreteTimeSet
 from repro.errors import GraphModelError, InfeasibleError
 from repro.schedule import (
     doc_to_planset,
@@ -29,6 +38,7 @@ from repro.schedule import (
     write_planset_json,
 )
 from repro.steiner import solve_memt
+from repro.steiner.dst import greedy_incremental_dst
 from repro.traces import Contact, ContactTrace, DistanceModel
 from repro.tveg import tveg_from_trace
 
@@ -174,6 +184,131 @@ def test_numpy_counted_sizes_match_what_they_count(trace, seed, deadline,
     assert na.dcs_levels == levels == nxa.dcs_levels
     assert len(na.cost_sets) == len(nxa.cost_sets)
     assert list(na.cost_sets) == list(nxa.cost_sets)
+
+
+# ----------------------------------------------------------------------
+# the implicit-graph search ≡ the networkx search
+# ----------------------------------------------------------------------
+
+#: cost levels mixing O(1) values with values ≥ 2^53, where a distance
+#: drop below 1 vanishes in the rounding of ``d + w``
+LEVEL_WEIGHTS = (1e-3, 0.5, 1.0, 7.0, 2.0**53, 1.5 * 2.0**53, 1e17)
+
+
+def _search(solver, graph, root, terminals):
+    """``(list(edges), stats, error text)`` of one greedy search."""
+    stats = {}
+    try:
+        edges = solver(graph, root, terminals, stats=stats)
+    except InfeasibleError as exc:
+        return None, stats, str(exc)
+    return list(edges), stats, None
+
+
+def assert_search_parity(graph):
+    """The numpy search and the networkx search agree on ``graph``: the
+    same tree edges in the same set order, the same ``expansions`` and
+    ``grafts``, the same error text."""
+    ref = graph.to_networkx()
+    assert _search(greedy_incremental_dst_numpy, graph, graph.root,
+                   graph.terminals) == _search(
+        greedy_incremental_dst, ref, graph.root, graph.terminals
+    )
+
+
+@given(contact_traces(), st.integers(0, 2**16),
+       st.sampled_from(("static", "rayleigh")), st.sampled_from(PROFILES),
+       st.integers(0, NODES - 1),
+       st.none() | st.lists(st.integers(0, NODES - 1), min_size=1,
+                            max_size=NODES, unique=True))
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+def test_numpy_search_matches_networkx_search(trace, seed, channel, profile,
+                                              source, targets):
+    """On graphs built from random traces, ``retarget``ed to any source
+    and to broadcast or multicast targets.  Several terminals mean
+    several grafts, and each graft re-expands its chain at distance 0."""
+    tveg = tveg_from_trace(trace, channel, seed=seed,
+                           distance_model=DistanceModel(profile=profile))
+    base = build_numpy_aux_graph(tveg, 0, HORIZON)
+    assert_search_parity(
+        base.retarget(source, None if targets is None else tuple(targets))
+    )
+
+
+def _hand_built_graph(points, levels, source):
+    """A :class:`NumpyAuxGraph` from per-node point counts and, per state
+    (node-major, point-minor), its ``(weight, receiver state ids)``
+    levels in ascending weight order.  It carries no cost sets."""
+    node_base = np.cumsum([0] + list(points))
+    num_states = int(node_base[-1])
+    tx_ptr = np.cumsum([0] + [len(lv) for lv in levels])
+    counts = [len(r) for lv in levels for _, r in lv]
+    labels = list(range(len(points)))
+    wait = np.ones(num_states, dtype=np.uint8)
+    wait[node_base[1:] - 1] = 0
+    tx_k = np.array([k for lv in levels for k in range(len(lv))],
+                    dtype=np.int64)
+    graph = NumpyAuxGraph(
+        aux_nodes=LazyAuxNodes(labels, node_base, tx_ptr, tx_k),
+        dts=DiscreteTimeSet(
+            {n: Partition(range(p)) for n, p in zip(labels, points)},
+            deadline=float(max(points)), tau=0.0,
+        ),
+        source=0, root=None, terminals=(), root_index=0,
+        terminal_indices=(), cost_sets={},
+        state_base={n: int(node_base[n]) for n in labels},
+        tx_ptr=tx_ptr,
+        wait=wait.tobytes(),
+        tx_w=np.array([w for lv in levels for w, _ in lv], dtype=np.float64),
+        tx_k=tx_k,
+        tx_cnt=np.array(counts, dtype=np.int64),
+        tx_off=np.cumsum([0] + counts)[:-1].astype(np.int64),
+        recv=np.array([v for lv in levels for _, r in lv for v in r],
+                      dtype=np.int64),
+        num_edges=0,
+        dcs_levels=len(tx_k),
+    )
+    return graph.retarget(source)
+
+
+@st.composite
+def hand_built_specs(draw):
+    """``(points, levels, source)`` for :func:`_hand_built_graph`: 2–4
+    nodes of 2–4 points, up to three levels per state, each covering up
+    to three arbitrary states."""
+    points = draw(st.lists(st.integers(2, 4), min_size=2, max_size=4))
+    num_states = sum(points)
+    levels = []
+    for _ in range(num_states):
+        weights = sorted(draw(st.lists(st.sampled_from(LEVEL_WEIGHTS),
+                                       max_size=3)))
+        levels.append([
+            (w, draw(st.lists(st.integers(0, num_states - 1), min_size=1,
+                              max_size=3, unique=True)))
+            for w in weights
+        ])
+    return points, levels, draw(st.integers(0, len(points) - 1))
+
+
+@given(hand_built_specs())
+@example(spec=(
+    # A graft re-expands state 6 at distance 0 instead of 0.5, and
+    # 0.5 + 2^53 rounds to 2^53: its level must stay expanded, or it
+    # is expanded again (23 expansions instead of 22).
+    [2, 3, 3, 4],
+    [[], [], [], [], [], [], [(2.0**53, [6])], [], [],
+     [(0.5, [5]), (2.0**53, [1, 6]), (2.0**53, [4])], [], [(1e-3, [7])]],
+    3,
+))
+@settings(max_examples=150, deadline=None)
+def test_numpy_search_matches_networkx_search_on_hand_built_graphs(spec):
+    """Levels far above the distances, so re-expansions at a lower
+    distance often leave ``fl(d + w)`` unchanged."""
+    assert_search_parity(_hand_built_graph(*spec))
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """The four TMEDB feasibility conditions (Section IV)."""
 
+import math
+
 import pytest
 
 from repro.schedule import Schedule, Transmission, check_feasibility
@@ -64,6 +66,13 @@ class TestConditions:
         rep = check_feasibility(det_static, Schedule.empty(), 0, 100.0)
         assert rep.relays_informed and rep.latency_ok and rep.budget_ok
         assert not rep.all_informed
+
+    def test_never_informed_fails_at_infinite_deadline(self, det_static):
+        # inf > inf is false: a never-informed node must fail (ii) anyway
+        rep = check_feasibility(det_static, Schedule.empty(), 0, math.inf)
+        assert not rep.all_informed
+        assert not rep.feasible
+        assert any("not informed" in v for v in rep.violations)
 
     def test_tau_tightens_deadline(self, det_trace):
         from repro.tveg import tveg_from_trace

@@ -26,6 +26,7 @@ from repro.service import (
     PlanningService,
     make_server,
 )
+from repro.service.server import execute_request, parse_plan_request
 from repro.traces import HaggleLikeConfig, haggle_like_trace
 
 from .conftest import make_random_instance
@@ -372,6 +373,25 @@ class TestPlanningService:
     def test_default_trace_when_single(self, service):
         r = service.plan(None, 600.0, window=2000.0, seed=3)
         assert r.plan.deadline == 600.0
+
+    @pytest.mark.parametrize("deadline", ["1e309", "Infinity", "NaN"])
+    def test_non_finite_deadline_is_400(self, deadline):
+        trace, _ = make_random_instance(seed=1)
+        svc = PlanningService({"t": trace}, max_wait=0.0, workers=1)
+        try:
+            for path, body in (
+                ("/plan", '{"trace": "t", "source": 0, "deadline": %s}'),
+                ("/plan_many", '{"trace": "t", "sources": [0], '
+                               '"deadlines": [%s]}'),
+            ):
+                method, kwargs = parse_plan_request(
+                    path, json.loads(body % deadline)
+                )
+                status, doc = execute_request(svc, method, kwargs)
+                assert status == 400
+                assert "deadline must be finite" in doc["error"]
+        finally:
+            svc.close()
 
 
 class TestPlanMany:

@@ -102,10 +102,11 @@ per contact when costs are constant within it, one per active
 (neighbor, point) cell when they vary), the auxiliary graph in implicit
 form — per-state and per-transmission arrays from which each row, node
 tuple and cost set is derived on demand — and the greedy Steiner search
-reading those rows directly. It reproduces the networkx reference build
-**byte for byte** (same node ids, edge order, floats, heap pops and
-expansion counters; `tests/test_compute_parity.py` checks this
-property-based). EEDCB uses it for every TVEG.
+reading those rows directly, with search state for the state nodes only.
+It reproduces the networkx reference build and search **byte for byte**
+(same node ids, edge order, floats, expansion order and counters;
+`tests/test_compute_parity.py` checks this property-based). EEDCB uses
+it for every TVEG.
 """,
     "repro.protosim": """\
 # Protocol-level simulator

@@ -18,11 +18,12 @@ and asserts the three scale acceptance properties:
    scheduler, the unbounded DCS memo alone needs ~2.8 GB on the full
    instance, so a regression to per-contact objects or an unbounded
    memo dies on ``MemoryError`` instead of quietly using more RAM.
-   ``--algorithm eedcb`` guards the Section VI-A auxiliary graph
-   instead: on the quick instance (6.1M aux nodes, 19.1M edges) the
-   implicit graph plans within about 1470 MB of address space, while
-   materializing every edge as arrays needs about 2600 MB, so
-   ``--limit-mb 2048`` trips if per-edge arrays come back;
+   ``--algorithm eedcb`` guards the Section VI-A auxiliary graph and
+   the Steiner search instead: on the quick instance (6.1M aux nodes,
+   19.1M edges) the implicit graph and the state-only search plan under
+   a 1088 MB ceiling, while queueing every transmission node needs more
+   than 1408 MB and materializing every edge as arrays about 2600 MB,
+   so ``--limit-mb 1344`` trips if either comes back;
 3. **parity**: the store-backed schedule is byte-identical (relay ids,
    ``float.hex()`` times/costs, total cost) to the dict-backed
    ``ContactTrace`` path planned from the same text file in an
@@ -33,7 +34,7 @@ Usage::
     PYTHONPATH=src python tools/scale_smoke.py             # full instance
     PYTHONPATH=src python tools/scale_smoke.py --quick     # 50k contacts
     PYTHONPATH=src python tools/scale_smoke.py --quick --algorithm eedcb \
-        --limit-mb 2048                                    # aux-graph guard
+        --limit-mb 1344                                    # aux-graph guard
 
 Exits nonzero with a diagnostic on the first violated property.
 """
