@@ -35,6 +35,10 @@ networkx reference construction
   queued level of its own state, and the heap orders by
   ``(distance, id)``, so live entries pop in the reference's order: the
   expansions, the ``expansions`` counter and the tree are identical.
+  A state whose waiting edge the expansion lowers would be the next pop,
+  so it is expanded in place.  The tree stays in node ids until the
+  search returns and is then decoded in one vectorized pass
+  (:meth:`LazyAuxNodes.decode`, the graph's only id decoder).
 """
 
 from __future__ import annotations
@@ -164,10 +168,10 @@ class LazyAuxNodes(Sequence):
     nodes in TVEG order, points ascending), then every transmission node
     (point-major, level-minor).  Millions of ``("state", node, l)`` and
     ``("tx", node, l, k)`` tuples would cost more than the rest of the
-    build, while the Steiner search decodes only the ids on tree edges,
-    so each tuple is recovered from its id at access time: a state's
-    graph node by bisecting ``node_base``, a transmission's state by
-    bisecting ``tx_ptr``.
+    build, while the Steiner search needs only the ids on tree edges, so
+    tuples are recovered from ids when asked for.  Every access — an
+    item, a slice, iteration — goes through :meth:`decode`, which
+    decodes a whole id array in one vectorized pass.
     """
 
     __slots__ = ("_labels", "_node_base", "_tx_ptr", "_tx_k")
@@ -181,25 +185,41 @@ class LazyAuxNodes(Sequence):
     def __len__(self) -> int:
         return len(self._tx_ptr) - 1 + len(self._tx_k)
 
-    def locate(self, s: int) -> Tuple[Node, int]:
-        """``(graph node, point index)`` of state id ``s``."""
-        ni = int(np.searchsorted(self._node_base, s, "right")) - 1
-        return self._labels[ni], s - int(self._node_base[ni])
+    def decode(self, ids) -> List[AuxNode]:
+        """The node tuples of the ids in ``ids`` (all in range), in order.
+
+        A transmission's state comes from a ``searchsorted`` over
+        ``tx_ptr`` and its level from ``tx_k``; every state's graph node
+        and point index from a ``searchsorted`` over the node bases.
+        """
+        s = np.array(ids, dtype=np.int64)
+        num_states = len(self._tx_ptr) - 1
+        is_tx = s >= num_states
+        j = s[is_tx] - num_states
+        s[is_tx] = np.searchsorted(self._tx_ptr, j, "right") - 1
+        k = np.full(len(s), -1, dtype=np.int64)
+        k[is_tx] = self._tx_k[j]
+        ni = np.searchsorted(self._node_base, s, "right") - 1
+        labels = self._labels
+        return [
+            state_node(labels[n], l) if kk < 0 else tx_node(labels[n], l, kk)
+            for n, l, kk in zip(ni.tolist(),
+                                (s - self._node_base[ni]).tolist(),
+                                k.tolist())
+        ]
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
         n = len(self)
+        if isinstance(i, slice):
+            return self.decode(np.arange(*i.indices(n), dtype=np.int64))
         if i < 0:
             i += n
         if not 0 <= i < n:
             raise IndexError(i)
-        num_states = len(self._tx_ptr) - 1
-        if i < num_states:
-            return state_node(*self.locate(i))
-        j = i - num_states
-        s = int(np.searchsorted(self._tx_ptr, j, "right")) - 1
-        return tx_node(*self.locate(s), int(self._tx_k[j]))
+        return self.decode([i])[0]
+
+    def __iter__(self):
+        return iter(self.decode(np.arange(len(self), dtype=np.int64)))
 
 
 class LazyCostSets(Mapping):
@@ -438,7 +458,7 @@ class NumpyAuxGraph:
         import networkx as nx
 
         g = nx.DiGraph()
-        nodes = self.aux_nodes
+        nodes = list(self.aux_nodes)
         for aux, t in zip(nodes, self.times.tolist()):
             g.add_node(aux, time=t)
         for i, u in enumerate(nodes):
@@ -723,22 +743,33 @@ def greedy_incremental_dst_numpy(
     overflows to ``inf`` is never queued, as the reference never pushes
     ``inf``.
 
+    **Why a waiting chain needs no heap.**  Suppose expanding state
+    ``u`` at distance ``dd`` lowers ``dist[u + 1]`` through its 0-weight
+    waiting edge.  Then ``(dd, u + 1)`` is the next pop.  Every queued
+    entry is above the just-popped ``(dd, u)``: no state holds two queued
+    entries with the same key, because a state is pushed only when its
+    distance strictly drops and a graft pushes ``(0.0, i)`` only for
+    chain nodes whose entries have all popped (the graft argument
+    above).  No id lies between ``u`` and ``u + 1``.  The entries of
+    ``u + 1`` sit at or above its old distance, which exceeds ``dd``.
+    The level ``u`` queues has an id above every state and a distance
+    ``dd + w ≥ dd``.  So the search sets ``dist`` and ``pred`` of
+    ``u + 1`` and expands it in place, without the push and pop, and the
+    same argument carries on along the chain.
+
     The 0-weight waiting and coverage edges skip the ``+ 0.0``:
     distances are never below ``+0.0``, where adding ``0.0`` is exact.
-    The tree edges are decoded to tuple form at insertion, in graft
-    order — downstream set-iteration order is part of the parity
-    contract, so the result set must be built exactly the way the
-    networkx solver builds its own (same elements *and* same insertion
-    history).
+
+    **The tree stays in ids until the search returns.**  Each graft
+    appends its ``(parent, child)`` ids in graft order.  Once the search
+    state is freed, :meth:`LazyAuxNodes.decode` turns all of them into
+    tuples in one vectorized pass, and the pairs enter the result set in
+    graft order: the networkx solver's elements and insertion history,
+    so even ``list(edges)`` matches it.  No output depends on that order,
+    though: :class:`~repro.schedule.Schedule` sorts its rows by
+    ``(time, repr(relay))``, unique per row, and
+    :meth:`NumpyAuxGraph.tree_cost` sums with :func:`math.fsum`.
     """
-    nodes = graph.aux_nodes
-    num_states = graph.num_states
-    wait = graph.wait
-    tx_ptr = graph.tx_ptr.tolist()
-    tx_w = memoryview(graph.tx_w)
-    tx_off = memoryview(graph.tx_off)
-    tx_cnt = memoryview(graph.tx_cnt)
-    recv = memoryview(graph.recv)
     root_i = (
         graph.root_index if root == graph.root else graph.index_of(root)
     )
@@ -749,13 +780,42 @@ def greedy_incremental_dst_numpy(
         uncovered = {graph.index_of(t) for t in terminals if t != root}
     uncovered.discard(root_i)
 
+    tree_ids, expansions, grafts = _greedy_search(graph, root_i, uncovered)
+    nodes = graph.aux_nodes.decode(tree_ids)
+    tree_edges: Set[Edge] = set(zip(nodes[0::2], nodes[1::2]))
+    if stats is not None:
+        stats["expansions"] = stats.get("expansions", 0) + expansions
+        stats["grafts"] = stats.get("grafts", 0) + grafts
+    obs.counter("steiner.expansions", expansions)
+    obs.counter("steiner.grafts", grafts)
+    return tree_edges
+
+
+def _greedy_search(
+    graph: NumpyAuxGraph, root_i: int, uncovered: Set[int]
+) -> Tuple[List[int], int, int]:
+    """The search loop of :func:`greedy_incremental_dst_numpy`.
+
+    Returns the tree edges as a flat ``[parent, child, …]`` id list in
+    graft order, then the ``expansions`` and ``grafts`` counts.  The
+    heap, distances and flags die with this frame, before the caller
+    decodes the tree.
+    """
+    num_states = graph.num_states
+    wait = graph.wait
+    tx_ptr = graph.tx_ptr.tolist()
+    tx_w = memoryview(graph.tx_w)
+    tx_off = memoryview(graph.tx_off)
+    tx_cnt = memoryview(graph.tx_cnt)
+    recv = memoryview(graph.recv)
+
     INF = float("inf")
     dist = [INF] * num_states
     dlast = [INF] * num_states  #: distance of each state's last expansion
     pred = [-1] * num_states
     in_tree = bytearray(num_states)
     flags = bytearray(len(graph.tx_w))  #: _EXPANDED | _IN_TREE bits
-    tree_edges: Set[Edge] = set()
+    tree_ids: List[int] = []
 
     heap: List[Tuple[float, int]] = []
     expansions = 0
@@ -763,18 +823,16 @@ def greedy_incremental_dst_numpy(
     heappop = heapq.heappop
     heappush = heapq.heappush
 
-    def enter_tree(i: int, parent: int) -> None:
+    def enter_tree(i: int) -> None:
         if i < num_states:
             in_tree[i] = 1
             dist[i] = 0.0
         else:
             flags[i - num_states] = _IN_TREE
-        if parent >= 0:
-            tree_edges.add((nodes[parent], nodes[i]))
         heappush(heap, (0.0, i))
         uncovered.discard(i)
 
-    enter_tree(int(root_i), -1)
+    enter_tree(int(root_i))
 
     while uncovered:
         target = -1
@@ -783,32 +841,36 @@ def greedy_incremental_dst_numpy(
             if u < num_states:
                 if dd > dist[u]:
                     continue  # stale entry
-                expansions += 1
-                if u in uncovered:
-                    target = u
+                # Expand u, then each state its waiting edge lowers, in
+                # place: that state would be the next pop.
+                while True:
+                    expansions += 1
+                    if u in uncovered:
+                        target = u
+                        break
+                    lo = tx_ptr[u]
+                    hi = tx_ptr[u + 1]
+                    if lo < hi:
+                        old = dlast[u]
+                        dlast[u] = dd
+                        if dd < old < INF:  # a lower-distance re-expansion
+                            for j in range(lo, hi):
+                                if flags[j] == _EXPANDED:
+                                    w = tx_w[j]
+                                    if dd + w < old + w:
+                                        flags[j] = 0
+                        j = flags.find(0, lo, hi)
+                        if j >= 0:
+                            nd = dd + tx_w[j]
+                            if nd < INF:
+                                heappush(heap, (nd, num_states + j))
+                    if not wait[u] or dd >= dist[u + 1]:
+                        break
+                    pred[u + 1] = u
+                    u += 1
+                    dist[u] = dd
+                if target >= 0:
                     break
-                if wait[u]:
-                    v = u + 1
-                    if dd < dist[v]:
-                        dist[v] = dd
-                        pred[v] = u
-                        heappush(heap, (dd, v))
-                lo = tx_ptr[u]
-                hi = tx_ptr[u + 1]
-                if lo < hi:
-                    old = dlast[u]
-                    dlast[u] = dd
-                    if dd < old < INF:  # a re-expansion at a lower distance
-                        for j in range(lo, hi):
-                            if flags[j] == _EXPANDED:
-                                w = tx_w[j]
-                                if dd + w < old + w:
-                                    flags[j] = 0
-                    j = flags.find(0, lo, hi)
-                    if j >= 0:
-                        nd = dd + tx_w[j]
-                        if nd < INF:
-                            heappush(heap, (nd, num_states + j))
                 continue
             j = u - num_states
             f = flags[j]
@@ -840,7 +902,7 @@ def greedy_incremental_dst_numpy(
                     pred[v] = u
                     heappush(heap, (dd, v))
         if target < 0:
-            first = nodes[next(iter(uncovered))]
+            first = graph.aux_nodes[next(iter(uncovered))]
             raise InfeasibleError(
                 f"{len(uncovered)} terminal(s) unreachable from the tree "
                 f"(first: {first!r})"
@@ -861,11 +923,7 @@ def greedy_incremental_dst_numpy(
             chain.append((v, p))
             v = p
         for i, p in reversed(chain):
-            enter_tree(i, p)
+            tree_ids += (p, i)
+            enter_tree(i)
         grafts += 1
-    if stats is not None:
-        stats["expansions"] = stats.get("expansions", 0) + expansions
-        stats["grafts"] = stats.get("grafts", 0) + grafts
-    obs.counter("steiner.expansions", expansions)
-    obs.counter("steiner.grafts", grafts)
-    return tree_edges
+    return tree_ids, expansions, grafts

@@ -10,8 +10,11 @@ the selected solver:
 * ``"charikar"`` — the recursive level-``i`` algorithm with the paper's
   ``O(N^ε)``-family guarantee; small instances only.
 
-Whatever the solver, the result is pruned so every edge lies on a
-root→terminal path.
+Every returned edge lies on a root→terminal path.  ``sptree`` and
+``charikar`` get that from :func:`~repro.steiner.prune.prune_tree`.  The
+greedy tree needs no prune: each graft adds the pred chain from a tree
+node to an uncovered terminal, so every edge already lies on such a
+path.
 """
 
 from __future__ import annotations
@@ -44,7 +47,8 @@ def solve_memt(
     max_candidates: Optional[int] = None,
     stats: Optional[Dict[str, int]] = None,
 ) -> Set[Edge]:
-    """Solve the MEMT instance and return the pruned Steiner edge set.
+    """Solve the MEMT instance and return its Steiner edge set, every edge
+    on a root→terminal path.
 
     ``graph`` is a weighted :class:`networkx.DiGraph` or the implicit
     :class:`~repro.compute.numpy_backend.NumpyAuxGraph`.  The greedy
@@ -73,8 +77,9 @@ def solve_memt(
                 if isinstance(graph, NumpyAuxGraph)
                 else greedy_incremental_dst
             )
-            edges = search(graph, root, terminals, stats=stats)
-        elif method == "sptree":
+            # A union of grafted root→terminal chains: already pruned.
+            return search(graph, root, terminals, stats=stats)
+        if method == "sptree":
             if not isinstance(graph, nx.DiGraph):
                 graph = graph.to_networkx()
             edges = shortest_path_tree(graph, root, terminals)

@@ -4,6 +4,12 @@ Solver output may contain stubs (explored branches that ended up covered
 more cheaply elsewhere).  Pruning keeps only edges that lie on a directed
 path from the root to some terminal — it never increases cost and often
 removes paid transmission edges whose coverage became redundant.
+
+:func:`~repro.steiner.memt.solve_memt` prunes the ``sptree`` and
+``charikar`` trees only.  A greedy tree is a union of grafted pred
+chains, each running from a node already in the tree to an uncovered
+terminal, so every edge already lies on a root→terminal path and the
+prune would return an equal set.
 """
 
 from __future__ import annotations

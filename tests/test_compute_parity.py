@@ -37,7 +37,7 @@ from repro.schedule import (
     read_planset_json,
     write_planset_json,
 )
-from repro.steiner import solve_memt
+from repro.steiner import prune_tree, solve_memt
 from repro.steiner.dst import greedy_incremental_dst
 from repro.traces import Contact, ContactTrace, DistanceModel
 from repro.tveg import tveg_from_trace
@@ -191,8 +191,9 @@ def test_numpy_counted_sizes_match_what_they_count(trace, seed, deadline,
 # ----------------------------------------------------------------------
 
 #: cost levels mixing O(1) values with values ≥ 2^53, where a distance
-#: drop below 1 vanishes in the rounding of ``d + w``
-LEVEL_WEIGHTS = (1e-3, 0.5, 1.0, 7.0, 2.0**53, 1.5 * 2.0**53, 1e17)
+#: drop below 1 vanishes in the rounding of ``d + w``, and 0.0, which
+#: puts a level at its state's distance without it being in the tree
+LEVEL_WEIGHTS = (0.0, 1e-3, 0.5, 1.0, 7.0, 2.0**53, 1.5 * 2.0**53, 1e17)
 
 
 def _search(solver, graph, root, terminals):
@@ -216,27 +217,37 @@ def assert_search_parity(graph):
     )
 
 
-@given(contact_traces(), st.integers(0, 2**16),
-       st.sampled_from(("static", "rayleigh")), st.sampled_from(PROFILES),
-       st.integers(0, NODES - 1),
-       st.none() | st.lists(st.integers(0, NODES - 1), min_size=1,
-                            max_size=NODES, unique=True))
-@settings(
+@st.composite
+def retargeted_graphs(draw):
+    """Implicit graphs built from random traces, ``retarget``ed to any
+    source and to broadcast or multicast targets."""
+    tveg = tveg_from_trace(
+        draw(contact_traces()),
+        draw(st.sampled_from(("static", "rayleigh"))),
+        seed=draw(st.integers(0, 2**16)),
+        distance_model=DistanceModel(profile=draw(st.sampled_from(PROFILES))),
+    )
+    source = draw(st.integers(0, NODES - 1))
+    targets = draw(st.none() | st.lists(st.integers(0, NODES - 1),
+                                        min_size=1, max_size=NODES,
+                                        unique=True))
+    base = build_numpy_aux_graph(tveg, 0, HORIZON)
+    return base.retarget(source, None if targets is None else tuple(targets))
+
+
+search_settings = settings(
     max_examples=60,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
-def test_numpy_search_matches_networkx_search(trace, seed, channel, profile,
-                                              source, targets):
-    """On graphs built from random traces, ``retarget``ed to any source
-    and to broadcast or multicast targets.  Several terminals mean
+
+
+@given(retargeted_graphs())
+@search_settings
+def test_numpy_search_matches_networkx_search(graph):
+    """On graphs built from random traces.  Several terminals mean
     several grafts, and each graft re-expands its chain at distance 0."""
-    tveg = tveg_from_trace(trace, channel, seed=seed,
-                           distance_model=DistanceModel(profile=profile))
-    base = build_numpy_aux_graph(tveg, 0, HORIZON)
-    assert_search_parity(
-        base.retarget(source, None if targets is None else tuple(targets))
-    )
+    assert_search_parity(graph)
 
 
 def _hand_built_graph(points, levels, source):
@@ -309,6 +320,26 @@ def test_numpy_search_matches_networkx_search_on_hand_built_graphs(spec):
     """Levels far above the distances, so re-expansions at a lower
     distance often leave ``fl(d + w)`` unchanged."""
     assert_search_parity(_hand_built_graph(*spec))
+
+
+@given(retargeted_graphs()
+       | hand_built_specs().map(lambda spec: _hand_built_graph(*spec)))
+@search_settings
+def test_greedy_trees_need_no_pruning(graph):
+    """Each graft adds the pred chain from a tree node to an uncovered
+    terminal, so every edge of a greedy tree already lies on a
+    root→terminal path: ``prune_tree`` returns an equal set, and
+    ``solve_memt`` returns the search's own result unpruned."""
+    root, terminals = graph.root, graph.terminals
+    for search, g in ((greedy_incremental_dst_numpy, graph),
+                      (greedy_incremental_dst, graph.to_networkx())):
+        try:
+            edges = search(g, root, terminals)
+        except InfeasibleError:
+            continue
+        assert prune_tree(edges, root, terminals) == edges
+        tree = solve_memt(g, root, terminals, method="greedy")
+        assert tree == edges and list(tree) == list(edges)
 
 
 # ----------------------------------------------------------------------

@@ -129,6 +129,13 @@ def _child(args) -> int:
     doc["peak_mb"] = round(peak_mb, 1)
     doc["load_s"] = round(load_s, 2)
     doc["plan_s"] = round(time.perf_counter() - t0 - load_s, 2)
+    if "stage_seconds" in plan.info:
+        # (stage, seconds) pairs keep pipeline order through sort_keys
+        doc["stage_seconds"] = [
+            [k, round(v, 2)] for k, v in plan.info["stage_seconds"].items()
+        ]
+    if "steiner_expansions" in plan.info:
+        doc["steiner_expansions"] = plan.info["steiner_expansions"]
     print(json.dumps(doc, sort_keys=True))
     return 0
 
@@ -152,6 +159,14 @@ def _run_leg(leg: str, path: str, args, limit_mb: int) -> dict:
             + f"\n--- stderr tail ---\n{out.stderr.strip()[-2000:]}"
         )
     return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def _work(doc: dict) -> str:
+    """The per-stage split and Steiner expansions of a leg, if reported."""
+    parts = [f"{k} {v}s" for k, v in doc.get("stage_seconds", ())]
+    if "steiner_expansions" in doc:
+        parts.append(f"{doc['steiner_expansions']:,} expansions")
+    return f"; {', '.join(parts)}" if parts else ""
 
 
 def main(argv=None) -> int:
@@ -215,13 +230,15 @@ def main(argv=None) -> int:
           f"transmissions, "
           f"peak RSS {store_doc['peak_mb']} MB "
           f"(ceiling {args.limit_mb or 'none'} MB), "
-          f"load {store_doc['load_s']}s, plan {store_doc['plan_s']}s")
+          f"load {store_doc['load_s']}s, plan {store_doc['plan_s']}s"
+          f"{_work(store_doc)}")
 
     dict_doc = _run_leg("dict", text_path, args, 0)
     print(f"dict leg ({args.algorithm}):  {len(dict_doc['rows'])} "
           f"transmissions, "
           f"peak RSS {dict_doc['peak_mb']} MB (oracle, unlimited), "
-          f"load {dict_doc['load_s']}s, plan {dict_doc['plan_s']}s")
+          f"load {dict_doc['load_s']}s, plan {dict_doc['plan_s']}s"
+          f"{_work(dict_doc)}")
 
     if store_doc["trace_fp"] != fp or dict_doc["trace_fp"] != fp:
         print(f"FAIL: fingerprint disagreement — ingest {fp}, "
