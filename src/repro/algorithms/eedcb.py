@@ -72,27 +72,34 @@ class EEDCB(Scheduler):
         #: multicast terminal subset; None = broadcast (the paper's case)
         self._targets = tuple(targets) if targets is not None else None
 
-    def _build_aux(self, tveg: TVEG, source: Node, deadline: float, dts):
-        """Build (or fetch and re-root) the auxiliary graph for ``source``.
+    def _cached_aux(self, tveg: TVEG, source: Node, deadline: float):
+        """The retained auxiliary graph for ``deadline``, re-rooted at
+        ``source``, or ``None``.
 
         The construction depends only on (TVEG, deadline, targets), so
         builds are kept on the TVEG's LRU
         :meth:`~repro.tveg.graph.TVEG.aux_cache` and re-rooted with
         :meth:`~repro.compute.numpy_backend.NumpyAuxGraph.retarget` — a
-        hit skips the single most expensive stage of the pipeline.
+        hit skips the DTS and the aux build, the graph carrying the DTS
+        it was built on.
         """
         cache = tveg.aux_cache()
         key = (float(deadline), self._targets)
         hit = cache.get(key)
-        if hit is not None:
-            cache.move_to_end(key)
-            if hit.source == source:
-                return hit
-            return hit.retarget(source, self._targets)
+        if hit is None:
+            return None
+        cache.move_to_end(key)
+        if hit.source == source:
+            return hit
+        return hit.retarget(source, self._targets)
+
+    def _build_aux(self, tveg: TVEG, source: Node, deadline: float, dts):
+        """Build the auxiliary graph and retain it on the aux cache."""
         aux = numpy_backend.build_numpy_aux_graph(
             tveg, source, deadline, dts, targets=self._targets
         )
-        cache[key] = aux
+        cache = tveg.aux_cache()
+        cache[(float(deadline), self._targets)] = aux
         while len(cache) > TVEG.AUX_CACHE_CAPACITY:
             cache.popitem(last=False)
         return aux
@@ -124,10 +131,15 @@ class EEDCB(Scheduler):
                 raise InfeasibleError(
                     f"no journey reaches {missing!r} from {source!r} by {deadline:g}"
                 )
+            aux = self._cached_aux(tveg, source, deadline)
             with obs.stage(stage_seconds, "dts", "eedcb.dts"):
-                dts = build_dts(tveg.tvg, deadline)
+                if aux is None:
+                    dts = build_dts(tveg.tvg, deadline)
+                else:
+                    dts = aux.dts
             with obs.stage(stage_seconds, "auxgraph", "eedcb.auxgraph"):
-                aux = self._build_aux(tveg, source, deadline, dts)
+                if aux is None:
+                    aux = self._build_aux(tveg, source, deadline, dts)
             with obs.stage(
                 stage_seconds, "steiner", "eedcb.steiner", method=self._method
             ):

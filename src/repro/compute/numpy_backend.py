@@ -18,10 +18,11 @@ networkx reference construction
 * :func:`build_numpy_aux_graph` derives every DCS and every auxiliary
   node from those arrays with ``searchsorted`` / cumulative-sum queries
   instead of per-entry Python loops, and returns the graph in *implicit*
-  form (:class:`NumpyAuxGraph`): per-state and per-transmission arrays
-  from which each adjacency row, node tuple and cost set is derived on
-  demand, with the exact node ids, row order and weights of the
-  reference.  Insertion order is part of the contract: the greedy
+  form (:class:`NumpyAuxGraph`): per-state and per-transmission arrays,
+  about 16 bytes per transmission node, allocated once and filled in
+  place, from which each adjacency row, node tuple and cost set is
+  derived on demand, with the exact node ids, row order and weights of
+  the reference.  Insertion order is part of the contract: the greedy
   Steiner search breaks distance ties by node id and row order.  The
   search expands about a tenth of the nodes, so no per-edge array is
   ever materialized.
@@ -174,31 +175,33 @@ class LazyAuxNodes(Sequence):
     decodes a whole id array in one vectorized pass.
     """
 
-    __slots__ = ("_labels", "_node_base", "_tx_ptr", "_tx_k")
+    __slots__ = ("_labels", "_node_base", "_tx_ptr", "_tx_k0")
 
-    def __init__(self, labels, node_base, tx_ptr, tx_k):
+    def __init__(self, labels, node_base, tx_ptr, tx_k0):
         self._labels = labels
         self._node_base = node_base  #: (N+1,) first state id per graph node
         self._tx_ptr = tx_ptr
-        self._tx_k = tx_k
+        self._tx_k0 = tx_k0
 
     def __len__(self) -> int:
-        return len(self._tx_ptr) - 1 + len(self._tx_k)
+        return len(self._tx_ptr) - 1 + int(self._tx_ptr[-1])
 
     def decode(self, ids) -> List[AuxNode]:
         """The node tuples of the ids in ``ids`` (all in range), in order.
 
-        A transmission's state comes from a ``searchsorted`` over
-        ``tx_ptr`` and its level from ``tx_k``; every state's graph node
-        and point index from a ``searchsorted`` over the node bases.
+        A transmission's state ``s`` comes from a ``searchsorted`` over
+        ``tx_ptr`` and its level from ``tx_k0[s]`` plus its rank among the
+        state's transmissions; every state's graph node and point index
+        from a ``searchsorted`` over the node bases.
         """
         s = np.array(ids, dtype=np.int64)
         num_states = len(self._tx_ptr) - 1
         is_tx = s >= num_states
         j = s[is_tx] - num_states
-        s[is_tx] = np.searchsorted(self._tx_ptr, j, "right") - 1
+        owner = np.searchsorted(self._tx_ptr, j, "right") - 1
+        s[is_tx] = owner
         k = np.full(len(s), -1, dtype=np.int64)
-        k[is_tx] = self._tx_k[j]
+        k[is_tx] = self._tx_k0[owner] + (j - self._tx_ptr[owner])
         ni = np.searchsorted(self._node_base, s, "right") - 1
         labels = self._labels
         return [
@@ -289,7 +292,8 @@ class NumpyAuxGraph:
     reference (:func:`~repro.auxgraph.build.build_aux_graph`), but no
     per-edge array.  The construction is local to each (node, DTS point),
     and Property 6.1(i) makes the coverage of cost level ``k`` a prefix of
-    the point's receivers in DCS order, so every row follows from:
+    the point's receivers in DCS order, so every row follows from 12
+    bytes per transmission node, 4 per receiver entry and 21 per state:
 
     * per state ``s`` (``num_states`` of them): ``tx_ptr[s]``, the first
       transmission index of its point.  Transmission nodes are numbered
@@ -297,11 +301,15 @@ class NumpyAuxGraph:
       0-weight waiting edge to ``s + 1`` (unless ``s`` is its node's last
       point, ``wait[s] == 0``), then the edges to ids
       ``num_states + tx_ptr[s] … num_states + tx_ptr[s+1] - 1``,
-      weighted by their cost levels ``tx_w``;
-    * per transmission node ``j``: the 0-weight coverage edges to the
-      receiver states ``recv[tx_off[j] : tx_off[j] + tx_cnt[j]]``.
-      ``recv`` holds each point's valid receivers, point-major and
-      DCS-order-minor.
+      weighted by their cost levels ``tx_w``.  Transmission ``j`` of
+      ``s`` is DCS level ``k = tx_k0[s] + (j - tx_ptr[s])``: levels
+      that cover no receiver have no node, and since coverage grows
+      with the level they are a prefix of ``tx_k0[s]`` levels;
+    * per transmission node ``j`` of state ``s``: the 0-weight coverage
+      edges to the receiver states ``recv[recv_ptr[s] : recv_ptr[s] +
+      tx_cnt[j]]``.  ``recv`` holds each transmitting point's valid
+      receivers, point-major and DCS-order-minor, so every level of a
+      point starts its coverage at the same place.
 
     ``num_edges`` and ``dcs_levels`` are counted during the build;
     ``aux_nodes`` and ``cost_sets`` decode on access.  The id lookup
@@ -322,17 +330,17 @@ class NumpyAuxGraph:
     state_base: Dict[Node, int]
     #: (S+1,) int64 — first transmission index of each state's point
     tx_ptr: "np.ndarray"
+    #: (S+1,) int64 — first ``recv`` entry of each state's point
+    recv_ptr: "np.ndarray"
+    #: (S,) int32 — DCS level index of each state's first transmission
+    tx_k0: "np.ndarray"
     #: S bytes — 1 where the state has a waiting edge
     wait: bytes
     #: (T,) float64 — each transmission's cost level (its in-edge weight)
     tx_w: "np.ndarray"
-    #: (T,) int64 — each transmission's DCS level index ``k``
-    tx_k: "np.ndarray"
-    #: (T,) int64 — each transmission's coverage count
+    #: (T,) int32 — each transmission's coverage count
     tx_cnt: "np.ndarray"
-    #: (T,) int64 — each transmission's coverage offset into ``recv``
-    tx_off: "np.ndarray"
-    #: int64 — valid receiver state ids, point-major, DCS-order-minor
+    #: int32 — valid receiver state ids, point-major, DCS-order-minor
     recv: "np.ndarray"
     num_edges: int
     dcs_levels: int
@@ -374,9 +382,11 @@ class NumpyAuxGraph:
                 if kind == "state":
                     return s
                 lo, hi = int(self.tx_ptr[s]), int(self.tx_ptr[s + 1])
-                j = lo + int(np.searchsorted(self.tx_k[lo:hi], aux[3]))
-                if j < hi and self.tx_k[j] == aux[3]:
-                    return self.num_states + j
+                k = aux[3]
+                if isinstance(k, int):
+                    j = lo + k - int(self.tx_k0[s])
+                    if lo <= j < hi:
+                        return self.num_states + j
         raise KeyError(aux)
 
     def out_edges(self, i: int) -> List[Tuple[int, float]]:
@@ -389,7 +399,8 @@ class NumpyAuxGraph:
                            self.tx_w[lo:hi].tolist()))
             return row
         j = i - num_states
-        lo = int(self.tx_off[j])
+        s = int(np.searchsorted(self.tx_ptr, j, "right")) - 1
+        lo = int(self.recv_ptr[s])
         hi = lo + int(self.tx_cnt[j])
         return [(v, 0.0) for v in self.recv[lo:hi].tolist()]
 
@@ -467,10 +478,6 @@ class NumpyAuxGraph:
         return g
 
 
-def _concat(parts: List["np.ndarray"], dtype) -> "np.ndarray":
-    return np.concatenate(parts) if parts else np.zeros(0, dtype=dtype)
-
-
 @obs.span("auxgraph.numpy_build")
 def build_numpy_aux_graph(
     tveg: TVEG,
@@ -486,6 +493,13 @@ def build_numpy_aux_graph(
     :func:`~repro.auxgraph.build.build_aux_graph`'s — pinned row for row
     by the compute-parity suite, on costs constant within each contact
     and on costs that vary within one (see :func:`node_components`).
+
+    The build fills its arrays in place.  A first pass takes every node's
+    components, whose active (component, point) cells bound both the
+    transmissions and the receiver entries; the per-transmission arrays
+    are allocated once at that bound, filled node by node and trimmed.
+    Raises :class:`~repro.errors.GraphModelError` when the state ids
+    would not fit ``recv``'s int32.
     """
     if not tveg.tvg.has_node(source):
         raise GraphModelError(f"unknown source {source!r}")
@@ -507,24 +521,37 @@ def build_numpy_aux_graph(
         state_base[node] = num_states
         num_states += len(pts_of[node])
 
-    per_point_parts: List[np.ndarray] = []
-    tx_w_parts: List[np.ndarray] = []
-    tx_k_parts: List[np.ndarray] = []
-    tx_cnt_parts: List[np.ndarray] = []
-    tx_off_parts: List[np.ndarray] = []
-    recv_parts: List[np.ndarray] = []
+    if num_states >= 2**31:
+        raise GraphModelError(
+            f"{num_states} auxiliary states exceed the int32 state ids"
+        )
+
+    # Counting pass.  The components are kept for LazyCostSets, and each
+    # active cell yields at most one transmission and one receiver entry.
     runs: Dict[Node, Tuple[NodeComponents, np.ndarray, np.ndarray]] = {}
-    recv_total = 0
+    bound = 0
+    for node in labels:
+        # Component j is adjacent at point l  ⇔  a[j] <= l < b[j].
+        _, a, b = runs[node] = node_components(tveg, node, pts_of[node])
+        bound += int(np.maximum(b - a, 0).sum())
+
+    tx_w = np.empty(bound, dtype=np.float64)
+    tx_cnt = np.empty(bound, dtype=np.int32)
+    recv = np.empty(bound, dtype=np.int32)
+    # Per-state counts at ``s + 1``, prefix-summed in place after the fill.
+    tx_ptr = np.zeros(num_states + 1, dtype=np.int64)
+    recv_ptr = np.zeros(num_states + 1, dtype=np.int64)
+    tx_k0 = np.zeros(num_states, dtype=np.int32)
+    num_tx = 0
+    num_recv = 0
     num_edges = 0
     dcs_level_total = 0
 
     for node in labels:
         pts = pts_of[node]
         P = len(pts)
-        # Component j is adjacent at point l  ⇔  a[j] <= l < b[j].
-        comp, a, b = node_components(tveg, node, pts)
+        comp, a, b = runs[node]
         C = len(comp)
-        runs[node] = (comp, a, b)
         num_edges += max(P - 1, 0)  # waiting edges
         # Active cells of this node, sparsely: each component contributes
         # one contiguous run of points.  Everything below works on the
@@ -532,8 +559,7 @@ def build_numpy_aux_graph(
         # instead of cumsum/mask passes over the dense matrix.
         lens = np.maximum(b - a, 0)
         tot = int(lens.sum())
-        if tot == 0 or P == 0:
-            per_point_parts.append(np.zeros(P, dtype=np.int64))
+        if tot == 0:
             continue
 
         # Cells grouped by neighbor: j_rep[i], l_rep[i] enumerate each
@@ -602,42 +628,46 @@ def build_numpy_aux_graph(
         can_tx = (pts + tau) <= end
         keep = cnt_s > 0 if can_tx.all() else (cnt_s > 0) & can_tx[l_s]
 
-        # The DCS level index k of a cell is its rank among its point's
-        # active cells; ``l_s`` is sorted, so each point's cells are one
-        # run starting at the exclusive prefix sum of the run lengths.
-        active = np.bincount(l_s, minlength=P)
-        run_start = np.cumsum(active) - active
-        k_s = np.arange(tot, dtype=np.int64) - run_start[l_s]
-
         # Transmission nodes in creation order: point-major, level-minor.
+        # Coverage counts rise with the level, so a point's levels that
+        # cover no receiver are a prefix; its first kept level is
+        # ``active - kept``.
+        base = state_base[node]
+        active = np.bincount(l_s, minlength=P)
         per_point = np.bincount(l_s[keep], minlength=P)
-        per_point_parts.append(per_point)
+        tx_ptr[base + 1:base + P + 1] = per_point
+        tx_k0[base:base + P] = active - per_point
         cnt_arr = cnt_s[keep]
-        tx_w_parts.append(comp.costs[j_s[keep]])
-        tx_k_parts.append(k_s[keep])
-        tx_cnt_parts.append(cnt_arr)
+        n = len(cnt_arr)
+        tx_w[num_tx:num_tx + n] = comp.costs[j_s[keep]]
+        tx_cnt[num_tx:num_tx + n] = cnt_arr
+        num_tx += n
         # Level k covers the first cnt valid receivers of its point, in
-        # DCS entry order; ``vlo`` is the point's start among them.
-        tx_off_parts.append(recv_total + vlo[keep])
-        vs = rs_s[ok_s]
-        recv_parts.append(vs)
-        recv_total += len(vs)
-        num_edges += len(cnt_arr) + int(cnt_arr.sum())
+        # DCS entry order; only transmitting points keep theirs.
+        emits = per_point > 0
+        valid = ok_s & emits[l_s]
+        vs = rs_s[valid]
+        recv[num_recv:num_recv + len(vs)] = vs
+        num_recv += len(vs)
+        recv_ptr[base + 1:base + P + 1] = np.bincount(l_s[valid],
+                                                      minlength=P)
+        num_edges += n + int(cnt_arr.sum())
         # A kept point's DCS has one level per active component.
-        dcs_level_total += int(active[per_point > 0].sum())
+        dcs_level_total += int(active[emits].sum())
 
-    tx_ptr = np.concatenate(
-        [np.zeros(1, dtype=np.int64),
-         np.cumsum(_concat(per_point_parts, np.int64))]
-    )
-    tx_k = _concat(tx_k_parts, np.int64)
+    np.cumsum(tx_ptr, out=tx_ptr)
+    np.cumsum(recv_ptr, out=recv_ptr)
+    # Shrinking reallocates in place: no second copy of the arrays.
+    tx_w.resize(num_tx, refcheck=False)
+    tx_cnt.resize(num_tx, refcheck=False)
+    recv.resize(num_recv, refcheck=False)
     node_base = np.array(
         [state_base[n] for n in labels] + [num_states], dtype=np.int64
     )
     wait = np.ones(num_states, dtype=np.uint8)
     last = node_base[1:] - 1
     wait[last[last >= 0]] = 0  # a node's last point has no waiting edge
-    aux_nodes = LazyAuxNodes(labels, node_base, tx_ptr, tx_k)
+    aux_nodes = LazyAuxNodes(labels, node_base, tx_ptr, tx_k0)
 
     wanted = (
         tuple(n for n in labels if n != source)
@@ -663,12 +693,12 @@ def build_numpy_aux_graph(
         cost_sets=LazyCostSets(d, state_base, tx_ptr, runs),
         state_base=state_base,
         tx_ptr=tx_ptr,
+        recv_ptr=recv_ptr,
+        tx_k0=tx_k0,
         wait=wait.tobytes(),
-        tx_w=_concat(tx_w_parts, np.float64),
-        tx_k=tx_k,
-        tx_cnt=_concat(tx_cnt_parts, np.int64),
-        tx_off=_concat(tx_off_parts, np.int64),
-        recv=_concat(recv_parts, np.int64),
+        tx_w=tx_w,
+        tx_cnt=tx_cnt,
+        recv=recv,
         num_edges=num_edges,
         dcs_levels=dcs_level_total,
     )
@@ -804,8 +834,8 @@ def _greedy_search(
     num_states = graph.num_states
     wait = graph.wait
     tx_ptr = graph.tx_ptr.tolist()
+    recv_ptr = memoryview(graph.recv_ptr)
     tx_w = memoryview(graph.tx_w)
-    tx_off = memoryview(graph.tx_off)
     tx_cnt = memoryview(graph.tx_cnt)
     recv = memoryview(graph.recv)
 
@@ -876,12 +906,12 @@ def _greedy_search(
             f = flags[j]
             if f & _EXPANDED:
                 continue  # an equal-key duplicate
+            s = bisect_right(tx_ptr, j) - 1
             if f:  # in the tree: only its graft entry (0.0, u) is live
                 if dd > 0.0:
                     continue
                 flags[j] = _IN_TREE | _EXPANDED
             else:
-                s = bisect_right(tx_ptr, j) - 1
                 d = dlast[s]
                 if dd > d + tx_w[j]:
                     continue  # stale entry
@@ -895,7 +925,7 @@ def _greedy_search(
             if u in uncovered:
                 target = u
                 break
-            lo = tx_off[j]
+            lo = recv_ptr[s]
             for v in recv[lo:lo + tx_cnt[j]]:
                 if dd < dist[v]:
                     dist[v] = dd

@@ -12,6 +12,7 @@ the batch API rides on, and ``TVEG.clear_caches`` invalidation.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from repro.compute.numpy_backend import (
     greedy_incremental_dst_numpy,
 )
 from repro.core.partitions import Partition
-from repro.dts.dts import DiscreteTimeSet
+from repro.dts.dts import DiscreteTimeSet, build_dts
 from repro.errors import GraphModelError, InfeasibleError
 from repro.schedule import (
     doc_to_planset,
@@ -39,7 +40,13 @@ from repro.schedule import (
 )
 from repro.steiner import prune_tree, solve_memt
 from repro.steiner.dst import greedy_incremental_dst
-from repro.traces import Contact, ContactTrace, DistanceModel
+from repro.traces import (
+    Contact,
+    ContactTrace,
+    DistanceModel,
+    HaggleLikeConfig,
+    haggle_like_trace,
+)
 from repro.tveg import tveg_from_trace
 
 from .conftest import (
@@ -186,6 +193,58 @@ def test_numpy_counted_sizes_match_what_they_count(trace, seed, deadline,
     assert list(na.cost_sets) == list(nxa.cost_sets)
 
 
+def test_point_whose_cheapest_level_covers_no_receiver():
+    """With τ = 5 node 0's DTS lacks the reception point
+    7.980434172348013 + 5 of node 2's state 2, so that state's cheapest
+    level (receiver 0) covers nobody and only its second level (receiver
+    3) becomes a transmission node: its ids must decode to level 1, and
+    level 1 must map back to them."""
+    trace = ContactTrace(
+        [Contact(7.0776139500800905, 28.19599455072275, 2, 3),
+         Contact(7.980434172348013, 15.147603995882346, 0, 2)],
+        nodes=(0, 2, 3), horizon=HORIZON,
+    )
+    tveg = tveg_from_trace(trace, "static", seed=0, tau=5.0)
+    nxa = build_aux_graph(tveg, 0, 60.0)
+    na = build_numpy_aux_graph(tveg, 0, 60.0)
+    assert [nbr for _, nbr in nxa.cost_sets[(2, 2)].entries] == [0, 3]
+    assert [n for n in nxa.graph.nodes if n[:3] == ("tx", 2, 2)] == [
+        ("tx", 2, 2, 1)
+    ]
+    nodes, index, rows = _reference_rows(nxa)
+    assert list(na.aux_nodes) == nodes
+    assert [na.out_edges(i) for i in range(len(nodes))] == rows
+    assert na.cost_sets == nxa.cost_sets
+    assert [na.index_of(n) for n in nodes] == list(range(len(nodes)))
+    with pytest.raises(KeyError):
+        na.index_of(("tx", 2, 2, 0))
+
+
+def test_n50_build_memory():
+    """The eedcb-n50 benchmark's w9000 graph (N=50 Haggle-like trace,
+    seed 99) takes at most 16 bytes per transmission node plus 20 per
+    state, and its build, which fills its arrays in place, peaks below
+    1.5× them.  Per-node parts joined at the end peak at 1.6×."""
+    trace = haggle_like_trace(HaggleLikeConfig(num_nodes=50), seed=99)
+    tveg = tveg_from_trace(
+        trace.restrict_window(9000.0, 11000.0).shift(-9000.0), "static",
+        seed=5,
+    )
+    dts = build_dts(tveg.tvg, 2000.0)
+    tracemalloc.start()
+    try:
+        na = build_numpy_aux_graph(tveg, 0, 2000.0, dts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (na.num_nodes, na.num_edges) == (3_025_996, 19_041_957)
+    arrays = sum(a.nbytes for a in (na.tx_ptr, na.recv_ptr, na.tx_k0,
+                                    na.tx_w, na.tx_cnt, na.recv))
+    num_tx = na.num_nodes - na.num_states
+    assert arrays <= 16 * num_tx + 20 * (na.num_states + 1)
+    assert peak < 1.5 * arrays
+
+
 # ----------------------------------------------------------------------
 # the implicit-graph search ≡ the networkx search
 # ----------------------------------------------------------------------
@@ -253,18 +312,28 @@ def test_numpy_search_matches_networkx_search(graph):
 def _hand_built_graph(points, levels, source):
     """A :class:`NumpyAuxGraph` from per-node point counts and, per state
     (node-major, point-minor), its ``(weight, receiver state ids)``
-    levels in ascending weight order.  It carries no cost sets."""
+    levels in ascending weight order.  It carries no cost sets.
+
+    The graph stores each state's coverage as prefixes of one receiver
+    list (Property 6.1(i), the only shape the build emits), so a level
+    covers the ordered union of its own and every cheaper level's
+    receivers."""
     node_base = np.cumsum([0] + list(points))
     num_states = int(node_base[-1])
     tx_ptr = np.cumsum([0] + [len(lv) for lv in levels])
-    counts = [len(r) for lv in levels for _, r in lv]
+    receivers, counts = [], []
+    for lv in levels:
+        union = []
+        for _, r in lv:
+            union += [v for v in r if v not in union]
+            counts.append(len(union))
+        receivers.append(union)
     labels = list(range(len(points)))
     wait = np.ones(num_states, dtype=np.uint8)
     wait[node_base[1:] - 1] = 0
-    tx_k = np.array([k for lv in levels for k in range(len(lv))],
-                    dtype=np.int64)
+    tx_k0 = np.zeros(num_states, dtype=np.int32)
     graph = NumpyAuxGraph(
-        aux_nodes=LazyAuxNodes(labels, node_base, tx_ptr, tx_k),
+        aux_nodes=LazyAuxNodes(labels, node_base, tx_ptr, tx_k0),
         dts=DiscreteTimeSet(
             {n: Partition(range(p)) for n, p in zip(labels, points)},
             deadline=float(max(points)), tau=0.0,
@@ -273,15 +342,14 @@ def _hand_built_graph(points, levels, source):
         terminal_indices=(), cost_sets={},
         state_base={n: int(node_base[n]) for n in labels},
         tx_ptr=tx_ptr,
+        recv_ptr=np.cumsum([0] + [len(r) for r in receivers]),
+        tx_k0=tx_k0,
         wait=wait.tobytes(),
         tx_w=np.array([w for lv in levels for w, _ in lv], dtype=np.float64),
-        tx_k=tx_k,
-        tx_cnt=np.array(counts, dtype=np.int64),
-        tx_off=np.cumsum([0] + counts)[:-1].astype(np.int64),
-        recv=np.array([v for lv in levels for _, r in lv for v in r],
-                      dtype=np.int64),
+        tx_cnt=np.array(counts, dtype=np.int32),
+        recv=np.array([v for r in receivers for v in r], dtype=np.int32),
         num_edges=0,
-        dcs_levels=len(tx_k),
+        dcs_levels=len(counts),
     )
     return graph.retarget(source)
 
@@ -309,7 +377,7 @@ def hand_built_specs(draw):
 @example(spec=(
     # A graft re-expands state 6 at distance 0 instead of 0.5, and
     # 0.5 + 2^53 rounds to 2^53: its level must stay expanded, or it
-    # is expanded again (23 expansions instead of 22).
+    # is expanded again (24 expansions instead of 23).
     [2, 3, 3, 4],
     [[], [], [], [], [], [], [(2.0**53, [6])], [], [],
      [(0.5, [5]), (2.0**53, [1, 6]), (2.0**53, [4])], [], [(1e-3, [7])]],
@@ -502,6 +570,24 @@ class TestRetargetAndAuxCache:
             obs.disable()
         assert after - before == 1  # second source retargets the cached aux
         assert r0.schedule.transmissions != () or r1 is not None
+
+    def test_batch_on_one_tveg_builds_the_dts_once(self, monkeypatch):
+        """A second source reuses the cached graph's DTS as well."""
+        import repro.algorithms.eedcb as eedcb
+
+        _, tveg = make_random_instance(seed=5)
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(build_dts(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(eedcb, "build_dts", counted)
+        planset = plan_broadcast_many(tveg, [0, 1], 300.0)
+        assert len(built) == 1
+        assert [p.info["dts_points"] for p in planset] == [
+            built[0].total_points()
+        ] * 2
 
     def test_aux_cache_invalidated_by_clear_caches(self):
         _, tveg = make_random_instance(seed=5)

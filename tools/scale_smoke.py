@@ -20,10 +20,13 @@ and asserts the three scale acceptance properties:
    memo dies on ``MemoryError`` instead of quietly using more RAM.
    ``--algorithm eedcb`` guards the Section VI-A auxiliary graph and
    the Steiner search instead: on the quick instance (6.1M aux nodes,
-   19.1M edges) the implicit graph and the state-only search plan under
-   a 1088 MB ceiling, while queueing every transmission node needs more
-   than 1408 MB and materializing every edge as arrays about 2600 MB,
-   so ``--limit-mb 1344`` trips if either comes back;
+   19.1M edges) the implicit graph at 16 bytes per transmission node
+   and the state-only search plan under a 768 MB ceiling, while the
+   40-byte layout joined from per-node parts needs more than 896 MB,
+   queueing every transmission node more than 1408 MB and
+   materializing every edge as arrays about 2600 MB, so
+   ``--limit-mb 896`` trips if any of them comes back.  On the full
+   instance EEDCB plans under ``--limit-mb 3072``;
 3. **parity**: the store-backed schedule is byte-identical (relay ids,
    ``float.hex()`` times/costs, total cost) to the dict-backed
    ``ContactTrace`` path planned from the same text file in an
@@ -34,7 +37,9 @@ Usage::
     PYTHONPATH=src python tools/scale_smoke.py             # full instance
     PYTHONPATH=src python tools/scale_smoke.py --quick     # 50k contacts
     PYTHONPATH=src python tools/scale_smoke.py --quick --algorithm eedcb \
-        --limit-mb 1344                                    # aux-graph guard
+        --limit-mb 896                                     # aux-graph guard
+    PYTHONPATH=src python tools/scale_smoke.py --algorithm eedcb \
+        --limit-mb 3072 --timeout 1500                     # EEDCB at N=1000
 
 Exits nonzero with a diagnostic on the first violated property.
 """
