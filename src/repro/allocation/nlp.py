@@ -8,12 +8,28 @@ analytic gradients.  The constraint functions are
 with ``∂g_j/∂w_k = (β/w_k²) · e^{−β/w_k} / (1 − e^{−β/w_k})`` — positive, so
 raising any participating cost always loosens the constraint.
 
+SLSQP gets all rows as one vector constraint: ``fun`` is
+:meth:`AllocationProblem.residuals` and ``jac`` is
+:meth:`AllocationProblem.jacobian`, which walk the problem's term table
+once per evaluation.  scipy copies that output into the ``d`` vector and
+``C`` matrix of its kernel exactly as it would copy one scalar and one
+gradient row per constraint dict.  Each row is the same ``sum()`` over the
+same per-term ``log φ`` calls as a per-row closure, so the iterates do not
+change.  Log φ is deliberately left to the channels' ``math`` calls: numpy's
+SIMD ``expm1``, ``log`` and ``exp`` round differently on some arguments.
+
 The solver is warm-started from the closed-form feasible point, polished by
 SLSQP, and cross-checked: if SLSQP fails, wanders infeasible, or does worse
 than monotone coordinate descent, the better of the fallbacks is returned.
 The problem is non-convex in general (the paper solves it with generic NLP
 methods [19]); this belt-and-braces arrangement guarantees the returned
 vector is feasible and no worse than the closed form.
+
+SLSQP runs on the OpenBLAS bundled with scipy, and its iterates depend on
+that library's thread count.  So fr-* allocations, and the Fig. 5(b)/6
+series built from them, are byte-reproducible only at a fixed thread
+count.  To compare outputs across machines, run with
+``OPENBLAS_NUM_THREADS=1``; the repository benchmark pins it to one.
 """
 
 from __future__ import annotations
@@ -40,7 +56,7 @@ class AllocationResult:
 
     costs: np.ndarray
     total: float
-    method: str            # winning candidate: "slsqp" | "coordinate" | "balanced" | "closed_form"
+    method: str            # winning candidate: "slsqp" | "coordinate" | "balanced" | "closed_form" | "backbone"
     slsqp_converged: bool
     #: total SLSQP iterations over every polish attempt (0 when disabled)
     nlp_iterations: int = 0
@@ -50,30 +66,6 @@ class AllocationResult:
             f"AllocationResult(total={self.total:.4g}, method={self.method!r}, "
             f"slsqp_converged={self.slsqp_converged})"
         )
-
-
-def _constraint_and_grad(problem: AllocationProblem):
-    """Build SLSQP constraint dicts with analytic Jacobians."""
-    cons = []
-    for c in problem.constraints:
-        terms = c.terms
-
-        def g(w, terms=terms):
-            return problem.log_eps - sum(
-                problem.log_phi(ch, w[k]) for k, ch in terms
-            )
-
-        def jac(w, terms=terms, n=problem.num_vars):
-            from .problem import term_ed
-
-            out = np.zeros(n)
-            for k, ch in terms:
-                wk = max(w[k], problem.lb)
-                out[k] += -term_ed(ch).dlog_failure_dw(wk)
-            return out
-
-        cons.append({"type": "ineq", "fun": g, "jac": jac})
-    return cons
 
 
 def solve_allocation(
@@ -121,10 +113,14 @@ def solve_allocation(
         if use_slsqp and problem.num_vars > 0:
             ub = problem.w_max if math.isfinite(problem.w_max) else None
             bounds = [(problem.lb, ub)] * problem.num_vars
-            cons = _constraint_and_grad(problem)
-            # Polish from both warm starts: the sparse vertex and the balanced
-            # interior point (the vertex is singular in the flat w → 0 region,
-            # so the interior start is what lets SLSQP exploit overlap).
+            # One vector constraint: SLSQP fills its ``d`` and ``C`` from
+            # every row at once, with the same numbers a dict per row gives.
+            cons = [{"type": "ineq", "fun": problem.residuals,
+                     "jac": problem.jacobian}]
+            # Polish from every candidate: the closed-form vertex, the
+            # balanced interior point and the coordinate-descent points (the
+            # vertex is singular in the flat w → 0 region, so the interior
+            # starts are what let SLSQP exploit overlap).
             for _, start in list(candidates):
                 with obs.span("allocation.slsqp"):
                     res = minimize(

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -73,7 +73,14 @@ class Constraint:
 
 @dataclass
 class AllocationProblem:
-    """All data the allocation solvers need."""
+    """All data the allocation solvers need.
+
+    Construction also builds the problem's term table: for every
+    constraint row, each term's variable index with its channel's bound
+    ``log_failure`` and ``dlog_failure_dw``.  :meth:`residuals` and
+    :meth:`jacobian` walk that table to evaluate every row at once, which
+    is what SLSQP consumes as its single vector constraint.
+    """
 
     num_vars: int
     constraints: List[Constraint]
@@ -82,11 +89,34 @@ class AllocationProblem:
     w_max: float
     #: per-variable lower bound actually used (≥ MIN_COST_FLOOR)
     lb: float = field(init=False)
+    #: per row, ``(k, log_failure)`` of each term, in term order
+    _log_terms: List[List[Tuple[int, Callable[[float], float]]]] = field(
+        init=False, repr=False, compare=False
+    )
+    #: ``(row · num_vars + k, k, dlog_failure_dw)`` of every term, row by row
+    _jac_terms: List[Tuple[int, int, Callable[[float], float]]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.lb = max(self.w_min, MIN_COST_FLOOR)
         if self.w_max <= self.lb:
             raise SolverError("w_max must exceed the effective lower bound")
+        n = self.num_vars
+        self._log_terms = []
+        self._jac_terms = []
+        for i, c in enumerate(self.constraints):
+            row = []
+            for k, ch in c.terms:
+                if not 0 <= k < n:
+                    raise SolverError(
+                        f"constraint {c.label!r} names variable {k}, "
+                        f"outside 0..{n - 1}"
+                    )
+                ed = term_ed(ch)
+                row.append((k, ed.log_failure))
+                self._jac_terms.append((i * n + k, k, ed.dlog_failure_dw))
+            self._log_terms.append(row)
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -94,15 +124,32 @@ class AllocationProblem:
         """``log φ(w)`` — one factor of a constraint (any fading family)."""
         return term_ed(channel).log_failure(w)
 
-    def constraint_value(self, c: Constraint, w: np.ndarray) -> float:
-        """``Σ log φ`` for constraint ``c`` at allocation ``w``."""
-        return sum(self.log_phi(ch, w[k]) for k, ch in c.terms)
-
     def residuals(self, w: np.ndarray) -> np.ndarray:
-        """Slack ``log ε − Σ log φ`` per constraint (≥ 0 ⇔ satisfied)."""
+        """Slack ``log ε − Σ log φ`` per constraint (≥ 0 ⇔ satisfied).
+
+        Each row is a ``sum()`` over its terms' ``log φ`` values, so it
+        rounds as a per-row ``sum()`` does on every Python version
+        (compensated from 3.12 on).
+        """
+        x = np.asarray(w, dtype=float).tolist()
+        log_eps = self.log_eps
         return np.array(
-            [self.log_eps - self.constraint_value(c, w) for c in self.constraints]
+            [log_eps - sum([f(x[k]) for k, f in row]) for row in self._log_terms]
         )
+
+    def jacobian(self, w: np.ndarray) -> np.ndarray:
+        """``∂ residuals / ∂ w`` as a dense rows × variables matrix.
+
+        Each term's derivative is taken at ``max(w_k, lb)``, where φ is not
+        singular, and accumulated onto 0.0 with ``+=``: an entry whose
+        derivative is ``+0.0`` stays ``+0.0``.
+        """
+        lb = self.lb
+        x = [max(v, lb) for v in np.asarray(w, dtype=float).tolist()]
+        flat = [0.0] * (len(self._log_terms) * self.num_vars)
+        for at, k, dlog in self._jac_terms:
+            flat[at] += -dlog(x[k])
+        return np.array(flat).reshape(len(self._log_terms), self.num_vars)
 
     def is_feasible(self, w: np.ndarray, tol: float = 1e-9) -> bool:
         if np.any(w < self.lb - tol) or np.any(w > self.w_max + tol):

@@ -160,12 +160,19 @@ class BroadcastPlanSet(SequenceABC):
 
 
 def _window_bounds(window: Window, deadline: float) -> Tuple[float, float]:
-    """Normalize a window spec: a scalar start means ``deadline`` seconds."""
+    """Normalize a window spec: a scalar start means ``deadline`` seconds.
+
+    Raises :class:`ValueError` unless both bounds are finite.
+    """
     if isinstance(window, (int, float)):
         start = float(window)
-        return start, start + float(deadline)
-    start, end = window
-    return float(start), float(end)
+        bounds = (start, start + float(deadline))
+    else:
+        start, end = window
+        bounds = (float(start), float(end))
+    if not (math.isfinite(bounds[0]) and math.isfinite(bounds[1])):
+        raise ValueError(f"window must be finite, got {bounds!r}")
+    return bounds
 
 
 def plan_config(
@@ -194,8 +201,8 @@ def plan_config(
     deterministic, so the key remains sound without resolving it here (and
     the hit path never has to build a graph to find out).
 
-    Raises :class:`ValueError` for a non-finite ``deadline``: the delay
-    constraint is what bounds the plan.
+    Raises :class:`ValueError` for a non-finite ``deadline`` (the delay
+    constraint is what bounds the plan) or a non-finite window bound.
     """
     deadline = float(deadline)
     if not math.isfinite(deadline):
@@ -211,6 +218,8 @@ def plan_config(
         channel_label = type(trace_or_tveg.channel).__name__
         eff_params = trace_or_tveg.params
     elif isinstance(trace_or_tveg, (ContactTrace, ContactStore)):
+        if window is not None:
+            _window_bounds(window, deadline)
         fingerprint = trace_or_tveg.fingerprint()
         channel_label = (
             channel if isinstance(channel, str) else type(channel).__name__

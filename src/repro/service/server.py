@@ -51,6 +51,7 @@ from .. import obs
 from ..api import (
     BroadcastPlan,
     BroadcastPlanSet,
+    _window_bounds,
     plan_broadcast,
     plan_broadcast_many,
     plan_cache_key,
@@ -396,14 +397,7 @@ class PlanningService:
         Keyed by the trace's content fingerprint, not the request's trace
         name, so a request that omits the name (single hosted trace) and
         one that spells it out share one graph."""
-        if window is not None:
-            if isinstance(window, (int, float)):
-                start, end = float(window), float(window) + deadline
-            else:
-                start, end = float(window[0]), float(window[1])
-            bounds: Optional[Tuple[float, float]] = (start, end)
-        else:
-            bounds = None
+        bounds = None if window is None else _window_bounds(window, deadline)
         regkey = (trace.fingerprint(), channel, bounds, seed)
         with self._lock:
             tveg = self._tvegs.get(regkey)

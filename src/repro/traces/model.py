@@ -11,6 +11,7 @@ the TVEG builders.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -152,9 +153,16 @@ class ContactTrace:
         return ContactTrace(kept, nodes=tuple(nodes), horizon=self._horizon)
 
     def restrict_window(self, start: float, end: float) -> "ContactTrace":
-        """The sub-trace clipped to ``[start, end)`` (Fig. 7's sliding windows)."""
-        if start >= end:
-            raise TraceFormatError("window start must precede end")
+        """The sub-trace clipped to ``[start, end)`` (Fig. 7's sliding windows).
+
+        Raises :class:`TraceFormatError` unless both bounds are finite and
+        ``start < end``.
+        """
+        if not (math.isfinite(start) and math.isfinite(end) and start < end):
+            raise TraceFormatError(
+                f"window needs finite bounds with start before end, "
+                f"got [{start!r}, {end!r})"
+            )
         kept = []
         for c in self._contacts:
             s, e = max(c.start, start), min(c.end, end)

@@ -57,6 +57,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import mmap
 import struct
 from array import array
@@ -475,9 +476,13 @@ class ContactStore:
 
     def restrict_window(self, start: float, end: float) -> "ContactStore":
         """The sub-store clipped to ``[start, end)`` — same clipped floats
-        and row order as :meth:`ContactTrace.restrict_window`."""
-        if start >= end:
-            raise TraceFormatError("window start must precede end")
+        and row order as :meth:`ContactTrace.restrict_window`, and the same
+        :class:`TraceFormatError` unless the bounds are finite and ordered."""
+        if not (math.isfinite(start) and math.isfinite(end) and start < end):
+            raise TraceFormatError(
+                f"window needs finite bounds with start before end, "
+                f"got [{start!r}, {end!r})"
+            )
         np = _np()
         if np is not None:
             sa = np.asarray(self._start, dtype=np.float64)

@@ -1,10 +1,15 @@
 """Energy allocation (Eqs. 14–17): problem build, all three solvers."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize
 
+from repro.algorithms.eedcb import EEDCB
 from repro.allocation import (
     AllocationProblem,
     Constraint,
@@ -12,10 +17,16 @@ from repro.allocation import (
     build_allocation_problem,
     closed_form_allocation,
     coordinate_descent_allocation,
+    nlp,
     solve_allocation,
 )
+from repro.allocation.problem import term_ed
+from repro.channels.nakagami import NakagamiED
+from repro.channels.rician import RicianED
 from repro.errors import InfeasibleError, SolverError
 from repro.schedule import Schedule, Transmission
+
+from .conftest import make_random_instance
 
 
 def _problem(constraints, eps=0.01, w_max=math.inf):
@@ -225,3 +236,149 @@ class TestSolveAllocation:
         prob = _problem([Constraint("c", ((0, 2.0),))], w_max=need / 2)
         with pytest.raises(InfeasibleError):
             solve_allocation(prob)
+
+
+# ----------------------------------------------------------------------
+# The term table against the per-row evaluation it replaced.  SLSQP copies
+# each constraint dict's output into its ``d`` vector and ``C`` matrix, so
+# byte-equal rows mean byte-equal iterates.
+
+prop = settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+
+#: Rayleigh β scales from 1e-12 to 1e2, spread over the exponents
+betas = st.floats(-12.0, 2.0).map(lambda e: 10.0 ** e)
+channels = st.one_of(
+    betas,
+    st.builds(RicianED, betas, st.floats(0.0, 10.0)),
+    st.builds(NakagamiED, betas, st.floats(0.5, 5.0)),
+)
+
+
+@st.composite
+def problems(draw, max_vars=6, max_rows=8, max_terms=4):
+    """1–6 variables and 1–8 rows; a row may name a variable twice."""
+    n = draw(st.integers(1, max_vars))
+    rows = [
+        Constraint(
+            f"r{i}",
+            tuple(
+                draw(st.lists(st.tuples(st.integers(0, n - 1), channels),
+                              min_size=1, max_size=max_terms))
+            ),
+        )
+        for i in range(draw(st.integers(1, max_rows)))
+    ]
+    return AllocationProblem(
+        num_vars=n,
+        constraints=rows,
+        log_eps=math.log(draw(st.floats(1e-6, 0.5))),
+        w_min=draw(st.sampled_from([0.0, 1e-9, 1e-3])),
+        w_max=math.inf,
+    )
+
+
+def cost_vectors(problem):
+    """Entries 0.0, below ``lb``, at ``lb`` and up to 1e300, where
+    ``d log φ / dw`` underflows to zero."""
+    lb = problem.lb
+    entry = st.one_of(
+        st.sampled_from([0.0, lb / 2, lb, 1e300]),
+        st.floats(lb, 1e300),
+        st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e),
+    )
+    return st.lists(entry, min_size=problem.num_vars,
+                    max_size=problem.num_vars).map(np.array)
+
+
+def per_row_residual(problem, c, w):
+    return problem.log_eps - sum(
+        term_ed(ch).log_failure(w[k]) for k, ch in c.terms
+    )
+
+
+def per_row_jacobian(problem, c, w):
+    out = np.zeros(problem.num_vars)
+    with np.errstate(over="ignore"):  # w·w overflows for w ≳ 1e154
+        for k, ch in c.terms:
+            out[k] += -term_ed(ch).dlog_failure_dw(max(w[k], problem.lb))
+    return out
+
+
+def per_row_constraints(problem):
+    """One SLSQP constraint dict per row, as the solver once built them."""
+    return [
+        {"type": "ineq",
+         "fun": lambda w, c=c: per_row_residual(problem, c, w),
+         "jac": lambda w, c=c: per_row_jacobian(problem, c, w)}
+        for c in problem.constraints
+    ]
+
+
+def assert_polishes_match_per_row(problem):
+    """Run every SLSQP polish of ``solve_allocation`` with the problem's one
+    vector constraint and again with a dict per row; same ``x``, ``nit``
+    and ``success``."""
+    polishes = []
+
+    def both(**kw):
+        (con,) = kw["constraints"]
+        assert con["fun"] == problem.residuals
+        assert con["jac"] == problem.jacobian
+        x0 = np.array(kw["x0"])
+        one = minimize(**kw)
+        rows = minimize(**dict(kw, x0=x0,
+                               constraints=per_row_constraints(problem)))
+        polishes.append((one, rows))
+        return one
+
+    with mock.patch.object(nlp, "minimize", both):
+        solve_allocation(problem)
+    assert polishes
+    for one, rows in polishes:
+        assert one.x.tobytes() == rows.x.tobytes()
+        assert one.nit == rows.nit
+        assert one.success == rows.success
+
+
+class TestTermTable:
+    @prop
+    @given(st.data())
+    def test_residuals_and_jacobian_byte_equal_per_row(self, data):
+        problem = data.draw(problems())
+        for _ in range(5):
+            w = data.draw(cost_vectors(problem))
+            want_d = np.array(
+                [per_row_residual(problem, c, w) for c in problem.constraints]
+            )
+            want_c = np.vstack(
+                [per_row_jacobian(problem, c, w) for c in problem.constraints]
+            )
+            assert problem.residuals(w).tobytes() == want_d.tobytes()
+            assert problem.jacobian(w).tobytes() == want_c.tobytes()
+
+    @settings(prop, max_examples=15)
+    @given(problems(max_vars=4, max_rows=4, max_terms=3))
+    def test_slsqp_polishes_match_per_row(self, problem):
+        assert_polishes_match_per_row(problem)
+
+    @pytest.mark.parametrize("seed, num_nodes", [(2, 8), (5, 10), (7, 10), (11, 8)])
+    def test_slsqp_polishes_match_per_row_on_backbones(self, seed, num_nodes):
+        _, tveg = make_random_instance(num_nodes, seed=seed, channel="rayleigh")
+        backbone = EEDCB().run(tveg, 0, 300.0).schedule
+        assert_polishes_match_per_row(
+            build_allocation_problem(tveg, backbone, 0)
+        )
+
+    def test_variable_index_out_of_range_rejected(self):
+        with pytest.raises(SolverError, match="variable 2"):
+            AllocationProblem(
+                num_vars=2,
+                constraints=[Constraint("c", ((2, 1.0),))],
+                log_eps=math.log(0.01),
+                w_min=0.0,
+                w_max=math.inf,
+            )

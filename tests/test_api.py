@@ -18,6 +18,7 @@ from repro import (
 )
 from repro.api import plan_cache_key
 from repro.errors import GraphModelError, InfeasibleError, SolverError
+from repro.traces import ContactStore
 
 from .conftest import make_random_instance
 
@@ -112,6 +113,23 @@ class TestPlanBroadcast:
             plan_broadcast_many(trace, [0], deadline)
         with pytest.raises(ValueError, match="deadline must be finite"):
             plan_cache_key(trace, 0, deadline)
+
+    @pytest.mark.parametrize(
+        "window",
+        [(9000.0, math.nan), (math.nan, math.nan), (-math.inf, 2000.0),
+         (0.0, math.inf), math.nan, -math.inf],
+    )
+    def test_non_finite_window_rejected(self, window):
+        # (9000, nan) used to plan over [9000, horizon); (nan, nan) kept
+        # every contact and ended in InfeasibleError
+        trace, _ = make_random_instance(seed=1)
+        for inp in (trace, ContactStore.from_trace(trace)):
+            with pytest.raises(ValueError, match="window must be finite"):
+                plan_broadcast(inp, 0, 100.0, window=window)
+            with pytest.raises(ValueError, match="window must be finite"):
+                plan_broadcast_many(inp, [0], 100.0, window=window)
+            with pytest.raises(ValueError, match="window must be finite"):
+                plan_cache_key(inp, 0, 100.0, window=window)
 
     def test_algorithm_alias_and_channel(self):
         trace, _ = make_random_instance(seed=2)

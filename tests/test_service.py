@@ -393,6 +393,31 @@ class TestPlanningService:
         finally:
             svc.close()
 
+    @pytest.mark.parametrize(
+        "window", ["[9000, NaN]", "[NaN, NaN]", "[-Infinity, 2000]", "NaN"]
+    )
+    def test_non_finite_window_is_400(self, window):
+        trace, _ = make_random_instance(seed=1)
+        svc = PlanningService({"t": trace}, max_wait=0.0, workers=1)
+        try:
+            for path, body in (
+                ("/plan", '{"trace": "t", "source": 0, "deadline": 100, '
+                          '"window": %s}'),
+                ("/plan_many", '{"trace": "t", "sources": [0], '
+                               '"deadlines": [100], "window": %s}'),
+            ):
+                method, kwargs = parse_plan_request(
+                    path, json.loads(body % window)
+                )
+                status, doc = execute_request(svc, method, kwargs)
+                assert status == 400
+                assert "window must be finite" in doc["error"]
+            # NaN never equals itself: a registered TVEG could never be
+            # reused, only evict valid entries
+            assert svc.metrics()["shared_tvegs"] == 0
+        finally:
+            svc.close()
+
 
 class TestPlanMany:
     def test_batch_keys_match_single_requests(self, service):

@@ -159,6 +159,16 @@ def test_restrict_window_validation():
         store.restrict_window(5.0, 5.0)
 
 
+@pytest.mark.parametrize(
+    "start, end",
+    [(1.0, math.nan), (math.nan, math.nan), (-math.inf, 2.0), (0.0, math.inf)],
+)
+def test_restrict_window_non_finite(start, end):
+    store = store_of([(0, 1, 0.0, 5.0)])
+    with pytest.raises(TraceFormatError, match="finite"):
+        store.restrict_window(start, end)
+
+
 def test_tvg_parity(haggle_pair):
     trace, store = haggle_pair
     tv_t = trace.to_tvg(tau=2.0)

@@ -62,6 +62,16 @@ class TestContactModel:
         with pytest.raises(TraceFormatError):
             det_trace.restrict_window(10.0, 10.0)
 
+    @pytest.mark.parametrize(
+        "start, end",
+        [(15.0, math.nan), (math.nan, math.nan), (-math.inf, 45.0),
+         (15.0, math.inf)],
+    )
+    def test_restrict_window_non_finite(self, det_trace, start, end):
+        # a NaN bound made ``start >= end`` False and slipped through
+        with pytest.raises(TraceFormatError, match="finite"):
+            det_trace.restrict_window(start, end)
+
     def test_shift(self, det_trace):
         sub = det_trace.restrict_window(10.0, 30.0).shift(-10.0)
         assert min(c.start for c in sub) == 0.0

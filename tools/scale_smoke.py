@@ -32,6 +32,13 @@ and asserts the three scale acceptance properties:
    ``ContactTrace`` path planned from the same text file in an
    unlimited child — the oracle is allowed to be fat, the store is not.
 
+``--haggle-n100`` swaps in the dense N=100 Haggle-like trace (trace seed
+99, as for the N=50 scaling trace) over the 9000–11000 s window with a
+2000 s deadline, and runs it through the same three checks.  Its
+auxiliary graph is the largest of the three instances (43.5M nodes,
+471.7M edges): EEDCB plans it at about 1.27 GB peak RSS, so
+``--limit-mb 2048`` trips if the 3.9 GB aux-graph layout comes back.
+
 Usage::
 
     PYTHONPATH=src python tools/scale_smoke.py             # full instance
@@ -40,6 +47,8 @@ Usage::
         --limit-mb 896                                     # aux-graph guard
     PYTHONPATH=src python tools/scale_smoke.py --algorithm eedcb \
         --limit-mb 3072 --timeout 1500                     # EEDCB at N=1000
+    PYTHONPATH=src python tools/scale_smoke.py --haggle-n100 \
+        --algorithm eedcb --limit-mb 2048                  # EEDCB at N=100
 
 Exits nonzero with a diagnostic on the first violated property.
 """
@@ -63,6 +72,9 @@ if SRC_ROOT not in sys.path:  # direct invocation without PYTHONPATH=src
 # two decades smaller, for exercising this script outside CI.
 QUICK_NODES, QUICK_CONTACTS, QUICK_HORIZON = 200, 50_000, 20_000.0
 QUICK_WINDOW, QUICK_DEADLINE = (0.0, 2000.0), 1500.0
+# The round's N=100 target: the Haggle-like generator at trace seed 99.
+HAGGLE_NODES, HAGGLE_SEED = 100, 99
+HAGGLE_WINDOW, HAGGLE_DEADLINE = (9000.0, 11000.0), 2000.0
 SOURCE = 0
 ALGORITHMS = ("greed", "eedcb")
 PLAN_SEED = 5
@@ -73,17 +85,33 @@ PLAN_SEED = 5
 DCS_CAPACITY = 100_000
 
 
-def _instance(quick: bool):
+def _instance(name: str):
+    """``(generate, window, deadline)`` of the named instance."""
     from repro.obs.bench import (
         SCALE_CONTACTS, SCALE_DEADLINE, SCALE_HORIZON, SCALE_NODES,
         SCALE_SEED, SCALE_WINDOW,
     )
+    from repro.traces import (
+        HaggleLikeConfig, haggle_like_trace, scale_trace_store,
+    )
 
-    if quick:
-        return (QUICK_NODES, QUICK_CONTACTS, QUICK_HORIZON, SCALE_SEED,
-                QUICK_WINDOW, QUICK_DEADLINE)
-    return (SCALE_NODES, SCALE_CONTACTS, SCALE_HORIZON, SCALE_SEED,
-            SCALE_WINDOW, SCALE_DEADLINE)
+    if name == "haggle-n100":
+        return (
+            lambda: haggle_like_trace(HaggleLikeConfig(num_nodes=HAGGLE_NODES),
+                                      seed=HAGGLE_SEED),
+            HAGGLE_WINDOW, HAGGLE_DEADLINE,
+        )
+    if name == "quick":
+        return (
+            lambda: scale_trace_store(QUICK_NODES, QUICK_CONTACTS,
+                                      QUICK_HORIZON, seed=SCALE_SEED),
+            QUICK_WINDOW, QUICK_DEADLINE,
+        )
+    return (
+        lambda: scale_trace_store(SCALE_NODES, SCALE_CONTACTS, SCALE_HORIZON,
+                                  seed=SCALE_SEED),
+        SCALE_WINDOW, SCALE_DEADLINE,
+    )
 
 
 def _schedule_digest(plan) -> dict:
@@ -110,7 +138,7 @@ def _child(args) -> int:
     from repro.traces import ContactStore
     from repro.traces.parser import parse_crawdad
 
-    _, _, _, _, window, deadline = _instance(args.quick)
+    _, window, deadline = _instance(args.instance)
     t0 = time.perf_counter()
     if args.child == "store":
         trace = ContactStore.load(args.path)
@@ -149,8 +177,8 @@ def _run_leg(leg: str, path: str, args, limit_mb: int) -> dict:
     cmd = [sys.executable, os.path.abspath(__file__), "--child", leg,
            "--path", path, "--limit-mb", str(limit_mb),
            "--algorithm", args.algorithm]
-    if args.quick:
-        cmd.append("--quick")
+    if args.instance != "scale":
+        cmd.append(f"--{args.instance}")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC_ROOT, env.get("PYTHONPATH")) if p
@@ -176,8 +204,14 @@ def _work(doc: dict) -> str:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true",
-                        help="50k-contact instance (local sanity runs)")
+    instance = parser.add_mutually_exclusive_group()
+    instance.add_argument("--quick", dest="instance", action="store_const",
+                          const="quick", default="scale",
+                          help="50k-contact instance (local sanity runs)")
+    instance.add_argument("--haggle-n100", dest="instance",
+                          action="store_const", const="haggle-n100",
+                          help="N=100 Haggle-like trace, window 9000-11000 s, "
+                          "deadline 2000 s")
     parser.add_argument("--algorithm", choices=ALGORITHMS,
                         default=ALGORITHMS[0],
                         help="scheduler the legs plan with (default greed; "
@@ -200,19 +234,20 @@ def main(argv=None) -> int:
     if args.child:
         return _child(args)
 
-    from repro.traces import ContactStore, ingest_path, scale_trace_store
+    from repro.traces import ContactStore, ingest_path
     from repro.traces.writer import write_crawdad
 
-    nodes, contacts, horizon, seed, _, _ = _instance(args.quick)
+    generate, _, _ = _instance(args.instance)
     workdir = args.workdir or tempfile.mkdtemp(prefix="scale-smoke-")
     os.makedirs(workdir, exist_ok=True)
     text_path = os.path.join(workdir, "scale.txt")
     ctrace_path = os.path.join(workdir, "scale.ctrace")
 
     t0 = time.perf_counter()
-    generated = scale_trace_store(nodes, contacts, horizon, seed=seed)
+    generated = generate()
     write_crawdad(generated, text_path)
-    print(f"generated {contacts:,} contacts / {nodes} nodes "
+    print(f"generated {generated.num_contacts:,} contacts / "
+          f"{generated.num_nodes} nodes "
           f"({os.path.getsize(text_path) / 1e6:.1f} MB text) "
           f"in {time.perf_counter() - t0:.1f}s")
 
