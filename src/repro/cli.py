@@ -324,9 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--edge-cache", type=int, default=1024,
                    help="front-end response-cache entries for repeat /plan "
                    "configurations; 0 disables (default 1024)")
-    v.add_argument("--legacy-http", action="store_true",
-                   help="serve with the threaded blocking front-end instead "
-                   "of the asyncio server (single-process only)")
 
     t = sub.add_parser(
         "top", parents=[common],
@@ -669,7 +666,6 @@ def _cmd_serve(args) -> int:
         PlanCache,
         PlanningService,
         ShardPool,
-        make_server,
         read_warm_file,
     )
 
@@ -696,41 +692,8 @@ def _cmd_serve(args) -> int:
     )
     logger = (logging.getLogger("repro.serve")
               if (args.verbose or args.log_level) else None)
-    endpoints = ("# POST /plan | POST /plan_many | GET /healthz | "
-                 "GET /metrics | GET /cache/stats — Ctrl-C to stop")
 
-    if args.legacy_http:
-        if args.shards:
-            raise ReproError("--legacy-http serves one process; it cannot "
-                             "be combined with --shards")
-        service = PlanningService(
-            traces, cache=PlanCache(**cache_kwargs), **service_kwargs
-        )
-        if warm_configs:
-            stats = service.warm(warm_configs)
-            print(f"# warmed {stats['warmed']} configs "
-                  f"({stats['failed']} failed)")
-        srv = make_server(service, args.host, args.port)
-        if logger is not None:
-            srv.logger = logger
-        host, port = srv.server_address[:2]
-        print(f"# serving on http://{host}:{port}  "
-              f"(traces: {', '.join(service.trace_names())})")
-        print(endpoints, flush=True)
-        try:
-            srv.serve_forever()
-        except KeyboardInterrupt:
-            pass
-        finally:
-            srv.server_close()
-            service.close()
-            m = service.metrics()
-            print(f"\n# served {m['requests']} requests "
-                  f"({m['errors']} errors, cache hit rate "
-                  f"{m['cache']['hit_rate']:.0%})", file=sys.stderr)
-        return 0
-
-    # asyncio front-end: one in-process backend, or a shard pool
+    # one in-process backend, or a shard pool
     if args.shards > 0:
         backend = ShardPool(
             traces, args.shards, cache_kwargs=cache_kwargs,
@@ -740,9 +703,7 @@ def _cmd_serve(args) -> int:
         service = PlanningService(
             traces, cache=PlanCache(**cache_kwargs), **service_kwargs
         )
-        backend = LocalBackend(
-            service, traces, max_inflight=args.max_inflight,
-        )
+        backend = LocalBackend(service, max_inflight=args.max_inflight)
     if warm_configs:
         stats = backend.warm(warm_configs)
         print(f"# warmed {stats['warmed']} configs "
@@ -760,7 +721,8 @@ def _cmd_serve(args) -> int:
         print(f"# serving on http://{host}:{port}  "
               f"(traces: {', '.join(sorted(traces))})")
         print(f"# async front-end over {shape}; SIGTERM drains gracefully")
-        print(endpoints, flush=True)
+        print("# POST /plan | POST /plan_many | GET /healthz | "
+              "GET /metrics | GET /cache/stats — Ctrl-C to stop", flush=True)
         stop = asyncio.Event()
         loop = asyncio.get_running_loop()
         for sig in (signal.SIGINT, signal.SIGTERM):

@@ -1,7 +1,7 @@
 """Request-scoped trace context: request ids and shard identity.
 
-A request entering the planning service — through the asyncio front-end,
-the legacy threading server, or an embedded :class:`~repro.service.server.
+A request entering the planning service — through the HTTP front-end
+(in process or sharded), or an embedded :class:`~repro.service.server.
 PlanningService` call — is stamped with a **request id**: 16 hex chars,
 minted at the edge (or accepted from an ``X-Request-Id`` header so an
 upstream proxy's id survives).  The id travels *with the work*, not with

@@ -1,4 +1,4 @@
-"""Planning service: plan cache, batched scheduling queue, HTTP server.
+"""Planning service: plan cache, batched scheduling queue, HTTP front-end.
 
 The schedulers in this package are deterministic: the same problem
 instance always yields the same plan.  This subpackage turns that into a
@@ -12,8 +12,8 @@ serving layer — compute once, answer many:
   queue that groups concurrent requests, executes one compute per unique
   key on a thread pool, and fans results out to duplicates;
 * :mod:`~repro.service.server` — :class:`PlanningService`, the embeddable
-  facade combining both over a set of named traces, plus the legacy
-  ``ThreadingHTTPServer`` JSON API (``repro serve --legacy-http``);
+  facade combining both over a set of named traces, plus the request
+  parsing and status-code rules every deployment shape shares;
 * :mod:`~repro.service.router` — :class:`HashRing` consistent hashing and
   :func:`routing_key`, mapping each plan configuration to the shard whose
   live caches are warm for it;
@@ -53,9 +53,7 @@ from .server import (
     PlanningService,
     PlanResponse,
     PlanSetResponse,
-    make_server,
     read_warm_file,
-    serve,
 )
 from .shard import ShardHandle, ShardPool
 from .top import ShardRow, build_rows, fetch_metrics, render_top, top_loop
@@ -77,10 +75,8 @@ __all__ = [
     "ShardRow",
     "build_rows",
     "fetch_metrics",
-    "make_server",
     "read_warm_file",
     "render_top",
     "routing_key",
-    "serve",
     "top_loop",
 ]

@@ -1,22 +1,31 @@
-"""Asyncio HTTP front-end: thousands of connections, one event loop.
+"""The HTTP front-end of ``repro serve``: one asyncio event loop.
 
-The original ``ThreadingHTTPServer`` front-end spends a thread per
-connection and — worse — writes headers and body as separate TCP
-segments, which on loopback interacts with Nagle + delayed ACKs into
-tens of milliseconds of stall per request.  This front-end is a
-single-threaded ``asyncio`` server that:
+JSON in / JSON out over ``POST /plan``, ``POST /plan_many``,
+``GET /healthz``, ``GET /metrics`` (JSON, or Prometheus text via
+``Accept: text/plain``) and ``GET /cache/stats``; ``docs/SERVICE.md``
+documents the bodies and status codes.
 
-* parses HTTP/1.1 with keep-alive and answers with **one** ``write()``
-  of a fully assembled response buffer, with ``TCP_NODELAY`` set — the
-  transport never waits for an ACK that isn't coming;
+:class:`AsyncPlanningServer` is a single-threaded ``asyncio`` server that:
+
+* parses HTTP/1.1 with keep-alive and pipelining, and answers with
+  **one** ``write()`` of a fully assembled response buffer, with
+  ``TCP_NODELAY`` set — on loopback, headers and body written as separate
+  segments interact with Nagle + delayed ACKs into tens of milliseconds
+  of stall per request;
+* answers a request it cannot frame (a malformed request line or
+  ``Content-Length``, a head over 64 KiB, a declared body over 8 MiB, a
+  ``Transfer-Encoding``) with 400 / 431 / 413 / 501 and
+  ``Connection: close``, so no byte of it is ever read as the start of
+  another request;
 * accepts as many concurrent connections as the OS will hand it — a
   connection costs a coroutine, not a thread;
 * forwards planning work to a **backend** — :class:`LocalBackend`
   wrapping one in-process :class:`~repro.service.server.PlanningService`,
-  or a :class:`~repro.service.shard.ShardPool` of worker processes —
-  and applies the backend's per-shard backpressure verbatim
+  or a :class:`~repro.service.shard.ShardPool` of worker processes — and
+  maps every failure, whether raised while routing, admitting or planning
+  the request, through :func:`~repro.service.server.exception_status`
   (:class:`~repro.errors.ServiceOverloaded` → 429 + ``Retry-After``,
-  waited-too-long → 504);
+  waited-too-long → 504, bad arguments → 400);
 * keeps an **edge response cache**: the serialized ``plan`` fragment of
   recent ``/plan`` answers, keyed by the request's routing address.
   Plans are deterministic, so a repeat configuration's response bytes
@@ -26,7 +35,9 @@ single-threaded ``asyncio`` server that:
 
 Graceful drain: :meth:`AsyncPlanningServer.drain` stops accepting,
 waits for in-flight requests, then drains the backend (shards flush
-their stats and exit).  The CLI wires SIGTERM/SIGINT to it.
+their stats and exit).  The CLI wires SIGTERM/SIGINT to it;
+:class:`BackgroundServer` runs the server on its own thread for
+embedding and tests.
 """
 
 from __future__ import annotations
@@ -48,7 +59,6 @@ from ..obs.promtext import (
     render_prometheus,
     wants_prometheus,
 )
-from ..traces.model import ContactTrace
 from .router import routing_key
 from .server import (
     PlanningService,
@@ -63,7 +73,8 @@ _REASONS = {
     200: "OK", 400: "Bad Request", 404: "Not Found", 405: "Method Not "
     "Allowed", 408: "Request Timeout", 413: "Payload Too Large",
     422: "Unprocessable Entity", 429: "Too Many Requests",
-    500: "Internal Server Error", 503: "Service Unavailable",
+    431: "Request Header Fields Too Large", 500: "Internal Server Error",
+    501: "Not Implemented", 503: "Service Unavailable",
     504: "Gateway Timeout",
 }
 
@@ -71,6 +82,15 @@ _REASONS = {
 _MAX_HEAD = 64 * 1024
 #: request body size bound — a plan request is a small JSON object
 _MAX_BODY = 8 * 1024 * 1024
+
+
+class _Unframeable(Exception):
+    """A request whose end cannot be found: answered, then the connection
+    closes, so none of its bytes is read as the start of another request."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
 
 
 class LocalBackend:
@@ -90,7 +110,6 @@ class LocalBackend:
     def __init__(
         self,
         service: PlanningService,
-        traces: Mapping[str, ContactTrace],
         *,
         max_inflight: int = 64,
         request_threads: int = 16,
@@ -98,7 +117,6 @@ class LocalBackend:
         if max_inflight < 1:
             raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
         self.service = service
-        self._traces = dict(traces)
         self._max_inflight = int(max_inflight)
         self._inflight = 0
         self._lock = threading.Lock()
@@ -344,7 +362,14 @@ class AsyncPlanningServer:
             # framed exactly and answered in order
             leftover = b""
             while True:
-                request, leftover = await self._read_request(reader, leftover)
+                try:
+                    request, leftover = await self._read_request(
+                        reader, leftover
+                    )
+                except _Unframeable as exc:
+                    payload, _ = self._error_doc(str(exc))
+                    await self._send(writer, "-", exc.status, payload, False)
+                    break
                 if request is None:
                     break
                 keep_alive = await self._respond(request, writer)
@@ -366,36 +391,52 @@ class AsyncPlanningServer:
 
         Returns ``((verb, path, headers, body), leftover)`` — ``leftover``
         is the prefix of the *next* pipelined request when the client
-        wrote several back-to-back — or ``(None, b"")`` at EOF or on an
-        unparseable head.  ``leftover`` from the previous call must be
-        fed back in so no bytes are dropped between requests.
+        wrote several back-to-back — or ``(None, b"")`` when the client
+        closes the connection.  ``leftover`` from the previous call must
+        be fed back in so no bytes are dropped between requests.  Raises
+        :class:`_Unframeable` — 400 for a malformed request line or
+        ``Content-Length``, 431 for a head over ``_MAX_HEAD``, 413 for a
+        declared body over ``_MAX_BODY`` (not read), 501 for a
+        ``Transfer-Encoding`` (its chunks would otherwise be read as the
+        next request).
         """
-        head = leftover
-        while b"\r\n\r\n" not in head:
+        buf = leftover
+        end = buf.find(b"\r\n\r\n")
+        while end < 0 and len(buf) <= _MAX_HEAD:
             chunk = await reader.read(4096)
             if not chunk:
                 return None, b""
-            head += chunk
-            if len(head) > _MAX_HEAD:
-                return None, b""
-        head, _, rest = head.partition(b"\r\n\r\n")
-        lines = head.decode("latin-1").split("\r\n")
+            buf += chunk
+            end = buf.find(b"\r\n\r\n")
+        if not 0 <= end <= _MAX_HEAD:
+            raise _Unframeable(431, f"request head exceeds {_MAX_HEAD} bytes")
+        lines = buf[:end].decode("latin-1").split("\r\n")
         parts = lines[0].split()
-        if len(parts) != 3:
-            return None, b""
+        if len(parts) != 3 or not parts[2].startswith("HTTP/"):
+            raise _Unframeable(
+                400, f"malformed request line {lines[0][:80]!r}"
+            )
         verb, path = parts[0], parts[1]
         headers: Dict[str, str] = {}
         for line in lines[1:]:
             name, sep, value = line.partition(":")
             if sep:
                 headers[name.strip().lower()] = value.strip()
-        try:
-            length = int(headers.get("content-length") or 0)
-        except ValueError:
-            return None, b""
+        if "transfer-encoding" in headers:
+            raise _Unframeable(
+                501, "Transfer-Encoding is not supported; send the body "
+                "with a Content-Length"
+            )
+        raw_length = headers.get("content-length") or "0"
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            raise _Unframeable(
+                400, f"bad Content-Length {raw_length[:40]!r}"
+            )
+        # int() refuses strings past 4300 digits; 19 already exceed 8 MiB
+        length = int(raw_length) if len(raw_length) < 19 else _MAX_BODY + 1
         if length > _MAX_BODY:
-            return None, b""
-        body = rest
+            raise _Unframeable(413, f"request body exceeds {_MAX_BODY} bytes")
+        body = buf[end + 4:]
         while len(body) < length:
             chunk = await reader.read(length - len(body))
             if not chunk:
@@ -423,6 +464,24 @@ class AsyncPlanningServer:
         head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
         return head + body
 
+    async def _send(
+        self,
+        writer: asyncio.StreamWriter,
+        request_line: str,
+        status: int,
+        payload: bytes,
+        keep_alive: bool,
+        extra: Optional[Mapping[str, str]] = None,
+    ) -> None:
+        """Count, write and log one response."""
+        self._served += 1
+        if status >= 400:
+            self._errors += 1
+        writer.write(self._response_bytes(status, payload, keep_alive, extra))
+        await writer.drain()
+        if self._logger is not None:
+            self._logger.info("%s -> %d", request_line, status)
+
     async def _respond(
         self,
         request: Tuple[str, str, Dict[str, str], bytes],
@@ -447,7 +506,6 @@ class AsyncPlanningServer:
                     verb, path, headers, body
                 )
         except Exception as exc:  # last-resort: never kill the connection loop
-            self._errors += 1
             status, extra = 500, None
             payload = json.dumps(
                 {"error": f"internal error: {type(exc).__name__}: {exc}"}
@@ -458,13 +516,9 @@ class AsyncPlanningServer:
             extra = dict(extra or {})
             extra["X-Request-Id"] = rid
             self.telemetry.observe("request.edge", time.perf_counter() - t0)
-        self._served += 1
-        if status >= 400:
-            self._errors += 1
-        writer.write(self._response_bytes(status, payload, keep_alive, extra))
-        await writer.drain()
-        if self._logger is not None:
-            self._logger.info("%s %s -> %d", verb, path, status)
+        await self._send(
+            writer, f"{verb} {path}", status, payload, keep_alive, extra
+        )
         return keep_alive
 
     # -- request handling ----------------------------------------------
@@ -477,6 +531,15 @@ class AsyncPlanningServer:
             doc["retry_after"] = retry_after
             extra = {"Retry-After": str(int(max(1, retry_after)))}
         return json.dumps(doc, sort_keys=True).encode("utf-8"), extra
+
+    def _error(
+        self, exc: BaseException
+    ) -> Tuple[int, bytes, Optional[Dict[str, str]]]:
+        """The response :func:`exception_status` gives ``exc``; one it
+        refuses to map (a bug) propagates to the 500 handler."""
+        status, message, retry_after = exception_status(exc)
+        payload, extra = self._error_doc(message, retry_after)
+        return status, payload, extra
 
     async def _handle(
         self, verb: str, path: str, headers: Mapping[str, str], body: bytes
@@ -531,14 +594,8 @@ class AsyncPlanningServer:
             return 400, payload, extra
         try:
             method, kwargs = parse_plan_request(path, parsed)
-        except KeyError as exc:
-            payload, extra = self._error_doc(
-                str(exc.args[0] if exc.args else exc)
-            )
-            return 404, payload, extra
-        except ValueError as exc:
-            payload, extra = self._error_doc(str(exc))
-            return 400, payload, extra
+        except (KeyError, ValueError) as exc:
+            return self._error(exc)
         self.telemetry.observe("stage.edge_parse", time.perf_counter() - t_parse)
         if self._draining:
             payload, extra = self._error_doc(
@@ -548,12 +605,12 @@ class AsyncPlanningServer:
 
         t_route = time.perf_counter()
         try:
+            # routing validates the request's arguments the way planning
+            # would (deadline, window, algorithm, sources): a bad one is a
+            # 400 here, before any backend sees it
             key = self.backend.routing(method, kwargs)
-        except KeyError as exc:
-            payload, extra = self._error_doc(
-                str(exc.args[0] if exc.args else exc)
-            )
-            return 404, payload, extra
+        except Exception as exc:
+            return self._error(exc)
         self.telemetry.observe("stage.route", time.perf_counter() - t_route)
 
         if method == "plan":
@@ -566,20 +623,13 @@ class AsyncPlanningServer:
         try:
             _, future = self.backend.submit_request(method, kwargs, key=key)
         except ServiceOverloaded as exc:
-            _, message, retry_after = exception_status(exc)
-            payload, extra = self._error_doc(message, retry_after)
-            return 429, payload, extra
+            return self._error(exc)
         try:
             status, doc = await asyncio.wait_for(
                 asyncio.wrap_future(future), timeout=self._timeout
             )
         except asyncio.TimeoutError:
-            payload, extra = self._error_doc(
-                "request timed out; the plan is still being computed — "
-                "retrying will likely hit the cache",
-                retry_after=1.0,
-            )
-            return 504, payload, extra
+            return self._error(TimeoutError())
 
         if status != 200:
             retry_after = doc.get("retry_after")
@@ -601,7 +651,7 @@ class BackgroundServer:
 
     The embedding (and test) convenience::
 
-        srv = BackgroundServer(LocalBackend(service, traces), port=0)
+        srv = BackgroundServer(LocalBackend(service), port=0)
         host, port = srv.address
         ...
         srv.stop()          # graceful drain, joins the thread

@@ -32,8 +32,9 @@ Every lookup emits :data:`~repro.obs.EV_PLAN_CACHE_HIT` /
 is off) plus ``service.plan_cache_*`` tracer counters, and updates the local
 :class:`CacheStats` the ``/cache/stats`` endpoint serves.
 
-All operations are thread-safe — the HTTP front-end is a
-``ThreadingHTTPServer``.
+All operations are thread-safe — the batcher's worker pool and
+:class:`~repro.service.asgi.LocalBackend`'s request threads call them
+concurrently.
 """
 
 from __future__ import annotations

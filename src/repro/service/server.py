@@ -1,7 +1,8 @@
-"""Embeddable planning service and its stdlib-only HTTP front-end.
+"""Embeddable planning service and the request rules its front-end shares.
 
 :class:`PlanningService` composes the pieces of this package into one
-object an application (or the bundled HTTP server) drives:
+object an application (or the HTTP front-end in
+:mod:`repro.service.asgi`) drives:
 
 * a set of **named contact traces** it plans against;
 * a bounded registry of **shared TVEGs** — one per distinct
@@ -13,21 +14,13 @@ object an application (or the bundled HTTP server) drives:
 * a :class:`~repro.service.batcher.Batcher` deduping and amortizing what
   the cache misses.
 
-The HTTP layer is deliberately boring: :class:`ThreadingHTTPServer` from
-the standard library, JSON in / JSON out, five endpoints:
-
-========================  ====================================================
-``POST /plan``            plan one broadcast; body mirrors
-                          :meth:`PlanningService.plan`'s keywords
-``POST /plan_many``       plan a batch of broadcasts over one instance via
-                          :func:`repro.plan_broadcast_many`; body mirrors
-                          :meth:`PlanningService.plan_many`'s keywords
-``GET /healthz``          liveness + queue depth
-``GET /metrics``          cache, batcher, request counters, and latency
-                          histograms — JSON by default, Prometheus text
-                          via ``Accept: text/plain``
-``GET /cache/stats``      the plan cache's counters alone
-========================  ====================================================
+The module-level functions hold the service's HTTP semantics without any
+transport: :func:`parse_plan_request` validates a ``/plan`` or
+``/plan_many`` body, :func:`exception_status` maps a planning exception to
+a status code, and :func:`execute_request` folds one parsed request into
+``(status, doc)``.  The front-end, its in-process
+:class:`~repro.service.asgi.LocalBackend` and the shard workers all call
+them, so every deployment shape judges a request the same way.
 
 Admission control surfaces as status codes: a full batch queue is **429**
 with a ``Retry-After`` header, a request that waited past the per-request
@@ -44,10 +37,8 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
-from .. import obs
 from ..api import (
     BroadcastPlan,
     BroadcastPlanSet,
@@ -58,11 +49,6 @@ from ..api import (
 )
 from ..errors import InfeasibleError, ReproError, ServiceOverloaded
 from ..obs.histogram import MetricsRegistry
-from ..obs.promtext import (
-    PROMETHEUS_CONTENT_TYPE,
-    render_prometheus,
-    wants_prometheus,
-)
 from ..schedule.io import plan_to_doc, planset_to_doc
 from ..traces.model import ContactTrace
 from ..tveg.builders import tveg_from_trace
@@ -76,10 +62,8 @@ __all__ = [
     "PlanningService",
     "exception_status",
     "execute_request",
-    "make_server",
     "parse_plan_request",
     "read_warm_file",
-    "serve",
 ]
 
 
@@ -150,9 +134,9 @@ def parse_plan_request(path: str, body: Any) -> Tuple[str, Dict[str, Any]]:
     Returns ``(method_name, kwargs)`` where ``method_name`` is the
     :class:`PlanningService` method to call (``"plan"`` / ``"plan_many"``)
     and ``kwargs`` are its keyword arguments with ``scheduler_kwargs``
-    already merged in.  Shared by every front-end — the threading server,
-    the asyncio server, and the shard router — so a request is judged by
-    exactly one set of rules no matter which door it came in through.
+    already merged in.  The front-end parses every request through this,
+    and ``--warm`` files are checked with it at boot, so a request is
+    judged by exactly one set of rules whichever backend serves it.
 
     Raises :class:`ValueError` with a client-facing message (HTTP 400) on
     malformed input, and :class:`KeyError` for an unknown endpoint path.
@@ -190,10 +174,12 @@ def parse_plan_request(path: str, body: Any) -> Tuple[str, Dict[str, Any]]:
 def exception_status(exc: BaseException) -> Tuple[int, str, Optional[float]]:
     """Map a planning exception to ``(http_status, message, retry_after)``.
 
-    The one place HTTP semantics are decided: the threading server, the
-    asyncio front-end, and the shard workers (which ship the mapping across
-    the process boundary as plain data) all call this, so a given failure
-    produces the same status code everywhere.
+    The one place HTTP semantics are decided: the front-end (for failures
+    while parsing, routing and admitting a request) and
+    :func:`execute_request` (for failures while planning it, in process or
+    in a shard worker, which ships the mapping across the process boundary
+    as plain data) both call this, so a given failure produces the same
+    status code everywhere.
     """
     if isinstance(exc, KeyError):
         return 404, str(exc.args[0] if exc.args else exc), None
@@ -274,6 +260,22 @@ def read_warm_file(path: str) -> List[Dict[str, Any]]:
     return configs
 
 
+def _check_timeout(timeout: Any) -> float:
+    """``timeout`` as seconds a result wait accepts, else :class:`ValueError`.
+
+    NaN, negative and infinite waits (JSON ``1e309``) would otherwise fail
+    only after the plan is submitted — as a bogus 504, or an
+    ``OverflowError`` from the lock wait past ``threading.TIMEOUT_MAX``.
+    """
+    if not (isinstance(timeout, (int, float))
+            and 0 < timeout <= threading.TIMEOUT_MAX):
+        raise ValueError(
+            "timeout must be a positive finite number of seconds (at most "
+            f"{threading.TIMEOUT_MAX:g}), got {timeout!r}"
+        )
+    return float(timeout)
+
+
 class PlanningService:
     """Cache- and batch-backed broadcast planning over named traces.
 
@@ -313,8 +315,7 @@ class PlanningService:
         timeout: float = 30.0,
         tveg_capacity: int = 16,
     ) -> None:
-        if timeout <= 0:
-            raise ValueError(f"timeout must be positive, got {timeout}")
+        timeout = _check_timeout(timeout)
         if tveg_capacity < 1:
             raise ValueError(
                 f"tveg_capacity must be >= 1, got {tveg_capacity}"
@@ -329,7 +330,7 @@ class PlanningService:
             workers=workers, max_batch=max_batch, max_wait=max_wait,
             max_queue=max_queue, metrics=self.telemetry,
         )
-        self._timeout = float(timeout)
+        self._timeout = timeout
         self._tvegs: "OrderedDict[Tuple, TVEG]" = OrderedDict()
         self._tveg_capacity = int(tveg_capacity)
         self._lock = threading.Lock()
@@ -430,6 +431,8 @@ class PlanningService:
         """Plan one broadcast through the cache and the batch queue.
 
         Raises :class:`KeyError` for an unknown trace name,
+        :class:`ValueError` for a ``timeout`` that is not a positive
+        finite number of seconds (before anything is submitted),
         :class:`~repro.errors.ServiceOverloaded` when admission control
         turns the request away, :class:`TimeoutError` when the result
         doesn't arrive within ``timeout`` seconds (the computation still
@@ -439,6 +442,7 @@ class PlanningService:
         t0 = time.perf_counter()
         with self._lock:
             self._requests += 1
+        timeout = self._timeout if timeout is None else _check_timeout(timeout)
         base = self._resolve_trace(trace)
         deadline = float(deadline)
         tveg = self._shared_tveg(base, channel, window, deadline, seed)
@@ -456,9 +460,7 @@ class PlanningService:
 
         try:
             future = self._batcher.submit(key, run)
-            plan = future.result(
-                timeout=self._timeout if timeout is None else timeout
-            )
+            plan = future.result(timeout=timeout)
         except BaseException:
             with self._lock:
                 self._errors += 1
@@ -604,159 +606,3 @@ class PlanningService:
             "queue_depth": self._batcher.queue_depth,
             "traces": self.trace_names(),
         }
-
-
-# ----------------------------------------------------------------------
-# HTTP front-end
-# ----------------------------------------------------------------------
-
-
-class _PlanningServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer that carries the service for its handlers."""
-
-    daemon_threads = True
-    allow_reuse_address = True
-
-    def __init__(self, address, service: PlanningService):
-        super().__init__(address, _Handler)
-        self.service = service
-
-
-class _Handler(BaseHTTPRequestHandler):
-    server_version = "repro-serve/1"
-    protocol_version = "HTTP/1.1"
-
-    # quiet by default; the CLI's -v wires a logger in
-    def log_message(self, format: str, *args: Any) -> None:
-        logger = getattr(self.server, "logger", None)
-        if logger is not None:
-            logger.info("%s " + format, self.address_string(), *args)
-
-    # -- helpers -------------------------------------------------------
-    def _send_json(
-        self,
-        status: int,
-        doc: Mapping[str, Any],
-        headers: Optional[Mapping[str, str]] = None,
-    ) -> None:
-        body = json.dumps(doc, sort_keys=True).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_error(self, status: int, message: str, **extra: Any) -> None:
-        doc = {"error": message}
-        headers = {}
-        retry_after = extra.pop("retry_after", None)
-        if retry_after is not None:
-            headers["Retry-After"] = str(int(max(1, retry_after)))
-            doc["retry_after"] = retry_after
-        doc.update(extra)
-        self._send_json(status, doc, headers)
-
-    def _send_text(
-        self,
-        status: int,
-        body: str,
-        content_type: str,
-        headers: Optional[Mapping[str, str]] = None,
-    ) -> None:
-        raw = body.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(raw)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(raw)
-
-    # -- endpoints -----------------------------------------------------
-    def do_GET(self) -> None:  # noqa: N802 (http.server API)
-        service: PlanningService = self.server.service
-        path = self.path.partition("?")[0]
-        if path == "/healthz":
-            self._send_json(200, service.healthz())
-        elif path == "/metrics":
-            # Content negotiation: the JSON document stays the default
-            # (and stays byte-identical for existing clients); a scraper
-            # sending Accept: text/plain gets Prometheus exposition text.
-            doc = service.metrics()
-            if wants_prometheus(self.headers.get("Accept")):
-                self._send_text(
-                    200, render_prometheus(doc), PROMETHEUS_CONTENT_TYPE
-                )
-            else:
-                self._send_json(200, doc)
-        elif path == "/cache/stats":
-            self._send_json(200, service.cache.stats())
-        else:
-            self._send_error(404, f"no such endpoint: {self.path}")
-
-    def do_POST(self) -> None:  # noqa: N802 (http.server API)
-        service: PlanningService = self.server.service
-        # Trace context is minted at the edge; an upstream-supplied
-        # X-Request-Id wins so proxies keep their correlation ids.
-        rid = self.headers.get("X-Request-Id") or obs.new_request_id()
-        with obs.request_context(rid):
-            try:
-                length = int(self.headers.get("Content-Length") or 0)
-                raw = self.rfile.read(length) if length else b"{}"
-                body = json.loads(raw.decode("utf-8"))
-            except (ValueError, UnicodeDecodeError) as exc:
-                self._send_error(400, f"bad request body: {exc}")
-                return
-            try:
-                method, kwargs = parse_plan_request(self.path, body)
-            except KeyError as exc:
-                self._send_error(404, str(exc.args[0] if exc.args else exc))
-                return
-            except ValueError as exc:
-                self._send_error(400, str(exc))
-                return
-            try:
-                response = getattr(service, method)(**kwargs)
-            except Exception as exc:
-                status, message, retry_after = exception_status(exc)
-                self._send_error(status, message, retry_after=retry_after)
-            else:
-                self._send_json(
-                    200, response.as_doc(), {"X-Request-Id": rid}
-                )
-
-
-def make_server(
-    service: PlanningService,
-    host: str = "127.0.0.1",
-    port: int = 8437,
-) -> ThreadingHTTPServer:
-    """A bound (not yet serving) HTTP server wrapping ``service``.
-
-    ``port=0`` binds an ephemeral port — the tests' pattern::
-
-        srv = make_server(service, port=0)
-        threading.Thread(target=srv.serve_forever, daemon=True).start()
-        url = "http://%s:%d" % srv.server_address
-        ...
-        srv.shutdown(); service.close()
-    """
-    return _PlanningServer((host, port), service)
-
-
-def serve(
-    service: PlanningService,
-    host: str = "127.0.0.1",
-    port: int = 8437,
-) -> None:
-    """Serve until interrupted, then shut down cleanly (blocking call)."""
-    srv = make_server(service, host, port)
-    try:
-        srv.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        srv.server_close()
-        service.close()

@@ -48,6 +48,13 @@ class Client:
         status, doc, _, _ = self.request("POST", path, body)
         return status, doc
 
+    def post_raw(self, path, data):
+        """POST ``data`` bytes as they are: JSON ``NaN`` and ``1e309``
+        reach the server unchanged."""
+        self.conn.request("POST", path, body=data)
+        resp = self.conn.getresponse()
+        return resp.status, json.loads(resp.read())
+
     def get(self, path):
         status, doc, _, _ = self.request("GET", path)
         return status, doc
@@ -64,7 +71,7 @@ def trace():
 @pytest.fixture(scope="module")
 def backend(trace):
     service = PlanningService({"demo": trace}, max_wait=0.0, workers=2)
-    yield LocalBackend(service, {"demo": trace})
+    yield LocalBackend(service)
     service.close()
 
 
@@ -140,7 +147,31 @@ class TestEdgeCache:
         assert server.server.edge_stats()["hits"] >= hits_before + 1
 
 
+#: bodies that parse but fail while the front-end routes them: each is the
+#: 400 planning itself gives, never a 500
+ROUTING_ERRORS = [
+    ("/plan", '{"deadline": 1e309}', "deadline must be finite"),
+    ("/plan", '{"deadline": NaN}', "deadline must be finite"),
+    ("/plan", '{"deadline": 600, "window": [9000, NaN]}',
+     "window must be finite"),
+    ("/plan", '{"deadline": 600, "algorithm": "quantum"}',
+     "unknown scheduler 'quantum'"),
+    ("/plan", '{"deadline": "abc"}', "could not convert string to float"),
+    ("/plan", '{"deadline": 600, "window": "x"}',
+     "not enough values to unpack"),
+    ("/plan_many", '{"sources": [0], "deadlines": [1e309]}',
+     "deadline must be finite"),
+    ("/plan_many", '{"sources": 5, "deadlines": 600}', "not iterable"),
+]
+
+
 class TestErrorMapping:
+    @pytest.mark.parametrize("path, body, message", ROUTING_ERRORS)
+    def test_routing_errors_400(self, client, path, body, message):
+        status, doc = client.post_raw(path, body.encode("utf-8"))
+        assert status == 400
+        assert message in doc["error"]
+
     def test_unknown_endpoint_404(self, client):
         status, doc = client.post("/nope", BODY)
         assert status == 404
@@ -200,7 +231,7 @@ class TestErrorMapping:
 class TestTimeout:
     def test_slow_compute_times_out_504(self, trace):
         service = PlanningService({"demo": trace}, max_wait=0.0, workers=1)
-        backend = LocalBackend(service, {"demo": trace})
+        backend = LocalBackend(service)
         try:
             with BackgroundServer(backend, port=0, timeout=0.001) as srv:
                 client = Client(srv.address)
@@ -230,7 +261,7 @@ class TestKeepAliveAndDrain:
 
     def test_stop_refuses_new_connections(self, trace):
         service = PlanningService({"demo": trace}, max_wait=0.0)
-        backend = LocalBackend(service, {"demo": trace})
+        backend = LocalBackend(service)
         srv = BackgroundServer(backend, port=0)
         host, port = srv.address
         client = Client((host, port))
@@ -248,7 +279,7 @@ class TestKeepAliveAndDrain:
         with pytest.raises(ValueError):
             AsyncPlanningServer(backend, timeout=0.0)
         with pytest.raises(ValueError):
-            LocalBackend(backend.service, {}, max_inflight=0)
+            LocalBackend(backend.service, max_inflight=0)
 
 
 def _load_loadtest():
@@ -346,3 +377,84 @@ class TestPipelining:
         assert seen == list(range(6))  # FIFO token matching
         assert identity.violations == []
         assert len(identity.snapshot()) == 2  # two distinct configurations
+
+
+def _exchange(address, raw):
+    """Send ``raw`` on a fresh connection; every response until EOF."""
+    loadtest = _load_loadtest()
+    responses = []
+    with socket.create_connection(address, timeout=60) as sock:
+        sock.sendall(raw)
+        rfile = sock.makefile("rb")
+        while True:
+            try:
+                responses.append(loadtest._read_http_response(rfile))
+            except ConnectionError:  # EOF before a status line
+                break
+        rfile.close()
+    return responses
+
+
+class TestFraming:
+    """A request the front-end cannot frame is answered with one error
+    and ``Connection: close`` — never dropped silently, and none of its
+    bytes is read as a second request."""
+
+    def test_negative_content_length_gets_exactly_one_response(self, server):
+        smuggled = b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n"
+        data = json.dumps(BODY).encode("utf-8") + smuggled
+        raw = (
+            b"POST /plan HTTP/1.1\r\n"
+            b"Content-Length: -%d\r\n\r\n" % len(smuggled)
+        ) + data
+        responses = _exchange(server.address, raw)
+        assert len(responses) == 1
+        status, doc, close = responses[0]
+        assert status == 400
+        assert "Content-Length" in doc["error"]
+        assert close is True
+
+    @pytest.mark.parametrize("raw, status", [
+        (b"POST /plan HTTP/1.1\r\nContent-Length: 12abc\r\n\r\n", 400),
+        (b"POST /plan HTTP/1.1\r\nContent-Length: 1_0\r\n\r\n", 400),
+        (b"GARBAGE\r\n\r\n", 400),
+        (b"GET /healthz SPDY/3\r\n\r\n", 400),
+        # declared over the 8 MiB bound: refused before any body is read
+        (b"POST /plan HTTP/1.1\r\nContent-Length: 8388609\r\n\r\n", 413),
+        (b"POST /plan HTTP/1.1\r\nContent-Length: " + b"9" * 5000
+         + b"\r\n\r\n", 413),
+        # a chunked body would otherwise be framed as empty and its
+        # chunks read as a second request
+        (b"POST /plan HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+         b"11\r\n{\"deadline\": 100}\r\n0\r\n\r\n", 501),
+        # one byte past the 64 KiB head bound, no blank line yet (the
+        # server reads every byte sent, so closing resets nothing)
+        ((b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"a" * 64 * 1024)
+         [:64 * 1024 + 1], 431),
+    ])
+    def test_unframeable_request_answered_then_closed(
+        self, server, raw, status
+    ):
+        responses = _exchange(server.address, raw)
+        assert [(r[0], r[2]) for r in responses] == [(status, True)]
+        assert "error" in responses[0][1]
+
+    def test_clean_eof_is_silent(self, server):
+        with socket.create_connection(server.address, timeout=60) as sock:
+            sock.shutdown(socket.SHUT_WR)
+            assert sock.recv(1024) == b""
+
+    def test_one_500_counts_one_error(self, server, backend, monkeypatch):
+        def broken():
+            raise RuntimeError("healthz is broken")
+
+        monkeypatch.setattr(backend, "healthz", broken)
+        served, errors = server.server.served, server.server.errors
+        status, doc, _ = _exchange(
+            server.address,
+            b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n",
+        )[0]
+        assert status == 500
+        assert "RuntimeError" in doc["error"]
+        assert server.server.served == served + 1
+        assert server.server.errors == errors + 1

@@ -21,10 +21,11 @@ from repro import obs
 from repro.api import plan_broadcast, plan_cache_key
 from repro.errors import ServiceOverloaded
 from repro.service import (
+    BackgroundServer,
     Batcher,
+    LocalBackend,
     PlanCache,
     PlanningService,
-    make_server,
 )
 from repro.service.server import execute_request, parse_plan_request
 from repro.traces import HaggleLikeConfig, haggle_like_trace
@@ -324,13 +325,10 @@ def service(service_trace):
 
 @pytest.fixture
 def server(service):
-    srv = make_server(service, port=0)
-    thread = threading.Thread(target=srv.serve_forever, daemon=True)
-    thread.start()
-    yield "http://%s:%d" % srv.server_address[:2]
-    srv.shutdown()
-    srv.server_close()
-    thread.join(timeout=5)
+    # edge_cache=0: a repeat /plan reaches the plan cache, whose counters
+    # these tests check (test_asgi.py covers the edge cache)
+    with BackgroundServer(LocalBackend(service), port=0, edge_cache=0) as srv:
+        yield "http://%s:%d" % srv.address
 
 
 def _request(url, path, body=None):
@@ -392,6 +390,25 @@ class TestPlanningService:
                 assert "deadline must be finite" in doc["error"]
         finally:
             svc.close()
+
+    @pytest.mark.parametrize("timeout", ["NaN", "-1", "0", "1e309"])
+    def test_bad_timeout_is_400_and_submits_nothing(self, timeout):
+        trace, _ = make_random_instance(seed=1)
+        svc = PlanningService({"t": trace}, max_wait=0.0, workers=1)
+        try:
+            method, kwargs = parse_plan_request("/plan", json.loads(
+                '{"trace": "t", "source": 0, "deadline": 100, '
+                '"timeout": %s}' % timeout
+            ))
+            status, doc = execute_request(svc, method, kwargs)
+            assert status == 400
+            assert "timeout must be a positive finite number" in doc["error"]
+            assert svc.batcher.stats()["submitted"] == 0
+        finally:
+            svc.close()
+        # the service-wide default follows the same rule
+        with pytest.raises(ValueError, match="timeout must be"):
+            PlanningService({"t": trace}, timeout=float(timeout))
 
     @pytest.mark.parametrize(
         "window", ["[9000, NaN]", "[NaN, NaN]", "[-Infinity, 2000]", "NaN"]
@@ -561,15 +578,8 @@ class TestHTTP:
             raise ServiceOverloaded("synthetic overload", retry_after=2.0)
 
         monkeypatch.setattr(svc.batcher, "submit", reject)
-        srv = make_server(svc, port=0)
-        thread = threading.Thread(target=srv.serve_forever, daemon=True)
-        thread.start()
-        try:
-            url = "http://%s:%d" % srv.server_address[:2]
+        with BackgroundServer(LocalBackend(svc), port=0) as srv:
+            url = "http://%s:%d" % srv.address
             st, doc, headers = _request(url, "/plan", {"deadline": 600})
             assert st == 429
             assert headers.get("Retry-After") == "2"
-        finally:
-            srv.shutdown()
-            srv.server_close()
-            svc.close()

@@ -8,12 +8,13 @@ stripping the volatile timing fields — cross-process determinism is what
 lets the sharded service replace the single process transparently.
 """
 
+import http.client
 import json
 
 import pytest
 
 from repro.errors import ServiceOverloaded
-from repro.service import PlanningService, ShardPool
+from repro.service import BackgroundServer, PlanningService, ShardPool
 from repro.traces import HaggleLikeConfig, haggle_like_trace
 
 BODY = {"deadline": 600.0, "window": 2000.0, "seed": 3}
@@ -167,3 +168,19 @@ class TestBackpressureAndDrain:
         pool.drain(timeout=30)
         with pytest.raises(ServiceOverloaded):
             pool.submit_request("plan", dict(BODY))
+
+
+class TestFrontEnd:
+    def test_routing_error_is_400(self, trace):
+        # the front-end routes a request before any shard sees it; a bad
+        # argument found there is the 400 planning would give
+        with ShardPool({"demo": trace}, 1,
+                       service_kwargs={"max_wait": 0.0}) as pool, \
+                BackgroundServer(pool, port=0) as srv:
+            conn = http.client.HTTPConnection(*srv.address, timeout=60)
+            conn.request("POST", "/plan", body=b'{"deadline": 1e309}')
+            resp = conn.getresponse()
+            doc = json.loads(resp.read())
+            conn.close()
+        assert resp.status == 400
+        assert "deadline must be finite" in doc["error"]

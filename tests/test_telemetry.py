@@ -411,7 +411,7 @@ def trace():
 @pytest.fixture(scope="module")
 def server(trace):
     service = PlanningService({"demo": trace}, max_wait=0.0, workers=2)
-    backend = LocalBackend(service, {"demo": trace})
+    backend = LocalBackend(service)
     with BackgroundServer(backend, port=0) as srv:
         yield srv
     service.close()

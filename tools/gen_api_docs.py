@@ -148,8 +148,9 @@ See `docs/PROTOCOL.md` for the event model and the parity argument;
 `repro.service` is the serving layer over `plan_broadcast`: a
 content-addressed two-tier plan cache (`PlanCache`), a bounded batching
 queue that dedupes concurrent duplicate requests to one computation
-(`Batcher`), and an embeddable facade plus stdlib-only HTTP server
-(`PlanningService`, `make_server`, `serve`) behind `repro serve`:
+(`Batcher`), an embeddable facade (`PlanningService`), and the asyncio
+HTTP front-end behind `repro serve` (`BackgroundServer(LocalBackend(svc))`
+embeds it in process; `ShardPool` backs it with worker processes):
 
 ```python
 from repro.service import PlanningService

@@ -31,9 +31,9 @@ Examples::
         --requests 200 --concurrency 16 --warm-tail \\
         --assert-zero-errors --assert-cache-hits --out report.json
 
-    # the acceptance experiment: 4 shards vs the single-process server
-    PYTHONPATH=src python tools/loadtest.py --compare --shards 4 \\
-        --requests 400 --concurrency 16 --warm-tail --min-speedup 4
+    # sharded vs the single-process server (--shards 0), same front-end
+    PYTHONPATH=src python tools/loadtest.py --compare --shards 2 \\
+        --requests 400 --concurrency 16 --warm-tail
 
 Exits nonzero when any ``--assert-*`` / ``--min-speedup`` bound fails.
 """
@@ -149,10 +149,10 @@ class PooledClient:
     on a one-box benchmark costs about as much as the server spends
     answering — the measurement ends up client-bound and both servers
     read the same.  A thread-local :class:`http.client.HTTPConnection`
-    reuses the connection when the server keeps it alive (the async
-    front-end does) and transparently reconnects when it does not (the
-    legacy HTTP/1.0 server closes after every response — that churn is
-    part of what the comparison measures).
+    reuses the connection while the server keeps it alive and
+    transparently reconnects when it does not (a server closes after a
+    ``Connection: close`` response, and a restarted or peer server may
+    drop an idle connection).
     """
 
     def __init__(self, url: str, timeout: float) -> None:
@@ -206,7 +206,7 @@ def _read_http_response(rfile):
     Returns ``(status, doc, close)``: the status code, the decoded JSON
     body (``None`` when the payload is not JSON), and whether the server
     is closing the connection after this response.  Handles
-    Content-Length framing (what both repro front-ends emit), chunked
+    Content-Length framing (what ``repro serve`` emits), chunked
     transfer coding, and the HTTP/1.0 read-until-close fallback.  The
     caller owns ``rfile`` — one buffered reader per connection, so
     read-ahead never swallows a later pipelined response.
@@ -281,11 +281,12 @@ class PipelinedClient:
     its token by FIFO position so per-response identity checking is
     exactly as strong as before.
 
-    When the server closes the connection after a response (the legacy
-    HTTP/1.0 front-end always does), the outstanding requests are
-    replayed in order on a fresh connection; an unclean failure replays
-    too but charges the head request a retry, and a request out of
-    retries is reported as errored rather than looping forever.
+    When the server closes the connection after a response (one marked
+    ``Connection: close``, or any HTTP/1.0 response without keep-alive),
+    the outstanding requests are replayed in order on a fresh
+    connection; an unclean failure replays too but charges the head
+    request a retry, and a request out of retries is reported as errored
+    rather than looping forever.
     """
 
     _MAX_RETRIES = 4
@@ -420,8 +421,8 @@ class PipelinedClient:
                 if self._pending and self._pending[0] is entry:
                     self._pending.popleft()
                 if close:
-                    # a clean per-response close (HTTP/1.0 front-end)
-                    # made progress, so replaying the rest is not a retry
+                    # a clean per-response close made progress, so
+                    # replaying the rest is not a retry
                     self._teardown_locked()
                     if self._pending:
                         self._replay_locked()
@@ -446,17 +447,15 @@ def scrape_prometheus(url: str, timeout: float = 30.0) -> Tuple[str, str]:
 class BootedServer:
     """A ``repro serve`` subprocess bound to an ephemeral port."""
 
-    def __init__(self, args, shards: int, legacy: bool,
-                 warm_file: Optional[str]) -> None:
+    def __init__(self, args, shards: int, warm_file: Optional[str]) -> None:
         cmd = [
             sys.executable, "-m", "repro", "serve", "--port", "0",
             "--synthetic", str(args.nodes), "--seed", str(args.trace_seed),
             "--cache-capacity", str(args.cache_capacity),
+            "--shards", str(shards),
         ]
         if shards:
-            cmd += ["--shards", str(shards), "--max-wait", "0"]
-        if legacy:
-            cmd += ["--legacy-http"]
+            cmd += ["--max-wait", "0"]
         if warm_file:
             cmd += ["--warm", warm_file]
         env = dict(os.environ)
@@ -716,11 +715,10 @@ def check_prometheus(url: str, report: Dict[str, Any], args,
                      expect_edge: bool) -> Optional[Dict[str, Any]]:
     """Scrape /metrics in Prometheus format once and validate it parses.
 
-    When ``expect_edge`` (a server this run booted and exclusively drove,
-    with the async front-end), also checks that the front-end's
-    ``request.edge`` histogram counted every request the load run issued
-    — the end-to-end proof that per-request telemetry survived shard
-    routing and merge.
+    When ``expect_edge`` (a server this run booted and exclusively
+    drove), also checks that the front-end's ``request.edge`` histogram
+    counted every request the load run issued — the end-to-end proof
+    that per-request telemetry survived shard routing and merge.
     """
     from repro.obs.promtext import parse_prometheus_text
 
@@ -776,9 +774,9 @@ def make_parser() -> argparse.ArgumentParser:
     target.add_argument("--boot", action="store_true",
                         help="boot a repro serve subprocess to drive")
     target.add_argument("--compare", action="store_true",
-                        help="boot both the single-process (legacy) server "
-                        "and a sharded one; report the throughput ratio and "
-                        "cross-check plan identity")
+                        help="boot both the single-process server "
+                        "(--shards 0) and a sharded one; report the "
+                        "throughput ratio and cross-check plan identity")
     p.add_argument("--requests", type=int, default=200)
     p.add_argument("--concurrency", type=int, default=16,
                    help="closed-loop worker count (ignored with --rate)")
@@ -794,9 +792,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--plan-many-ratio", type=float, default=0.05,
                    help="share of requests using POST /plan_many")
     p.add_argument("--shards", type=int, default=2,
-                   help="shard count for --boot/--compare servers")
-    p.add_argument("--legacy-http", action="store_true",
-                   help="with --boot: use the blocking threaded front-end")
+                   help="shard count for --boot/--compare servers "
+                   "(0 with --boot: the single-process server)")
     p.add_argument("--warm-tail", action="store_true",
                    help="with --boot/--compare: write the tail configs to a "
                    "--warm file so misses exercise the shared cache tiers "
@@ -849,9 +846,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         if args.compare:
             identity = IdentityTracker()
-            print("# booting single-process baseline (legacy front-end)")
-            single = BootedServer(args, shards=0, legacy=True,
-                                  warm_file=warm_file)
+            print("# booting single-process baseline (--shards 0)")
+            single = BootedServer(args, shards=0, warm_file=warm_file)
             try:
                 single_report = run_load(single.url, workload, args, identity)
             finally:
@@ -859,7 +855,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"# single: {single_report['throughput_rps']:.1f} rps, "
                   f"p99 {single_report['latency'].get('p99_ms', 0):.1f} ms")
             print(f"# booting {args.shards}-shard server")
-            sharded = BootedServer(args, shards=args.shards, legacy=False,
+            sharded = BootedServer(args, shards=args.shards,
                                    warm_file=warm_file)
             try:
                 sharded_report = run_load(sharded.url, workload, args,
@@ -907,8 +903,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             url = args.url
             if not url:
                 server = BootedServer(
-                    args, shards=0 if args.legacy_http else args.shards,
-                    legacy=args.legacy_http, warm_file=warm_file,
+                    args, shards=args.shards, warm_file=warm_file
                 )
                 url = server.url
             identity = IdentityTracker()
@@ -916,7 +911,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 report = run_load(url, workload, args, identity)
                 prom = check_prometheus(
                     url, report, args, failures,
-                    expect_edge=server is not None and not args.legacy_http,
+                    expect_edge=server is not None,
                 )
                 if prom is not None:
                     report["prometheus"] = prom

@@ -10,7 +10,7 @@ way a client fleet would, asserting the service's acceptance properties:
 2. **backpressure**: with a deliberately tiny queue bound, a burst of
    *distinct* (uncacheable) requests yields at least one HTTP 429 carrying
    a ``Retry-After`` header, while every admitted request still completes;
-3. **shutdown**: the server exits cleanly on SIGINT.
+3. **shutdown**: each server drains and its event-loop thread exits.
 
 Usage::
 
@@ -68,7 +68,12 @@ def check(condition: bool, message: str) -> None:
 
 def main() -> int:
     from repro import obs
-    from repro.service import PlanCache, PlanningService, make_server
+    from repro.service import (
+        BackgroundServer,
+        LocalBackend,
+        PlanCache,
+        PlanningService,
+    )
     from repro.traces import HaggleLikeConfig, haggle_like_trace
 
     trace = haggle_like_trace(HaggleLikeConfig(num_nodes=14), seed=3)
@@ -76,10 +81,8 @@ def main() -> int:
     # --- property 1+3: duplicate requests share one computation ----------
     obs.enable()  # tracer counters observe the auxiliary-graph builds
     service = PlanningService({"synthetic": trace}, max_wait=0.05, workers=4)
-    server = make_server(service, port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    url = "http://%s:%d" % server.server_address[:2]
+    server = BackgroundServer(LocalBackend(service), port=0)
+    url = "http://%s:%d" % server.address
     print(f"# serving on {url}")
 
     body = {"deadline": 2000, "window": 9000, "seed": 3}
@@ -127,11 +130,8 @@ def main() -> int:
     check(metrics["batcher"]["deduped"] >= 1,
           f"batcher deduped requests ({metrics['batcher']['deduped']})")
 
-    server.shutdown()
-    server.server_close()
-    service.close()
-    thread.join(timeout=10)
-    check(not thread.is_alive(), "first server shut down cleanly")
+    server.stop()  # drains the backend, which closes the service
+    check(not server._thread.is_alive(), "first server shut down cleanly")
 
     # --- property 2: tiny queue bound produces 429 backpressure ----------
     # One slow worker, one queue slot: a burst of *distinct* problems (the
@@ -141,10 +141,8 @@ def main() -> int:
         cache=PlanCache(capacity=4),
         workers=1, max_batch=1, max_wait=0.0, max_queue=1,
     )
-    server = make_server(service, port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    url = "http://%s:%d" % server.server_address[:2]
+    server = BackgroundServer(LocalBackend(service), port=0)
+    url = "http://%s:%d" % server.address
 
     burst = _concurrent(
         lambda i: _post(url, {"deadline": 2000, "window": 9000, "seed": i}),
@@ -160,11 +158,8 @@ def main() -> int:
     check(all(st in (200, 429) for st in statuses),
           f"burst produced only 200/429 (saw {sorted(set(statuses))})")
 
-    server.shutdown()
-    server.server_close()
-    service.close()
-    thread.join(timeout=10)
-    check(not thread.is_alive(), "second server shut down cleanly")
+    server.stop()
+    check(not server._thread.is_alive(), "second server shut down cleanly")
 
     print("service smoke test passed")
     return 0
