@@ -65,6 +65,7 @@ from .errors import (
     GraphModelError,
     InfeasibleError,
     IntervalError,
+    NativeBuildError,
     PartitionError,
     ReproError,
     ScheduleError,
@@ -211,4 +212,5 @@ __all__ = [
     "InfeasibleError",
     "SolverError",
     "TraceFormatError",
+    "NativeBuildError",
 ]

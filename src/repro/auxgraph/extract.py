@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable, Set, Tuple
 
+import numpy as np
+
 from ..schedule.schedule import Schedule, Transmission
 from .build import AuxGraph
 from .model import AuxNode, is_tx, level_of, node_of, point_index_of
@@ -25,8 +27,15 @@ Node = Hashable
 Edge = Tuple[AuxNode, AuxNode]
 
 
-def extract_schedule(aux: AuxGraph, tree_edges: Iterable[Edge]) -> Schedule:
-    """Decode a Steiner tree (edge set) into a broadcast relay schedule."""
+def extract_schedule(aux, tree_edges: Iterable[Edge]) -> Schedule:
+    """Decode a Steiner tree (edge set) into a broadcast relay schedule.
+
+    ``aux`` is the networkx :class:`~repro.auxgraph.build.AuxGraph` or
+    the implicit :class:`~repro.compute.numpy_backend.NumpyAuxGraph`,
+    whose trees are read as node ids.
+    """
+    if not isinstance(aux, AuxGraph):
+        return _extract_ids(aux, tree_edges)
     edges = list(tree_edges)
     used_tx: Set[AuxNode] = set()
     has_coverage: Set[AuxNode] = set()
@@ -52,3 +61,25 @@ def extract_schedule(aux: AuxGraph, tree_edges: Iterable[Edge]) -> Schedule:
         w = dcs.entries[k][0]
         rows.append(Transmission(node, aux.time_of(node, l), w))
     return Schedule(rows)
+
+
+def _extract_ids(aux, tree_edges) -> Schedule:
+    """:func:`extract_schedule` on the implicit graph, in node ids.
+
+    Transmission ``j`` (id ``num_states + j``) is used when the tree
+    enters it and it has a coverage child.  Within a state, ids rise
+    with the level, so the highest used id per state is its best level,
+    and its cost is ``tx_w[j]``.
+    """
+    ids = aux.tree_ids(tree_edges)
+    S = aux.num_states
+    parents, children = ids[0::2], ids[1::2]
+    used = np.intersect1d(parents[parents >= S], children[children >= S]) - S
+    owners = np.searchsorted(aux.tx_ptr, used, "right") - 1
+    best = np.ones(len(used), dtype=bool)
+    best[:-1] = owners[1:] != owners[:-1]
+    return Schedule(
+        Transmission(node, aux.time_of(node, l), w)
+        for (_, node, l), w in zip(aux.aux_nodes.decode(owners[best]),
+                                   aux.tx_w[used[best]].tolist())
+    )

@@ -71,6 +71,17 @@ def _algorithm_arg(value: str) -> str:
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def _timeout_arg(value: str) -> float:
+    """argparse type: the service's own per-request timeout check, so a
+    bad ``--timeout`` fails before any backend or shard starts."""
+    from .service.server import _check_timeout
+
+    try:
+        return _check_timeout(float(value))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
 def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--trace-out", default=None, metavar="FILE",
@@ -302,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="most requests drained per batch flush")
     v.add_argument("--max-wait", type=float, default=0.005,
                    help="seconds a flush lingers for request coalescing")
-    v.add_argument("--timeout", type=float, default=30.0,
+    v.add_argument("--timeout", type=_timeout_arg, default=30.0,
                    help="per-request seconds before HTTP 504")
     v.add_argument("--cache-capacity", type=int, default=128,
                    help="in-memory plan-cache entries")
@@ -656,12 +667,9 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    import asyncio
-    import signal
     from pathlib import Path
 
     from .service import (
-        AsyncPlanningServer,
         LocalBackend,
         PlanCache,
         PlanningService,
@@ -704,6 +712,21 @@ def _cmd_serve(args) -> int:
             traces, cache=PlanCache(**cache_kwargs), **service_kwargs
         )
         backend = LocalBackend(service, max_inflight=args.max_inflight)
+    try:
+        return _serve(args, backend, traces, warm_configs, logger)
+    except BaseException:
+        # A failed boot (say, a taken port) must not leave shard workers
+        # behind to hold the process open.
+        backend.drain(timeout=5.0)
+        raise
+
+
+def _serve(args, backend, traces, warm_configs, logger) -> int:
+    import asyncio
+    import signal
+
+    from .service import AsyncPlanningServer
+
     if warm_configs:
         stats = backend.warm(warm_configs)
         print(f"# warmed {stats['warmed']} configs "

@@ -37,20 +37,22 @@ networkx reference construction
   ``(distance, id)``, so live entries pop in the reference's order: the
   expansions, the ``expansions`` counter and the tree are identical.
   A state whose waiting edge the expansion lowers would be the next pop,
-  so it is expanded in place.  The tree stays in node ids until the
-  search returns and is then decoded in one vectorized pass
-  (:meth:`LazyAuxNodes.decode`, the graph's only id decoder).
+  so it is expanded in place.  The search loop is compiled C
+  (:mod:`repro.compute.native`), and the tree it returns stays in node
+  ids (:class:`LazyTreeEdges`) through schedule extraction and
+  :meth:`NumpyAuxGraph.tree_cost`; it is decoded
+  (:meth:`LazyAuxNodes.decode`, the graph's only id decoder) only when
+  iterated.
 """
 
 from __future__ import annotations
 
-import heapq
+import ctypes
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, replace
-from typing import (
-    Dict, Hashable, List, Mapping, Optional, Sequence, Set, Tuple,
-)
+from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -58,12 +60,13 @@ from .. import obs
 from ..auxgraph.model import AuxNode, state_node, tx_node
 from ..dts.dts import DiscreteTimeSet, build_dts
 from ..errors import GraphModelError, InfeasibleError
-from ..tveg.costsets import DiscreteCostSet
 from ..tveg.graph import TVEG
+from . import native
 
 __all__ = [
     "node_components",
     "NumpyAuxGraph",
+    "LazyTreeEdges",
     "build_numpy_aux_graph",
     "greedy_incremental_dst_numpy",
 ]
@@ -225,63 +228,38 @@ class LazyAuxNodes(Sequence):
         return iter(self.decode(np.arange(len(self), dtype=np.int64)))
 
 
-class LazyCostSets(Mapping):
-    """``(node, point index) → DiscreteCostSet``, each built on first access.
+class LazyTreeEdges(AbstractSet):
+    """A greedy Steiner tree held as ``(parent, child)`` node ids.
 
-    The keys are the points that emitted a transmission node — the reference
-    build's ``cost_sets`` keys, iterated in the same order.  A point's
-    DCS entries are its node's active contact components in canonical
-    order (:class:`NodeComponents`), so a set is rebuilt from the
-    component runs ``a[j] <= l < b[j]`` when schedule extraction or
-    :meth:`NumpyAuxGraph.tree_cost` asks for it, and then memoized.
+    ``ids`` is the flat ``[parent, child, …]`` array in graft order;
+    ``len`` is the number of edges.  Schedule extraction and
+    :meth:`NumpyAuxGraph.tree_cost` read the ids.  Iteration and ``in``
+    decode the pairs on first use, through :meth:`LazyAuxNodes.decode`,
+    into the set the networkx search builds: the same tuples, inserted
+    in graft order.
     """
 
-    __slots__ = ("_dts", "_state_base", "_tx_ptr", "_runs", "_len", "_memo")
+    __slots__ = ("ids", "_nodes", "_edges")
 
-    def __init__(self, dts, state_base, tx_ptr, runs):
-        self._dts = dts
-        self._state_base = state_base
-        self._tx_ptr = tx_ptr
-        #: graph node → ``(components, a, b)``
-        self._runs = runs
-        self._len = int(np.count_nonzero(np.diff(tx_ptr)))
-        self._memo: Dict[Tuple[Node, int], DiscreteCostSet] = {}
+    def __init__(self, ids, nodes: LazyAuxNodes):
+        self.ids = ids  #: (2E,) int64
+        self._nodes = nodes
+        self._edges: Optional[Set[Edge]] = None
 
-    def _emits(self, node: Node, l: int) -> bool:
-        base = self._state_base.get(node)
-        return (
-            base is not None
-            and 0 <= l < len(self._dts.points(node))
-            and self._tx_ptr[base + l] < self._tx_ptr[base + l + 1]
-        )
-
-    def __getitem__(self, key) -> DiscreteCostSet:
-        dcs = self._memo.get(key)
-        if dcs is None:
-            node, l = key
-            if not self._emits(node, l):
-                raise KeyError(key)
-            comp, a, b = self._runs[node]
-            js = np.flatnonzero((a <= l) & (l < b))
-            entries = tuple(zip(
-                comp.costs[js].tolist(),
-                [comp.neighbors[j] for j in js.tolist()],
-            ))
-            dcs = self._memo[key] = DiscreteCostSet(
-                node=node, time=self._dts.points(node)[l], entries=entries
-            )
-        return dcs
-
-    def __iter__(self):
-        ptr = self._tx_ptr
-        for node, base in self._state_base.items():
-            end = base + len(self._dts.points(node))
-            emits = ptr[base + 1:end + 1] > ptr[base:end]
-            for l in np.flatnonzero(emits).tolist():
-                yield (node, l)
+    def _decoded(self) -> Set[Edge]:
+        if self._edges is None:
+            nodes = self._nodes.decode(self.ids)
+            self._edges = set(zip(nodes[0::2], nodes[1::2]))
+        return self._edges
 
     def __len__(self) -> int:
-        return self._len
+        return len(self.ids) // 2
+
+    def __iter__(self):
+        return iter(self._decoded())
+
+    def __contains__(self, edge) -> bool:
+        return edge in self._decoded()
 
 
 @dataclass(repr=False, eq=False)
@@ -312,11 +290,10 @@ class NumpyAuxGraph:
       point starts its coverage at the same place.
 
     ``num_edges`` and ``dcs_levels`` are counted during the build;
-    ``aux_nodes`` and ``cost_sets`` decode on access.  The id lookup
-    :meth:`index_of` is arithmetic.  Exposes the decoding surface of
-    :class:`~repro.auxgraph.build.AuxGraph` (``root`` / ``terminals`` /
-    ``cost_sets`` / :meth:`time_of`), so schedule extraction works
-    unchanged.
+    ``aux_nodes`` decodes on access.  The id lookup :meth:`index_of` is
+    arithmetic.  A level's DCS cost is its ``tx_w`` entry, so schedule
+    extraction and :meth:`tree_cost` read a tree's ids
+    (:meth:`tree_ids`) and never build a cost set.
     """
 
     aux_nodes: LazyAuxNodes
@@ -326,7 +303,6 @@ class NumpyAuxGraph:
     terminals: Tuple[AuxNode, ...]
     root_index: int
     terminal_indices: Tuple[int, ...]
-    cost_sets: LazyCostSets
     state_base: Dict[Node, int]
     #: (S+1,) int64 — first transmission index of each state's point
     tx_ptr: "np.ndarray"
@@ -404,25 +380,27 @@ class NumpyAuxGraph:
         hi = lo + int(self.tx_cnt[j])
         return [(v, 0.0) for v in self.recv[lo:hi].tolist()]
 
-    def tree_cost(self, edges) -> float:
-        """Summed edge weights without per-edge id recovery.
+    def tree_ids(self, edges) -> "np.ndarray":
+        """The flat ``[parent, child, …]`` id array of an edge set: a
+        :class:`LazyTreeEdges`' own, else each tuple's :meth:`index_of`."""
+        if isinstance(edges, LazyTreeEdges):
+            return edges.ids
+        return np.array([self.index_of(x) for e in edges for x in e],
+                        dtype=np.int64)
 
-        Only state → transmission edges carry weight, and that weight is
-        by construction the cost level the transmission node's ``(l, k)``
-        indexes in the owner's cost set — the float its row holds.
-        Adding 0.0 for the waiting and coverage edges is exact, so
-        skipping them reproduces the reference graph's
-        :func:`math.fsum` over every edge bit for bit; fsum's exact
-        rounding also makes the result independent of the set's
-        hash-seed-dependent iteration order.
+    def tree_cost(self, edges) -> float:
+        """Summed edge weights, read from ``tx_w`` by id.
+
+        Only state → transmission edges carry weight: the child's cost
+        level, ``tx_w[j]``.  Adding 0.0 for the waiting and coverage
+        edges is exact, so summing the child transmissions' levels
+        reproduces the reference graph's :func:`math.fsum` over every
+        edge bit for bit; fsum's exact rounding also makes the result
+        independent of the edges' order.
         """
-        cost_sets = self.cost_sets
-        weights = [
-            cost_sets[(v[1], v[2])].entries[v[3]][0]
-            for _u, v in edges
-            if v[0] == "tx"
-        ]
-        return float(math.fsum(weights))
+        child = self.tree_ids(edges)[1::2]
+        j = child[child >= self.num_states] - self.num_states
+        return float(math.fsum(self.tx_w[j].tolist()))
 
     def retarget(
         self, source: Node, targets: Optional[Tuple[Node, ...]] = None
@@ -489,7 +467,7 @@ def build_numpy_aux_graph(
     """Build the Section VI-A auxiliary graph in implicit form.
 
     Returns a :class:`NumpyAuxGraph` whose node numbering, per-row edge
-    order, weights and ``cost_sets`` are identical to
+    order and weights are identical to
     :func:`~repro.auxgraph.build.build_aux_graph`'s — pinned row for row
     by the compute-parity suite, on costs constant within each contact
     and on costs that vary within one (see :func:`node_components`).
@@ -526,14 +504,13 @@ def build_numpy_aux_graph(
             f"{num_states} auxiliary states exceed the int32 state ids"
         )
 
-    # Counting pass.  The components are kept for LazyCostSets, and each
-    # active cell yields at most one transmission and one receiver entry.
-    runs: Dict[Node, Tuple[NodeComponents, np.ndarray, np.ndarray]] = {}
-    bound = 0
-    for node in labels:
-        # Component j is adjacent at point l  ⇔  a[j] <= l < b[j].
-        _, a, b = runs[node] = node_components(tveg, node, pts_of[node])
-        bound += int(np.maximum(b - a, 0).sum())
+    # Counting pass: each active cell yields at most one transmission
+    # and one receiver entry.  Component j is adjacent at point l  ⇔
+    # a[j] <= l < b[j].
+    components = [
+        node_components(tveg, node, pts_of[node]) for node in labels
+    ]
+    bound = sum(int(np.maximum(b - a, 0).sum()) for _, a, b in components)
 
     tx_w = np.empty(bound, dtype=np.float64)
     tx_cnt = np.empty(bound, dtype=np.int32)
@@ -547,10 +524,9 @@ def build_numpy_aux_graph(
     num_edges = 0
     dcs_level_total = 0
 
-    for node in labels:
+    for node, (comp, a, b) in zip(labels, components):
         pts = pts_of[node]
         P = len(pts)
-        comp, a, b = runs[node]
         C = len(comp)
         num_edges += max(P - 1, 0)  # waiting edges
         # Active cells of this node, sparsely: each component contributes
@@ -690,7 +666,6 @@ def build_numpy_aux_graph(
         terminal_indices=tuple(
             state_base[n] + len(pts_of[n]) - 1 for n in wanted
         ),
-        cost_sets=LazyCostSets(d, state_base, tx_ptr, runs),
         state_base=state_base,
         tx_ptr=tx_ptr,
         recv_ptr=recv_ptr,
@@ -704,17 +679,12 @@ def build_numpy_aux_graph(
     )
 
 
-#: transmission flag bits of :func:`greedy_incremental_dst_numpy`
-_EXPANDED = 1  # expanded at its current distance
-_IN_TREE = 2
-
-
 def greedy_incremental_dst_numpy(
     graph: NumpyAuxGraph,
     root: AuxNode,
     terminals: Sequence[AuxNode],
     stats: Optional[Dict[str, int]] = None,
-) -> Set[Edge]:
+) -> LazyTreeEdges:
     """The incremental multi-source Dijkstra over the implicit graph.
 
     Identical search to :func:`~repro.steiner.dst.greedy_incremental_dst`
@@ -722,8 +692,7 @@ def greedy_incremental_dst_numpy(
     same ``expansions`` / ``grafts`` counters, same tree — but it keeps
     distances for the state nodes only and queues at most one pending
     cost level per state instead of every transmission node.  Rows are
-    read straight from the build's arrays (zero-copy memoryviews, which
-    index and slice into native ints and floats).
+    read straight from the build's arrays, in place.
 
     **Why only states need distances.**  A transmission node ``j`` of
     state ``s`` has exactly one in-edge, ``s → j``, weighted by its cost
@@ -790,15 +759,28 @@ def greedy_incremental_dst_numpy(
     The 0-weight waiting and coverage edges skip the ``+ 0.0``:
     distances are never below ``+0.0``, where adding ``0.0`` is exact.
 
-    **The tree stays in ids until the search returns.**  Each graft
-    appends its ``(parent, child)`` ids in graft order.  Once the search
-    state is freed, :meth:`LazyAuxNodes.decode` turns all of them into
-    tuples in one vectorized pass, and the pairs enter the result set in
-    graft order: the networkx solver's elements and insertion history,
-    so even ``list(edges)`` matches it.  No output depends on that order,
-    though: :class:`~repro.schedule.Schedule` sorts its rows by
-    ``(time, repr(relay))``, unique per row, and
+    **The tree stays in ids.**  Each graft appends its ``(parent,
+    child)`` ids in graft order, and the result is a
+    :class:`LazyTreeEdges` over that flat id array.  Schedule extraction
+    and :meth:`NumpyAuxGraph.tree_cost` read the ids; iterating the tree
+    or testing membership decodes it once, and the pairs enter the
+    decoded set in graft order: the networkx solver's elements and
+    insertion history, so even ``list(edges)`` matches it.  No output
+    depends on that order, though: :class:`~repro.schedule.Schedule`
+    sorts its rows by ``(time, repr(relay))``, unique per row, and
     :meth:`NumpyAuxGraph.tree_cost` sums with :func:`math.fsum`.
+
+    **The search is compiled.**  The loop is ``_steiner.c``, a
+    line-for-line port (see :mod:`repro.compute.native`): the same heap
+    keys, the same IEEE double comparisons and the same flag states, so
+    everything above holds for it word for word.  Per state it keeps
+    ``dist`` / ``dlast`` (doubles), ``pred`` and one flag byte; per
+    transmission one flag byte, whose "uncovered terminal" bit no
+    pending test reads.  Raises :class:`~repro.errors.GraphModelError`
+    before the call when an array has the wrong type, layout or length,
+    or an id is out of range, and
+    :class:`~repro.errors.NativeBuildError` when the search cannot be
+    compiled.
     """
     root_i = (
         graph.root_index if root == graph.root else graph.index_of(root)
@@ -811,149 +793,84 @@ def greedy_incremental_dst_numpy(
     uncovered.discard(root_i)
 
     tree_ids, expansions, grafts = _greedy_search(graph, root_i, uncovered)
-    nodes = graph.aux_nodes.decode(tree_ids)
-    tree_edges: Set[Edge] = set(zip(nodes[0::2], nodes[1::2]))
     if stats is not None:
         stats["expansions"] = stats.get("expansions", 0) + expansions
         stats["grafts"] = stats.get("grafts", 0) + grafts
     obs.counter("steiner.expansions", expansions)
     obs.counter("steiner.grafts", grafts)
-    return tree_edges
+    return LazyTreeEdges(tree_ids, graph.aux_nodes)
+
+
+#: (attribute, dtype) of every array the compiled search reads
+_SEARCH_ARRAYS = (
+    ("tx_ptr", np.int64), ("recv_ptr", np.int64), ("tx_w", np.float64),
+    ("tx_cnt", np.int32), ("recv", np.int32),
+)
+
+
+def _check_search_arrays(graph: NumpyAuxGraph, ids: List[int]) -> None:
+    """Raise :class:`GraphModelError` unless the compiled search can read
+    ``graph``'s arrays and the node ids ``ids`` as they are."""
+    if not isinstance(graph.wait, bytes):
+        raise GraphModelError("the search needs wait as bytes")
+    S = len(graph.wait)
+    for name, dtype in _SEARCH_ARRAYS:
+        arr = getattr(graph, name)
+        if not (isinstance(arr, np.ndarray) and arr.dtype == dtype
+                and arr.ndim == 1 and arr.flags.c_contiguous):
+            raise GraphModelError(
+                f"the search needs {name} as a C-contiguous "
+                f"{np.dtype(dtype)} vector, got {getattr(arr, 'dtype', arr)!r}"
+            )
+    T = len(graph.tx_w)
+    # The last state has no waiting edge: the search reads dist[u + 1].
+    if not (len(graph.tx_ptr) == len(graph.recv_ptr) == S + 1
+            and len(graph.tx_cnt) == T and graph.tx_ptr[-1] == T
+            and graph.recv_ptr[-1] <= len(graph.recv)
+            and graph.wait[-1:] in (b"", b"\0")):
+        raise GraphModelError(
+            f"inconsistent aux-graph arrays for {S} states and {T} "
+            "transmissions"
+        )
+    bad = [i for i in ids if not 0 <= i < S + T]
+    if bad:
+        raise GraphModelError(f"node ids {bad!r} out of range")
 
 
 def _greedy_search(
     graph: NumpyAuxGraph, root_i: int, uncovered: Set[int]
-) -> Tuple[List[int], int, int]:
-    """The search loop of :func:`greedy_incremental_dst_numpy`.
-
-    Returns the tree edges as a flat ``[parent, child, …]`` id list in
-    graft order, then the ``expansions`` and ``grafts`` counts.  The
-    heap, distances and flags die with this frame, before the caller
-    decodes the tree.
-    """
-    num_states = graph.num_states
-    wait = graph.wait
-    tx_ptr = graph.tx_ptr.tolist()
-    recv_ptr = memoryview(graph.recv_ptr)
-    tx_w = memoryview(graph.tx_w)
-    tx_cnt = memoryview(graph.tx_cnt)
-    recv = memoryview(graph.recv)
-
-    INF = float("inf")
-    dist = [INF] * num_states
-    dlast = [INF] * num_states  #: distance of each state's last expansion
-    pred = [-1] * num_states
-    in_tree = bytearray(num_states)
-    flags = bytearray(len(graph.tx_w))  #: _EXPANDED | _IN_TREE bits
-    tree_ids: List[int] = []
-
-    heap: List[Tuple[float, int]] = []
-    expansions = 0
-    grafts = 0
-    heappop = heapq.heappop
-    heappush = heapq.heappush
-
-    def enter_tree(i: int) -> None:
-        if i < num_states:
-            in_tree[i] = 1
-            dist[i] = 0.0
-        else:
-            flags[i - num_states] = _IN_TREE
-        heappush(heap, (0.0, i))
-        uncovered.discard(i)
-
-    enter_tree(int(root_i))
-
-    while uncovered:
-        target = -1
-        while heap:
-            dd, u = heappop(heap)
-            if u < num_states:
-                if dd > dist[u]:
-                    continue  # stale entry
-                # Expand u, then each state its waiting edge lowers, in
-                # place: that state would be the next pop.
-                while True:
-                    expansions += 1
-                    if u in uncovered:
-                        target = u
-                        break
-                    lo = tx_ptr[u]
-                    hi = tx_ptr[u + 1]
-                    if lo < hi:
-                        old = dlast[u]
-                        dlast[u] = dd
-                        if dd < old < INF:  # a lower-distance re-expansion
-                            for j in range(lo, hi):
-                                if flags[j] == _EXPANDED:
-                                    w = tx_w[j]
-                                    if dd + w < old + w:
-                                        flags[j] = 0
-                        j = flags.find(0, lo, hi)
-                        if j >= 0:
-                            nd = dd + tx_w[j]
-                            if nd < INF:
-                                heappush(heap, (nd, num_states + j))
-                    if not wait[u] or dd >= dist[u + 1]:
-                        break
-                    pred[u + 1] = u
-                    u += 1
-                    dist[u] = dd
-                if target >= 0:
-                    break
-                continue
-            j = u - num_states
-            f = flags[j]
-            if f & _EXPANDED:
-                continue  # an equal-key duplicate
-            s = bisect_right(tx_ptr, j) - 1
-            if f:  # in the tree: only its graft entry (0.0, u) is live
-                if dd > 0.0:
-                    continue
-                flags[j] = _IN_TREE | _EXPANDED
-            else:
-                d = dlast[s]
-                if dd > d + tx_w[j]:
-                    continue  # stale entry
-                flags[j] = _EXPANDED
-                nxt = flags.find(0, j + 1, tx_ptr[s + 1])
-                if nxt >= 0:
-                    nd = d + tx_w[nxt]
-                    if nd < INF:
-                        heappush(heap, (nd, num_states + nxt))
-            expansions += 1
-            if u in uncovered:
-                target = u
-                break
-            lo = recv_ptr[s]
-            for v in recv[lo:lo + tx_cnt[j]]:
-                if dd < dist[v]:
-                    dist[v] = dd
-                    pred[v] = u
-                    heappush(heap, (dd, v))
-        if target < 0:
-            first = graph.aux_nodes[next(iter(uncovered))]
-            raise InfeasibleError(
-                f"{len(uncovered)} terminal(s) unreachable from the tree "
-                f"(first: {first!r})"
-            )
-        # Graft the pred-chain back to the nearest tree node; a
-        # transmission's pred is its state.
-        chain: List[Tuple[int, int]] = []
-        v = int(target)
-        while v >= 0:
-            if v < num_states:
-                if in_tree[v]:
-                    break
-                p = pred[v]
-            else:
-                if flags[v - num_states] & _IN_TREE:
-                    break
-                p = bisect_right(tx_ptr, v - num_states) - 1
-            chain.append((v, p))
-            v = p
-        for i, p in reversed(chain):
-            tree_ids += (p, i)
-            enter_tree(i)
-        grafts += 1
-    return tree_ids, expansions, grafts
+) -> Tuple["np.ndarray", int, int]:
+    """Run the compiled search; returns the tree's flat ``[parent, child,
+    …]`` id array in graft order, then the ``expansions`` and ``grafts``
+    counts.  The search's state lives and dies inside the call."""
+    terminals = np.fromiter(uncovered, dtype=np.int64, count=len(uncovered))
+    _check_search_arrays(graph, [root_i, *terminals.tolist()])
+    lib = native.library()
+    tree = ctypes.POINTER(ctypes.c_int64)()
+    n, expansions, grafts = (ctypes.c_int64() for _ in range(3))
+    rc = lib.repro_steiner_search(
+        len(graph.wait), len(graph.tx_w), graph.wait,
+        graph.tx_ptr.ctypes.data, graph.recv_ptr.ctypes.data,
+        graph.tx_w.ctypes.data, graph.tx_cnt.ctypes.data,
+        graph.recv.ctypes.data, root_i, terminals.ctypes.data,
+        len(terminals), ctypes.byref(tree), ctypes.byref(n),
+        ctypes.byref(expansions), ctypes.byref(grafts),
+    )
+    try:
+        ids = (np.ctypeslib.as_array(tree, shape=(n.value,)).copy()
+               if n.value else np.empty(0, dtype=np.int64))
+    finally:
+        lib.repro_steiner_free(tree)
+    if rc == 2:
+        raise MemoryError("the Steiner search ran out of memory")
+    if rc == 1:
+        # One discard at a time, as the reference search does: a bulk
+        # difference_update may resize the set and reorder it.
+        for i in ids.tolist():
+            uncovered.discard(i)
+        first = graph.aux_nodes[next(iter(uncovered))]
+        raise InfeasibleError(
+            f"{len(uncovered)} terminal(s) unreachable from the tree "
+            f"(first: {first!r})"
+        )
+    return ids, expansions.value, grafts.value

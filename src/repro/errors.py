@@ -49,6 +49,12 @@ class SolverError(ReproError):
     """Raised when an optimization backend fails to converge or errors out."""
 
 
+class NativeBuildError(ReproError):
+    """Raised when the compiled Steiner search cannot be built or loaded:
+    no C compiler (``CC``), or a failed compile.  A server fault, so the
+    planning service answers it with HTTP 500."""
+
+
 class TraceFormatError(ReproError):
     """Raised when a contact-trace file cannot be parsed."""
 

@@ -49,7 +49,7 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, Mapping, Optional, Set, Tuple
 
 from .. import obs
 from ..errors import ServiceOverloaded
@@ -62,6 +62,7 @@ from ..obs.promtext import (
 from .router import routing_key
 from .server import (
     PlanningService,
+    _check_timeout,
     exception_status,
     execute_request,
     parse_plan_request,
@@ -273,16 +274,16 @@ class AsyncPlanningServer:
         edge_cache: int = 1024,
         logger=None,
     ) -> None:
-        if timeout <= 0:
-            raise ValueError(f"timeout must be positive, got {timeout}")
+        self._timeout = _check_timeout(timeout)
         self.backend = backend
         self._host = host
         self._port = port
-        self._timeout = float(timeout)
         self._edge = _EdgeCache(edge_cache)
         self._logger = logger
         self._server: Optional[asyncio.AbstractServer] = None
         self._active_requests = 0
+        #: writers of connections waiting for their next request
+        self._idle: Set[asyncio.StreamWriter] = set()
         self._served = 0
         self._errors = 0
         self._draining = False
@@ -326,7 +327,8 @@ class AsyncPlanningServer:
             await self.drain()
 
     async def drain(self, timeout: float = 30.0) -> Any:
-        """Stop accepting, finish in-flight requests, drain the backend."""
+        """Stop accepting, finish in-flight requests, close the idle
+        keep-alive connections, drain the backend."""
         self._draining = True
         if self._server is not None:
             self._server.close()
@@ -335,6 +337,10 @@ class AsyncPlanningServer:
         deadline = loop.time() + timeout
         while self._active_requests and loop.time() < deadline:
             await asyncio.sleep(0.01)
+        # Their handlers read EOF and return, so none is left for the
+        # loop's shutdown to cancel.
+        for writer in list(self._idle):
+            writer.close()
         finals = await loop.run_in_executor(
             None, lambda: self.backend.drain(timeout)
         )
@@ -355,6 +361,7 @@ class AsyncPlanningServer:
                 sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             except OSError:
                 pass
+        cancelled = False
         try:
             # leftover carries bytes read past the end of one request —
             # the start of the next when a client pipelines — so
@@ -362,6 +369,7 @@ class AsyncPlanningServer:
             # framed exactly and answered in order
             leftover = b""
             while True:
+                self._idle.add(writer)
                 try:
                     request, leftover = await self._read_request(
                         reader, leftover
@@ -370,6 +378,8 @@ class AsyncPlanningServer:
                     payload, _ = self._error_doc(str(exc))
                     await self._send(writer, "-", exc.status, payload, False)
                     break
+                finally:
+                    self._idle.discard(writer)
                 if request is None:
                     break
                 keep_alive = await self._respond(request, writer)
@@ -377,12 +387,17 @@ class AsyncPlanningServer:
                     break
         except (ConnectionResetError, BrokenPipeError, asyncio.LimitOverrunError):
             pass
+        except asyncio.CancelledError:
+            # Cancelled at loop shutdown: nothing awaits this task, and the
+            # stream server would log its cancellation as an error.
+            cancelled = True
         finally:
             writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass
+            if not cancelled:
+                try:
+                    await writer.wait_closed()
+                except (ConnectionResetError, BrokenPipeError, OSError):
+                    pass
 
     async def _read_request(
         self, reader: asyncio.StreamReader, leftover: bytes = b""

@@ -47,7 +47,12 @@ from ..api import (
     plan_broadcast_many,
     plan_cache_key,
 )
-from ..errors import InfeasibleError, ReproError, ServiceOverloaded
+from ..errors import (
+    InfeasibleError,
+    NativeBuildError,
+    ReproError,
+    ServiceOverloaded,
+)
 from ..obs.histogram import MetricsRegistry
 from ..schedule.io import plan_to_doc, planset_to_doc
 from ..traces.model import ContactTrace
@@ -194,6 +199,8 @@ def exception_status(exc: BaseException) -> Tuple[int, str, Optional[float]]:
         )
     if isinstance(exc, InfeasibleError):
         return 422, str(exc), None
+    if isinstance(exc, NativeBuildError):
+        return 500, str(exc), None  # the server's fault, not the request's
     if isinstance(exc, (ReproError, TypeError, ValueError)):
         return 400, str(exc), None
     raise exc  # genuinely unexpected: let it surface as a bug

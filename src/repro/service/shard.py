@@ -317,7 +317,7 @@ class ShardHandle:
 
         Returns the worker's final metrics document when it answered the
         shutdown handshake in time, else ``None`` (the worker is then
-        terminated rather than waited on forever).
+        killed rather than waited on forever).
         """
         with self._lock:
             if self._closed:
@@ -338,7 +338,7 @@ class ShardHandle:
             final = None
         self.proc.join(timeout=max(0.1, deadline - time.monotonic()))
         if self.proc.is_alive():
-            self.proc.terminate()
+            self.proc.kill()  # the worker ignores SIGTERM
             self.proc.join(timeout=1.0)
         try:
             self._conn.close()
@@ -576,7 +576,7 @@ class ShardPool:
         Partitioning by routing key is the point: warming shard 0 with a
         config shard 3 serves would prime the wrong memory tier (only the
         shared disk tier would benefit).  Unroutable configs (stale trace
-        names) count as failed, matching
+        names, arguments routing cannot read) count as failed, matching
         :meth:`PlanningService.warm`'s never-abort contract.
         """
         per_shard: List[List[Mapping[str, Any]]] = [
@@ -590,7 +590,7 @@ class ShardPool:
             probe = {k: v for k, v in body.items() if k != "op"}
             try:
                 per_shard[self.shard_for(method, probe)].append(body)
-            except KeyError:
+            except Exception:
                 failed += 1
         futures = []
         for handle, subset in zip(self.handles, per_shard):

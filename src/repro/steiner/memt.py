@@ -54,8 +54,10 @@ def solve_memt(
     :class:`~repro.compute.numpy_backend.NumpyAuxGraph`.  The greedy
     solver is chosen by graph form: the implicit graph gets
     :func:`~repro.compute.numpy_backend.greedy_incremental_dst_numpy`,
-    which reads its rows straight from the build's arrays; a networkx
-    graph gets the stdlib :func:`greedy_incremental_dst`.  The
+    the compiled search over the build's arrays, whose tree stays in
+    node ids (a :class:`~repro.compute.numpy_backend.LazyTreeEdges`
+    set); a networkx graph gets the stdlib
+    :func:`greedy_incremental_dst`.  The
     networkx-based solvers (``sptree``, ``charikar``) receive a lossless
     ``to_networkx()`` view, so every method accepts either form and
     returns identical trees.

@@ -48,7 +48,9 @@ def tree_cost(graph, edges: Set[Edge]) -> float:
     iteration order): ``edges`` is a set whose tuples contain strings, so
     a naive left-fold would drift by an ulp between processes with
     different hash seeds — visible as byte-nonidentical plans from a
-    sharded service whose workers are separate processes.
+    sharded service whose workers are separate processes.  The implicit
+    graph sums the child transmissions' ``tx_w`` levels by node id
+    (:meth:`~repro.compute.numpy_backend.NumpyAuxGraph.tree_cost`).
     """
     if isinstance(graph, nx.DiGraph):
         return float(math.fsum(graph[u][v]["weight"] for u, v in edges))

@@ -98,6 +98,34 @@ def reference_pipeline(tveg, source, deadline, targets=None):
     )
 
 
+def assert_cost_sets_match(na, nxa):
+    """The implicit graph ``na`` holds the reference build ``nxa``'s cost
+    sets in its arrays.
+
+    The reference keys its cost sets by the points that emit a
+    transmission node, in build order: those are the states ``s`` of
+    ``na`` with ``tx_ptr[s] < tx_ptr[s + 1]``.  For each, the set's level
+    count is ``tx_k0[s]`` (the levels that cover no receiver, a prefix)
+    plus the state's transmissions, and each kept level ``k`` costs what
+    ``tx_w`` holds at ``index_of(("tx", node, l, k))``.
+    """
+    S = na.num_states
+    ptr, k0 = na.tx_ptr.tolist(), na.tx_k0.tolist()
+    emitting = [
+        (node, l)
+        for node, base in na.state_base.items()
+        for l in range(len(na.dts.points(node)))
+        if ptr[base + l] < ptr[base + l + 1]
+    ]
+    assert emitting == list(nxa.cost_sets)
+    for (node, l), dcs in nxa.cost_sets.items():
+        s = na.index_of(("state", node, l))
+        assert len(dcs) == k0[s] + ptr[s + 1] - ptr[s]
+        for k in range(k0[s], len(dcs)):
+            j = na.index_of(("tx", node, l, k)) - S
+            assert dcs.entries[k][0] == na.tx_w[j]
+
+
 def assert_matches_reference(result, ref):
     """An EEDCB-family plan or result equals :func:`reference_pipeline`'s.
 

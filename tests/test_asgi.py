@@ -10,6 +10,7 @@ contract: a repeat ``/plan`` answered from the edge embeds the exact
 
 import http.client
 import json
+import logging
 import os
 import socket
 import sys
@@ -275,9 +276,28 @@ class TestKeepAliveAndDrain:
             probe.request("GET", "/healthz")
             probe.getresponse()
 
+    def test_stop_with_idle_keep_alive_client_logs_nothing(self, trace,
+                                                           caplog):
+        """``stop()`` closes a keep-alive connection idle between
+        requests, so no handler is left for the loop's shutdown to
+        cancel (which logged a ``CancelledError`` traceback)."""
+        service = PlanningService({"demo": trace}, max_wait=0.0)
+        srv = BackgroundServer(LocalBackend(service), port=0)
+        client = Client(srv.address)
+        try:
+            assert client.get("/healthz")[0] == 200
+            with caplog.at_level(logging.WARNING, logger="asyncio"):
+                srv.stop()
+        finally:
+            client.close()
+        assert not srv._thread.is_alive()
+        assert [r for r in caplog.records if r.name == "asyncio"] == []
+
     def test_timeout_validation(self, backend):
         with pytest.raises(ValueError):
             AsyncPlanningServer(backend, timeout=0.0)
+        with pytest.raises(ValueError):
+            AsyncPlanningServer(backend, timeout=float("nan"))
         with pytest.raises(ValueError):
             LocalBackend(backend.service, max_inflight=0)
 

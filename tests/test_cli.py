@@ -1,6 +1,13 @@
 """Command-line interface: every subcommand end to end."""
 
 import json
+import os
+import signal
+import socket
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -274,3 +281,51 @@ class TestExperimentCommand:
         assert rc == 0
         out = capsys.readouterr().out
         assert "EEDCB" in out and "FR-EEDCB" in out
+
+
+class TestServeBootFailures:
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_bad_timeout_is_a_usage_error_before_any_shard(self, value,
+                                                           capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--synthetic", "8", "--shards", "1",
+                  f"--timeout={value}"])
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_taken_port_exits_and_leaves_no_worker(self):
+        """A shard pool whose front-end cannot bind is drained: the
+        command fails with ``error:`` and no process of its session
+        outlives it (the shard worker ignores SIGTERM)."""
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen(1)
+            port = taken.getsockname()[1]
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro", "serve", "--synthetic", "12",
+                 "--shards", "1", "--host", "127.0.0.1",
+                 "--port", str(port)],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                env={**os.environ, "PYTHONPATH": src},
+                start_new_session=True,
+            )
+            try:
+                _, err = proc.communicate(timeout=30)
+                assert proc.returncode != 0
+                assert "error:" in err
+                deadline = time.monotonic() + 5.0
+                while time.monotonic() < deadline:
+                    try:
+                        os.killpg(proc.pid, 0)
+                    except ProcessLookupError:
+                        break
+                    time.sleep(0.05)
+                with pytest.raises(ProcessLookupError):
+                    os.killpg(proc.pid, 0)
+            finally:
+                try:
+                    os.killpg(proc.pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+                proc.wait()

@@ -25,7 +25,11 @@ from repro.steiner import solve_memt
 from repro.traces import Contact, ContactTrace, DistanceModel
 from repro.tveg import tveg_from_trace
 
-from .conftest import assert_matches_reference, reference_pipeline
+from .conftest import (
+    assert_cost_sets_match,
+    assert_matches_reference,
+    reference_pipeline,
+)
 
 NODES = 5
 HORIZON = 120.0
@@ -63,7 +67,7 @@ def assert_same_graph(nxa, na):
     assert list(g1.edges(data="weight")) == list(g2.edges(data="weight"))
     assert nxa.root == na.root
     assert nxa.terminals == na.terminals
-    assert nxa.cost_sets == na.cost_sets
+    assert_cost_sets_match(na, nxa)
 
 
 #: distance profiles: per-contact constant, and two that vary within each

@@ -50,6 +50,7 @@ from repro.traces import (
 from repro.tveg import tveg_from_trace
 
 from .conftest import (
+    assert_cost_sets_match,
     assert_matches_reference,
     make_random_instance,
     reference_pipeline,
@@ -158,7 +159,7 @@ def test_numpy_builder_matches_compact_builder(trace, seed, tau, profile):
     assert na.root == nxa.root and na.root_index == index[nxa.root]
     assert na.terminals == nxa.terminals
     assert na.terminal_indices == tuple(index[t] for t in nxa.terminals)
-    assert na.cost_sets == nxa.cost_sets
+    assert_cost_sets_match(na, nxa)
     for method in ("greedy", "sptree"):
         try:
             e_nx = solve_memt(nxa.graph, nxa.root, nxa.terminals,
@@ -175,9 +176,9 @@ def test_numpy_builder_matches_compact_builder(trace, seed, tau, profile):
 @slow
 def test_numpy_counted_sizes_match_what_they_count(trace, seed, deadline,
                                                    tau, profile):
-    """``num_edges``, ``dcs_levels`` and the ``cost_sets`` keys of the
-    implicit graph are counted apart from the rows and cost sets they
-    describe, so pin each to a recount and to the reference build.  A
+    """``num_edges`` and ``dcs_levels`` of the implicit graph are counted
+    apart from the rows and levels they describe, so pin each to a
+    recount from its arrays and to the reference build.  A
     positive ``tau`` leaves points with active contacts but no
     transmission node (too late to finish, or no receiver state)."""
     tveg = tveg_from_trace(trace, "static", seed=seed, tau=tau,
@@ -187,10 +188,10 @@ def test_numpy_counted_sizes_match_what_they_count(trace, seed, deadline,
     assert isinstance(na, NumpyAuxGraph)
     recount = sum(len(na.out_edges(i)) for i in range(na.num_nodes))
     assert na.num_edges == recount == nxa.num_edges
-    levels = sum(len(cs) for cs in na.cost_sets.values())
+    emits = np.diff(na.tx_ptr) > 0
+    levels = int((na.tx_k0[emits] + np.diff(na.tx_ptr)[emits]).sum())
     assert na.dcs_levels == levels == nxa.dcs_levels
-    assert len(na.cost_sets) == len(nxa.cost_sets)
-    assert list(na.cost_sets) == list(nxa.cost_sets)
+    assert_cost_sets_match(na, nxa)
 
 
 def test_point_whose_cheapest_level_covers_no_receiver():
@@ -214,7 +215,7 @@ def test_point_whose_cheapest_level_covers_no_receiver():
     nodes, index, rows = _reference_rows(nxa)
     assert list(na.aux_nodes) == nodes
     assert [na.out_edges(i) for i in range(len(nodes))] == rows
-    assert na.cost_sets == nxa.cost_sets
+    assert_cost_sets_match(na, nxa)
     assert [na.index_of(n) for n in nodes] == list(range(len(nodes)))
     with pytest.raises(KeyError):
         na.index_of(("tx", 2, 2, 0))
@@ -312,7 +313,7 @@ def test_numpy_search_matches_networkx_search(graph):
 def _hand_built_graph(points, levels, source):
     """A :class:`NumpyAuxGraph` from per-node point counts and, per state
     (node-major, point-minor), its ``(weight, receiver state ids)``
-    levels in ascending weight order.  It carries no cost sets.
+    levels in ascending weight order.
 
     The graph stores each state's coverage as prefixes of one receiver
     list (Property 6.1(i), the only shape the build emits), so a level
@@ -339,7 +340,7 @@ def _hand_built_graph(points, levels, source):
             deadline=float(max(points)), tau=0.0,
         ),
         source=0, root=None, terminals=(), root_index=0,
-        terminal_indices=(), cost_sets={},
+        terminal_indices=(),
         state_base={n: int(node_base[n]) for n in labels},
         tx_ptr=tx_ptr,
         recv_ptr=np.cumsum([0] + [len(r) for r in receivers]),

@@ -119,6 +119,14 @@ class TestShardPool:
         report = pool.warm([{**BODY, "trace": "nope"}])
         assert report["failed"] == 1
 
+    def test_warm_counts_unreadable_arguments_failed(self, trace):
+        """``read_warm_file`` accepts ``{"deadline": "abc"}``, which
+        routing cannot read: one failed entry, never an aborted boot."""
+        with ShardPool({"demo": trace}, 1,
+                       service_kwargs={"max_wait": 0.0}) as one:
+            report = one.warm([{"deadline": "abc"}, {**BODY, "seed": 78}])
+        assert report == {"warmed": 1, "failed": 1}
+
     def test_worker_plan_matches_in_process_plan(self, pool, trace):
         # cross-process determinism: same config hash, same plan document
         _, future = pool.submit_request("plan", dict(BODY))
