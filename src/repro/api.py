@@ -51,7 +51,6 @@ from .schedule.feasibility import FeasibilityReport, check_feasibility
 from .schedule.schedule import Schedule
 from .temporal.reachability import broadcast_feasible_sources
 from .traces.model import ContactTrace
-from .traces.store import ContactStore
 from .tveg.builders import tveg_from_trace
 from .tveg.graph import TVEG
 
@@ -176,7 +175,7 @@ def _window_bounds(window: Window, deadline: float) -> Tuple[float, float]:
 
 
 def plan_config(
-    trace_or_tveg: Union[ContactTrace, ContactStore, TVEG],
+    trace_or_tveg: Union[ContactTrace, TVEG],
     source: Optional[Node],
     deadline: float,
     *,
@@ -217,7 +216,7 @@ def plan_config(
         fingerprint = trace_or_tveg.fingerprint()
         channel_label = type(trace_or_tveg.channel).__name__
         eff_params = trace_or_tveg.params
-    elif isinstance(trace_or_tveg, (ContactTrace, ContactStore)):
+    elif isinstance(trace_or_tveg, ContactTrace):
         if window is not None:
             _window_bounds(window, deadline)
         fingerprint = trace_or_tveg.fingerprint()
@@ -227,7 +226,7 @@ def plan_config(
         eff_params = params
     else:
         raise TypeError(
-            f"expected a ContactTrace, ContactStore, or TVEG, "
+            f"expected a ContactTrace or TVEG, "
             f"got {type(trace_or_tveg).__name__}"
         )
     kwargs = dict(scheduler_kwargs)
@@ -247,7 +246,7 @@ def plan_config(
 
 
 def plan_cache_key(
-    trace_or_tveg: Union[ContactTrace, ContactStore, TVEG],
+    trace_or_tveg: Union[ContactTrace, TVEG],
     source: Optional[Node],
     deadline: float,
     **kwargs,
@@ -329,7 +328,7 @@ def _plan_on_tveg(
 
 
 def plan_broadcast(
-    trace_or_tveg: Union[ContactTrace, ContactStore, TVEG],
+    trace_or_tveg: Union[ContactTrace, TVEG],
     source: Optional[Node],
     deadline: float,
     *,
@@ -346,10 +345,8 @@ def plan_broadcast(
     Parameters
     ----------
     trace_or_tveg:
-        A :class:`~repro.traces.model.ContactTrace` or columnar
-        :class:`~repro.traces.store.ContactStore` (the usual cases — the
-        TVEG is built internally; both backends yield byte-identical
-        plans) or an already-constructed
+        A :class:`~repro.traces.model.ContactTrace` (the usual case — the
+        TVEG is built internally) or an already-constructed
         :class:`~repro.tveg.graph.TVEG` (then ``channel``, ``window``,
         ``seed``, and ``params`` do not apply; passing ``window`` raises).
     source:
@@ -419,7 +416,7 @@ def plan_broadcast(
 
 
 def plan_broadcast_many(
-    trace_or_tveg: Union[ContactTrace, ContactStore, TVEG],
+    trace_or_tveg: Union[ContactTrace, TVEG],
     sources: Sequence[Optional[Node]],
     deadlines: Union[float, Sequence[float]],
     *,

@@ -410,23 +410,23 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    from .traces import CTRACE_SUFFIX, ingest_path
+    from .traces import CTRACE_SUFFIX
 
     node_type = {"int": int, "str": str}[args.node_type]
-    store = ingest_path(args.input, node_type=node_type,
-                        horizon=args.horizon)
+    trace = load_trace(args.input, node_type=node_type,
+                       horizon=args.horizon)
     if args.output:
         out = args.output
         if not out.endswith(CTRACE_SUFFIX):
             out += CTRACE_SUFFIX
-        store.save(out)
+        trace.save(out)
         print(f"# wrote {out}")
-    lo, hi = store.time_span()
-    print(f"nodes:        {store.num_nodes}")
-    print(f"contacts:     {store.num_contacts}")
-    print(f"horizon:      {store.horizon:g}")
+    lo, hi = trace.time_span()
+    print(f"nodes:        {trace.num_nodes}")
+    print(f"contacts:     {trace.num_contacts}")
+    print(f"horizon:      {trace.horizon:g}")
     print(f"time span:    [{lo:g}, {hi:g}]")
-    print(f"fingerprint:  {store.fingerprint()}")
+    print(f"fingerprint:  {trace.fingerprint()}")
     return 0
 
 

@@ -398,7 +398,7 @@ def _scale_ops(
     """The columnar-store scale ops: ``trace_ingest`` and ``plan_n1000``.
 
     ``trace_ingest`` streams a synthetic one-contact-per-line text trace
-    into a :class:`~repro.traces.store.ContactStore` (parse + incremental
+    into a :class:`~repro.traces.model.ContactTrace` (parse + incremental
     fingerprint — the service's cache-key path) and reports the file size
     so MB/s falls out of the timing; its ``peak_mb`` counter is the
     tracemalloc heap peak of one untimed ingest pass, so the
@@ -415,7 +415,7 @@ def _scale_ops(
     import tempfile
     import tracemalloc
 
-    from ..traces.store import ingest_path
+    from ..traces.parser import load_trace
     from ..traces.synthetic import scale_trace_store
     from ..traces.writer import write_crawdad
 
@@ -434,7 +434,7 @@ def _scale_ops(
     size_mb = os.path.getsize(text_path) / 1e6
 
     tracemalloc.start()
-    probe = ingest_path(text_path)
+    probe = load_trace(text_path)
     expected_fp = probe.fingerprint()
     ingest_peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
     tracemalloc.stop()
@@ -447,7 +447,7 @@ def _scale_ops(
             pass
 
     def trace_ingest() -> Dict[str, float]:
-        store = ingest_path(text_path)
+        store = load_trace(text_path)
         if store.fingerprint() != expected_fp:
             raise RuntimeError("ingest fingerprint drifted across repeats")
         return {

@@ -289,11 +289,9 @@ class PlanningService:
     Parameters
     ----------
     traces:
-        Mapping of name → trace, either backend: a dict-backed
-        :class:`~repro.traces.model.ContactTrace` or a columnar
-        :class:`~repro.traces.store.ContactStore` (e.g. loaded from a
-        ``.ctrace`` file, whose persisted fingerprint makes cache keys
-        O(1)).  The names are what ``POST /plan`` requests reference.
+        Mapping of name → :class:`~repro.traces.model.ContactTrace`
+        (one loaded from a ``.ctrace`` file carries its fingerprint, so
+        its cache keys cost O(1)).  The names are what ``POST /plan`` requests reference.
         More can be registered later with :meth:`add_trace`.
     cache:
         Plan cache to consult/populate; defaults to a fresh in-memory

@@ -27,7 +27,7 @@ from typing import Dict, Hashable, List, Tuple
 
 from .. import obs
 
-__all__ = ["NodeSweep", "adjacency_events", "events_from_components"]
+__all__ = ["NodeSweep", "adjacency_events"]
 
 Node = Hashable
 
@@ -35,38 +35,23 @@ Node = Hashable
 Event = Tuple[float, int, Node, float]
 
 
-def events_from_components(components) -> Tuple[Event, ...]:
-    """Event tuples from ``(neighbor, adjacency pairs)`` sequences.
+def adjacency_events(tvg, node: Node) -> Tuple[Event, ...]:
+    """The node's adjacency-change events, sorted ascending by time.
 
-    ``components`` yields one entry per incident edge, **in incident-list
-    order**, each carrying the edge's τ-eroded adjacency components as
-    ``(start, end)`` pairs.  Both event builders — the TVG interval-dict
-    walk below and the :class:`~repro.traces.store.ContactStore` CSR slice
-    reader — funnel through this one assembly so their output is
-    tuple-for-tuple identical.
+    One ``+1`` / ``−1`` pair per τ-eroded presence component of every
+    incident edge, in incident-list order before the (stable) time sort;
+    ``contact_start`` is the start of the un-eroded presence component
+    (erosion preserves starts), the TVEG cost-cache key.
     """
     events: List[Event] = []
-    for other, pairs in components:
-        for s, e in pairs:
+    for other in tvg.incident(node):
+        for s, e in tvg.adjacency_set(node, other).pairs:
             events.append((s, 1, other, s))
             events.append((e, -1, other, s))
     # Interval sets are normalized (disjoint, non-adjacent), so one neighbor
     # never starts and ends at the same instant; plain time order suffices.
     events.sort(key=lambda ev: ev[0])
     return tuple(events)
-
-
-def adjacency_events(tvg, node: Node) -> Tuple[Event, ...]:
-    """The node's adjacency-change events, sorted ascending by time.
-
-    One ``+1`` / ``−1`` pair per τ-eroded presence component of every
-    incident edge; ``contact_start`` is the start of the un-eroded presence
-    component (erosion preserves starts), the TVEG cost-cache key.
-    """
-    return events_from_components(
-        (other, tvg.adjacency_set(node, other).pairs)
-        for other in tvg.incident(node)
-    )
 
 
 class NodeSweep:

@@ -1,22 +1,17 @@
 """Contact traces: model, parsing, synthesis, distance enrichment, stats.
 
-Two interchangeable trace backends share one API surface: the dict-backed
-:class:`ContactTrace` (the parity oracle) and the columnar
-:class:`~repro.traces.store.ContactStore` (bounded-memory ingestion of
-million-contact traces, ``.ctrace`` on-disk format).
+One trace class, :class:`ContactTrace`, holds a trace as four columns, so
+million-contact traces ingest and plan in bounded memory; the streaming
+parsers build it from CRAWDAD or CSV text, and it saves to and loads from
+the binary ``.ctrace`` format (:mod:`repro.traces.store`, where the class
+is also named ``ContactStore``).
 """
 
 from .enrich import ContactDistanceProvider, DistanceModel
 from .model import Contact, ContactTrace
 from .parser import load_trace, parse_crawdad, parse_csv
 from .stats import TraceStats, summarize
-from .store import (
-    CTRACE_SUFFIX,
-    ContactStore,
-    ingest_crawdad,
-    ingest_csv,
-    ingest_path,
-)
+from .store import CTRACE_SUFFIX, ContactStore
 from .synthetic import (
     HaggleLikeConfig,
     deterministic_trace,
@@ -31,9 +26,6 @@ __all__ = [
     "ContactTrace",
     "ContactStore",
     "CTRACE_SUFFIX",
-    "ingest_crawdad",
-    "ingest_csv",
-    "ingest_path",
     "parse_crawdad",
     "parse_csv",
     "load_trace",

@@ -218,21 +218,19 @@ def scale_trace_store(
     horizon: float,
     mean_duration: float = 150.0,
     seed: SeedLike = None,
-):
-    """A large uniform-random trace, generated straight into a
-    :class:`~repro.traces.store.ContactStore` with no per-contact loop.
+) -> ContactTrace:
+    """A large uniform-random trace, generated straight into the columns
+    of a :class:`~repro.traces.model.ContactTrace` with no per-contact loop.
 
     The scale-regime generator: node pairs, start times, and exponential
     durations are drawn as whole numpy columns and handed to
-    :meth:`ContactStore.from_arrays`, so an N=1000 / 10^6-contact instance
+    :meth:`ContactTrace.from_arrays`, so an N=1000 / 10^6-contact instance
     builds in seconds where :func:`uniform_trace` would grind through a
     million ``Contact`` constructions.  Statistically it is the stationary
     :func:`uniform_trace` regime without the per-pair renewal structure:
     contact count is exact rather than rate-derived, which is what the
     scale bench and smoke jobs want to pin down.
     """
-    from .store import ContactStore
-
     if num_nodes < 2:
         raise TraceFormatError("need at least 2 nodes")
     if num_contacts < 0:
@@ -249,7 +247,7 @@ def scale_trace_store(
     ends = np.minimum(
         starts + rng.exponential(mean_duration, size=num_contacts), horizon
     )
-    return ContactStore.from_arrays(
+    return ContactTrace.from_arrays(
         u, v, starts, ends, nodes=tuple(range(num_nodes)), horizon=horizon
     )
 

@@ -15,6 +15,7 @@ from ..core.rng import SeedLike
 from ..errors import GraphModelError
 from ..params import PAPER_PARAMS, PhyParams
 from ..traces.enrich import DistanceModel
+from ..traces.model import ContactTrace
 from .graph import TVEG
 
 __all__ = ["tveg_from_trace", "make_channel"]
@@ -44,7 +45,7 @@ def make_channel(
 
 
 def tveg_from_trace(
-    trace,
+    trace: ContactTrace,
     channel: Union[str, ChannelModel] = "static",
     params: PhyParams = PAPER_PARAMS,
     distance_model: Optional[DistanceModel] = None,
@@ -60,12 +61,9 @@ def tveg_from_trace(
     static and fading runs over one trace see identical geometry — the
     paper's Figs. 5/6 comparisons rely on this.
 
-    ``trace`` is either trace backend — a dict-backed
-    :class:`~repro.traces.model.ContactTrace` or a columnar
-    :class:`~repro.traces.store.ContactStore`; both expose the
-    ``to_tvg`` / ``pair_presence`` surface this pipeline consumes and
-    produce byte-identical TVEGs (same node order, same presence sets,
-    same synthesized distances).  ``dcs_capacity`` bounds the TVEG's
+    ``trace`` is a :class:`~repro.traces.model.ContactTrace`, or any
+    object with its ``to_tvg`` / ``pair_presence`` surface.
+    ``dcs_capacity`` bounds the TVEG's
     discrete-cost-set memo (see :class:`~repro.tveg.graph.TVEG`); leave
     ``None`` for the unbounded default.
     """

@@ -110,12 +110,13 @@ class TestParsers:
         assert tr.num_contacts == 1  # self-sighting dropped
 
     def test_crawdad_bad_line(self):
-        with pytest.raises(TraceFormatError):
-            parse_crawdad(io.StringIO("1 2 0.0\n"))
-        with pytest.raises(TraceFormatError):
-            parse_crawdad(io.StringIO("1 2 5.0 1.0\n"))
-        with pytest.raises(TraceFormatError):
-            parse_crawdad(io.StringIO("a b 0.0 1.0\n"))
+        for text in ["1 2 0.0\n", "1 2 5.0 1.0\n", "a b 0.0 1.0\n",
+                     "1 2 nan 5.0\n", "1 2 0.0 inf\n", "1 2 -inf 1.0\n"]:
+            with pytest.raises(TraceFormatError, match="line 2"):
+                parse_crawdad(io.StringIO("0 1 0.0 1.0\n" + text))
+            csv_text = "u,v,start,end\n" + text.replace(" ", ",")
+            with pytest.raises(TraceFormatError, match="line 2"):
+                parse_csv(io.StringIO(csv_text))
 
     def test_csv_missing_columns(self):
         with pytest.raises(TraceFormatError):
@@ -134,6 +135,10 @@ class TestParsers:
         write_crawdad(det_trace, p2)
         assert load_trace(p1).num_contacts == det_trace.num_contacts
         assert load_trace(p2).num_contacts == det_trace.num_contacts
+        for bad in (tmp_path / "bad.csv", tmp_path / "bad.dat"):
+            bad.write_bytes(b"u,v,start,end\n0,1,0,1\n\xff,2,0,1\n")
+            with pytest.raises(TraceFormatError, match="UTF-8"):
+                load_trace(bad)
 
 
 class TestSynthetic:

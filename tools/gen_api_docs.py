@@ -231,11 +231,31 @@ def first_paragraph(doc: str) -> str:
     return " ".join(lines)
 
 
+class _Name:
+    """Renders as a bare name inside a signature (no quotes, no address)."""
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def __repr__(self) -> str:
+        return self.name
+
+
 def signature_of(obj) -> str:
+    """``obj``'s signature, with callable defaults (functions, classes)
+    shown by qualified name: their ``repr`` carries a memory address that
+    would change the generated file on every run."""
     try:
-        return str(inspect.signature(obj))
+        sig = inspect.signature(obj)
     except (TypeError, ValueError):
         return ""
+    params = [
+        p.replace(default=_Name(p.default.__qualname__))
+        if p.default is not p.empty and callable(p.default)
+        and hasattr(p.default, "__qualname__") else p
+        for p in sig.parameters.values()
+    ]
+    return str(sig.replace(parameters=params))
 
 
 def render_module(name: str) -> str:

@@ -8,9 +8,10 @@ and asserts the three scale acceptance properties:
 
 1. **ingest**: the CRAWDAD text rendering (the writers round to 6
    decimals, so the text file *is* the instance) fingerprints
-   identically three ways — streamed through ``ingest_path``, reloaded
-   from a saved ``.ctrace`` header (no row scan), and parsed into
-   per-contact objects by the ``ContactTrace`` oracle;
+   identically three ways — streamed into columns by ``load_trace``,
+   reloaded from a saved ``.ctrace`` header (no row scan), and parsed
+   into per-contact objects by the dict-backed reference model in
+   ``tests/trace_oracle.py``;
 2. **bounded memory**: a child interpreter plans one source from the
    ``.ctrace`` file — windowed store → ``tveg_from_trace`` with an LRU
    ``dcs_capacity`` bound — under a hard ``resource.setrlimit``
@@ -28,8 +29,8 @@ and asserts the three scale acceptance properties:
    2600 MB, so ``--limit-mb 704`` trips if any of them comes back.
    On the full instance EEDCB plans under ``--limit-mb 1792``;
 3. **parity**: the store-backed schedule is byte-identical (relay ids,
-   ``float.hex()`` times/costs, total cost) to the dict-backed
-   ``ContactTrace`` path planned from the same text file in an
+   ``float.hex()`` times/costs, total cost) to the dict-backed oracle
+   (``tests/trace_oracle.py``) planned from the same text file in an
    unlimited child — the oracle is allowed to be fat, the store is not.
 
 ``--haggle-n100`` swaps in the dense N=100 Haggle-like trace (trace seed
@@ -136,14 +137,16 @@ def _child(args) -> int:
         resource.setrlimit(resource.RLIMIT_AS, (ceiling, ceiling))
 
     from repro import plan_broadcast, tveg_from_trace
-    from repro.traces import ContactStore
-    from repro.traces.parser import parse_crawdad
+    from repro.traces import ContactTrace
 
     _, window, deadline = _instance(args.instance)
     t0 = time.perf_counter()
     if args.child == "store":
-        trace = ContactStore.load(args.path)
+        trace = ContactTrace.load(args.path)
     else:
+        sys.path.insert(0, os.path.join(REPO_ROOT, "tests"))
+        from trace_oracle import parse_crawdad
+
         trace = parse_crawdad(args.path)
     trace_fp = trace.fingerprint()
     load_s = time.perf_counter() - t0
@@ -235,7 +238,7 @@ def main(argv=None) -> int:
     if args.child:
         return _child(args)
 
-    from repro.traces import ContactStore, ingest_path
+    from repro.traces import ContactTrace, load_trace
     from repro.traces.writer import write_crawdad
 
     generate, _, _ = _instance(args.instance)
@@ -253,13 +256,13 @@ def main(argv=None) -> int:
           f"in {time.perf_counter() - t0:.1f}s")
 
     t0 = time.perf_counter()
-    ingested = ingest_path(text_path)
+    ingested = load_trace(text_path)
     fp = ingested.fingerprint()
     print(f"ingest+fingerprint {fp} in {time.perf_counter() - t0:.1f}s")
 
     ingested.save(ctrace_path)
     t0 = time.perf_counter()
-    reloaded_fp = ContactStore.load(ctrace_path).fingerprint()
+    reloaded_fp = ContactTrace.load(ctrace_path).fingerprint()
     print(f".ctrace reload fingerprint in {time.perf_counter() - t0:.3f}s")
     if reloaded_fp != fp:
         print("FAIL: .ctrace round trip changed the trace fingerprint")
