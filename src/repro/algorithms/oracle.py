@@ -20,6 +20,8 @@ import heapq
 import math
 from typing import Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
 
+import numpy as np
+
 from .. import obs
 from ..dts.dts import build_dts
 from ..errors import InfeasibleError, SolverError
@@ -91,9 +93,10 @@ class OracleExact(Scheduler):
 
     def _search(self, tveg: TVEG, source: Node, deadline: float):
         """Dijkstra over (time index, informed set); returns search state."""
-        # Global candidate transmission times: union of all DTS points.
+        # Global candidate transmission times: union of all DTS points,
+        # as python floats.
         dts = build_dts(tveg.tvg, deadline)
-        times = sorted({t for n in tveg.nodes for t in dts.points(n)})
+        times = np.unique(dts.values).tolist()
         all_nodes = frozenset(tveg.nodes)
 
         start: State = (0, frozenset([source]))

@@ -65,7 +65,7 @@ class AuxGraph:
         return sum(len(cs) for cs in self.cost_sets.values())
 
     def time_of(self, node: Node, point_index: int) -> float:
-        return self.dts.points(node)[point_index]
+        return float(self.dts.points(node)[point_index])
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -74,7 +74,7 @@ class AuxGraph:
         )
 
 
-def _point_index(points: Tuple[float, ...], t: float) -> Optional[int]:
+def _point_index(points: List[float], t: float) -> Optional[int]:
     """Index of the EXACT value ``t`` in sorted ``points``, else None.
 
     Exact float matching is deliberate: reception times are constructed so
@@ -118,10 +118,11 @@ def build_aux_graph(
 
     g = nx.DiGraph()
     cost_sets: Dict[Tuple[Node, int], DiscreteCostSet] = {}
+    pts_of = {node: d.points(node).tolist() for node in tveg.nodes}
 
     # State nodes and waiting edges.
     for node in tveg.nodes:
-        pts = d.points(node)
+        pts = pts_of[node]
         for l in range(len(pts)):
             g.add_node(state_node(node, l), time=pts[l])
         for l in range(len(pts) - 1):
@@ -130,7 +131,7 @@ def build_aux_graph(
     # Transmission and coverage edges.  The DCS at every point of one node
     # comes from a single timeline sweep (see repro.tveg.costsets).
     for node in tveg.nodes:
-        pts = d.points(node)
+        pts = pts_of[node]
         all_dcs = discrete_cost_sets(tveg, node, pts)
         for l, t in enumerate(pts):
             if t + tau > end:
@@ -146,7 +147,7 @@ def build_aux_graph(
             # O(N³L) bound counts receptions up to depth N−1 only).
             recv_index: Dict[Node, int] = {}
             for _, nbr in dcs.entries:
-                f = _point_index(d.points(nbr), t_recv)
+                f = _point_index(pts_of[nbr], t_recv)
                 if f is not None:
                     recv_index[nbr] = f
             reachable = tuple(
@@ -169,7 +170,7 @@ def build_aux_graph(
     wanted = tuple(n for n in tveg.nodes if n != source) if targets is None else tuple(
         n for n in targets if n != source
     )
-    terminals = tuple(state_node(n, len(d.points(n)) - 1) for n in wanted)
+    terminals = tuple(state_node(n, len(pts_of[n]) - 1) for n in wanted)
     obs.gauge("auxgraph.nodes", g.number_of_nodes())
     obs.gauge("auxgraph.edges", g.number_of_edges())
     obs.gauge("auxgraph.dcs_levels", sum(len(cs) for cs in cost_sets.values()))

@@ -16,8 +16,13 @@ networkx reference construction
   one-point component, costed at that point.  Either way the costs are
   the floats the reference's timeline sweep computes.
 * :func:`build_numpy_aux_graph` derives every DCS and every auxiliary
-  node from those arrays with ``searchsorted`` / cumulative-sum queries
-  instead of per-entry Python loops, and returns the graph in *implicit*
+  node from those arrays in O(cells) numpy passes per node — a cell is
+  one (component, DTS point) pair where the component is active — with
+  no per-neighbor loop and no search per cell: it reads the columnar DTS
+  (:class:`~repro.dts.dts.DiscreteTimeSet`) by grid position, finds each
+  cell's receiver state in one grid-indexed state table, orders cells
+  point-major with one stable sort, and takes coverage counts from a
+  running count of valid receivers.  It returns the graph in *implicit*
   form (:class:`NumpyAuxGraph`): per-state and per-transmission arrays,
   about 16 bytes per transmission node, allocated once and filled in
   place, from which each adjacency row, node tuple and cost set is
@@ -336,15 +341,12 @@ class NumpyAuxGraph:
         return self.num_edges
 
     def time_of(self, node: Node, point_index: int) -> float:
-        return self.dts.points(node)[point_index]
+        return float(self.dts.points(node)[point_index])
 
     @property
     def times(self) -> "np.ndarray":
         """Node times in id order; a transmission is at its state's time."""
-        st = np.array(
-            [t for n in self.state_base for t in self.dts.points(n)],
-            dtype=np.float64,
-        )
+        st = np.concatenate([self.dts.points(n) for n in self.state_base])
         return np.concatenate([st, np.repeat(st, np.diff(self.tx_ptr))])
 
     def index_of(self, aux: AuxNode) -> int:
@@ -476,8 +478,11 @@ def build_numpy_aux_graph(
     components, whose active (component, point) cells bound both the
     transmissions and the receiver entries; the per-transmission arrays
     are allocated once at that bound, filled node by node and trimmed.
-    Raises :class:`~repro.errors.GraphModelError` when the state ids
-    would not fit ``recv``'s int32.
+    For the build's length it also holds an int32 state id per (DTS grid
+    point, node), through which every cell finds its receiver: 1.1 MB on
+    the N=50 benchmark windows, 56 MB at N=1000.  Raises
+    :class:`~repro.errors.GraphModelError` when the state ids would not
+    fit ``recv``'s int32.
     """
     if not tveg.tvg.has_node(source):
         raise GraphModelError(f"unknown source {source!r}")
@@ -495,7 +500,7 @@ def build_numpy_aux_graph(
     state_base: Dict[Node, int] = {}
     num_states = 0
     for node in labels:
-        pts_of[node] = np.asarray(d.points(node), dtype=np.float64)
+        pts_of[node] = d.points(node)
         state_base[node] = num_states
         num_states += len(pts_of[node])
 
@@ -503,6 +508,31 @@ def build_numpy_aux_graph(
         raise GraphModelError(
             f"{num_states} auxiliary states exceed the int32 state ids"
         )
+
+    # Receivers are found by grid position.  ``state[g * N + i]`` is the
+    # state id of ``labels[i]`` at grid point ``g``, -1 where its DTS lacks
+    # the point; row ``G`` is -1 throughout, for receptions at no grid
+    # point.  ``recv_at[g]`` is the grid position of the reception time
+    # ``t + tau`` of a transmission at grid point ``g``, by exact float
+    # equality (as auxgraph.build._point_index), else ``G``.  A cell's
+    # receiver state is then one gather: no search per cell or neighbor.
+    grid = d.grid
+    G, N = len(grid), len(labels)
+    state = np.full((G + 1, N), -1, dtype=np.int32)
+    for i, node in enumerate(labels):
+        base = state_base[node]
+        state[:G, i][d.grid_mask(node)] = np.arange(
+            base, base + len(pts_of[node]), dtype=np.int32
+        )
+    state = state.ravel()
+    t_recv = grid + tau
+    recv_at = np.searchsorted(grid, t_recv)
+    hit = recv_at < G
+    hit[hit] = grid[recv_at[hit]] == t_recv[hit]
+    recv_at[~hit] = G
+    # A transmission at a grid point must complete by the deadline.
+    can_tx = t_recv <= end
+    all_tx = bool(can_tx.all())
 
     # Counting pass: each active cell yields at most one transmission
     # and one receiver entry.  Component j is adjacent at point l  ⇔
@@ -525,8 +555,7 @@ def build_numpy_aux_graph(
     dcs_level_total = 0
 
     for node, (comp, a, b) in zip(labels, components):
-        pts = pts_of[node]
-        P = len(pts)
+        P = len(pts_of[node])
         C = len(comp)
         num_edges += max(P - 1, 0)  # waiting edges
         # Active cells of this node, sparsely: each component contributes
@@ -537,99 +566,83 @@ def build_numpy_aux_graph(
         tot = int(lens.sum())
         if tot == 0:
             continue
+        on = lens > 0
+        # Active components per point, from the runs' ends.
+        active = np.cumsum(
+            np.bincount(a[on], minlength=P + 1)[:P]
+            - np.bincount(b[on], minlength=P + 1)[:P]
+        )
 
-        # Cells grouped by neighbor: j_rep[i], l_rep[i] enumerate each
-        # component's run of active points, components of one neighbor
-        # adjacent, so each neighbor's cells are one slice.
+        # Cells in point-major, canonical-minor order — the reference
+        # build's creation order: enumerated component-major (each run
+        # ascending), then one stable sort on the point index.
+        l_rep = np.arange(tot) - np.repeat(np.cumsum(lens) - lens - a, lens)
+        j_s = np.repeat(np.arange(C), lens)[np.argsort(l_rep, kind="stable")]
+        l_s = np.repeat(np.arange(P), active)
+        pt_size = active[active > 0]
+        pt_first = np.cumsum(pt_size) - pt_size
+
+        # Reception state id per cell: the neighbor's state at exactly
+        # t + tau, invalid (-1) when its DTS lacks that point — the
+        # provably-useless coverage the reference build drops too.
         nbr = np.array([node_index[n] for n in comp.neighbors],
                        dtype=np.int64)
-        order = np.argsort(nbr, kind="stable")
-        lens_o = lens[order]
-        j_rep = np.repeat(order, lens_o)
-        run_off = np.concatenate(
-            [np.zeros(1, dtype=np.int64), np.cumsum(lens_o)]
-        )
-        l_rep = (
-            np.arange(tot, dtype=np.int64)
-            - np.repeat(run_off[:-1], lens_o)
-            + np.repeat(a[order], lens_o)
-        )
-
-        # Reception state id and validity per active cell: the neighbor's
-        # state at exactly t + tau, invalid when its DTS lacks that point
-        # (the provably-useless coverage the reference build drops too).
-        # Exact float equality, matching auxgraph.build._point_index.  One
-        # searchsorted per neighbor, not per component: with costs that
-        # vary within a contact every cell is its own component.
-        ok = np.empty(tot, dtype=bool)
-        rs = np.empty(tot, dtype=np.int64)
-        nbr_o = nbr[order]
-        firsts = np.flatnonzero(np.diff(nbr_o, prepend=-1))
-        for g0, g1 in zip(firsts.tolist(), firsts[1:].tolist() + [C]):
-            lo, hi = int(run_off[g0]), int(run_off[g1])
-            other = labels[nbr_o[g0]]
-            npts = pts_of[other]
-            t_recv = pts[l_rep[lo:hi]] + tau
-            f = np.searchsorted(npts, t_recv, side="left")
-            ok_g = f < len(npts)
-            f[~ok_g] = 0
-            ok[lo:hi] = ok_g & (npts[f] == t_recv)
-            rs[lo:hi] = state_base[other] + f
-
-        # Point-major, canonical-minor cell order — the reference build's
-        # creation order.  Keys l·(C+1)+j are unique and ascend along each
-        # component's run.
-        key = l_rep * (C + 1) + j_rep
-        perm = np.argsort(key, kind="stable")
-        key_s = key[perm]
-        l_s = l_rep[perm]
-        j_s = j_rep[perm]
-        ok_s = ok[perm]
-        rs_s = rs[perm]
+        on_grid = d.grid_mask(node)
+        rs = state[(recv_at[on_grid] * N)[l_s] + nbr[j_s]]
+        ok = rs >= 0
 
         # cnt for cell (l, j) = |{valid receivers at l with canonical
         # index < hi[j]}| — the reference's ``c <= w`` receiver filter.
-        # With cells flattened to strictly increasing keys, each per-point
-        # prefix count is a searchsorted range query against the valid
-        # subsequence (``hi >= 1`` always, so ``<= hi - 1``).
-        vkey = key_s[ok_s]
-        row_key = l_s * (C + 1)
-        vlo = np.searchsorted(vkey, row_key, side="left")
-        cnt_s = (
-            np.searchsorted(vkey, row_key + comp.hi[j_s] - 1, side="right")
-            - vlo
-        )
+        # Canonical rows are sorted by cost, so that is every valid cell
+        # of point l up to j's last equal-cost cell: a running count of
+        # valid cells minus its value before the point, read at the end
+        # of each run of equal ``hi`` (one cell long without cost ties).
+        seen = np.cumsum(ok)
+        cnt_s = seen - np.repeat(seen[pt_first] - ok[pt_first], pt_size)
+        if (comp.hi != np.arange(1, C + 1)).any():
+            hi_s = comp.hi[j_s]
+            run = np.empty(tot, dtype=bool)  # first cell of a run
+            run[0] = True
+            np.not_equal(hi_s[1:], hi_s[:-1], out=run[1:])
+            run[pt_first] = True
+            run_first = np.flatnonzero(run)
+            run_last = np.append(run_first[1:], tot) - 1
+            cnt_s = np.repeat(cnt_s[run_last], run_last - run_first + 1)
 
-        # A transmission at pts[l] must complete by the deadline.
-        can_tx = (pts + tau) <= end
-        keep = cnt_s > 0 if can_tx.all() else (cnt_s > 0) & can_tx[l_s]
+        keep = cnt_s > 0 if all_tx else (cnt_s > 0) & can_tx[on_grid][l_s]
 
         # Transmission nodes in creation order: point-major, level-minor.
         # Coverage counts rise with the level, so a point's levels that
         # cover no receiver are a prefix; its first kept level is
-        # ``active - kept``.
+        # ``active - kept``.  When every cell is kept, every active point
+        # transmits and keeps all its valid receivers.
         base = state_base[node]
-        active = np.bincount(l_s, minlength=P)
-        per_point = np.bincount(l_s[keep], minlength=P)
+        if keep.all():
+            per_point = active
+            valid = ok
+        else:
+            per_point = np.bincount(l_s[keep], minlength=P)
+            cnt_s = cnt_s[keep]
+            j_s = j_s[keep]
+            valid = ok & (per_point > 0)[l_s]
         tx_ptr[base + 1:base + P + 1] = per_point
         tx_k0[base:base + P] = active - per_point
-        cnt_arr = cnt_s[keep]
-        n = len(cnt_arr)
-        tx_w[num_tx:num_tx + n] = comp.costs[j_s[keep]]
-        tx_cnt[num_tx:num_tx + n] = cnt_arr
+        n = len(cnt_s)
+        tx_w[num_tx:num_tx + n] = comp.costs[j_s]
+        tx_cnt[num_tx:num_tx + n] = cnt_s
         num_tx += n
         # Level k covers the first cnt valid receivers of its point, in
         # DCS entry order; only transmitting points keep theirs.
-        emits = per_point > 0
-        valid = ok_s & emits[l_s]
-        vs = rs_s[valid]
+        if valid.all():
+            vs, per_recv = rs, active
+        else:
+            vs, per_recv = rs[valid], np.bincount(l_s[valid], minlength=P)
         recv[num_recv:num_recv + len(vs)] = vs
         num_recv += len(vs)
-        recv_ptr[base + 1:base + P + 1] = np.bincount(l_s[valid],
-                                                      minlength=P)
-        num_edges += n + int(cnt_arr.sum())
+        recv_ptr[base + 1:base + P + 1] = per_recv
+        num_edges += n + int(cnt_s.sum())
         # A kept point's DCS has one level per active component.
-        dcs_level_total += int(active[emits].sum())
+        dcs_level_total += int(active[per_point > 0].sum())
 
     np.cumsum(tx_ptr, out=tx_ptr)
     np.cumsum(recv_ptr, out=recv_ptr)

@@ -6,23 +6,37 @@ nodes.  Theorem 5.2 guarantees an optimal continuous-time schedule exists
 whose transmissions all occur at DTS points, so the schedulers of Section VI
 search only these finitely many instants.
 
+Every node's adjacent-partition points are adjacency boundaries, and every
+adjacency boundary is a status point, so all nodes share one candidate
+*grid*: the global status points (:func:`~repro.dts.status.status_points`)
+plus the deadline.  A node's DTS is a membership mask over that grid.
+
 Construction applies one correctness-preserving optimization: a point at
 which a node has *no* adjacent neighbor is useless to that node (it can
 neither receive nor usefully transmit), so ``prune=True`` (the default)
-drops such points — except the span endpoints, which the auxiliary graph
-needs as source/terminal anchors.  Every ET-law transmission time survives
-pruning because a transmitting (or receiving) node is by definition adjacent
-to someone at that instant.
+drops such points — except the span anchors ``0`` and ``T``, which the
+auxiliary graph needs as source/terminal anchors.  A node keeps a grid
+point ``t`` when ``t`` lies in one of its merged half-open adjacency
+components (it can transmit), or, for ``τ > 0``, when ``t − τ`` does (a
+neighbor can have transmitted to it).  Every ET-law transmission time
+survives pruning because a transmitting (or receiving) node is by
+definition adjacent to someone at that instant.  One ``searchsorted`` of
+the grid against a node's component boundaries answers each predicate for
+all points at once.
+
+The result is stored in columns (:class:`DiscreteTimeSet`): the grid, the
+per-node membership masks, one ``float64`` array of every node's points,
+node-major, and per-node offsets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Hashable, Optional, Tuple
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..core.partitions import Partition
 from ..temporal.tvg import TVG
-from .adjacent import all_adjacent_partitions
 from .status import status_points
 
 __all__ = ["DiscreteTimeSet", "build_dts"]
@@ -30,38 +44,127 @@ __all__ = ["DiscreteTimeSet", "build_dts"]
 Node = Hashable
 
 
-@dataclass(frozen=True)
+def _read_only(arr: "np.ndarray") -> "np.ndarray":
+    arr.flags.writeable = False
+    return arr
+
+
 class DiscreteTimeSet:
-    """The DTS ``D_V = {P^di_1, ..., P^di_N}`` over ``[0, deadline]``."""
+    """The DTS ``D_V = {P^di_1, ..., P^di_N}`` over ``[0, deadline]``.
 
-    partitions: Dict[Node, Partition]
-    deadline: float
-    tau: float
+    Held in columns: ``grid`` is the sorted candidate grid every node
+    draws from, and row ``i`` of the boolean ``mask`` marks the grid
+    points node ``nodes[i]`` keeps.  Its points are ``values[offsets[i] :
+    offsets[i + 1]]``, ascending (``grid[mask[i]]``).  All arrays are
+    read-only.
+    """
 
-    def points(self, node: Node) -> Tuple[float, ...]:
-        """The discrete time points of one node."""
-        return self.partitions[node].points
+    __slots__ = ("nodes", "grid", "mask", "values", "offsets", "deadline",
+                 "tau", "_row")
+
+    def __init__(
+        self,
+        nodes: Sequence[Node],
+        grid: "np.ndarray",
+        mask: "np.ndarray",
+        deadline: float,
+        tau: float,
+    ) -> None:
+        self.nodes: Tuple[Node, ...] = tuple(nodes)
+        self.grid = _read_only(np.asarray(grid, dtype=np.float64))
+        #: (N, G) bool — the grid points each node keeps
+        self.mask = _read_only(np.asarray(mask, dtype=bool))
+        #: (P,) float64 — every node's points, node-major
+        self.values = _read_only(
+            np.broadcast_to(self.grid, self.mask.shape)[self.mask]
+        )
+        #: (N+1,) int64 — first point of each node in ``values``
+        self.offsets = _read_only(
+            np.concatenate([[0], np.cumsum(self.mask.sum(axis=1))])
+        )
+        self.deadline = float(deadline)
+        self.tau = float(tau)
+        self._row: Dict[Node, int] = {n: i for i, n in enumerate(self.nodes)}
+
+    @classmethod
+    def from_points(
+        cls,
+        points: Mapping[Node, Sequence[float]],
+        deadline: float,
+        tau: float,
+    ) -> "DiscreteTimeSet":
+        """The DTS holding the given per-node points (each ascending and
+        distinct); its grid is their union."""
+        arrays = [np.asarray(p, dtype=np.float64) for p in points.values()]
+        grid = np.unique(np.concatenate(arrays)) if arrays else np.empty(0)
+        mask = np.zeros((len(arrays), len(grid)), dtype=bool)
+        for row, pts in zip(mask, arrays):
+            row[np.searchsorted(grid, pts)] = True
+        return cls(points, grid, mask, deadline, tau)
+
+    def points(self, node: Node) -> "np.ndarray":
+        """The discrete time points of one node: a read-only view."""
+        i = self._row[node]
+        return self.values[self.offsets[i]:self.offsets[i + 1]]
+
+    def grid_mask(self, node: Node) -> "np.ndarray":
+        """The grid points one node keeps, as a read-only boolean row."""
+        return self.mask[self._row[node]]
 
     def partition(self, node: Node) -> Partition:
-        return self.partitions[node]
+        """The node's discrete time partition ``P^di_i`` (needs at least two
+        points, so a zero-length span has none)."""
+        return Partition(self.points(node).tolist())
 
     @property
-    def nodes(self) -> Tuple[Node, ...]:
-        return tuple(self.partitions)
+    def partitions(self) -> Dict[Node, Partition]:
+        return {n: self.partition(n) for n in self.nodes}
 
     def total_points(self) -> int:
         """Σ_i |P^di_i| — the auxiliary graph's state-node count."""
-        return sum(len(p) for p in self.partitions.values())
+        return len(self.values)
 
     def contains(self, node: Node, t: float, tol: float = 1e-9) -> bool:
         """True iff ``t`` is (within tolerance) a DTS point of ``node``."""
-        return self.partitions[node].has_point(t, tol)
+        pts = self.points(node)
+        i = int(np.searchsorted(pts, t, side="right"))
+        return any(abs(float(pts[j]) - t) <= tol
+                   for j in (i - 1, i) if 0 <= j < len(pts))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"DiscreteTimeSet(|V|={len(self.partitions)}, "
+            f"DiscreteTimeSet(|V|={len(self.nodes)}, "
             f"points={self.total_points()}, deadline={self.deadline:g})"
         )
+
+
+def _components(tvg: TVG) -> Dict[Node, List[Tuple[float, float]]]:
+    """Every node's τ-eroded adjacency components ``[s, e)``, one pass
+    over the edges."""
+    pairs: Dict[Node, List[Tuple[float, float]]] = {n: [] for n in tvg.nodes}
+    for (a, b), pres in tvg.edges_with_presence():
+        adj = pres.erode(tvg.tau).pairs
+        pairs[a].extend(adj)
+        pairs[b].extend(adj)
+    return pairs
+
+
+def _boundaries(pairs: List[Tuple[float, float]]) -> "np.ndarray":
+    """The merged components of non-empty half-open ``pairs``, as their
+    strictly increasing boundaries ``[s₀, e₀, s₁, e₁, …]``: ``t`` lies in
+    the union exactly when an odd number of boundaries are ``<= t``."""
+    if not pairs:
+        return np.empty(0)
+    arr = np.array(pairs, dtype=np.float64)
+    arr = arr[np.argsort(arr[:, 0], kind="stable")]
+    reach = np.maximum.accumulate(arr[:, 1])
+    # A component starts where no earlier pair reaches it; abutting
+    # pairs merge, so the boundaries strictly increase.
+    first = np.flatnonzero(np.r_[True, arr[1:, 0] > reach[:-1]])
+    out = np.empty(2 * len(first))
+    out[0::2] = arr[first, 0]
+    out[1::2] = reach[np.r_[first[1:] - 1, len(arr) - 1]]
+    return out
 
 
 def build_dts(
@@ -75,7 +178,8 @@ def build_dts(
     Parameters
     ----------
     deadline:
-        The delay constraint ``T``; defaults to the TVG horizon.
+        The delay constraint ``T``; defaults to the TVG horizon.  ``T = 0``
+        gives every node the single point ``0``.
     prune:
         Drop per-node points at which the node has no neighbor (see module
         docstring).  Disable to obtain the unpruned textbook construction.
@@ -83,39 +187,21 @@ def build_dts(
         Maximum τ-trigger chain length for ``τ > 0`` (default ``N − 1``).
     """
     end = tvg.horizon if deadline is None else min(tvg.horizon, deadline)
-    adjacent = all_adjacent_partitions(tvg, end)
-    stat = status_points(tvg, end, max_depth)
-
-    partitions: Dict[Node, Partition] = {}
-    for node in tvg.nodes:
-        pts = set(adjacent[node].points)
-        pts.update(p for p in stat if p <= end)
-        ordered = sorted(pts)
-        if prune:
-            # Keep a point iff the node could act there: transmit (it has a
-            # neighbor at t) or receive (some neighbor transmitted at t − τ;
-            # for τ = 0 the two coincide).  Span endpoints always stay.
-            # Both predicates are answered by forward sweeps over the node's
-            # contact boundaries — the candidate points are sorted, so one
-            # pass replaces a per-point interval scan.
-            tau = tvg.tau
-            tx_sweep = tvg.sweep(node)
-            rx_sweep = tvg.sweep(node) if tau > 0.0 else None
-            kept = []
-            for t in ordered:
-                if (
-                    t in (0.0, end)
-                    or tx_sweep.advance(t)
-                    or (rx_sweep is not None and rx_sweep.advance(t - tau))
-                ):
-                    kept.append(t)
-            tx_sweep.finish()
-            if rx_sweep is not None:
-                rx_sweep.finish()
-        else:
-            kept = ordered
-        final = set(kept)
-        final.add(0.0)
-        final.add(end)
-        partitions[node] = Partition(sorted(final))
-    return DiscreteTimeSet(partitions=partitions, deadline=end, tau=tvg.tau)
+    grid = np.unique(
+        np.array(status_points(tvg, end, max_depth) + (end,), dtype=np.float64)
+    )
+    nodes = tvg.nodes
+    if not prune:
+        mask = np.ones((len(nodes), len(grid)), dtype=bool)
+        return DiscreteTimeSet(nodes, grid, mask, end, tvg.tau)
+    anchors = (grid == 0.0) | (grid == end)
+    # Receptions test each point minus τ, computed as ``t - tau``.
+    queries = [grid] if tvg.tau == 0.0 else [grid, grid - tvg.tau]
+    comps = _components(tvg)
+    mask = np.empty((len(nodes), len(grid)), dtype=bool)
+    for row, node in zip(mask, nodes):
+        bounds = _boundaries(comps[node])
+        row[:] = anchors
+        for x in queries:
+            row |= np.searchsorted(bounds, x, side="right") % 2 == 1
+    return DiscreteTimeSet(nodes, grid, mask, end, tvg.tau)

@@ -1,12 +1,18 @@
 """Per-node timeline sweeps over contact boundaries.
 
-The DTS/DCS machinery asks the same question at thousands of (node, time)
-pairs: *who is adjacent to this node at this instant?*  Answering each query
-independently rescans the node's presence intervals — O(points × incident
-edges) repeated interval searches.  But a node's adjacency only changes at
-the boundaries of its (τ-eroded) contact intervals, so all queries at
-ascending times are answered by ONE forward sweep over those boundaries:
-index the timeline once, then advance a cursor.
+The batch discrete-cost-set query
+(:func:`repro.tveg.costsets.discrete_cost_sets`, which the networkx
+reference auxiliary-graph build uses) asks the same question at thousands
+of (node, time) pairs: *who is adjacent to this node at this instant, and
+since which contact?*  Answering each query independently rescans the
+node's presence intervals — O(points × incident edges) repeated interval
+searches.  But a node's adjacency only changes at the boundaries of its
+(τ-eroded) contact intervals, so all queries at ascending times are
+answered by ONE forward sweep over those boundaries: index the timeline
+once, then advance a cursor.  (The DTS build needs only *whether* a node
+is adjacent, which one ``searchsorted`` over its merged components
+answers for every point at once; see :mod:`repro.dts.dts`.  The
+sweep-based DTS is the test reference, ``tests/dts_oracle.py``.)
 
 :class:`NodeSweep` is that cursor.  It is built from a node's adjacency
 events — ``(time, +1/−1, neighbor, contact_start)`` tuples sorted by time —
@@ -111,5 +117,6 @@ class NodeSweep:
         return active
 
     def finish(self) -> None:
-        """Report this sweep's query count to the obs counters."""
+        """Report this sweep's query count to the ``tveg.sweep_points``
+        counter."""
         obs.counter("tveg.sweep_points", self._points)

@@ -306,11 +306,13 @@ class ContactTrace:
     @classmethod
     def load(cls, path) -> "ContactTrace":
         """Load a ``.ctrace`` file, checked row by row; its float columns
-        are zero-copy views over an ``mmap`` of the file and its
-        fingerprint comes from the header (see :mod:`repro.traces.store`)."""
+        are zero-copy views over an ``mmap`` of the file, and its
+        fingerprint is hashed from those rows on first use, not read from
+        the header (see :mod:`repro.traces.store`)."""
         from .store import read_ctrace
 
-        return cls._from_columns(*read_ctrace(path))
+        u, v, start, end, nodes, horizon, mm = read_ctrace(path)
+        return cls._from_columns(u, v, start, end, nodes, horizon, mm=mm)
 
     def save(self, path) -> None:
         """Write the trace as a ``.ctrace`` file, fingerprint included (see
@@ -384,8 +386,9 @@ class ContactTrace:
         Two traces with the same records hash identically no matter how
         they were constructed or what scalar types their times came in;
         any contact, node, or horizon change yields a different hash.
-        Memoized, and persisted in the ``.ctrace`` header so a loaded
-        trace answers in O(1).  The planning service keys its
+        Computed from the rows on first use (one pass) and memoized; a
+        loaded ``.ctrace`` trace hashes its own rows too, never trusting
+        the copy in the file's header.  The planning service keys its
         content-addressed plan cache on it (via
         :func:`repro.api.plan_broadcast`'s manifest ``config_hash``).
         """

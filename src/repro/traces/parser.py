@@ -131,9 +131,9 @@ def load_trace(
 ) -> ContactTrace:
     """Load a trace, dispatching on file extension.
 
-    ``.ctrace`` loads the binary format (zero-copy columns, fingerprint
-    from the header; ``node_type`` and ``horizon`` do not apply), ``.csv``
-    parses as headered CSV and anything else as CRAWDAD.
+    ``.ctrace`` loads the binary format (zero-copy columns; ``node_type``
+    and ``horizon`` do not apply), ``.csv`` parses as headered CSV and
+    anything else as CRAWDAD.
     """
     from .store import CTRACE_SUFFIX
 

@@ -2,9 +2,12 @@
 
 A :class:`~repro.traces.model.ContactTrace` keeps its records as four
 columns (see :mod:`repro.traces.model`); a ``.ctrace`` file stores exactly
-those columns, so a million-contact trace loads zero-copy in milliseconds
-and answers :meth:`~repro.traces.model.ContactTrace.fingerprint` — the
-planning service's cache key — from its header without re-reading a row.
+those columns, so a million-contact trace loads zero-copy in milliseconds.
+The header also carries the trace's fingerprint, for readers that take it
+from there; :meth:`ContactTrace.load <repro.traces.model.ContactTrace.load>`
+does not: a loaded trace hashes its own rows on its first
+:meth:`~repro.traces.model.ContactTrace.fingerprint` call, so a file whose
+columns were edited never shares the original's plan-cache keys.
 ``ContactStore`` is the same class under its columnar name.
 
 Format (``repro.ctrace/1``)
@@ -139,9 +142,10 @@ def write_ctrace(path: PathLike, u, v, start, end,
 def read_ctrace(path: PathLike):
     """Read and check a ``.ctrace`` file.
 
-    Returns ``(u, v, start, end, nodes, horizon, fingerprint, mm)``: the
-    float columns are zero-copy views over ``mm``, a read-only ``mmap``
-    of the file that must outlive them.
+    Returns ``(u, v, start, end, nodes, horizon, mm)``: the float columns
+    are zero-copy views over ``mm``, a read-only ``mmap`` of the file that
+    must outlive them.  The header's fingerprint is checked for form only
+    and not returned: it is not derived from the rows read here.
     """
 
     def corrupt(what: str) -> TraceFormatError:
@@ -225,4 +229,4 @@ def read_ctrace(path: PathLike):
     if later.any():
         raise corrupt(f"row {int(np.argmax(later)) + 1} breaks the "
                       f"(start, end) row order")
-    return u, v, start, end, nodes, float(horizon), fingerprint, mm
+    return u, v, start, end, nodes, float(horizon), mm

@@ -8,13 +8,14 @@ import pytest
 
 from repro.auxgraph import build_aux_graph, extract_schedule
 from repro.channels import RayleighChannel, StaticChannel
-from repro.dts import build_dts
 from repro.params import PAPER_PARAMS
 from repro.schedule.reduce import lower_costs, remove_redundant, upgrade_and_prune
 from repro.steiner import solve_memt
 from repro.steiner.sptree import tree_cost
 from repro.traces import DistanceModel, deterministic_trace, uniform_trace
 from repro.tveg import TVEG, tveg_from_trace
+
+from .dts_oracle import build_dts as reference_dts
 
 
 @pytest.fixture
@@ -66,7 +67,8 @@ def make_random_instance(num_nodes=6, horizon=300.0, seed=0, channel="static"):
 def reference_pipeline(tveg, source, deadline, targets=None):
     """EEDCB's Section VI-A pipeline on the networkx reference graph.
 
-    DTS → :func:`~repro.auxgraph.build.build_aux_graph` → greedy
+    The reference DTS (``tests/dts_oracle.py``) →
+    :func:`~repro.auxgraph.build.build_aux_graph` → greedy
     :func:`~repro.steiner.memt.solve_memt` on the networkx graph →
     :func:`~repro.auxgraph.extract.extract_schedule` → the three reduce
     passes.  The production scheduler builds a different graph form, so
@@ -77,7 +79,7 @@ def reference_pipeline(tveg, source, deadline, targets=None):
     :class:`~repro.errors.InfeasibleError` when no Steiner tree spans the
     terminals.
     """
-    dts = build_dts(tveg.tvg, deadline)
+    dts = reference_dts(tveg.tvg, deadline)
     aux = build_aux_graph(tveg, source, deadline, dts, targets=targets)
     stats = {}
     edges = solve_memt(aux.graph, aux.root, aux.terminals, method="greedy",

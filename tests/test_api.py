@@ -18,7 +18,7 @@ from repro import (
 )
 from repro.api import plan_cache_key
 from repro.errors import GraphModelError, InfeasibleError, SolverError
-from repro.traces import ContactStore
+from repro.traces import Contact, ContactStore, ContactTrace
 
 from .conftest import make_random_instance
 
@@ -130,6 +130,24 @@ class TestPlanBroadcast:
                 plan_broadcast_many(inp, [0], 100.0, window=window)
             with pytest.raises(ValueError, match="window must be finite"):
                 plan_cache_key(inp, 0, 100.0, window=window)
+
+    @pytest.mark.parametrize(
+        "algorithm", ["eedcb", "fr-eedcb", "oracle", "greed", "rand"]
+    )
+    def test_zero_deadline_plans_like_a_tiny_one(self, algorithm):
+        # T = 0 is a one-point span: every node's DTS is {0}.  EEDCB,
+        # FR-EEDCB and the oracle used to raise PartitionError there.
+        trace = ContactTrace([Contact(0.0, 100.0, 0, 1),
+                              Contact(0.0, 100.0, 1, 2)], horizon=200.0)
+        channel = "rayleigh" if algorithm.startswith("fr-") else "static"
+
+        def rows(deadline):
+            plan = plan_broadcast(trace, 0, deadline, algorithm=algorithm,
+                                  channel=channel, seed=5)
+            assert plan.feasible
+            return [(s.relay, s.time) for s in plan.schedule]
+
+        assert rows(0.0) == rows(1e-300) == [(0, 0.0), (1, 0.0)]
 
     def test_algorithm_alias_and_channel(self):
         trace, _ = make_random_instance(seed=2)

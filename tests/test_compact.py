@@ -149,6 +149,35 @@ def test_solver_trees_identical_on_both_forms(trace, seed, profile):
         assert e_nx == e_n
 
 
+class _EqualDistances:
+    """Every pair at the same distance: every DCS level ties."""
+
+    def __init__(self, constant_within_contacts):
+        self.constant_within_contacts = constant_within_contacts
+
+    def __call__(self, u, v, t):
+        return 10.0
+
+
+@pytest.mark.parametrize("constant", [True, False])
+@pytest.mark.parametrize("tau", [0.0, 1.0])
+def test_equal_costs_build_equals_nx_build(det_trace, constant, tau):
+    """Equal-cost components cover each other: a level's coverage count
+    runs to the end of its equal-cost run, on both component kinds."""
+    from repro.channels import StaticChannel
+    from repro.params import PAPER_PARAMS
+    from repro.tveg import TVEG
+
+    tveg = TVEG(det_trace.to_tvg(tau=tau), StaticChannel(PAPER_PARAMS),
+                _EqualDistances(constant))
+    dts = build_dts(tveg.tvg, 100.0)
+    nxa = build_aux_graph(tveg, 0, 100.0, dts)
+    na = build_numpy_aux_graph(tveg, 0, 100.0, dts)
+    assert_same_graph(nxa, na)
+    assert (na.num_edges, na.dcs_levels) == (nxa.num_edges, nxa.dcs_levels)
+    assert max(na.tx_cnt) > 1
+
+
 def test_compact_lookup_surface(det_static):
     na = build_numpy_aux_graph(det_static, 0, det_static.horizon)
     assert na.index_of(na.root) == na.root_index

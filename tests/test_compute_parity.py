@@ -29,7 +29,6 @@ from repro.compute.numpy_backend import (
     build_numpy_aux_graph,
     greedy_incremental_dst_numpy,
 )
-from repro.core.partitions import Partition
 from repro.dts.dts import DiscreteTimeSet, build_dts
 from repro.errors import GraphModelError, InfeasibleError
 from repro.schedule import (
@@ -335,8 +334,8 @@ def _hand_built_graph(points, levels, source):
     tx_k0 = np.zeros(num_states, dtype=np.int32)
     graph = NumpyAuxGraph(
         aux_nodes=LazyAuxNodes(labels, node_base, tx_ptr, tx_k0),
-        dts=DiscreteTimeSet(
-            {n: Partition(range(p)) for n, p in zip(labels, points)},
+        dts=DiscreteTimeSet.from_points(
+            {n: range(p) for n, p in zip(labels, points)},
             deadline=float(max(points)), tau=0.0,
         ),
         source=0, root=None, terminals=(), root_index=0,

@@ -1,6 +1,9 @@
 """DTS theory (Section V): partitions, status points, DTS construction."""
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.dts import (
     adjacent_partition,
@@ -10,6 +13,10 @@ from repro.dts import (
     status_points,
 )
 from repro.temporal.tvg import TVG
+from repro.traces import Contact, ContactTrace
+from repro.tveg import tveg_from_trace
+
+from .dts_oracle import dts_points
 
 
 class TestPairPartition:
@@ -119,3 +126,63 @@ class TestBuildDTS:
     def test_total_points(self, det_tvg):
         dts = build_dts(det_tvg)
         assert dts.total_points() == sum(len(dts.points(n)) for n in det_tvg.nodes)
+
+    def test_points_are_read_only_views(self, det_tvg):
+        dts = build_dts(det_tvg)
+        pts = dts.points(0)
+        assert pts.base is not None and not pts.flags.writeable
+        assert np.array_equal(dts.grid[dts.grid_mask(0)], pts)
+        assert dts.partition(0).points == tuple(pts.tolist())
+        assert type(dts.contains(0, 10.0)) is bool
+
+    def test_zero_deadline_is_one_point(self, det_tvg):
+        dts = build_dts(det_tvg, deadline=0.0)
+        for n in det_tvg.nodes:
+            assert dts.points(n).tolist() == [0.0]
+            assert dts.contains(n, 0.0)
+            assert not dts.contains(n, 1.0)
+        assert dts.total_points() == det_tvg.num_nodes
+
+
+HORIZON = 120.0
+
+
+@st.composite
+def random_tvgs(draw):
+    """Random 5-node traces on a 120 s horizon, as the TVG of a static or
+    Rayleigh TVEG with τ ∈ {0, 1, 5}."""
+    contacts = []
+    for _ in range(draw(st.integers(0, 14))):
+        u, v = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+        if u == v:
+            continue
+        start = draw(st.floats(0.0, HORIZON - 10.0))
+        end = min(start + draw(st.floats(0.5, 50.0)), HORIZON)
+        contacts.append(Contact(start, end, u, v))
+    trace = ContactTrace(contacts, nodes=tuple(range(5)), horizon=HORIZON)
+    return tveg_from_trace(
+        trace, draw(st.sampled_from(("static", "rayleigh"))),
+        seed=draw(st.integers(0, 2**16)),
+        tau=draw(st.sampled_from((0.0, 1.0, 5.0))),
+    ).tvg
+
+
+@given(
+    random_tvgs(),
+    st.one_of(st.just(0.0), st.floats(1e-3, HORIZON - 1e-3),
+              st.just(HORIZON), st.floats(HORIZON + 1e-3, 4 * HORIZON)),
+    st.booleans(),
+    st.sampled_from((None, 1, 2)),
+)
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_dts_matches_sweep_reference(tvg, deadline, prune, max_depth):
+    """Every node's points, byte for byte, equal the sweep-based
+    construction's (``tests/dts_oracle.py``)."""
+    dts = build_dts(tvg, deadline, prune=prune, max_depth=max_depth)
+    ref = dts_points(tvg, deadline, prune=prune, max_depth=max_depth)
+    assert dts.nodes == tvg.nodes
+    for node in tvg.nodes:
+        expected = np.array(ref[node], dtype=np.float64)
+        assert dts.points(node).tobytes() == expected.tobytes()
+    assert dts.total_points() == sum(len(p) for p in ref.values())

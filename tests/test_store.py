@@ -327,7 +327,7 @@ def test_save_load_round_trip(tmp_path, haggle_pair):
     assert loaded.nodes == store.nodes
     assert loaded.horizon == store.horizon
     assert list(loaded.iter_rows()) == list(store.iter_rows())
-    # fingerprint comes from the header: O(1), still byte-identical
+    # hashed again from the loaded rows: byte-identical
     assert loaded.fingerprint() == trace.fingerprint()
 
 
@@ -434,6 +434,24 @@ def _header(key, value):
 def test_load_rejects_bad_contents(tmp_path, edit, match):
     with pytest.raises(TraceFormatError, match=match):
         load_trace(_patched(tmp_path, edit))
+
+
+def test_loaded_fingerprint_comes_from_the_rows(tmp_path):
+    # Row 0 of the deterministic trace, (0, 1, 0.0, 30.0), ends mid-contact
+    # instead: still a valid file, and the header keeps the original's
+    # fingerprint, which the loader must not take.
+    from repro.traces import deterministic_trace
+
+    original = deterministic_trace()
+    edited = load_trace(_patched(tmp_path, _set("end", 0, 15.0)))
+    assert next(edited.iter_rows()) == (0, 1, 0.0, 15.0)
+    rows = ContactTrace.from_rows(edited.iter_rows(), nodes=edited.nodes,
+                                  horizon=edited.horizon)
+    assert edited.fingerprint() == rows.fingerprint()
+    assert edited.fingerprint() != original.fingerprint()
+    assert plan_cache_key(edited, 0, 100.0) != plan_cache_key(original, 0,
+                                                                100.0)
+    assert load_trace(PARENT_FIXTURE).fingerprint() == "e699dee81101a385"
 
 
 def test_load_rejects_overlong_header_length(tmp_path):

@@ -9,9 +9,9 @@ and asserts the three scale acceptance properties:
 1. **ingest**: the CRAWDAD text rendering (the writers round to 6
    decimals, so the text file *is* the instance) fingerprints
    identically three ways — streamed into columns by ``load_trace``,
-   reloaded from a saved ``.ctrace`` header (no row scan), and parsed
-   into per-contact objects by the dict-backed reference model in
-   ``tests/trace_oracle.py``;
+   reloaded from a saved ``.ctrace`` file (whose rows are hashed again;
+   the header's copy is not used), and parsed into per-contact objects
+   by the dict-backed reference model in ``tests/trace_oracle.py``;
 2. **bounded memory**: a child interpreter plans one source from the
    ``.ctrace`` file — windowed store → ``tveg_from_trace`` with an LRU
    ``dcs_capacity`` bound — under a hard ``resource.setrlimit``
@@ -32,6 +32,9 @@ and asserts the three scale acceptance properties:
    ``float.hex()`` times/costs, total cost) to the dict-backed oracle
    (``tests/trace_oracle.py``) planned from the same text file in an
    unlimited child — the oracle is allowed to be fat, the store is not.
+   That child's EEDCB also takes its DTS from the sweep-based reference
+   construction (``tests/dts_oracle.py``), so the check covers the
+   columnar DTS too; each leg line reports its DTS point count.
 
 ``--haggle-n100`` swaps in the dense N=100 Haggle-like trace (trace seed
 99, as for the N=50 scaling trace) over the 9000–11000 s window with a
@@ -145,8 +148,12 @@ def _child(args) -> int:
         trace = ContactTrace.load(args.path)
     else:
         sys.path.insert(0, os.path.join(REPO_ROOT, "tests"))
+        import dts_oracle
         from trace_oracle import parse_crawdad
 
+        from repro.algorithms import eedcb
+
+        eedcb.build_dts = dts_oracle.build_dts
         trace = parse_crawdad(args.path)
     trace_fp = trace.fingerprint()
     load_s = time.perf_counter() - t0
@@ -171,8 +178,9 @@ def _child(args) -> int:
         doc["stage_seconds"] = [
             [k, round(v, 2)] for k, v in plan.info["stage_seconds"].items()
         ]
-    if "steiner_expansions" in plan.info:
-        doc["steiner_expansions"] = plan.info["steiner_expansions"]
+    for key in ("dts_points", "steiner_expansions"):
+        if key in plan.info:
+            doc[key] = plan.info[key]
     print(json.dumps(doc, sort_keys=True))
     return 0
 
@@ -199,8 +207,11 @@ def _run_leg(leg: str, path: str, args, limit_mb: int) -> dict:
 
 
 def _work(doc: dict) -> str:
-    """The per-stage split and Steiner expansions of a leg, if reported."""
+    """The per-stage split, DTS points and Steiner expansions of a leg,
+    if reported."""
     parts = [f"{k} {v}s" for k, v in doc.get("stage_seconds", ())]
+    if "dts_points" in doc:
+        parts.append(f"{doc['dts_points']:,} DTS points")
     if "steiner_expansions" in doc:
         parts.append(f"{doc['steiner_expansions']:,} expansions")
     return f"; {', '.join(parts)}" if parts else ""
@@ -263,7 +274,7 @@ def main(argv=None) -> int:
     ingested.save(ctrace_path)
     t0 = time.perf_counter()
     reloaded_fp = ContactTrace.load(ctrace_path).fingerprint()
-    print(f".ctrace reload fingerprint in {time.perf_counter() - t0:.3f}s")
+    print(f".ctrace reload + fingerprint in {time.perf_counter() - t0:.3f}s")
     if reloaded_fp != fp:
         print("FAIL: .ctrace round trip changed the trace fingerprint")
         return 1
