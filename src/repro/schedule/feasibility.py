@@ -23,16 +23,20 @@ of the paper's conditions.
 
 :func:`check_feasibility` evaluates all four and returns a structured
 :class:`FeasibilityReport` naming every violation, which the tests and the
-experiment harness use to assert scheduler correctness.
+experiment harness use to assert scheduler correctness.  Its replay fires
+each timestamp group with :func:`fire_group`, the one copy of the firing
+rule; the reduce session (:mod:`repro.schedule.reduce`) fires its groups
+with the same function.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 from .. import obs
+from ..errors import GraphModelError, ScheduleError
 from ..tveg.graph import TVEG
 from .schedule import Schedule, Transmission
 
@@ -68,9 +72,127 @@ class FeasibilityReport:
         return "FeasibilityReport(infeasible: " + "; ".join(self.violations) + ")"
 
 
+def replay_eps(tveg: TVEG, eps: Optional[float]) -> float:
+    """The ε of a check: ``tveg.params.epsilon``, or an explicit ``eps``.
+
+    An explicit ε must lie in (0, 1), as :class:`~repro.params.PhyParams`
+    requires of ``epsilon``: at ε ≥ 1 a node that nothing reached
+    (``p = 1``) would count as informed, and a NaN ε fails every
+    comparison.
+    """
+    if eps is None:
+        return tveg.params.epsilon
+    if not 0.0 < eps < 1.0:
+        raise ScheduleError(f"eps must lie in (0, 1), got {eps!r}")
+    return eps
+
+
+def node_index(tveg: TVEG, source: Node, targets=()) -> Dict[Node, int]:
+    """Each node's position in ``tveg.nodes``, the replay's node index.
+
+    Raises :class:`~repro.errors.GraphModelError` when ``source`` or one
+    of ``targets`` is not a node of ``tveg``.
+    """
+    index = {n: i for i, n in enumerate(tveg.nodes)}
+    if source not in index:
+        raise GraphModelError(
+            f"unknown source {source!r}: not a node of the TVEG"
+        )
+    for node in targets:
+        if node not in index:
+            raise GraphModelError(
+                f"unknown target {node!r}: not a node of the TVEG"
+            )
+    return index
+
+
+def fanout(
+    tveg: TVEG, index: Dict[Node, int], cache: Dict,
+    relay: Node, t: float, w: float,
+) -> Tuple[Tuple[int, float], ...]:
+    """A row's ``(receiver index, failure factor)`` pairs, memoized.
+
+    The receivers are ``relay``'s neighbors at ``t`` (itself excluded) in
+    :meth:`~repro.tveg.graph.TVEG.neighbors` order, and each factor is
+    ``tveg.failure(relay, v, t, w)``.  A neighbor the row misses for sure
+    (factor 1.0) is left out: multiplying by 1.0 changes no probability,
+    and a node at or below ε is already marked informed (ε < 1), so the
+    firing rule would do nothing with it.  Both are pure functions of the
+    topology, so ``cache`` (:meth:`~repro.tveg.graph.TVEG.replay_cache`)
+    keeps one tuple per distinct ``(relay, t, w)``, shared by every check
+    and reduce candidate on the TVEG.
+    """
+    key = ("fan", relay, t, w)
+    fan = cache.get(key)
+    if fan is None:
+        pairs = (
+            (index[v], tveg.failure(relay, v, t, w))
+            for v in tveg.neighbors(relay, t)
+            if v != relay
+        )
+        fan = tuple((v, f) for v, f in pairs if f != 1.0)
+        cache[key] = fan
+    return fan
+
+
+def time_groups(rows: Sequence[Transmission]) -> Iterator[range]:
+    """The positions of each run of equal-time rows of a time-sorted
+    schedule, in order: the groups the replay fires one at a time."""
+    i = 0
+    while i < len(rows):
+        j = i + 1
+        while j < len(rows) and rows[j].time == rows[i].time:
+            j += 1
+        yield range(i, j)
+        i = j
+
+
+def fire_group(
+    units: Sequence[Tuple[int, Tuple[Tuple[int, float], ...]]],
+    probs,
+    eps: float,
+    informed: Optional[List[float]] = None,
+    t: float = 0.0,
+) -> List[int]:
+    """Fire one equal-time group of rows causally; the firing rule.
+
+    ``units`` holds the group's rows in schedule order as ``(relay index,
+    fanout)`` pairs, and ``probs`` maps a node index to its uninformed
+    probability (a list over every node, or a dict over the nodes the
+    group touches); it is updated in place.  Rows fire in fixpoint
+    rounds: a relay informed by an already-fired same-instant row may
+    itself fire (Eq. 6 admits ``t_j ≤ t_k``), but mutually dependent
+    rows never do.  A fired row multiplies each receiver's probability
+    by its failure factor, in fan-out order.  When ``informed`` is given,
+    a receiver whose probability is at or below ε and whose entry is
+    still ``inf`` is marked informed at ``t``.  Returns the positions
+    (into ``units``) of the rows that never fire.
+    """
+    pending = list(range(len(units)))
+    progress = True
+    while pending and progress:
+        progress = False
+        still = []
+        for i in pending:
+            relay, fan = units[i]
+            if probs[relay] <= eps:
+                for v, f in fan:
+                    if probs[v] > 0.0:
+                        probs[v] *= f
+                    if (informed is not None and probs[v] <= eps
+                            and informed[v] == math.inf):
+                        informed[v] = t
+                progress = True
+            else:
+                still.append(i)
+        pending = still
+    return pending
+
+
 def _causal_replay(
     tveg: TVEG,
     schedule: Schedule,
+    index: Dict[Node, int],
     source: Node,
     eps: float,
     start_time: float,
@@ -78,64 +200,32 @@ def _causal_replay(
     """Fire the schedule causally; return (informed times, unfired rows).
 
     Maintains each node's uninformed probability as the product of failure
-    factors of *fired* transmissions only.  Within one timestamp,
-    transmissions fire in fixpoint rounds: a relay informed by an
-    already-fired same-instant transmission may itself fire (Eq. 6 admits
-    ``t_j ≤ t_k``), but mutually dependent pairs never do.
+    factors of *fired* transmissions only, one :func:`fire_group` per
+    timestamp.  Rows before ``start_time`` never fire.  The informed times
+    are a list in ``tveg.nodes`` order.
     """
-    probs: Dict[Node, float] = {n: 1.0 for n in tveg.nodes}
-    informed_at: Dict[Node, float] = {n: math.inf for n in tveg.nodes}
-    probs[source] = 0.0
-    informed_at[source] = start_time
-
-    def is_informed(node: Node) -> bool:
-        return probs[node] <= eps
-
-    # Neighbor sets and failure probabilities are pure functions of the
-    # topology, and the reduce passes replay near-identical schedules once
-    # per candidate — memoize the lookups on the TVEG (version-checked
-    # there; the cached float is exactly the first evaluation's).
-    cache_fn = getattr(tveg, "replay_cache", None)
-    cache: Dict = cache_fn() if cache_fn is not None else {}
+    probs = [1.0] * len(index)
+    informed = [math.inf] * len(index)
+    probs[index[source]] = 0.0
+    informed[index[source]] = start_time
+    cache = tveg.replay_cache()
 
     unfired: List[Transmission] = []
     rows = list(schedule)
-    i = 0
-    while i < len(rows):
-        j = i
-        while j < len(rows) and rows[j].time == rows[i].time:
-            j += 1
-        pending = rows[i:j]
-        progress = True
-        while pending and progress:
-            progress = False
-            still = []
-            for s in pending:
-                if s.time >= start_time and is_informed(s.relay):
-                    nkey = ("nbr", s.relay, s.time)
-                    nbrs = cache.get(nkey)
-                    if nbrs is None:
-                        nbrs = tveg.neighbors(s.relay, s.time)
-                        cache[nkey] = nbrs
-                    for v in nbrs:
-                        if v == s.relay:
-                            continue
-                        if probs[v] > 0.0:
-                            fkey = ("fail", s.relay, v, s.time, s.cost)
-                            f = cache.get(fkey)
-                            if f is None:
-                                f = tveg.failure(s.relay, v, s.time, s.cost)
-                                cache[fkey] = f
-                            probs[v] *= f
-                        if probs[v] <= eps and informed_at[v] == math.inf:
-                            informed_at[v] = s.time
-                    progress = True
-                else:
-                    still.append(s)
-            pending = still
-        unfired.extend(pending)
-        i = j
-    return informed_at, unfired
+    for positions in time_groups(rows):
+        group = [rows[k] for k in positions]
+        t = group[0].time
+        if t < start_time:
+            unfired.extend(group)
+            continue
+        units = [
+            (index[s.relay],
+             fanout(tveg, index, cache, s.relay, s.time, s.cost))
+            for s in group
+        ]
+        left = fire_group(units, probs, eps, informed, t)
+        unfired.extend(group[k] for k in left)
+    return informed, unfired
 
 
 def check_feasibility(
@@ -154,23 +244,28 @@ def check_feasibility(
     ``deadline`` is the absolute time ``T`` (not a duration); ``start_time``
     is when the source acquires the packet.  ``targets`` restricts condition
     (ii) to a multicast terminal set (default: every node — broadcast).
-    See the module docstring for the causal same-instant semantics.
+    See the module docstring for the causal same-instant semantics.  An
+    explicit ``eps`` outside (0, 1) (or NaN) raises
+    :class:`~repro.errors.ScheduleError`; a ``source`` or target that is
+    not a node of ``tveg`` raises :class:`~repro.errors.GraphModelError`.
 
     ``record`` names this check on the event ledger (e.g. ``"final"``):
     per-node ε-crossing times and every violation are then emitted as
-    domain events.  The default ``None`` stays silent — the reduce passes
-    call this checker in tight candidate loops, and only the authoritative
-    end-of-pipeline check should land in the ledger.  The cheap
-    ``feasibility.checks`` / ``feasibility.failed`` counters are bumped
-    either way.
+    domain events.  The default ``None`` stays silent: only the
+    authoritative end-of-pipeline check should land in the ledger.  The
+    cheap ``feasibility.checks`` / ``feasibility.failed`` counters are
+    bumped either way, once per call; the reduce passes' candidates do
+    not call this checker (:mod:`repro.schedule.reduce`).
     """
-    e = tveg.params.epsilon if eps is None else eps
+    e = replay_eps(tveg, eps)
+    required = tveg.nodes if targets is None else tuple(targets)
+    index = node_index(tveg, source, () if targets is None else required)
     tau = tveg.tau
     violations: List[str] = []
 
     with obs.span("feasibility.check", rows=len(schedule)):
         informed_at, unfired = _causal_replay(
-            tveg, schedule, source, e, start_time
+            tveg, schedule, index, source, e, start_time
         )
 
         # (i) every relay informed when it transmits (causally)
@@ -182,12 +277,11 @@ def check_feasibility(
             )
 
         # (ii) every target informed by T − τ (all nodes in the broadcast case)
-        required = tveg.nodes if targets is None else targets
         all_ok = True
         for node in required:
             # A never-informed node (inf) fails whatever T is, even
             # T = inf; ``not <=`` also fails a NaN T.
-            informed = informed_at[node]
+            informed = informed_at[index[node]]
             if informed == math.inf or not informed <= deadline - tau:
                 all_ok = False
                 violations.append(
@@ -216,7 +310,9 @@ def check_feasibility(
         latency_ok=latency_ok,
         budget_ok=budget_ok,
         violations=tuple(violations),
-        informed_times=tuple(sorted(informed_at.items(), key=lambda kv: repr(kv[0]))),
+        informed_times=tuple(
+            sorted(zip(tveg.nodes, informed_at), key=lambda kv: repr(kv[0]))
+        ),
     )
     obs.counter("feasibility.checks")
     if not report.feasible:

@@ -18,6 +18,7 @@ import math
 from typing import Dict, Hashable, Optional
 
 from ..tveg.graph import TVEG
+from .feasibility import node_index, replay_eps
 from .schedule import Schedule, Transmission
 
 __all__ = [
@@ -97,8 +98,14 @@ def is_informed(
     eps: Optional[float] = None,
     start_time: float = 0.0,
 ) -> bool:
-    """True iff ``p_{node,t} ≤ ε`` (Section IV's informed predicate)."""
-    e = tveg.params.epsilon if eps is None else eps
+    """True iff ``p_{node,t} ≤ ε`` (Section IV's informed predicate).
+
+    An explicit ``eps`` outside (0, 1) raises
+    :class:`~repro.errors.ScheduleError`; a ``node`` or ``source`` that is
+    not a node of ``tveg`` raises :class:`~repro.errors.GraphModelError`.
+    """
+    e = replay_eps(tveg, eps)
+    node_index(tveg, source, (node,))
     return uninformed_probability(tveg, schedule, node, t, source, start_time) <= e
 
 
@@ -114,13 +121,13 @@ def informed_time(
 
     Since ``p`` only drops at transmission times, this is the time of the
     transmission whose failure factor first takes the running product to ε.
+    ``eps``, ``node`` and ``source`` are validated as in :func:`is_informed`.
     """
-    e = tveg.params.epsilon if eps is None else eps
+    e = replay_eps(tveg, eps)
+    node_index(tveg, source, (node,))
     if node == source:
         return start_time
-    p = 1.0
-    if p <= e:
-        return start_time
+    p = 1.0  # above ε: an ε in (0, 1) never counts an unreached node
     for s in schedule:
         q = _transmission_failure(tveg, s, node)
         if q is not None:

@@ -115,10 +115,10 @@ class TVEG:
         # serves every source via NumpyAuxGraph.retarget; bounded LRU.
         self._aux_cache: "OrderedDict" = OrderedDict()
         self._aux_cache_version = tvg.version
-        # Replay memo: neighbor tuples and failure probabilities looked up
-        # by the feasibility checker's causal replay.  The reduce passes
-        # replay near-identical schedules once per candidate, so these
-        # pure-function evaluations recur massively.
+        # Replay memo: one (receiver, failure factor) tuple per distinct
+        # schedule row, read by the feasibility checker's causal replay
+        # and by the reduce session, whose candidates re-cost the same
+        # rows over and over.
         self._replay_cache: dict = {}
         self._replay_cache_version = tvg.version
 
@@ -232,11 +232,17 @@ class TVEG:
     def replay_cache(self) -> dict:
         """Memo for the feasibility replay's pure lookups (version-checked).
 
-        Holds ``("nbr", node, t) → neighbor tuple`` and
-        ``("fail", u, v, t, w) → probability`` entries — both deterministic
-        functions of the current topology, so caching them only skips
-        recomputation (the cached float is the one the first evaluation
-        produced).  Dropped automatically when the underlying TVG mutates.
+        Holds ``("fan", relay, t, w) → ((receiver index, failure
+        factor), ...)`` entries, one per distinct schedule row
+        (:func:`repro.schedule.feasibility.fanout`): the relay's
+        neighbors at ``t`` as positions in :attr:`nodes`, each with
+        ``failure(relay, v, t, w)``, leaving out those at factor 1.0.
+        They are deterministic functions of the current topology, so
+        caching them only skips recomputation (each cached float is the
+        one the first evaluation produced); the reduce session fills the
+        memo and the final
+        :func:`~repro.schedule.feasibility.check_feasibility` reuses it.
+        Dropped automatically when the underlying TVG mutates.
         """
         if self._replay_cache_version != self._tvg.version:
             self._replay_cache.clear()

@@ -9,13 +9,13 @@ import pytest
 from repro.auxgraph import build_aux_graph, extract_schedule
 from repro.channels import RayleighChannel, StaticChannel
 from repro.params import PAPER_PARAMS
-from repro.schedule.reduce import lower_costs, remove_redundant, upgrade_and_prune
 from repro.steiner import solve_memt
 from repro.steiner.sptree import tree_cost
 from repro.traces import DistanceModel, deterministic_trace, uniform_trace
 from repro.tveg import TVEG, tveg_from_trace
 
 from .dts_oracle import build_dts as reference_dts
+from .reduce_oracle import lower_costs, remove_redundant, upgrade_and_prune
 
 
 @pytest.fixture
@@ -70,9 +70,11 @@ def reference_pipeline(tveg, source, deadline, targets=None):
     The reference DTS (``tests/dts_oracle.py``) →
     :func:`~repro.auxgraph.build.build_aux_graph` → greedy
     :func:`~repro.steiner.memt.solve_memt` on the networkx graph →
-    :func:`~repro.auxgraph.extract.extract_schedule` → the three reduce
-    passes.  The production scheduler builds a different graph form, so
-    equality with this pins both forms to the plain construction.
+    :func:`~repro.auxgraph.extract.extract_schedule` → the reference
+    reduce passes (``tests/reduce_oracle.py``, one full replay per
+    candidate).  The production scheduler builds a different graph form
+    and reduces on a replay session, so equality with this pins both to
+    the plain construction.
     Returns the reduced ``schedule`` (FR-EEDCB's backbone) with
     ``raw_cost`` (before reduction), ``tree_cost``,
     ``steiner_expansions``, ``aux_nodes`` and ``aux_edges``.  Raises

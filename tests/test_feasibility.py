@@ -4,7 +4,17 @@ import math
 
 import pytest
 
-from repro.schedule import Schedule, Transmission, check_feasibility
+from repro.errors import GraphModelError, ScheduleError
+from repro.schedule import (
+    Schedule,
+    Transmission,
+    check_feasibility,
+    informed_time,
+    is_informed,
+    lower_costs,
+    remove_redundant,
+    upgrade_and_prune,
+)
 
 
 def _w(tveg, u, v, t):
@@ -206,3 +216,48 @@ class TestReplayKernelParity:
         result = make_scheduler("eedcb").run(tveg, 0, 2500.0)
         assert_matches_reference(result, reference_pipeline(tveg, 0, 2500.0))
         assert check_feasibility(tveg, result.schedule, 0, 2500.0).feasible
+
+
+class TestInputValidation:
+    """An ε the Eq. 6 rule cannot interpret and nodes the TVEG does not
+    have are rejected by every entry point that reads them."""
+
+    # relay 2 is never informed from source 0: at ε = 1 its p = 1 counted
+    # as informed, and the report said so
+    SCHED = Schedule([Transmission(2, 25.0, 1e-6)])
+
+    ENTRY_POINTS = {
+        "check_feasibility": lambda tv, src, node, eps: check_feasibility(
+            tv, TestInputValidation.SCHED, src, 100.0, eps=eps,
+            targets=(node,)),
+        "remove_redundant": lambda tv, src, node, eps: remove_redundant(
+            tv, TestInputValidation.SCHED, src, 100.0, eps=eps,
+            targets=(node,)),
+        "upgrade_and_prune": lambda tv, src, node, eps: upgrade_and_prune(
+            tv, TestInputValidation.SCHED, src, 100.0, eps=eps,
+            targets=(node,)),
+        "lower_costs": lambda tv, src, node, eps: lower_costs(
+            tv, TestInputValidation.SCHED, src, 100.0, eps=eps,
+            targets=(node,)),
+        "is_informed": lambda tv, src, node, eps: is_informed(
+            tv, TestInputValidation.SCHED, node, 100.0, src, eps=eps),
+        "informed_time": lambda tv, src, node, eps: informed_time(
+            tv, TestInputValidation.SCHED, node, src, eps=eps),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("eps", [1.0, 1.5, 0.0, -0.01, math.nan])
+    def test_eps_outside_unit_interval(self, det_static, entry, eps):
+        with pytest.raises(ScheduleError, match="eps must lie in"):
+            self.ENTRY_POINTS[entry](det_static, 0, 1, eps)
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("role", ["source", "target"])
+    def test_unknown_node(self, det_static, entry, role):
+        src, node = (99, 1) if role == "source" else (0, 99)
+        with pytest.raises(GraphModelError, match=f"unknown {role} 99"):
+            self.ENTRY_POINTS[entry](det_static, src, node, None)
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_valid_input_accepted(self, det_static, entry):
+        self.ENTRY_POINTS[entry](det_static, 0, 1, 0.5)

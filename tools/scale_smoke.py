@@ -33,8 +33,12 @@ and asserts the three scale acceptance properties:
    (``tests/trace_oracle.py``) planned from the same text file in an
    unlimited child — the oracle is allowed to be fat, the store is not.
    That child's EEDCB also takes its DTS from the sweep-based reference
-   construction (``tests/dts_oracle.py``), so the check covers the
-   columnar DTS too; each leg line reports its DTS point count.
+   construction (``tests/dts_oracle.py``) and its reduce passes from the
+   one-replay-per-candidate reference (``tests/reduce_oracle.py``), so
+   the check covers the columnar DTS and the reduce session too.  Each
+   leg line reports its stage seconds (reduce among them), its DTS point
+   count, and its reduce work: the store leg's ``reduce.candidates``
+   counter, the dict leg's count of reference feasibility replays.
 
 ``--haggle-n100`` swaps in the dense N=100 Haggle-like trace (trace seed
 99, as for the N=50 scaling trace) over the 9000–11000 s window with a
@@ -139,21 +143,43 @@ def _child(args) -> int:
         ceiling = int(args.limit_mb * 1024 * 1024)
         resource.setrlimit(resource.RLIMIT_AS, (ceiling, ceiling))
 
-    from repro import plan_broadcast, tveg_from_trace
+    from repro import obs, plan_broadcast, tveg_from_trace
+    from repro.obs.tracer import NoopTracer
     from repro.traces import ContactTrace
 
+    class Counts(NoopTracer):
+        """Counters only; spans stay free, as on the default tracer."""
+
+        def __init__(self) -> None:
+            self.counts: dict = {}
+
+        def counter(self, name: str, inc: float = 1.0) -> None:
+            self.counts[name] = self.counts.get(name, 0.0) + inc
+
     _, window, deadline = _instance(args.instance)
+    counts = Counts()
     t0 = time.perf_counter()
     if args.child == "store":
         trace = ContactTrace.load(args.path)
+        obs.set_tracer(counts)
     else:
         sys.path.insert(0, os.path.join(REPO_ROOT, "tests"))
         import dts_oracle
+        import reduce_oracle
         from trace_oracle import parse_crawdad
 
         from repro.algorithms import eedcb
 
         eedcb.build_dts = dts_oracle.build_dts
+        for name in ("remove_redundant", "upgrade_and_prune", "lower_costs"):
+            setattr(eedcb, name, getattr(reduce_oracle, name))
+        check = reduce_oracle.check_feasibility
+
+        def counted_check(*a, **kw):
+            counts.counter("reduce.replays")
+            return check(*a, **kw)
+
+        reduce_oracle.check_feasibility = counted_check
         trace = parse_crawdad(args.path)
     trace_fp = trace.fingerprint()
     load_s = time.perf_counter() - t0
@@ -181,8 +207,12 @@ def _child(args) -> int:
     for key in ("dts_points", "steiner_expansions"):
         if key in plan.info:
             doc[key] = plan.info[key]
+    for key in ("reduce.candidates", "reduce.replays"):
+        if counts.counts.get(key):
+            doc[key] = int(counts.counts[key])
     print(json.dumps(doc, sort_keys=True))
     return 0
+
 
 
 def _run_leg(leg: str, path: str, args, limit_mb: int) -> dict:
@@ -214,6 +244,10 @@ def _work(doc: dict) -> str:
         parts.append(f"{doc['dts_points']:,} DTS points")
     if "steiner_expansions" in doc:
         parts.append(f"{doc['steiner_expansions']:,} expansions")
+    if "reduce.candidates" in doc:
+        parts.append(f"{doc['reduce.candidates']:,} reduce candidates")
+    if "reduce.replays" in doc:
+        parts.append(f"{doc['reduce.replays']:,} reference reduce replays")
     return f"; {', '.join(parts)}" if parts else ""
 
 
