@@ -43,6 +43,9 @@ Node = Hashable
 #: Numerical floor for transmit costs — φ is singular at w = 0.
 MIN_COST_FLOOR = 1e-30
 
+#: a channel's bound ``log_failure`` or ``dlog_failure_dw``
+TermFn = Callable[[float], float]
+
 
 def term_ed(term) -> EDFunction:
     """Coerce a constraint term's channel spec to an ED-function.
@@ -75,11 +78,15 @@ class Constraint:
 class AllocationProblem:
     """All data the allocation solvers need.
 
-    Construction also builds the problem's term table: for every
-    constraint row, each term's variable index with its channel's bound
-    ``log_failure`` and ``dlog_failure_dw``.  :meth:`residuals` and
-    :meth:`jacobian` walk that table to evaluate every row at once, which
-    is what SLSQP consumes as its single vector constraint.
+    Construction also builds the problem's term table: one entry per
+    distinct ``(variable, channel object)`` pair, holding the channel's
+    bound ``log_failure`` and ``dlog_failure_dw``, and for every
+    constraint row the positions of its terms in that table, in term
+    order.  :meth:`residuals` and :meth:`jacobian` evaluate each entry
+    once and assemble every row from it, which is what SLSQP consumes as
+    its single vector constraint.  Rows share entries because
+    :func:`build_allocation_problem` gives a relay row (Eq. 16) the very
+    ``(k, ED-function)`` terms of the same node's node row (Eq. 15).
     """
 
     num_vars: int
@@ -89,22 +96,29 @@ class AllocationProblem:
     w_max: float
     #: per-variable lower bound actually used (≥ MIN_COST_FLOOR)
     lb: float = field(init=False)
-    #: per row, ``(k, log_failure)`` of each term, in term order
-    _log_terms: List[List[Tuple[int, Callable[[float], float]]]] = field(
+    #: ``(k, log_failure, dlog_failure_dw)`` of each distinct term
+    _terms: List[Tuple[int, TermFn, TermFn]] = field(
         init=False, repr=False, compare=False
     )
-    #: ``(row · num_vars + k, k, dlog_failure_dw)`` of every term, row by row
-    _jac_terms: List[Tuple[int, int, Callable[[float], float]]] = field(
-        init=False, repr=False, compare=False
-    )
+    #: per row, the term-table position of each of its terms, in term order
+    _rows: List[List[int]] = field(init=False, repr=False, compare=False)
+    #: flat Jacobian index ``row · num_vars + k`` of every term, row by row
+    _jac_at: np.ndarray = field(init=False, repr=False, compare=False)
+    #: term-table position of every term, aligned with ``_jac_at``
+    _jac_term: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.lb = max(self.w_min, MIN_COST_FLOOR)
         if self.w_max <= self.lb:
             raise SolverError("w_max must exceed the effective lower bound")
         n = self.num_vars
-        self._log_terms = []
-        self._jac_terms = []
+        # Keyed by the channel object's identity: the constraints keep
+        # every channel alive, and one object always yields one function.
+        position: Dict[Tuple[int, int], int] = {}
+        self._terms = []
+        self._rows = []
+        jac_at: List[int] = []
+        jac_term: List[int] = []
         for i, c in enumerate(self.constraints):
             row = []
             for k, ch in c.terms:
@@ -113,10 +127,17 @@ class AllocationProblem:
                         f"constraint {c.label!r} names variable {k}, "
                         f"outside 0..{n - 1}"
                     )
-                ed = term_ed(ch)
-                row.append((k, ed.log_failure))
-                self._jac_terms.append((i * n + k, k, ed.dlog_failure_dw))
-            self._log_terms.append(row)
+                at = position.get((k, id(ch)))
+                if at is None:
+                    at = position[(k, id(ch))] = len(self._terms)
+                    ed = term_ed(ch)
+                    self._terms.append((k, ed.log_failure, ed.dlog_failure_dw))
+                row.append(at)
+                jac_at.append(i * n + k)
+                jac_term.append(at)
+            self._rows.append(row)
+        self._jac_at = np.array(jac_at, dtype=np.intp)
+        self._jac_term = np.array(jac_term, dtype=np.intp)
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -127,29 +148,33 @@ class AllocationProblem:
     def residuals(self, w: np.ndarray) -> np.ndarray:
         """Slack ``log ε − Σ log φ`` per constraint (≥ 0 ⇔ satisfied).
 
-        Each row is a ``sum()`` over its terms' ``log φ`` values, so it
-        rounds as a per-row ``sum()`` does on every Python version
-        (compensated from 3.12 on).
+        Each distinct term's ``log φ`` is evaluated once; each row is then
+        a ``sum()`` over its terms' values in term order, so it rounds as
+        a per-row ``sum()`` does on every Python version (compensated from
+        3.12 on).
         """
         x = np.asarray(w, dtype=float).tolist()
+        values = [f(x[k]) for k, f, _ in self._terms]
+        value = values.__getitem__
         log_eps = self.log_eps
-        return np.array(
-            [log_eps - sum([f(x[k]) for k, f in row]) for row in self._log_terms]
-        )
+        return np.array([log_eps - sum(map(value, row)) for row in self._rows])
 
     def jacobian(self, w: np.ndarray) -> np.ndarray:
         """``∂ residuals / ∂ w`` as a dense rows × variables matrix.
 
-        Each term's derivative is taken at ``max(w_k, lb)``, where φ is not
-        singular, and accumulated onto 0.0 with ``+=``: an entry whose
-        derivative is ``+0.0`` stays ``+0.0``.
+        Each distinct term's derivative is taken once, at ``max(w_k, lb)``
+        where φ is not singular, and every row's terms are accumulated
+        onto 0.0 in term order (``np.add.at``): an entry whose derivative
+        is ``+0.0`` stays ``+0.0``, and a row naming a variable twice adds
+        its two terms in order.
         """
         lb = self.lb
         x = [max(v, lb) for v in np.asarray(w, dtype=float).tolist()]
-        flat = [0.0] * (len(self._log_terms) * self.num_vars)
-        for at, k, dlog in self._jac_terms:
-            flat[at] += -dlog(x[k])
-        return np.array(flat).reshape(len(self._log_terms), self.num_vars)
+        slopes = np.array([-dlog(x[k]) for k, _, dlog in self._terms],
+                          dtype=float)
+        flat = np.zeros(len(self._rows) * self.num_vars)
+        np.add.at(flat, self._jac_at, slopes[self._jac_term])
+        return flat.reshape(len(self._rows), self.num_vars)
 
     def is_feasible(self, w: np.ndarray, tol: float = 1e-9) -> bool:
         if np.any(w < self.lb - tol) or np.any(w > self.w_max + tol):

@@ -21,6 +21,7 @@ from typing import Hashable, List, Optional, Tuple
 
 from .. import obs
 from ..core.rng import SeedLike
+from ..errors import ReproError
 from ..parallel import chunk_indices, derive_seeds, parallel_map, resolve_workers
 from ..schedule.schedule import Schedule
 from ..tveg.graph import TVEG
@@ -92,8 +93,11 @@ def run_protocol_trials(
     ``workers > 1`` fans trials out over processes; the summary — and,
     with ``keep_outcomes=True``, every individual
     :class:`~repro.protosim.executor.ProtocolResult` — is identical to
-    the serial run for the same ``seed``.
+    the serial run for the same ``seed``.  ``num_trials`` below 1 raises
+    :class:`~repro.errors.ReproError`.
     """
+    if num_trials < 1:
+        raise ReproError(f"num_trials must be at least 1, got {num_trials!r}")
     w = resolve_workers(workers)
     if w > 1 and obs.ledger_enabled():
         obs.counter("parallel.ledger_fallback")
@@ -121,11 +125,9 @@ def run_protocol_trials(
                 results[i] = ex.run(s, trial_id=i)
     obs.counter("protosim.trials", num_trials)
 
-    n = max(num_trials, 1)
-    deliveries = [r.delivery_ratio for r in results if r is not None]
-    energies = [r.energy for r in results if r is not None]
-    mean_d, std_d = _mean_std(deliveries or [0.0], n)
-    mean_e, std_e = _mean_std(energies or [0.0], n)
+    n = num_trials
+    mean_d, std_d = _mean_std([r.delivery_ratio for r in results], n)
+    mean_e, std_e = _mean_std([r.energy for r in results], n)
     return ProtocolSummary(
         num_trials=num_trials,
         num_nodes=tveg.num_nodes,
@@ -133,11 +135,7 @@ def run_protocol_trials(
         std_delivery=std_d,
         mean_energy=mean_e,
         std_energy=std_e,
-        mean_data_sent=sum(
-            r.counts.data_sent for r in results if r is not None
-        ) / n,
-        mean_retransmits=sum(
-            r.counts.retransmits for r in results if r is not None
-        ) / n,
+        mean_data_sent=sum(r.counts.data_sent for r in results) / n,
+        mean_retransmits=sum(r.counts.retransmits for r in results) / n,
         outcomes=tuple(results) if keep_outcomes else (),
     )

@@ -318,7 +318,8 @@ def check_feasibility(
     if not report.feasible:
         obs.counter("feasibility.failed")
     if record is not None:
-        _record_report(tveg, report, unfired, budget, deadline, record, required)
+        _record_report(tveg, report, unfired, budget, deadline, record,
+                       required, e)
     return report
 
 
@@ -330,16 +331,17 @@ def _record_report(
     deadline: float,
     label: str,
     required,
+    eps: float,
 ) -> None:
-    """Emit one feasibility evaluation as typed ledger events."""
+    """Emit one feasibility evaluation as typed ledger events; each
+    ``node_informed`` event carries ``eps``, the ε the check ran with."""
     led = obs.get_ledger()
     if not led.enabled:
         return
     for node, t in report.informed_times:
         if math.isfinite(t):
             led.emit(
-                obs.EV_NODE_INFORMED, t=t, node=node, check=label,
-                eps=tveg.params.epsilon,
+                obs.EV_NODE_INFORMED, t=t, node=node, check=label, eps=eps,
             )
     for s in unfired:
         led.emit(

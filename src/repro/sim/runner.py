@@ -6,6 +6,13 @@ order (a property the determinism tests pin down).  That same property is
 what makes ``workers > 1`` safe: child seeds are derived up front with the
 exact stream :func:`repro.core.rng.spawn` draws, so a parallel run fills
 the result arrays with bit-for-bit the numbers the serial loop produces.
+
+All trials of one call share one
+:class:`~repro.sim.simulator.ScheduleTrials`, so each row's fan-out (its
+receivers and their failure factors) is computed once per call, the first
+time the row fires; with ``workers > 1`` each worker chunk computes its
+own.  The ``sim.fanouts`` counter adds up the fan-outs computed, next to
+``sim.trials``.
 """
 
 from __future__ import annotations
@@ -18,10 +25,11 @@ import numpy as np
 
 from .. import obs
 from ..core.rng import SeedLike, as_generator, spawn
+from ..errors import ReproError
 from ..parallel import chunk_indices, derive_seeds, parallel_map, resolve_workers
 from ..schedule.schedule import Schedule
 from ..tveg.graph import TVEG
-from .simulator import TrialOutcome, simulate_schedule
+from .simulator import ScheduleTrials
 
 __all__ = ["SimulationSummary", "run_trials"]
 
@@ -55,20 +63,24 @@ class SimulationSummary:
 
 def _simulate_chunk(
     payload,
-) -> List[Tuple[float, float, int]]:
-    """Worker-process body: simulate one contiguous block of trials."""
+) -> Tuple[List[Tuple[float, float, int]], int]:
+    """Worker-process body: simulate one contiguous block of trials.
+
+    Returns each trial's ``(delivery, energy, transmissions)`` and the
+    number of fan-outs the block computed.
+    """
     (
         tveg, schedule, source, seeds, start,
         count_scheduled_energy, interference, n,
     ) = payload
+    trials = ScheduleTrials(
+        tveg, schedule, source, count_scheduled_energy, interference
+    )
     out = []
     for j, s in enumerate(seeds):
-        res = simulate_schedule(
-            tveg, schedule, source, np.random.default_rng(s),
-            count_scheduled_energy, interference, trial_id=start + j,
-        )
+        res = trials.run(np.random.default_rng(s), trial_id=start + j)
         out.append((res.delivery_ratio(n), res.energy, res.transmissions))
-    return out
+    return out, trials.fanouts_built
 
 
 def run_trials(
@@ -89,8 +101,11 @@ def run_trials(
     global trial index, so the summary is bit-for-bit identical to the
     serial run for the same ``seed``.  When the obs ledger is recording,
     the runner falls back to serial so no per-trial events are lost in
-    worker processes.
+    worker processes.  ``num_trials`` below 1 raises
+    :class:`~repro.errors.ReproError`: no trial, no estimate.
     """
+    if num_trials < 1:
+        raise ReproError(f"num_trials must be at least 1, got {num_trials!r}")
     w = resolve_workers(workers)
     if w > 1 and obs.ledger_enabled():
         obs.counter("parallel.ledger_fallback")
@@ -112,25 +127,28 @@ def run_trials(
                 )
                 for r in chunk_indices(num_trials, w)
             ]
-            i = 0
-            for chunk in parallel_map(_simulate_chunk, payloads, workers=w):
+            i = fanouts = 0
+            for chunk, built in parallel_map(_simulate_chunk, payloads,
+                                             workers=w):
+                fanouts += built
                 for d, e, t in chunk:
                     deliveries[i] = d
                     energies[i] = e
                     txs[i] = t
                     i += 1
         else:
-            rng = as_generator(seed)
-            children = spawn(rng, num_trials)
+            trials = ScheduleTrials(
+                tveg, schedule, source, count_scheduled_energy, interference
+            )
+            children = spawn(as_generator(seed), num_trials)
             for i, child in enumerate(children):
-                out = simulate_schedule(
-                    tveg, schedule, source, child, count_scheduled_energy,
-                    interference, trial_id=i,
-                )
+                out = trials.run(child, trial_id=i)
                 deliveries[i] = out.delivery_ratio(n)
                 energies[i] = out.energy
                 txs[i] = out.transmissions
+            fanouts = trials.fanouts_built
     obs.counter("sim.trials", num_trials)
+    obs.counter("sim.fanouts", fanouts)
     return SimulationSummary(
         num_trials=num_trials,
         num_nodes=n,

@@ -32,6 +32,10 @@ __all__ = ["TVG", "edge_key"]
 Node = Hashable
 EdgeKey = Tuple[Node, Node]
 
+#: the presence set of a pair that never meets, shared: ``IntervalSet`` is
+#: immutable, and a ``dict.get`` default is built on every call
+_NO_PRESENCE = IntervalSet.empty()
+
 
 def edge_key(u: Node, v: Node) -> EdgeKey:
     """Canonical undirected edge key (order-normalized endpoint pair)."""
@@ -163,7 +167,7 @@ class TVG:
     # ------------------------------------------------------------------
     def presence(self, u: Node, v: Node) -> IntervalSet:
         """The presence set ``{t : ρ(e_{u,v}, t) = 1}`` of an edge."""
-        return self._presence.get(edge_key(u, v), IntervalSet.empty())
+        return self._presence.get(edge_key(u, v), _NO_PRESENCE)
 
     def rho(self, u: Node, v: Node, t: float) -> bool:
         """The presence function ``ρ(e, t)``."""

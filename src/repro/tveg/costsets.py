@@ -13,12 +13,14 @@ Two query paths produce identical cost sets:
   point queries;
 * :func:`discrete_cost_sets` — one node at *many ascending* times, via a
   single forward sweep over the node's contact boundaries
-  (:mod:`repro.temporal.sweep`) — the fast path the auxiliary-graph
-  builders use.
+  (:mod:`repro.temporal.sweep`); only the networkx reference build
+  :func:`~repro.auxgraph.build.build_aux_graph` uses it.  The production
+  build (:func:`~repro.compute.numpy_backend.build_numpy_aux_graph`)
+  costs whole contact components and never asks for a DCS.
 
 Both share the TVEG's per-contact cost cache and memoize results on the
-TVEG (``(node, t)`` keyed), so the backbone stage, schedule extraction,
-and the reduction passes never recompute a DCS.
+TVEG (``(node, t)`` keyed), so the event-driven schedulers, the exact
+oracle and the reduction passes never recompute a DCS.
 """
 
 from __future__ import annotations

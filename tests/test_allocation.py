@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
+from repro.algorithms import make_scheduler
 from repro.algorithms.eedcb import EEDCB
 from repro.allocation import (
     AllocationProblem,
@@ -260,13 +261,18 @@ channels = st.one_of(
 
 @st.composite
 def problems(draw, max_vars=6, max_rows=8, max_terms=4):
-    """1–6 variables and 1–8 rows; a row may name a variable twice."""
+    """1–6 variables and 1–8 rows; a row may name a variable twice, and
+    rows share ``(variable, channel)`` term objects drawn from one pool,
+    the way :func:`build_allocation_problem`'s relay rows share their
+    node row's terms."""
     n = draw(st.integers(1, max_vars))
+    term = st.tuples(st.integers(0, n - 1), channels)
+    pool = draw(st.lists(term, min_size=1, max_size=2 * max_terms))
     rows = [
         Constraint(
             f"r{i}",
             tuple(
-                draw(st.lists(st.tuples(st.integers(0, n - 1), channels),
+                draw(st.lists(st.one_of(st.sampled_from(pool), term),
                               min_size=1, max_size=max_terms))
             ),
         )
@@ -344,6 +350,18 @@ def assert_polishes_match_per_row(problem):
         assert one.success == rows.success
 
 
+BACKBONE_INSTANCES = [(2, 8), (5, 10), (7, 10), (11, 8)]
+
+
+def _shared_terms_problem(tveg, backbone):
+    """The backbone's allocation problem, whose relay rows (Eq. 16) reuse
+    their node rows' (Eq. 15) term objects: fewer table entries than
+    terms."""
+    problem = build_allocation_problem(tveg, backbone, 0)
+    assert len(problem._terms) < sum(len(c.terms) for c in problem.constraints)
+    return problem
+
+
 class TestTermTable:
     @prop
     @given(st.data())
@@ -365,13 +383,23 @@ class TestTermTable:
     def test_slsqp_polishes_match_per_row(self, problem):
         assert_polishes_match_per_row(problem)
 
-    @pytest.mark.parametrize("seed, num_nodes", [(2, 8), (5, 10), (7, 10), (11, 8)])
+    @pytest.mark.parametrize("seed, num_nodes", BACKBONE_INSTANCES)
     def test_slsqp_polishes_match_per_row_on_backbones(self, seed, num_nodes):
         _, tveg = make_random_instance(num_nodes, seed=seed, channel="rayleigh")
         backbone = EEDCB().run(tveg, 0, 300.0).schedule
-        assert_polishes_match_per_row(
-            build_allocation_problem(tveg, backbone, 0)
-        )
+        assert_polishes_match_per_row(_shared_terms_problem(tveg, backbone))
+
+    @pytest.mark.parametrize("algo", ["greed", "rand"])
+    @pytest.mark.parametrize("seed, num_nodes", BACKBONE_INSTANCES)
+    def test_slsqp_polishes_match_per_row_on_event_backbones(
+        self, algo, seed, num_nodes
+    ):
+        # the FR-GREED and FR-RAND backbones: GREED / RAND run on the
+        # fading instance itself
+        _, tveg = make_random_instance(num_nodes, seed=seed, channel="rayleigh")
+        kwargs = {"seed": seed} if algo == "rand" else {}
+        backbone = make_scheduler(algo, **kwargs).run(tveg, 0, 300.0).schedule
+        assert_polishes_match_per_row(_shared_terms_problem(tveg, backbone))
 
     def test_variable_index_out_of_range_rejected(self):
         with pytest.raises(SolverError, match="variable 2"):

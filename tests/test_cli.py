@@ -100,6 +100,19 @@ class TestCommands:
         ])
         assert rc == 0
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    @pytest.mark.parametrize("engine", [[], ["--protocol"]])
+    def test_simulate_rejects_no_trials(self, trace_file, capsys, trials,
+                                        engine):
+        rc = main([
+            "simulate", trace_file, "--algorithm", "fr-greed",
+            "--delay", "100", "--source", "0", f"--trials={trials}", *engine,
+        ])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "error: num_trials must be at least 1" in captured.err
+        assert "delivery" not in captured.out
+
     def test_simulate_protocol(self, trace_file, capsys):
         rc = main([
             "simulate", trace_file, "--algorithm", "fr-eedcb",

@@ -13,6 +13,7 @@ import pytest
 
 from repro import check_feasibility, make_scheduler, obs
 from repro.params import PAPER_PARAMS
+from repro.schedule import Schedule, Transmission
 from repro.obs.bench import compare
 from repro.obs.events import Event, event_from_json, event_to_json
 from repro.obs.report import render_html
@@ -271,6 +272,28 @@ class TestDomainEvents:
         checked = [e for e in evs if e.type == obs.EV_FEASIBILITY_CHECKED]
         assert len(checked) == 1
         assert checked[0].fields["feasible"] == report.feasible
+
+    def test_node_informed_tagged_with_check_eps(self, det_fading):
+        # Each row spends 0.4·w0: at ε = 0.2 one firing informs (node 1 at
+        # t=15, node 2 at t=25), while the TVEG's own ε is 0.01.
+        w = det_fading.min_cost
+        sched = Schedule([
+            Transmission(0, 15.0, 0.4 * w(0, 1, 15.0)),
+            Transmission(0, 16.0, 0.4 * w(0, 1, 16.0)),
+            Transmission(0, 17.0, 0.4 * w(0, 3, 17.0)),
+            Transmission(1, 25.0, 0.4 * w(1, 2, 25.0)),
+        ])
+        assert det_fading.params.epsilon != 0.2
+        obs.enable_ledger()
+        check_feasibility(det_fading, sched, 0, 100.0, eps=0.2,
+                          record="final")
+        informed = {
+            e.fields["node"]: (e.t, e.fields["eps"])
+            for e in obs.ledger_events() if e.type == obs.EV_NODE_INFORMED
+        }
+        assert informed[1] == (15.0, 0.2)
+        assert informed[2] == (25.0, 0.2)
+        assert {eps for _, eps in informed.values()} == {0.2}
 
     def test_feasibility_violations_name_constraints(self):
         _, tveg = make_random_instance(seed=2)

@@ -10,7 +10,7 @@ from .conftest import make_random_instance
 from repro import obs
 from repro.algorithms import make_scheduler
 from repro.channels import RayleighChannel, StaticChannel
-from repro.errors import GraphModelError, ScheduleError
+from repro.errors import GraphModelError, ReproError, ScheduleError
 from repro.params import PAPER_PARAMS
 from repro.protosim import (
     MessageCounts,
@@ -374,6 +374,15 @@ class TestSummary:
         assert s.mean_energy == s.outcomes[0].energy
         lo, hi = s.delivery_ci95()
         assert lo <= s.mean_delivery <= hi
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_no_trials_rejected(self, trials):
+        # no trial, no estimate: not a delivery of 0.000
+        _, tveg = make_random_instance(num_nodes=6, seed=1)
+        schedule = make_scheduler("eedcb").schedule(tveg, 0, 200.0)
+        with pytest.raises(ReproError, match="num_trials must be at least 1"):
+            run_protocol_trials(tveg, schedule, 0, 200.0, num_trials=trials,
+                                seed=1)
 
     def test_counts_value_object(self):
         c = MessageCounts(hello_sent=2, data_sent=3, ack_sent=1)

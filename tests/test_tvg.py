@@ -66,6 +66,13 @@ class TestPresenceQueries:
         assert not tvg.rho_tau(0, 1, 18.5)
         assert not tvg.rho_tau(0, 1, 19.9)
 
+    def test_absent_pair_presence_is_one_shared_empty_set(self, tvg):
+        absent = tvg.presence(0, 2)
+        assert absent.is_empty and absent == IntervalSet()
+        assert tvg.presence(2, 0) is absent
+        assert not tvg.rho_tau(0, 2, 12.0)
+        assert tvg.adjacency_set(0, 2).is_empty
+
     def test_adjacency_set_is_eroded_presence(self, tvg):
         adj = tvg.adjacency_set(0, 1)
         assert adj.pairs == ((10.0, 18.0),)

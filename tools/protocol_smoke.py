@@ -1,7 +1,8 @@
 #!/usr/bin/env python
 """Protocol-simulator smoke test — run by CI, usable locally.
 
-Exercises the two guarantees ``repro.protosim`` ships with:
+Exercises the two guarantees ``repro.protosim`` ships with, and the
+analytic simulator's parity with its reference:
 
 1. **parity**: on a lossless static-channel TVEG, executing an EEDCB
    plan through the protocol engine (parity config: no retries, no
@@ -14,7 +15,12 @@ Exercises the two guarantees ``repro.protosim`` ships with:
    of the same geometry produces the exact delivery ratio and
    retransmit counters pinned below, identically for ``workers=1``
    and ``workers=2`` — a drift in RNG stream layout, event ordering,
-   or retry policy changes these numbers and fails the gate.
+   or retry policy changes these numbers and fails the gate;
+3. **analytic simulator against its reference**: ``repro.sim.run_trials``
+   on that same seeded Rayleigh FR-EEDCB schedule, with ``workers=1``
+   and ``workers=2``, returns the summary of the per-trial reference
+   simulator in ``tests/sim_oracle.py`` byte for byte (every field as
+   ``float.hex``).
 
 Usage::
 
@@ -25,6 +31,7 @@ Exits nonzero with a diagnostic on the first violated property.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import sys
 
@@ -41,8 +48,12 @@ from repro.protosim import (  # noqa: E402
     check_analytic_parity,
     run_protocol_trials,
 )
+from repro.sim import run_trials  # noqa: E402
 from repro.traces import DistanceModel, uniform_trace  # noqa: E402
 from repro.tveg import TVEG, tveg_from_trace  # noqa: E402
+
+sys.path.insert(0, os.path.join(REPO_ROOT, "tests"))
+import sim_oracle  # noqa: E402
 
 
 def fail(msg: str) -> None:
@@ -71,8 +82,8 @@ def check_parity() -> None:
     print(f"parity: ok ({cases} scheduler/instance cases, exact match)")
 
 
-def check_lossy_determinism() -> None:
-    """Seeded lossy run reproduces pinned counters, any worker count."""
+def lossy_instance():
+    """The seeded Rayleigh TVEG and its FR-EEDCB schedule from source 0."""
     trace = uniform_trace(
         num_nodes=8, horizon=400.0, mean_gap=80.0,
         mean_duration=40.0, seed=2,
@@ -80,7 +91,12 @@ def check_lossy_determinism() -> None:
     tvg = trace.to_tvg()
     provider = DistanceModel().attach(trace, seed=1)
     fading = TVEG(tvg, RayleighChannel(PAPER_PARAMS), provider)
-    schedule = make_scheduler("fr-eedcb").schedule(fading, 0, 250.0)
+    return fading, make_scheduler("fr-eedcb").schedule(fading, 0, 250.0)
+
+
+def check_lossy_determinism() -> None:
+    """Seeded lossy run reproduces pinned counters, any worker count."""
+    fading, schedule = lossy_instance()
 
     config = ProtocolConfig(max_retries=3, backoff=2.0)
     runs = {
@@ -123,9 +139,37 @@ def check_lossy_determinism() -> None:
     print("reproducibility: ok (repeat run byte-identical)")
 
 
+def summary_bytes(summary):
+    """Every field of a simulation summary, floats as ``float.hex``."""
+    return tuple(
+        v.hex() if isinstance(v, float) else v
+        for v in dataclasses.astuple(summary)
+    )
+
+
+def check_sim_reference() -> None:
+    """``run_trials`` equals the per-trial reference, any worker count."""
+    fading, schedule = lossy_instance()
+    kw = dict(num_trials=50, seed=7, count_scheduled_energy=True)
+    ref = sim_oracle.run_trials(fading, schedule, 0, **kw)
+    want = summary_bytes(ref)
+    for w in (1, 2):
+        got = summary_bytes(run_trials(fading, schedule, 0, workers=w, **kw))
+        if got != want:
+            fail(
+                f"run_trials workers={w} differs from tests/sim_oracle.py: "
+                f"{got} != {want}"
+            )
+    print(
+        f"analytic simulator: ok (run_trials workers 1 and 2 == reference "
+        f"over {ref.num_trials} trials, delivery {ref.mean_delivery:.4f})"
+    )
+
+
 def main() -> None:
     check_parity()
     check_lossy_determinism()
+    check_sim_reference()
     print("protocol smoke: all checks passed")
 
 
