@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from repro.allocation import build_allocation_problem, solve_allocation
-from repro.auxgraph import build_aux_graph
 from repro.compute.numpy_backend import build_numpy_aux_graph
 from repro.core.intervals import IntervalSet
 from repro.dts import build_dts
@@ -73,7 +72,7 @@ def test_dts_build(benchmark, instance):
 @pytest.mark.benchmark(group="micro")
 def test_aux_graph_build(benchmark, instance):
     static, _, source = instance
-    aux = benchmark(build_aux_graph, static, source, 2000.0)
+    aux = benchmark(build_numpy_aux_graph, static, source, 2000.0)
     assert aux.num_nodes > 0
 
 

@@ -18,9 +18,9 @@ identical pipeline doubles as FR-EEDCB's backbone-selection stage.
 The auxiliary graph is always the implicit numpy graph
 (:mod:`repro.compute.numpy_backend`), searched by the greedy Steiner
 kernel that reads its rows in place.  It is byte-identical to the
-networkx construction (:func:`repro.auxgraph.build.build_aux_graph`),
-which the tests keep as the reference, whether link costs are constant
-within each contact or vary within one.  The auxiliary graph itself is
+networkx construction the tests keep as the reference
+(``tests/aux_oracle.py``), whether link costs are constant within each
+contact or vary within one.  The auxiliary graph itself is
 source-independent, so built graphs are retained on the TVEG's
 :meth:`~repro.tveg.graph.TVEG.aux_cache` and re-rooted per source — the
 amortization behind :func:`repro.api.plan_broadcast_many`.

@@ -201,11 +201,14 @@ def plan_config(
     the hit path never has to build a graph to find out).
 
     Raises :class:`ValueError` for a non-finite ``deadline`` (the delay
-    constraint is what bounds the plan) or a non-finite window bound.
+    constraint is what bounds the plan), a negative one (no plan can
+    finish before it starts) or a non-finite window bound.
     """
     deadline = float(deadline)
     if not math.isfinite(deadline):
         raise ValueError(f"deadline must be finite, got {deadline!r}")
+    if deadline < 0:
+        raise ValueError(f"deadline must be non-negative, got {deadline!r}")
     algo = canonical_scheduler_name(algorithm)
     if isinstance(trace_or_tveg, TVEG):
         if window is not None:

@@ -1,6 +1,9 @@
-"""Auxiliary graph (Section VI-A): construction and schedule extraction."""
+"""Auxiliary graph (Section VI-A): node vocabulary and schedule extraction.
 
-from .build import AuxGraph, build_aux_graph
+The graph itself is built in implicit form by
+:func:`repro.compute.numpy_backend.build_numpy_aux_graph`.
+"""
+
 from .extract import extract_schedule
 from .model import (
     is_state,
@@ -13,8 +16,6 @@ from .model import (
 )
 
 __all__ = [
-    "AuxGraph",
-    "build_aux_graph",
     "extract_schedule",
     "state_node",
     "tx_node",

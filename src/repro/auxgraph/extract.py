@@ -13,63 +13,27 @@ edges carry no cost and no action.  Two defensive clean-ups are applied:
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Set, Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
 
 from ..schedule.schedule import Schedule, Transmission
-from .build import AuxGraph
-from .model import AuxNode, is_tx, level_of, node_of, point_index_of
+from .model import AuxNode
 
 __all__ = ["extract_schedule"]
 
-Node = Hashable
 Edge = Tuple[AuxNode, AuxNode]
 
 
 def extract_schedule(aux, tree_edges: Iterable[Edge]) -> Schedule:
     """Decode a Steiner tree (edge set) into a broadcast relay schedule.
 
-    ``aux`` is the networkx :class:`~repro.auxgraph.build.AuxGraph` or
-    the implicit :class:`~repro.compute.numpy_backend.NumpyAuxGraph`,
-    whose trees are read as node ids.
-    """
-    if not isinstance(aux, AuxGraph):
-        return _extract_ids(aux, tree_edges)
-    edges = list(tree_edges)
-    used_tx: Set[AuxNode] = set()
-    has_coverage: Set[AuxNode] = set()
-    for u, v in edges:
-        if is_tx(v):
-            used_tx.add(v)
-        if is_tx(u):
-            has_coverage.add(u)
-
-    # (node, point index) → best level actually used
-    best_level: Dict[Tuple[Node, int], int] = {}
-    for x in used_tx:
-        if x not in has_coverage:
-            continue  # informs nobody in the tree — drop
-        key = (node_of(x), point_index_of(x))
-        k = level_of(x)
-        if key not in best_level or k > best_level[key]:
-            best_level[key] = k
-
-    rows = []
-    for (node, l), k in best_level.items():
-        dcs = aux.cost_sets[(node, l)]
-        w = dcs.entries[k][0]
-        rows.append(Transmission(node, aux.time_of(node, l), w))
-    return Schedule(rows)
-
-
-def _extract_ids(aux, tree_edges) -> Schedule:
-    """:func:`extract_schedule` on the implicit graph, in node ids.
-
-    Transmission ``j`` (id ``num_states + j``) is used when the tree
-    enters it and it has a coverage child.  Within a state, ids rise
-    with the level, so the highest used id per state is its best level,
-    and its cost is ``tx_w[j]``.
+    ``aux`` is the implicit
+    :class:`~repro.compute.numpy_backend.NumpyAuxGraph`, whose trees are
+    read as node ids.  Transmission ``j`` (id ``num_states + j``) is used
+    when the tree enters it and it has a coverage child.  Within a state,
+    ids rise with the level, so the highest used id per state is its best
+    level, and its cost is ``tx_w[j]``.
     """
     ids = aux.tree_ids(tree_edges)
     S = aux.num_states

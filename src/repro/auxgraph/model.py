@@ -12,6 +12,15 @@ Transmission nodes realize the wireless broadcast advantage (Property
 fan out to *every* receiver state that cost level covers — so a Steiner tree
 pays for each transmission exactly once however many children it informs.
 This is the encoding Liang's MEMT reduction uses.
+
+The edges are the 0-weight waiting edges ``u_{i,l} → u_{i,l+1}``, the
+transmit edges ``u_{i,l} → x_{i,l,k}`` weighted ``w^k``, and the 0-weight
+coverage edges ``x_{i,l,k} → u_{j,f}`` to every ``v_j`` whose minimum cost
+at ``t_{i,l}`` is ≤ ``w^k``, where ``t_{j,f} = t_{i,l} + τ`` (the paper
+prints ``−τ``, a typo: decoding completes *after* traversal; with the
+paper's own ``τ ≈ 0`` the two coincide).  No edge moves back in time, so
+TMEDB-S is the directed Steiner tree problem rooted at the source's first
+state node with the terminals ``u_{i, last}``.
 """
 
 from __future__ import annotations

@@ -6,6 +6,6 @@ EEDCB hot path: the implicit Section VI-A auxiliary graph
 directed-Steiner search that reads its rows directly.
 :class:`~repro.algorithms.eedcb.EEDCB` builds that graph for every TVEG,
 whether link costs are constant within each contact or vary within one.
-The networkx construction (:func:`repro.auxgraph.build.build_aux_graph`)
-is the reference the tests hold it to.
+The networkx construction in ``tests/aux_oracle.py`` is the reference
+the tests hold it to.
 """

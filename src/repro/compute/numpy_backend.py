@@ -1,11 +1,11 @@
-"""Array-native kernels for the sweep/DCS/Steiner hot path.
+"""Array-native kernels for the DCS/aux-graph/Steiner hot path.
 
 Three stages of the EEDCB pipeline dominate ``eedcb_run``: the per-node
 contact-cost evaluation, the DCS level construction and auxiliary-graph
 build, and the greedy directed-Steiner expansion.  This module
 implements them with batched numpy operations while reproducing the
-networkx reference construction
-(:func:`~repro.auxgraph.build.build_aux_graph`) **byte for byte**:
+networkx reference construction (``build_aux_graph`` in
+``tests/aux_oracle.py``) **byte for byte**:
 
 * :func:`node_components` gives each node canonically sorted
   ``(cost, neighbor)`` *component* rows, each active on one contiguous
@@ -33,8 +33,8 @@ networkx reference construction
   ever materialized.
 * :func:`greedy_incremental_dst_numpy` runs the same incremental
   multi-source Dijkstra as
-  :func:`~repro.steiner.dst.greedy_incremental_dst` does on the
-  reference graph, reading each settled row straight from those arrays.
+  the reference ``greedy_incremental_dst`` (``tests/aux_oracle.py``)
+  does on the networkx graph, reading each settled row straight from those arrays.
   It keeps distances for state nodes only and queues one pending cost
   level per state instead of every transmission node.  Every live heap
   entry of the reference is either queued here too or outranked by a
@@ -132,11 +132,11 @@ def node_components(
     With ``tveg.cost_cacheable`` the components are the τ-eroded
     adjacency components, costed once at their start through
     :meth:`~repro.tveg.graph.TVEG.contact_cost` (which shares the TVEG's
-    per-contact cost cache with the sweep and point-query paths) and
+    per-contact cost cache with the point-query path) and
     cached per node on :meth:`~repro.tveg.graph.TVEG.compute_cache`.
     Otherwise each active (neighbor, point) cell is a one-point component
     costed by the same ``contact_cost(node, other, t, start)`` call the
-    timeline sweep makes at that point.
+    reference's timeline sweep makes at that point.
     """
     tvg = tveg.tvg
     if not tveg.cost_cacheable:
@@ -272,7 +272,7 @@ class NumpyAuxGraph:
     """The Section VI-A auxiliary graph, its rows derived on demand.
 
     Same node ids, per-row edge order and weights as the networkx
-    reference (:func:`~repro.auxgraph.build.build_aux_graph`), but no
+    reference (``build_aux_graph`` in ``tests/aux_oracle.py``), but no
     per-edge array.  The construction is local to each (node, DTS point),
     and Property 6.1(i) makes the coverage of cost level ``k`` a prefix of
     the point's receivers in DCS order, so every row follows from 12
@@ -469,10 +469,10 @@ def build_numpy_aux_graph(
     """Build the Section VI-A auxiliary graph in implicit form.
 
     Returns a :class:`NumpyAuxGraph` whose node numbering, per-row edge
-    order and weights are identical to
-    :func:`~repro.auxgraph.build.build_aux_graph`'s — pinned row for row
-    by the compute-parity suite, on costs constant within each contact
-    and on costs that vary within one (see :func:`node_components`).
+    order and weights are identical to the networkx reference build's
+    (``tests/aux_oracle.py``) — pinned row for row by the compute-parity
+    suite, on costs constant within each contact and on costs that vary
+    within one (see :func:`node_components`).
 
     The build fills its arrays in place.  A first pass takes every node's
     components, whose active (component, point) cells bound both the
@@ -514,7 +514,7 @@ def build_numpy_aux_graph(
     # the point; row ``G`` is -1 throughout, for receptions at no grid
     # point.  ``recv_at[g]`` is the grid position of the reception time
     # ``t + tau`` of a transmission at grid point ``g``, by exact float
-    # equality (as auxgraph.build._point_index), else ``G``.  A cell's
+    # equality (as the reference build's ``_point_index``), else ``G``.  A cell's
     # receiver state is then one gather: no search per cell or neighbor.
     grid = d.grid
     G, N = len(grid), len(labels)
@@ -700,8 +700,8 @@ def greedy_incremental_dst_numpy(
 ) -> LazyTreeEdges:
     """The incremental multi-source Dijkstra over the implicit graph.
 
-    Identical search to :func:`~repro.steiner.dst.greedy_incremental_dst`
-    on the equivalent networkx graph — same expansions in the same order,
+    Identical search to the reference ``greedy_incremental_dst``
+    (``tests/aux_oracle.py``) on the equivalent networkx graph — same expansions in the same order,
     same ``expansions`` / ``grafts`` counters, same tree — but it keeps
     distances for the state nodes only and queues at most one pending
     cost level per state instead of every transmission node.  Rows are

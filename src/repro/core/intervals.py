@@ -23,6 +23,7 @@ measure first; this module is dominated by the Steiner search anyway).
 from __future__ import annotations
 
 import math
+import struct
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Sequence, Tuple
@@ -335,12 +336,19 @@ class IntervalSet:
         of times ``t`` with ``[t, t + τ] ⊆ [s, e]``.  This is exactly the
         paper's ``ρ_τ`` operator (Section IV): a transmission started at ``t``
         completes iff the link is present throughout ``[t, t + τ]``.
+
+        In floating point the end is the least ``x`` whose rounded
+        ``x + τ`` reaches ``e``, and a component is kept iff ``s + τ < e``,
+        so membership agrees with :meth:`covers` at every float ``t``;
+        the rounded ``e − τ`` can be an ulp off either way.
         """
         if tau < 0:
             raise IntervalError("erode() requires tau >= 0")
         if tau == 0:
             return self
-        return IntervalSet((s, e - tau) for s, e in self._pairs if e - tau > s)
+        return IntervalSet(
+            (s, _least_reaching(e, tau)) for s, e in self._pairs if s + tau < e
+        )
 
     # ------------------------------------------------------------------
     # boundary extraction (feeds partitions, Section V)
@@ -356,6 +364,47 @@ class IntervalSet:
     def boundaries_within(self, lo: float, hi: float) -> Tuple[float, ...]:
         """Boundary points falling inside ``[lo, hi]``."""
         return tuple(p for p in self.boundaries() if lo <= p <= hi)
+
+
+_SIGN = 1 << 63
+
+
+def _float_position(x: float) -> int:
+    """``x``'s rank in the order of the floats (``±0.0`` rank 0)."""
+    (bits,) = struct.unpack("<Q", struct.pack("<d", x))
+    return bits if bits < _SIGN else _SIGN - bits
+
+
+def _float_at(k: int) -> float:
+    """The float of rank ``k`` (:func:`_float_position`'s inverse)."""
+    return struct.unpack("<d", struct.pack("<Q", k if k >= 0 else _SIGN - k))[0]
+
+
+def _least_reaching(e: float, tau: float) -> float:
+    """The least float ``x`` with ``x + tau >= e`` in floating point.
+
+    Rounded addition is monotone in ``x``, so the answer is a boundary in
+    the order of the floats.  It usually lies within an ulp or two of the
+    rounded ``e - tau``; when ``e - tau`` is far smaller than ``e`` its
+    ulps are too, and the boundary is found by bisecting the float ranks.
+    """
+    x = e - tau
+    for _ in range(4):
+        if x + tau < e:
+            x = math.nextafter(x, math.inf)
+            continue
+        below = math.nextafter(x, -math.inf)
+        if below + tau < e:
+            return x
+        x = below
+    lo, hi = _float_position(-math.inf), _float_position(math.inf)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _float_at(mid) + tau >= e:
+            hi = mid
+        else:
+            lo = mid
+    return _float_at(hi)
 
 
 def merge_all(sets: Sequence[IntervalSet]) -> IntervalSet:

@@ -26,7 +26,8 @@ from ..allocation import (
     closed_form_allocation,
     solve_allocation,
 )
-from ..auxgraph import build_aux_graph, extract_schedule
+from ..auxgraph import extract_schedule
+from ..compute.numpy_backend import build_numpy_aux_graph
 from ..core.rng import SeedLike
 from ..dts import build_dts
 from ..errors import InfeasibleError
@@ -98,10 +99,8 @@ def pruning_ablation(
     out: Dict[str, float] = {}
     for label, prune in (("pruned", True), ("unpruned", False)):
         dts = build_dts(tveg.tvg, 2000.0, prune=prune)
-        aux = build_aux_graph(tveg, source, 2000.0, dts)
-        sched = extract_schedule(
-            aux, solve_memt(aux.graph, aux.root, aux.terminals)
-        )
+        aux = build_numpy_aux_graph(tveg, source, 2000.0, dts)
+        sched = extract_schedule(aux, solve_memt(aux, aux.root, aux.terminals))
         assert check_feasibility(tveg, sched, source, 2000.0).feasible
         out[f"{label}_aux_nodes"] = aux.num_nodes
         out[f"{label}_cost"] = sched.total_cost

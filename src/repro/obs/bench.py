@@ -58,7 +58,6 @@ BENCH_SCHEMA = "repro.bench/1"
 #: operations whose regression fails the gate (ROADMAP tier-1 pipeline)
 TIER1_OPS = (
     "dts_build",
-    "aux_graph_build",
     "aux_build",
     "steiner_solve",
     "eedcb_run",
@@ -143,7 +142,6 @@ def _ops(
     """
     from ..algorithms import make_scheduler
     from ..api import plan_broadcast, plan_broadcast_many, plan_cache_key
-    from ..auxgraph import build_aux_graph
     from ..compute.numpy_backend import build_numpy_aux_graph
     from ..dts import build_dts
     from ..schedule import check_feasibility
@@ -190,11 +188,6 @@ def _ops(
     def dts_build():
         d = build_dts(static.tvg, delay)
         return {"dts_points": float(d.total_points())}
-
-    def aux_graph_build():
-        static.clear_caches()
-        a = build_aux_graph(static, source, delay, dts)
-        return {"aux_nodes": float(a.num_nodes), "aux_edges": float(a.num_edges)}
 
     def aux_build():
         static.clear_caches()
@@ -341,7 +334,6 @@ def _ops(
 
     return [
         ("dts_build", dts_build),
-        ("aux_graph_build", aux_graph_build),
         ("aux_build", aux_build),
         ("steiner_solve", steiner_solve),
         ("eedcb_run", eedcb_run),

@@ -2,12 +2,12 @@
 
 A sharded service only beats a single process if repeat configurations
 keep landing on the shard whose live caches — the registry TVEG, its
-NodeSweep/DCS/cost structures, the hot tier of the plan cache — are
-already warm for them.  Random or round-robin dispatch would spread K
-repeats of one configuration over K shards and pay the cold build K
-times; the paper's workload shape (many ``(source, deadline, algorithm)``
-sweeps over one trace, cf. ROADMAP item 1) makes that the common case,
-not the corner case.
+component/DCS/cost structures and aux-graph builds, the hot tier of the
+plan cache — are already warm for them.  Random or round-robin dispatch
+would spread K repeats of one configuration over K shards and pay the
+cold build K times; the paper's workload shape (many ``(source,
+deadline, algorithm)`` sweeps over one trace, cf. ROADMAP item 1) makes
+that the common case, not the corner case.
 
 :class:`HashRing` is the classic consistent-hash ring over md5 with
 virtual nodes: each shard owns ``replicas`` points on a 64-bit circle and

@@ -1,12 +1,11 @@
 """Directed Steiner tree / minimum-energy multicast tree solvers."""
 
-from .dst import charikar_dst, greedy_incremental_dst
+from .dst import charikar_dst
 from .memt import MEMT_METHODS, solve_memt
 from .prune import prune_tree
 from .sptree import shortest_path_tree, tree_cost
 
 __all__ = [
-    "greedy_incremental_dst",
     "charikar_dst",
     "shortest_path_tree",
     "tree_cost",

@@ -1,23 +1,15 @@
-"""Directed Steiner tree solvers.
+"""Charikar et al.'s recursive directed Steiner tree solver.
 
-Two solvers beyond the level-1 shortest-path tree:
-
-* :func:`greedy_incremental_dst` — the practical default.  Repeatedly runs a
-  multi-source Dijkstra from the current tree (tree nodes cost 0) and grafts
-  the cheapest path to a yet-uncovered terminal.  On auxiliary graphs the
-  0-weight coverage edges make this capture the wireless broadcast
-  advantage: once a transmission node is paid for, every receiver it covers
-  becomes free, so subsequent terminals attach at zero marginal cost.
-* :func:`charikar_dst` — the recursive level-``i`` algorithm of Charikar et
-  al. with approximation ratio ``O(k^{1/i} · i)`` (the ``O(N^ε)`` family the
-  paper cites through Liang's reduction).  Exponential in ``i`` and meant
-  for small instances: ground-truthing the greedy solver in tests and the
-  solver-ablation benchmark.
+:func:`charikar_dst` is the level-``i`` algorithm with approximation ratio
+``O(k^{1/i} · i)`` (the ``O(N^ε)`` family the paper cites through Liang's
+reduction).  Exponential in ``i`` and meant for small instances:
+ground-truthing the greedy solver in tests and the solver-ablation
+benchmark.  The greedy solver is
+:func:`~repro.compute.numpy_backend.greedy_incremental_dst_numpy`.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
@@ -26,113 +18,12 @@ import networkx as nx
 from .. import obs
 from ..errors import InfeasibleError, SolverError
 
-__all__ = ["greedy_incremental_dst", "charikar_dst"]
+__all__ = ["charikar_dst"]
 
 AuxNode = Hashable
 Edge = Tuple[AuxNode, AuxNode]
 
 
-def greedy_incremental_dst(
-    graph: nx.DiGraph,
-    root: AuxNode,
-    terminals: Sequence[AuxNode],
-    stats: Optional[Dict[str, int]] = None,
-) -> Set[Edge]:
-    """Grow a Steiner tree by repeatedly grafting the cheapest path.
-
-    Implemented as ONE incremental multi-source Dijkstra: the tree is the
-    source set, and every time a path to the closest uncovered terminal is
-    grafted, the path's nodes re-enter the heap at distance 0.  Source-set
-    growth only ever lowers distances, so stale heap entries are skipped by
-    the usual lazy-deletion check and the total work stays near a single
-    Dijkstra pass instead of one per terminal.
-
-    ``graph`` is a weighted :class:`networkx.DiGraph`, indexed to flat
-    int adjacency once per call.  The implicit auxiliary graph has its own
-    kernel running the identical search,
-    :func:`~repro.compute.numpy_backend.greedy_incremental_dst_numpy`.
-
-    ``stats``, when given, receives ``expansions`` (settled heap pops) and
-    ``grafts`` (paths attached to the tree) — the same numbers the obs
-    counters ``steiner.expansions`` / ``steiner.grafts`` record.
-    """
-    # Index the graph once: tuple keys → ints, adjacency as flat lists.
-    nodes = list(graph.nodes)
-    index = {n: i for i, n in enumerate(nodes)}
-    adj = [[] for _ in nodes]
-    for u, v, data in graph.edges(data=True):
-        adj[index[u]].append((index[v], float(data.get("weight", 0.0))))
-    root_i = index[root]
-    uncovered = {index[t] for t in terminals if t != root}
-    uncovered.discard(root_i)
-
-    n = len(nodes)
-
-    INF = math.inf
-    dist = [INF] * n
-    pred = [-1] * n
-    in_tree = [False] * n
-    tree_edges: Set[Edge] = set()
-
-    heap: List[Tuple[float, int]] = []
-    expansions = 0
-    grafts = 0
-
-    def enter_tree(i: int, parent: int) -> None:
-        if in_tree[i]:
-            return
-        in_tree[i] = True
-        if parent >= 0:
-            tree_edges.add((nodes[parent], nodes[i]))
-        dist[i] = 0.0
-        heapq.heappush(heap, (0.0, i))
-        uncovered.discard(i)
-
-    enter_tree(root_i, -1)
-
-    while uncovered:
-        # Pop until an uncovered terminal settles.
-        target = -1
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > dist[u]:
-                continue  # stale entry
-            expansions += 1
-            if u in uncovered:
-                target = u
-                break
-            for v, w in adj[u]:
-                nd = d + w
-                if nd < dist[v]:
-                    dist[v] = nd
-                    pred[v] = u
-                    heapq.heappush(heap, (nd, v))
-        if target < 0:
-            first = nodes[next(iter(uncovered))]
-            raise InfeasibleError(
-                f"{len(uncovered)} terminal(s) unreachable from the tree "
-                f"(first: {first!r})"
-            )
-        # Graft the pred-chain back to the nearest tree node.
-        chain: List[int] = []
-        v = target
-        while v >= 0 and not in_tree[v]:
-            chain.append(v)
-            v = pred[v]
-        for i in reversed(chain):
-            enter_tree(i, pred[i])
-        grafts += 1
-    if stats is not None:
-        stats["expansions"] = stats.get("expansions", 0) + expansions
-        stats["grafts"] = stats.get("grafts", 0) + grafts
-    obs.counter("steiner.expansions", expansions)
-    obs.counter("steiner.grafts", grafts)
-    return tree_edges
-
-
-# ----------------------------------------------------------------------
-# Charikar et al. recursive algorithm
-# ----------------------------------------------------------------------
 class _CharikarSolver:
     """Stateful recursion with memoized single-source Dijkstra runs."""
 

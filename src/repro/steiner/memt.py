@@ -1,11 +1,12 @@
 """Minimum-energy multicast tree facade (Liang's problem [3]).
 
-:func:`solve_memt` is the single entry point the schedulers call: given a
-weighted DAG, a root, and terminals, return a pruned Steiner edge set using
-the selected solver:
+:func:`solve_memt` is the single entry point the schedulers call: given
+the auxiliary graph, a root, and terminals, return a pruned Steiner edge
+set using the selected solver:
 
-* ``"greedy"`` (default) — incremental multi-source Dijkstra grafting; the
-  practical solver used for all paper-scale experiments.
+* ``"greedy"`` (default) — incremental multi-source Dijkstra grafting,
+  the compiled search over the implicit graph; the practical solver used
+  for all paper-scale experiments.
 * ``"sptree"`` — level-1 shortest-path tree; fastest, weakest bound.
 * ``"charikar"`` — the recursive level-``i`` algorithm with the paper's
   ``O(N^ε)``-family guarantee; small instances only.
@@ -26,7 +27,7 @@ import networkx as nx
 from .. import obs
 from ..compute.numpy_backend import NumpyAuxGraph, greedy_incremental_dst_numpy
 from ..errors import SolverError
-from .dst import charikar_dst, greedy_incremental_dst
+from .dst import charikar_dst
 from .prune import prune_tree
 from .sptree import shortest_path_tree, tree_cost
 
@@ -50,17 +51,16 @@ def solve_memt(
     """Solve the MEMT instance and return its Steiner edge set, every edge
     on a root→terminal path.
 
-    ``graph`` is a weighted :class:`networkx.DiGraph` or the implicit
-    :class:`~repro.compute.numpy_backend.NumpyAuxGraph`.  The greedy
-    solver is chosen by graph form: the implicit graph gets
+    ``graph`` is the implicit
+    :class:`~repro.compute.numpy_backend.NumpyAuxGraph` or, for
+    ``sptree`` and ``charikar``, a weighted :class:`networkx.DiGraph`.
+    The greedy solver is
     :func:`~repro.compute.numpy_backend.greedy_incremental_dst_numpy`,
     the compiled search over the build's arrays, whose tree stays in
     node ids (a :class:`~repro.compute.numpy_backend.LazyTreeEdges`
-    set); a networkx graph gets the stdlib
-    :func:`greedy_incremental_dst`.  The
-    networkx-based solvers (``sptree``, ``charikar``) receive a lossless
-    ``to_networkx()`` view, so every method accepts either form and
-    returns identical trees.
+    set); it raises :class:`~repro.errors.SolverError` on any other
+    graph.  The networkx-based solvers receive the implicit graph's
+    lossless ``to_networkx()`` view.
 
     ``stats``, when given, receives the solver's work counters (at least
     ``expansions``; the greedy solver adds ``grafts``) — the numbers the
@@ -74,13 +74,15 @@ def solve_memt(
         terminals=len(terminals),
     ):
         if method == "greedy":
-            search = (
-                greedy_incremental_dst_numpy
-                if isinstance(graph, NumpyAuxGraph)
-                else greedy_incremental_dst
-            )
+            if not isinstance(graph, NumpyAuxGraph):
+                raise SolverError(
+                    "the greedy solver searches the implicit auxiliary "
+                    "graph (build_numpy_aux_graph), not a "
+                    f"{type(graph).__name__}"
+                )
             # A union of grafted root→terminal chains: already pruned.
-            return search(graph, root, terminals, stats=stats)
+            return greedy_incremental_dst_numpy(graph, root, terminals,
+                                                stats=stats)
         if method == "sptree":
             if not isinstance(graph, nx.DiGraph):
                 graph = graph.to_networkx()

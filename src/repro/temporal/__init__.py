@@ -24,14 +24,11 @@ from .reachability import (
     reachability_graph,
     reachable_set,
 )
-from .sweep import NodeSweep, adjacency_events
 from .tvg import TVG, edge_key
 
 __all__ = [
     "TVG",
     "edge_key",
-    "NodeSweep",
-    "adjacency_events",
     "CandidateContact",
     "ProbabilisticTVG",
     "RobustnessReport",

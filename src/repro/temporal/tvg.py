@@ -85,9 +85,7 @@ class TVG:
         # Incident-edge index: node → other endpoints of its possible edges.
         # Keeps neighbor queries O(deg) instead of O(|E|).
         self._incident: Dict[Node, List[Node]] = {n: [] for n in self._nodes}
-        # Timeline-sweep support: per-node adjacency events (lazy, see
-        # adjacency_events) and a version stamp consumers key caches on.
-        self._events: Dict[Node, Tuple] = {}
+        # A version stamp consumers key their derived caches on.
         self._version = 0
 
     # ------------------------------------------------------------------
@@ -143,7 +141,7 @@ class TVG:
             self._incident[key[0]].append(key[1])
             self._incident[key[1]].append(key[0])
         self._presence[key] = clamped if existing is None else existing | clamped
-        self._invalidate(key)
+        self._version += 1
 
     def set_presence(self, u: Node, v: Node, presence: IntervalSet) -> None:
         """Replace an edge's whole presence function at once."""
@@ -154,13 +152,7 @@ class TVG:
             self._incident[key[0]].append(key[1])
             self._incident[key[1]].append(key[0])
         self._presence[key] = presence.clamp(0.0, self._horizon)
-        self._invalidate(key)
-
-    def _invalidate(self, key: EdgeKey) -> None:
-        """Drop cached sweep events after a topology mutation."""
         self._version += 1
-        self._events.pop(key[0], None)
-        self._events.pop(key[1], None)
 
     # ------------------------------------------------------------------
     # presence queries (ρ and ρ_τ of the paper)
@@ -205,48 +197,15 @@ class TVG:
         """Instantaneous degree of ``node`` at time ``t``."""
         return len(self.neighbors(node, t))
 
-    # ------------------------------------------------------------------
-    # timeline sweeps (per-node event index)
-    # ------------------------------------------------------------------
     @property
     def version(self) -> int:
         """Mutation counter; bumps on every contact/presence change.
 
-        Consumers that cache derived structures (sweep events, DCS memos)
-        key them on this stamp to stay correct across mutation.
+        Consumers that cache derived structures (the TVEG's DCS memo,
+        compute and aux-graph caches) key them on this stamp to stay
+        correct across mutation.
         """
         return self._version
-
-    def adjacency_events(self, node: Node) -> Tuple:
-        """The node's sorted adjacency-change events (cached until mutation).
-
-        See :func:`repro.temporal.sweep.adjacency_events` for the format.
-        """
-        self._check_node(node)
-        cached = self._events.get(node)
-        if cached is None:
-            from .sweep import adjacency_events
-
-            cached = adjacency_events(self, node)
-            self._events[node] = cached
-        return cached
-
-    def sweep(self, node: Node) -> "NodeSweep":
-        """A fresh forward sweep cursor over the node's contact boundaries."""
-        from .sweep import NodeSweep
-
-        return NodeSweep(self.adjacency_events(node))
-
-    def clear_event_cache(self) -> None:
-        """Drop every cached per-node adjacency-event list.
-
-        The lists are pure derivations of the topology, so this never
-        changes results and deliberately does *not* bump :attr:`version`;
-        it exists so :meth:`repro.tveg.graph.TVEG.clear_caches` can force
-        subsequent sweeps to rebuild their event lists from the interval
-        sets — cold-benchmark timings must not reuse warm sweep state.
-        """
-        self._events.clear()
 
     # ------------------------------------------------------------------
     # snapshots and events

@@ -7,20 +7,13 @@ collapses to the *discrete cost set* ``W^di_{i,t} = {w¹, ..., w^m}``.
 Property 6.1(i) — the broadcast nature — says transmitting at ``w^k``
 informs every neighbor whose minimum cost is ≤ ``w^k``.
 
-Two query paths produce identical cost sets:
-
-* :func:`discrete_cost_set` — one (node, time) pair, via the TVEG's
-  point queries;
-* :func:`discrete_cost_sets` — one node at *many ascending* times, via a
-  single forward sweep over the node's contact boundaries
-  (:mod:`repro.temporal.sweep`); only the networkx reference build
-  :func:`~repro.auxgraph.build.build_aux_graph` uses it.  The production
-  build (:func:`~repro.compute.numpy_backend.build_numpy_aux_graph`)
-  costs whole contact components and never asks for a DCS.
-
-Both share the TVEG's per-contact cost cache and memoize results on the
-TVEG (``(node, t)`` keyed), so the event-driven schedulers, the exact
-oracle and the reduction passes never recompute a DCS.
+:func:`discrete_cost_set` answers one (node, time) pair through the TVEG's
+point queries.  It shares the TVEG's per-contact cost cache and memoizes
+results on the TVEG (``(node, t)`` keyed), so the event-driven schedulers,
+the exact oracle and the reduction passes never recompute a DCS.  The
+auxiliary-graph build
+(:func:`~repro.compute.numpy_backend.build_numpy_aux_graph`) costs whole
+contact components and never asks for a DCS.
 """
 
 from __future__ import annotations
@@ -28,13 +21,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Hashable, Iterable, List, Sequence, Tuple
+from typing import Hashable, Iterable, List, Tuple
 
 from .. import obs
 from ..errors import ScheduleError
 from .graph import TVEG
 
-__all__ = ["DiscreteCostSet", "discrete_cost_set", "discrete_cost_sets"]
+__all__ = ["DiscreteCostSet", "discrete_cost_set"]
 
 Node = Hashable
 
@@ -59,8 +52,7 @@ class DiscreteCostSet:
         """The discrete cost levels ``w¹ ≤ ... ≤ w^m``.
 
         Memoized per instance: :meth:`round_down` / :meth:`level_index`
-        bisect this tuple on every schedule-extraction and reduction query,
-        and an aux-graph build asks thousands of times per node.
+        bisect this tuple on every reduction query.
         """
         cached = self.__dict__.get("_costs")
         if cached is None:
@@ -151,59 +143,3 @@ def discrete_cost_set(tveg: TVEG, node: Node, t: float) -> DiscreteCostSet:
     memo[key] = dcs
     return dcs
 
-
-def discrete_cost_sets(
-    tveg: TVEG, node: Node, times: Sequence[float]
-) -> List[DiscreteCostSet]:
-    """The DCS of ``node`` at every time in ascending ``times``.
-
-    One forward sweep over the node's contact boundaries answers all the
-    queries — ``O(points + events)`` instead of ``O(points × incident
-    edges)`` repeated interval scans.  Produces exactly the cost sets
-    :func:`discrete_cost_set` would (same costs, same ordering; the
-    per-contact cost cache is shared), and populates the same memo.
-    """
-    memo = tveg.dcs_memo()
-    out: List[DiscreteCostSet] = []
-    sweep = None
-    built = levels = 0
-    # When link costs are constant within contacts, the entries only change
-    # when the active set does — i.e. when the sweep applies an event.  Two
-    # consecutive computed points with no event between them share one
-    # entries tuple verbatim, skipping the cost lookups and the sort.
-    reusable = tveg.cost_cacheable
-    last_pos = -1
-    last_entries: Tuple[Tuple[float, Node], ...] = ()
-    for t in times:
-        key = (node, t)
-        cached = memo.get(key)
-        if cached is not None:
-            # The sweep (if any) simply skips this time; advance() applies
-            # all intervening events at the next miss.
-            obs.counter("tveg.dcs_memo_hits")
-            out.append(cached)
-            continue
-        if sweep is None:
-            sweep = tveg.tvg.sweep(node)
-        active = sweep.advance(t)
-        if reusable and sweep.position == last_pos:
-            entries = last_entries
-        else:
-            entries = _sorted_entries(
-                [
-                    (tveg.contact_cost(node, other, t, start), other)
-                    for other, start in active.items()
-                ]
-            )
-            last_pos, last_entries = sweep.position, entries
-        dcs = DiscreteCostSet(node=node, time=t, entries=entries)
-        memo[key] = dcs
-        out.append(dcs)
-        built += 1
-        levels += len(entries)
-    if sweep is not None:
-        sweep.finish()
-    if built:
-        obs.counter("tveg.dcs_built", built)
-        obs.counter("tveg.dcs_levels", levels)
-    return out

@@ -99,9 +99,9 @@ class TVEG:
         )
         self._cost_cache: dict = {}
         # DCS memo: (node, t) → DiscreteCostSet, valid for one TVG version.
-        # Populated by repro.tveg.costsets (single queries and batch sweeps)
-        # so the backbone stage, extraction, and reduction passes share one
-        # computation per (node, point).
+        # Populated by repro.tveg.costsets so the event schedulers, the
+        # oracle and the reduction passes share one computation per
+        # (node, point).
         self._dcs_memo: dict = (
             {} if dcs_capacity is None else _BoundedDCSMemo(dcs_capacity)
         )
@@ -271,35 +271,35 @@ class TVEG:
     @property
     def cost_cacheable(self) -> bool:
         """True when link costs are constant within each contact, so
-        per-contact caching (and DCS reuse across event-free gaps) is
-        sound."""
+        per-contact caching (and one cost per contact component in the
+        auxiliary-graph build) is sound."""
         return self._cost_cacheable
 
     def clear_caches(self) -> None:
         """Drop every layer of memoized state derived from the topology.
 
         Covers the DCS memo, the per-contact cost cache, the compute
-        backend's derived arrays, retained auxiliary-graph builds, and —
-        via :meth:`~repro.temporal.tvg.TVG.clear_event_cache` — the
-        underlying TVG's per-node adjacency-event lists that feed the
-        timeline sweeps.  Results are unaffected (the caches are pure
-        memoization); used by the benchmark suite to time cold builds,
-        which is why the sweep cursors' event lists must go too.
+        backend's derived arrays, the replay memo and retained
+        auxiliary-graph builds.  Results are unaffected (the caches are
+        pure memoization); used by the benchmark suite to time cold
+        builds.
         """
         self._dcs_memo.clear()
         self._cost_cache.clear()
         self._compute_cache.clear()
         self._aux_cache.clear()
         self._replay_cache.clear()
-        self._tvg.clear_event_cache()
 
     def contact_cost(self, node: Node, other: Node, t: float,
                      contact_start: float) -> float:
-        """Backbone cost of a link known (by the sweep) to be in contact.
+        """Backbone cost of a link known to be in contact at ``t``, within
+        the presence interval starting at ``contact_start``.
 
-        Shares :attr:`_cost_cache` with the point-query path — keyed by the
-        same ``(edge, presence-interval start)`` — so sweep-computed and
-        point-computed costs are the same float objects bit-for-bit.
+        The auxiliary-graph build costs its contact components through
+        this (:func:`~repro.compute.numpy_backend.node_components`).  It
+        shares :attr:`_cost_cache` with the point-query path — keyed by
+        the same ``(edge, presence-interval start)`` — so component costs
+        and point-query costs are the same float objects bit-for-bit.
         """
         if not self._cost_cacheable:
             return self._channel.backbone_weight(self.distance(node, other, t))

@@ -6,14 +6,13 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.auxgraph import build_aux_graph, extract_schedule
 from repro.channels import RayleighChannel, StaticChannel
 from repro.params import PAPER_PARAMS
-from repro.steiner import solve_memt
 from repro.steiner.sptree import tree_cost
 from repro.traces import DistanceModel, deterministic_trace, uniform_trace
 from repro.tveg import TVEG, tveg_from_trace
 
+from .aux_oracle import build_aux_graph, extract_schedule, solve_memt
 from .dts_oracle import build_dts as reference_dts
 from .reduce_oracle import lower_costs, remove_redundant, upgrade_and_prune
 
@@ -67,14 +66,13 @@ def make_random_instance(num_nodes=6, horizon=300.0, seed=0, channel="static"):
 def reference_pipeline(tveg, source, deadline, targets=None):
     """EEDCB's Section VI-A pipeline on the networkx reference graph.
 
-    The reference DTS (``tests/dts_oracle.py``) →
-    :func:`~repro.auxgraph.build.build_aux_graph` → greedy
-    :func:`~repro.steiner.memt.solve_memt` on the networkx graph →
-    :func:`~repro.auxgraph.extract.extract_schedule` → the reference
-    reduce passes (``tests/reduce_oracle.py``, one full replay per
-    candidate).  The production scheduler builds a different graph form
-    and reduces on a replay session, so equality with this pins both to
-    the plain construction.
+    The reference DTS (``tests/dts_oracle.py``) → the networkx
+    auxiliary graph, the greedy search on it and its extraction
+    (``tests/aux_oracle.py``) → the reference reduce passes
+    (``tests/reduce_oracle.py``, one full replay per candidate).  The
+    production scheduler builds a different graph form and reduces on a
+    replay session, so equality with this pins both to the plain
+    construction.
     Returns the reduced ``schedule`` (FR-EEDCB's backbone) with
     ``raw_cost`` (before reduction), ``tree_cost``,
     ``steiner_expansions``, ``aux_nodes`` and ``aux_edges``.  Raises

@@ -6,7 +6,7 @@ replaced, kept as the independent side of the DTS parity tests, of
 :func:`tests.conftest.reference_pipeline` and of ``tools/scale_smoke.py``'s
 dict leg: it builds every node's adjacent partition (Eq. 9) and the status
 points, merges them per node, and prunes each node's candidates with a
-forward :class:`~repro.temporal.sweep.NodeSweep` over its contact
+forward :class:`~tests.aux_oracle.NodeSweep` over its contact
 boundaries.
 """
 
@@ -17,6 +17,8 @@ from typing import Dict, Hashable, Optional, Tuple
 from repro.core.partitions import Partition
 from repro.dts import DiscreteTimeSet, all_adjacent_partitions, status_points
 from repro.temporal.tvg import TVG
+
+from .aux_oracle import NodeSweep, adjacency_events
 
 Node = Hashable
 
@@ -46,8 +48,9 @@ def dts_points(
             # neighbor at t) or receive (some neighbor transmitted at t − τ;
             # for τ = 0 the two coincide).  Span endpoints always stay.
             tau = tvg.tau
-            tx_sweep = tvg.sweep(node)
-            rx_sweep = tvg.sweep(node) if tau > 0.0 else None
+            events = adjacency_events(tvg, node)
+            tx_sweep = NodeSweep(events)
+            rx_sweep = NodeSweep(events) if tau > 0.0 else None
             kept = []
             for t in ordered:
                 if (

@@ -18,7 +18,13 @@ from repro import (
 )
 from repro.api import plan_cache_key
 from repro.errors import GraphModelError, InfeasibleError, SolverError
-from repro.traces import Contact, ContactStore, ContactTrace
+from repro.traces import (
+    Contact,
+    ContactStore,
+    ContactTrace,
+    HaggleLikeConfig,
+    haggle_like_trace,
+)
 
 from .conftest import make_random_instance
 
@@ -113,6 +119,20 @@ class TestPlanBroadcast:
             plan_broadcast_many(trace, [0], deadline)
         with pytest.raises(ValueError, match="deadline must be finite"):
             plan_cache_key(trace, 0, deadline)
+
+    @pytest.mark.parametrize("deadline", [-5.0, -1e-9])
+    def test_negative_deadline_rejected(self, deadline):
+        # T = -5 used to end in "InfeasibleError: no journey reaches
+        # [0, 1, ..., 7] from 0 by -5", which named the source itself
+        trace = haggle_like_trace(HaggleLikeConfig(num_nodes=8), seed=0)
+        window = (9000.0, 11000.0)
+        with pytest.raises(ValueError, match="deadline must be non-negative"):
+            plan_broadcast(trace, 0, deadline, window=window, seed=5)
+        with pytest.raises(ValueError, match="deadline must be non-negative"):
+            plan_broadcast_many(trace, [0, 0], [2000.0, deadline],
+                                window=window, seed=5)
+        with pytest.raises(ValueError, match="deadline must be non-negative"):
+            plan_cache_key(trace, 0, deadline, window=window)
 
     @pytest.mark.parametrize(
         "window",

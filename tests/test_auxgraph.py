@@ -4,8 +4,6 @@ import networkx as nx
 import pytest
 
 from repro.auxgraph import (
-    build_aux_graph,
-    extract_schedule,
     is_state,
     is_tx,
     level_of,
@@ -16,7 +14,8 @@ from repro.auxgraph import (
 )
 from repro.errors import GraphModelError
 from repro.schedule import check_feasibility
-from repro.steiner import solve_memt
+
+from .aux_oracle import build_aux_graph, extract_schedule, solve_memt
 
 
 class TestModel:

@@ -16,7 +16,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import make_scheduler
-from repro.auxgraph import build_aux_graph
 from repro.compute.numpy_backend import build_numpy_aux_graph
 from repro.dts import build_dts
 from repro.errors import GraphModelError, InfeasibleError
@@ -25,6 +24,8 @@ from repro.steiner import solve_memt
 from repro.traces import Contact, ContactTrace, DistanceModel
 from repro.tveg import tveg_from_trace
 
+from .aux_oracle import build_aux_graph
+from .aux_oracle import solve_memt as reference_memt
 from .conftest import (
     assert_cost_sets_match,
     assert_matches_reference,
@@ -139,8 +140,8 @@ def test_solver_trees_identical_on_both_forms(trace, seed, profile):
     na = build_numpy_aux_graph(tveg, 0, HORIZON, dts)
     for method in ("greedy", "sptree"):
         try:
-            e_nx = solve_memt(nxa.graph, nxa.root, nxa.terminals,
-                              method=method)
+            e_nx = reference_memt(nxa.graph, nxa.root, nxa.terminals,
+                                  method=method)
         except InfeasibleError:
             with pytest.raises(InfeasibleError):
                 solve_memt(na, na.root, na.terminals, method=method)

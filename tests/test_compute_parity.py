@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 from repro import obs, plan_broadcast, plan_broadcast_many
 from repro.algorithms import make_scheduler
 from repro.api import BroadcastPlanSet
-from repro.auxgraph import build_aux_graph
 from repro.compute.numpy_backend import (
     LazyAuxNodes,
     NumpyAuxGraph,
@@ -38,7 +37,6 @@ from repro.schedule import (
     write_planset_json,
 )
 from repro.steiner import prune_tree, solve_memt
-from repro.steiner.dst import greedy_incremental_dst
 from repro.traces import (
     Contact,
     ContactTrace,
@@ -48,6 +46,8 @@ from repro.traces import (
 )
 from repro.tveg import tveg_from_trace
 
+from .aux_oracle import build_aux_graph, greedy_incremental_dst
+from .aux_oracle import solve_memt as reference_memt
 from .conftest import (
     assert_cost_sets_match,
     assert_matches_reference,
@@ -161,8 +161,8 @@ def test_numpy_builder_matches_compact_builder(trace, seed, tau, profile):
     assert_cost_sets_match(na, nxa)
     for method in ("greedy", "sptree"):
         try:
-            e_nx = solve_memt(nxa.graph, nxa.root, nxa.terminals,
-                              method=method)
+            e_nx = reference_memt(nxa.graph, nxa.root, nxa.terminals,
+                                  method=method)
         except InfeasibleError:
             with pytest.raises(InfeasibleError):
                 solve_memt(na, na.root, na.terminals, method=method)
@@ -399,14 +399,16 @@ def test_greedy_trees_need_no_pruning(graph):
     root→terminal path: ``prune_tree`` returns an equal set, and
     ``solve_memt`` returns the search's own result unpruned."""
     root, terminals = graph.root, graph.terminals
-    for search, g in ((greedy_incremental_dst_numpy, graph),
-                      (greedy_incremental_dst, graph.to_networkx())):
+    for search, memt, g in (
+        (greedy_incremental_dst_numpy, solve_memt, graph),
+        (greedy_incremental_dst, reference_memt, graph.to_networkx()),
+    ):
         try:
             edges = search(g, root, terminals)
         except InfeasibleError:
             continue
         assert prune_tree(edges, root, terminals) == edges
-        tree = solve_memt(g, root, terminals, method="greedy")
+        tree = memt(g, root, terminals, method="greedy")
         assert tree == edges and list(tree) == list(edges)
 
 
@@ -598,22 +600,21 @@ class TestRetargetAndAuxCache:
 
 
 # ----------------------------------------------------------------------
-# clear_caches invalidates every derived cache (satellite fix)
+# clear_caches invalidates every derived cache
 # ----------------------------------------------------------------------
 
 
-def test_clear_caches_clears_compute_and_event_caches():
+def test_clear_caches_clears_every_cache():
     _, tveg = make_random_instance(seed=5)
     # warm every cache layer
     make_scheduler("eedcb").run(tveg, 0, 300.0)
-    tveg.tvg.adjacency_events(0)
     assert tveg.compute_cache()
     assert tveg.aux_cache()
-    assert tveg.tvg._events
+    assert tveg.replay_cache()
     tveg.clear_caches()
     assert not tveg.compute_cache()
     assert not tveg.aux_cache()
-    assert not tveg.tvg._events
+    assert not tveg.replay_cache()
     assert not tveg.dcs_memo()
     # the graph still plans correctly after the purge, cold
     r = make_scheduler("eedcb").run(tveg, 0, 300.0)

@@ -5,9 +5,11 @@ import math
 import pytest
 
 from repro.algorithms import make_scheduler
-from repro.auxgraph import build_aux_graph, node_of
+from repro.auxgraph import node_of
 from repro.errors import GraphModelError, InfeasibleError
 from repro.schedule import check_feasibility, informed_time
+
+from .aux_oracle import build_aux_graph
 
 
 class TestAuxGraphTargets:

@@ -10,7 +10,6 @@ import json
 import pytest
 
 from repro import check_feasibility, make_scheduler, obs
-from repro.auxgraph import build_aux_graph
 from repro.obs import (
     MetricsReport,
     NoopTracer,
@@ -22,6 +21,7 @@ from repro.obs import (
     write_metrics_csv,
 )
 
+from .aux_oracle import build_aux_graph
 from .conftest import make_random_instance
 
 

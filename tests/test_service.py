@@ -391,6 +391,26 @@ class TestPlanningService:
         finally:
             svc.close()
 
+    @pytest.mark.parametrize("deadline", ["-5", "-1e-9"])
+    def test_negative_deadline_is_400(self, deadline):
+        trace, _ = make_random_instance(seed=1)
+        svc = PlanningService({"t": trace}, max_wait=0.0, workers=1)
+        try:
+            for path, body in (
+                ("/plan", '{"trace": "t", "source": 0, "deadline": %s}'),
+                ("/plan_many", '{"trace": "t", "sources": [0, 0], '
+                               '"deadlines": [100, %s]}'),
+            ):
+                method, kwargs = parse_plan_request(
+                    path, json.loads(body % deadline)
+                )
+                status, doc = execute_request(svc, method, kwargs)
+                assert status == 400
+                assert "deadline must be non-negative" in doc["error"]
+            assert svc.batcher.stats()["submitted"] == 0
+        finally:
+            svc.close()
+
     @pytest.mark.parametrize("timeout", ["NaN", "-1", "0", "1e309"])
     def test_bad_timeout_is_400_and_submits_nothing(self, timeout):
         trace, _ = make_random_instance(seed=1)

@@ -8,12 +8,13 @@ import pytest
 from repro.errors import InfeasibleError, SolverError
 from repro.steiner import (
     charikar_dst,
-    greedy_incremental_dst,
     prune_tree,
     shortest_path_tree,
     solve_memt,
     tree_cost,
 )
+
+from .aux_oracle import greedy_incremental_dst
 
 
 def _covers(edges, root, terminals):
@@ -148,10 +149,17 @@ class TestPrune:
 
 
 class TestFacade:
-    @pytest.mark.parametrize("method", ["greedy", "sptree", "charikar"])
+    @pytest.mark.parametrize("method", ["sptree", "charikar"])
     def test_all_methods_cover(self, diamond, method):
         edges = solve_memt(diamond, "r", ["t1", "t2"], method=method)
         assert _covers(edges, "r", ["t1", "t2"])
+
+    def test_greedy_searches_only_the_implicit_graph(self, diamond):
+        # The greedy search is the compiled kernel over the implicit
+        # auxiliary graph; a networkx graph gets the reference search in
+        # tests/aux_oracle.py, never a second production path.
+        with pytest.raises(SolverError, match="implicit auxiliary graph"):
+            solve_memt(diamond, "r", ["t1", "t2"], method="greedy")
 
     def test_unknown_method(self, diamond):
         with pytest.raises(SolverError):

@@ -33,7 +33,8 @@ and asserts the three scale acceptance properties:
    (``tests/trace_oracle.py``) planned from the same text file in an
    unlimited child — the oracle is allowed to be fat, the store is not.
    That child's EEDCB also takes its DTS from the sweep-based reference
-   construction (``tests/dts_oracle.py``) and its reduce passes from the
+   construction (``tests/dts_oracle.py``, sweeping with the cursor in
+   ``tests/aux_oracle.py``) and its reduce passes from the
    one-replay-per-candidate reference (``tests/reduce_oracle.py``), so
    the check covers the columnar DTS and the reduce session too.  Each
    leg line reports its stage seconds (reduce among them), its DTS point
@@ -163,10 +164,9 @@ def _child(args) -> int:
         trace = ContactTrace.load(args.path)
         obs.set_tracer(counts)
     else:
-        sys.path.insert(0, os.path.join(REPO_ROOT, "tests"))
-        import dts_oracle
-        import reduce_oracle
-        from trace_oracle import parse_crawdad
+        sys.path.insert(0, REPO_ROOT)
+        from tests import dts_oracle, reduce_oracle
+        from tests.trace_oracle import parse_crawdad
 
         from repro.algorithms import eedcb
 
