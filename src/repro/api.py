@@ -174,6 +174,17 @@ def _window_bounds(window: Window, deadline: float) -> Tuple[float, float]:
     return bounds
 
 
+def _check_deadline(deadline: float) -> float:
+    """``deadline`` as a float; :class:`ValueError` unless it is finite
+    (the delay bounds the plan) and not negative."""
+    deadline = float(deadline)
+    if not math.isfinite(deadline):
+        raise ValueError(f"deadline must be finite, got {deadline!r}")
+    if deadline < 0:
+        raise ValueError(f"deadline must be non-negative, got {deadline!r}")
+    return deadline
+
+
 def plan_config(
     trace_or_tveg: Union[ContactTrace, TVEG],
     source: Optional[Node],
@@ -200,15 +211,10 @@ def plan_config(
     deterministic, so the key remains sound without resolving it here (and
     the hit path never has to build a graph to find out).
 
-    Raises :class:`ValueError` for a non-finite ``deadline`` (the delay
-    constraint is what bounds the plan), a negative one (no plan can
-    finish before it starts) or a non-finite window bound.
+    Raises :class:`ValueError` for a non-finite or negative ``deadline``
+    (:func:`_check_deadline`) or a non-finite window bound.
     """
-    deadline = float(deadline)
-    if not math.isfinite(deadline):
-        raise ValueError(f"deadline must be finite, got {deadline!r}")
-    if deadline < 0:
-        raise ValueError(f"deadline must be non-negative, got {deadline!r}")
+    deadline = _check_deadline(deadline)
     algo = canonical_scheduler_name(algorithm)
     if isinstance(trace_or_tveg, TVEG):
         if window is not None:

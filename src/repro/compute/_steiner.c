@@ -11,8 +11,9 @@
  * fused multiply-add or other re-associated sum.
  *
  * Ids: states 0 .. S-1, then transmission j as S + j.  The caller checks
- * array types, lengths and the root and terminal ids; the search trusts
- * the build's other invariants (monotone pointers, receivers below S).
+ * array types, lengths, that S + T fits the heap's int32 ids, and the
+ * root and terminal ids; the search trusts the build's other invariants
+ * (monotone pointers, receivers below S).
  */
 
 #include <math.h>
@@ -28,7 +29,8 @@ enum { STEINER_OK = 0, STEINER_INFEASIBLE = 1, STEINER_NO_MEMORY = 2 };
 
 typedef struct {
     double d;
-    int64_t id;
+    int32_t id; /* the caller checks that every id fits */
+    int32_t st; /* a transmission's state, carried so no pop bisects */
 } entry;
 
 typedef struct {
@@ -41,7 +43,7 @@ static int before(const entry *x, const entry *y)
     return x->d < y->d || (x->d == y->d && x->id < y->id);
 }
 
-static int heap_push(heap *h, double d, int64_t id)
+static int heap_push(heap *h, double d, int64_t id, int64_t st)
 {
     if (h->n == h->cap) {
         int64_t cap = h->cap ? 2 * h->cap : 1024;
@@ -52,7 +54,7 @@ static int heap_push(heap *h, double d, int64_t id)
         h->cap = cap;
     }
     int64_t i = h->n++;
-    entry e = {d, id};
+    entry e = {d, (int32_t)id, (int32_t)st};
     while (i > 0) {
         int64_t p = (i - 1) / 2;
         if (!before(&e, &h->a[p]))
@@ -85,7 +87,8 @@ static entry heap_pop(heap *h)
     return top;
 }
 
-/* The state owning transmission j: bisect_right(tx_ptr, j) - 1. */
+/* The state owning transmission j: bisect_right(tx_ptr, j) - 1; only a
+ * transmission root and the graft walk need it. */
 static int64_t owner(const int64_t *tx_ptr, int64_t S, int64_t j)
 {
     int64_t lo = 0, hi = S + 1;
@@ -115,7 +118,8 @@ typedef struct {
     int64_t uncovered;
 } search;
 
-static int enter_tree(search *s, int64_t i)
+/* Puts id i, whose state is st, in the tree. */
+static int enter_tree(search *s, int64_t i, int64_t st)
 {
     uint8_t *f;
     if (i < s->S) {
@@ -127,7 +131,7 @@ static int enter_tree(search *s, int64_t i)
     if (*f & UNCOVERED)
         s->uncovered--;
     *f = IN_TREE;
-    return heap_push(&s->h, 0.0, i);
+    return heap_push(&s->h, 0.0, i, st);
 }
 
 void repro_steiner_free(int64_t *tree)
@@ -175,7 +179,7 @@ int repro_steiner_search(
             s.uncovered++;
         }
     }
-    if (enter_tree(&s, root))
+    if (enter_tree(&s, root, root < S ? root : owner(tx_ptr, S, root - S)))
         goto done;
 
     while (s.uncovered > 0) {
@@ -212,7 +216,7 @@ int repro_steiner_search(
                         int64_t j = first_pending(s.tflag, lo, hi);
                         if (j < hi) {
                             double nd = dd + tx_w[j];
-                            if (nd < INF && heap_push(&s.h, nd, S + j))
+                            if (nd < INF && heap_push(&s.h, nd, S + j, u))
                                 goto done;
                         }
                     }
@@ -230,7 +234,7 @@ int repro_steiner_search(
             uint8_t f = s.tflag[j];
             if (f & EXPANDED)
                 continue; /* an equal-key duplicate */
-            int64_t st = owner(tx_ptr, S, j);
+            int64_t st = e.st;
             if (f & IN_TREE) {
                 /* in the tree: only its graft entry (0.0, u) is live */
                 if (dd > 0.0)
@@ -245,7 +249,7 @@ int repro_steiner_search(
                 int64_t nxt = first_pending(s.tflag, j + 1, end);
                 if (nxt < end) {
                     double nd = d + tx_w[nxt];
-                    if (nd < INF && heap_push(&s.h, nd, S + nxt))
+                    if (nd < INF && heap_push(&s.h, nd, S + nxt, st))
                         goto done;
                 }
             }
@@ -260,7 +264,7 @@ int repro_steiner_search(
                 if (dd < s.dist[v]) {
                     s.dist[v] = dd;
                     pred[v] = u;
-                    if (heap_push(&s.h, dd, v))
+                    if (heap_push(&s.h, dd, v, v))
                         goto done;
                 }
             }
@@ -306,7 +310,7 @@ int repro_steiner_search(
             out[b + 1] = c;
         }
         for (int64_t k = start + 1; k < n; k += 2)
-            if (enter_tree(&s, out[k]))
+            if (enter_tree(&s, out[k], out[k - 1]))
                 goto done;
         ++*grafts;
     }

@@ -3,9 +3,10 @@
 Three stages of the EEDCB pipeline dominate ``eedcb_run``: the per-node
 contact-cost evaluation, the DCS level construction and auxiliary-graph
 build, and the greedy directed-Steiner expansion.  This module
-implements them with batched numpy operations while reproducing the
-networkx reference construction (``build_aux_graph`` in
-``tests/aux_oracle.py``) **byte for byte**:
+implements them with batched numpy operations and two compiled loops
+(:mod:`repro.compute.native`) while reproducing the networkx reference
+construction (``build_aux_graph`` in ``tests/aux_oracle.py``) **byte
+for byte**:
 
 * :func:`node_components` gives each node canonically sorted
   ``(cost, neighbor)`` *component* rows, each active on one contiguous
@@ -16,13 +17,14 @@ networkx reference construction (``build_aux_graph`` in
   one-point component, costed at that point.  Either way the costs are
   the floats the reference's timeline sweep computes.
 * :func:`build_numpy_aux_graph` derives every DCS and every auxiliary
-  node from those arrays in O(cells) numpy passes per node — a cell is
-  one (component, DTS point) pair where the component is active — with
-  no per-neighbor loop and no search per cell: it reads the columnar DTS
+  node from those arrays in one compiled pass over all nodes
+  (``_auxfill.c``, O(cells) — a cell is one (component, DTS point) pair
+  where the component is active), with no per-neighbor loop and no
+  search per cell: it reads the columnar DTS
   (:class:`~repro.dts.dts.DiscreteTimeSet`) by grid position, finds each
-  cell's receiver state in one grid-indexed state table, orders cells
-  point-major with one stable sort, and takes coverage counts from a
-  running count of valid receivers.  It returns the graph in *implicit*
+  cell's receiver state in one node-major state table, sweeps each
+  node's points with its active components kept in canonical order, and
+  takes coverage counts from a running count of valid receivers.  It returns the graph in *implicit*
   form (:class:`NumpyAuxGraph`): per-state and per-transmission arrays,
   about 16 bytes per transmission node, allocated once and filled in
   place, from which each adjacency row, node tuple and cost set is
@@ -92,15 +94,11 @@ class NodeComponents:
     :class:`~repro.tveg.costsets.DiscreteCostSet`.
     """
 
-    __slots__ = ("costs", "neighbors", "hi")
+    __slots__ = ("costs", "neighbors")
 
-    def __init__(self, costs, neighbors, hi):
+    def __init__(self, costs, neighbors):
         self.costs = costs          #: (C,) float64, ascending
         self.neighbors = neighbors  #: list of C neighbor labels
-        #: (C,) int64 — per row ``j``, the count of canonical rows with
-        #: cost ≤ ``costs[j]`` (``bisect_right`` of each cost in the cost
-        #: array); the DCS ``round_down`` boundary used for coverage counts
-        self.hi = hi
 
     def __len__(self) -> int:
         return len(self.neighbors)
@@ -110,11 +108,9 @@ def _canonical(raw: List[tuple]):
     """Sort ``(cost, repr(neighbor), lo, hi, neighbor)`` rows canonically;
     returns the :class:`NodeComponents` and the ``lo`` / ``hi`` arrays."""
     raw.sort(key=lambda item: (item[0], item[1]))
-    costs = np.array([r[0] for r in raw], dtype=np.float64)
     comp = NodeComponents(
-        costs=costs,
+        costs=np.array([r[0] for r in raw], dtype=np.float64),
         neighbors=[r[4] for r in raw],
-        hi=np.searchsorted(costs, costs, side="right").astype(np.int64),
     )
     return comp, np.array([r[2] for r in raw]), np.array([r[3] for r in raw])
 
@@ -474,15 +470,19 @@ def build_numpy_aux_graph(
     suite, on costs constant within each contact and on costs that vary
     within one (see :func:`node_components`).
 
-    The build fills its arrays in place.  A first pass takes every node's
-    components, whose active (component, point) cells bound both the
-    transmissions and the receiver entries; the per-transmission arrays
-    are allocated once at that bound, filled node by node and trimmed.
-    For the build's length it also holds an int32 state id per (DTS grid
-    point, node), through which every cell finds its receiver: 1.1 MB on
-    the N=50 benchmark windows, 56 MB at N=1000.  Raises
+    Python takes every node's components (so each cost still comes from
+    :meth:`~repro.tveg.graph.TVEG.contact_cost`), joins them into one set
+    of arrays and builds the grid tables; one compiled call
+    (:func:`_fill_rows`) then fills every node's rows.  The components'
+    active (component, point) cells bound both the transmissions and the
+    receiver entries, so the per-transmission arrays are allocated once
+    at that bound, filled in place and trimmed.  For the build's length
+    it also holds an int32 state id per (node, DTS grid point), through
+    which every cell finds its receiver: 1.1 MB on the N=50 benchmark
+    windows, 56 MB at N=1000.  Raises
     :class:`~repro.errors.GraphModelError` when the state ids would not
-    fit ``recv``'s int32.
+    fit ``recv``'s int32, and :class:`~repro.errors.NativeBuildError`
+    when the fill cannot be compiled.
     """
     if not tveg.tvg.has_node(source):
         raise GraphModelError(f"unknown source {source!r}")
@@ -496,32 +496,29 @@ def build_numpy_aux_graph(
 
     labels = list(tveg.nodes)
     node_index = {n: i for i, n in enumerate(labels)}
-    pts_of: Dict[Node, np.ndarray] = {}
-    state_base: Dict[Node, int] = {}
-    num_states = 0
-    for node in labels:
-        pts_of[node] = d.points(node)
-        state_base[node] = num_states
-        num_states += len(pts_of[node])
-
+    pts_of = {node: d.points(node) for node in labels}
+    node_base = np.cumsum([0] + [len(p) for p in pts_of.values()],
+                          dtype=np.int64)  # first state id of each node
+    num_states = int(node_base[-1])
+    state_base = dict(zip(labels, node_base[:-1].tolist()))
     if num_states >= 2**31:
         raise GraphModelError(
             f"{num_states} auxiliary states exceed the int32 state ids"
         )
 
-    # Receivers are found by grid position.  ``state[g * N + i]`` is the
-    # state id of ``labels[i]`` at grid point ``g``, -1 where its DTS lacks
-    # the point; row ``G`` is -1 throughout, for receptions at no grid
-    # point.  ``recv_at[g]`` is the grid position of the reception time
-    # ``t + tau`` of a transmission at grid point ``g``, by exact float
-    # equality (as the reference build's ``_point_index``), else ``G``.  A cell's
-    # receiver state is then one gather: no search per cell or neighbor.
+    # Receivers are found by grid position.  ``state[i * (G + 1) + g]`` is
+    # the state id of ``labels[i]`` at grid point ``g``, -1 where its DTS
+    # lacks the point; column ``G`` is -1 throughout, for receptions at no
+    # grid point.  ``recv_at[g]`` is the grid position of the reception
+    # time ``t + tau`` of a transmission at grid point ``g``, by exact float
+    # equality (as the reference build's ``_point_index``), else ``G``.  A
+    # cell's receiver state is then one read: no search per cell.
     grid = d.grid
     G, N = len(grid), len(labels)
-    state = np.full((G + 1, N), -1, dtype=np.int32)
+    state = np.full((N, G + 1), -1, dtype=np.int32)
     for i, node in enumerate(labels):
         base = state_base[node]
-        state[:G, i][d.grid_mask(node)] = np.arange(
+        state[i, :G][d.grid_mask(node)] = np.arange(
             base, base + len(pts_of[node]), dtype=np.int32
         )
     state = state.ravel()
@@ -530,128 +527,27 @@ def build_numpy_aux_graph(
     hit = recv_at < G
     hit[hit] = grid[recv_at[hit]] == t_recv[hit]
     recv_at[~hit] = G
-    # A transmission at a grid point must complete by the deadline.
-    can_tx = t_recv <= end
-    all_tx = bool(can_tx.all())
 
-    # Counting pass: each active cell yields at most one transmission
-    # and one receiver entry.  Component j is adjacent at point l  ⇔
-    # a[j] <= l < b[j].
     components = [
         node_components(tveg, node, pts_of[node]) for node in labels
     ]
-    bound = sum(int(np.maximum(b - a, 0).sum()) for _, a, b in components)
-
-    tx_w = np.empty(bound, dtype=np.float64)
-    tx_cnt = np.empty(bound, dtype=np.int32)
-    recv = np.empty(bound, dtype=np.int32)
-    # Per-state counts at ``s + 1``, prefix-summed in place after the fill.
-    tx_ptr = np.zeros(num_states + 1, dtype=np.int64)
-    recv_ptr = np.zeros(num_states + 1, dtype=np.int64)
-    tx_k0 = np.zeros(num_states, dtype=np.int32)
-    num_tx = 0
-    num_recv = 0
-    num_edges = 0
-    dcs_level_total = 0
-
-    for node, (comp, a, b) in zip(labels, components):
-        P = len(pts_of[node])
-        C = len(comp)
-        num_edges += max(P - 1, 0)  # waiting edges
-        # Active cells of this node, sparsely: each component contributes
-        # one contiguous run of points.  Everything below works on the
-        # ~8 % of (point, component) cells that are actually active
-        # instead of cumsum/mask passes over the dense matrix.
-        lens = np.maximum(b - a, 0)
-        tot = int(lens.sum())
-        if tot == 0:
-            continue
-        on = lens > 0
-        # Active components per point, from the runs' ends.
-        active = np.cumsum(
-            np.bincount(a[on], minlength=P + 1)[:P]
-            - np.bincount(b[on], minlength=P + 1)[:P]
+    tx_ptr, recv_ptr, tx_k0, tx_w, tx_cnt, recv, num_edges, dcs_level_total = (
+        _fill_rows(
+            node_base=node_base,
+            state=state,
+            recv_at=recv_at,
+            # A transmission at a grid point must complete by the deadline.
+            can_tx=t_recv <= end,
+            comp_ptr=np.cumsum([0] + [len(c) for c, _, _ in components],
+                               dtype=np.int64),
+            cost=np.concatenate([c.costs for c, _, _ in components]),
+            nbr=np.array([node_index[n] for c, _, _ in components
+                          for n in c.neighbors], dtype=np.int64),
+            a=np.concatenate([a for _, a, _ in components]).astype(
+                np.int64, copy=False),
+            b=np.concatenate([b for _, _, b in components]).astype(
+                np.int64, copy=False),
         )
-
-        # Cells in point-major, canonical-minor order — the reference
-        # build's creation order: enumerated component-major (each run
-        # ascending), then one stable sort on the point index.
-        l_rep = np.arange(tot) - np.repeat(np.cumsum(lens) - lens - a, lens)
-        j_s = np.repeat(np.arange(C), lens)[np.argsort(l_rep, kind="stable")]
-        l_s = np.repeat(np.arange(P), active)
-        pt_size = active[active > 0]
-        pt_first = np.cumsum(pt_size) - pt_size
-
-        # Reception state id per cell: the neighbor's state at exactly
-        # t + tau, invalid (-1) when its DTS lacks that point — the
-        # provably-useless coverage the reference build drops too.
-        nbr = np.array([node_index[n] for n in comp.neighbors],
-                       dtype=np.int64)
-        on_grid = d.grid_mask(node)
-        rs = state[(recv_at[on_grid] * N)[l_s] + nbr[j_s]]
-        ok = rs >= 0
-
-        # cnt for cell (l, j) = |{valid receivers at l with canonical
-        # index < hi[j]}| — the reference's ``c <= w`` receiver filter.
-        # Canonical rows are sorted by cost, so that is every valid cell
-        # of point l up to j's last equal-cost cell: a running count of
-        # valid cells minus its value before the point, read at the end
-        # of each run of equal ``hi`` (one cell long without cost ties).
-        seen = np.cumsum(ok)
-        cnt_s = seen - np.repeat(seen[pt_first] - ok[pt_first], pt_size)
-        if (comp.hi != np.arange(1, C + 1)).any():
-            hi_s = comp.hi[j_s]
-            run = np.empty(tot, dtype=bool)  # first cell of a run
-            run[0] = True
-            np.not_equal(hi_s[1:], hi_s[:-1], out=run[1:])
-            run[pt_first] = True
-            run_first = np.flatnonzero(run)
-            run_last = np.append(run_first[1:], tot) - 1
-            cnt_s = np.repeat(cnt_s[run_last], run_last - run_first + 1)
-
-        keep = cnt_s > 0 if all_tx else (cnt_s > 0) & can_tx[on_grid][l_s]
-
-        # Transmission nodes in creation order: point-major, level-minor.
-        # Coverage counts rise with the level, so a point's levels that
-        # cover no receiver are a prefix; its first kept level is
-        # ``active - kept``.  When every cell is kept, every active point
-        # transmits and keeps all its valid receivers.
-        base = state_base[node]
-        if keep.all():
-            per_point = active
-            valid = ok
-        else:
-            per_point = np.bincount(l_s[keep], minlength=P)
-            cnt_s = cnt_s[keep]
-            j_s = j_s[keep]
-            valid = ok & (per_point > 0)[l_s]
-        tx_ptr[base + 1:base + P + 1] = per_point
-        tx_k0[base:base + P] = active - per_point
-        n = len(cnt_s)
-        tx_w[num_tx:num_tx + n] = comp.costs[j_s]
-        tx_cnt[num_tx:num_tx + n] = cnt_s
-        num_tx += n
-        # Level k covers the first cnt valid receivers of its point, in
-        # DCS entry order; only transmitting points keep theirs.
-        if valid.all():
-            vs, per_recv = rs, active
-        else:
-            vs, per_recv = rs[valid], np.bincount(l_s[valid], minlength=P)
-        recv[num_recv:num_recv + len(vs)] = vs
-        num_recv += len(vs)
-        recv_ptr[base + 1:base + P + 1] = per_recv
-        num_edges += n + int(cnt_s.sum())
-        # A kept point's DCS has one level per active component.
-        dcs_level_total += int(active[per_point > 0].sum())
-
-    np.cumsum(tx_ptr, out=tx_ptr)
-    np.cumsum(recv_ptr, out=recv_ptr)
-    # Shrinking reallocates in place: no second copy of the arrays.
-    tx_w.resize(num_tx, refcheck=False)
-    tx_cnt.resize(num_tx, refcheck=False)
-    recv.resize(num_recv, refcheck=False)
-    node_base = np.array(
-        [state_base[n] for n in labels] + [num_states], dtype=np.int64
     )
     wait = np.ones(num_states, dtype=np.uint8)
     last = node_base[1:] - 1
@@ -690,6 +586,83 @@ def build_numpy_aux_graph(
         num_edges=num_edges,
         dcs_levels=dcs_level_total,
     )
+
+
+def _fill_rows(*, node_base, state, recv_at, can_tx, comp_ptr, cost, nbr,
+               a, b):
+    """Fill every node's rows in one compiled call (``_auxfill.c``).
+
+    Node ``i`` has states ``node_base[i] : node_base[i + 1]``, one per
+    grid point where its row of ``state`` holds one, and the canonical
+    components ``comp_ptr[i] : comp_ptr[i + 1]`` of ``cost``, ``nbr``
+    (neighbor index) and the point runs ``[a, b)``.  ``state``,
+    ``recv_at`` and ``can_tx`` are the build's grid tables.  Every array
+    the call writes, its int32 scratch included, is allocated here, so
+    :mod:`tracemalloc` sees the whole build.
+
+    Returns ``(tx_ptr, recv_ptr, tx_k0, tx_w, tx_cnt, recv, num_edges,
+    dcs_levels)``, the per-transmission arrays trimmed.  Raises
+    :class:`GraphModelError` before the call when an array has the wrong
+    type, layout or length, or a run or index is out of range.
+    """
+    for name, arr, dtype in (
+        ("node_base", node_base, np.int64),
+        ("state", state, np.int32), ("recv_at", recv_at, np.int64),
+        ("can_tx", can_tx, np.bool_), ("comp_ptr", comp_ptr, np.int64),
+        ("cost", cost, np.float64), ("nbr", nbr, np.int64),
+        ("a", a, np.int64), ("b", b, np.int64),
+    ):
+        _need_vector("the aux fill", name, arr, dtype)
+    N, G = len(node_base) - 1, len(recv_at)
+    points, sizes = np.diff(node_base), np.diff(comp_ptr)
+    if not (N >= 0 and len(comp_ptr) == N + 1
+            and node_base[0] == comp_ptr[0] == 0
+            and (points >= 0).all() and (sizes >= 0).all()
+            and len(cost) == len(nbr) == len(a) == len(b) == comp_ptr[-1]
+            and len(can_tx) == G and len(state) == N * (G + 1)):
+        raise GraphModelError(
+            f"inconsistent aux-fill arrays for {N} nodes and {G} grid points"
+        )
+    limit = np.repeat(points, sizes)  # per component, its node's points
+    if not ((a >= 0) & (a <= limit) & (b >= 0) & (b <= limit)).all():
+        raise GraphModelError("component runs outside their node's points")
+    if not (((nbr >= 0) & (nbr < N)).all()
+            and ((recv_at >= 0) & (recv_at <= G)).all()):
+        raise GraphModelError("aux-fill index out of range")
+    # Cells bound the transmissions and receiver entries; per node the
+    # scratch holds one int32 per point and three per component.
+    bound = int(np.maximum(b - a, 0).sum())
+    scratch_len = int((points + 1 + 3 * sizes).max(initial=1))
+    if scratch_len >= 2**31:
+        raise GraphModelError("a node's components exceed the int32 scratch")
+    lib = native.library()
+    S = int(node_base[-1])
+    tx_ptr = np.empty(S + 1, dtype=np.int64)
+    recv_ptr = np.empty(S + 1, dtype=np.int64)
+    tx_k0 = np.empty(S, dtype=np.int32)
+    tx_w = np.empty(bound, dtype=np.float64)
+    tx_cnt = np.empty(bound, dtype=np.int32)
+    recv = np.empty(bound, dtype=np.int32)
+    scratch = np.empty(scratch_len, dtype=np.int32)
+    out = np.zeros(4, dtype=np.int64)
+    rc = lib.repro_aux_fill(
+        N, G, *(x.ctypes.data for x in (
+            node_base, state, recv_at, can_tx, comp_ptr, cost, nbr, a, b,
+            scratch,
+        )),
+        scratch_len,
+        *(x.ctypes.data for x in (tx_ptr, recv_ptr, tx_k0, tx_w, tx_cnt,
+                                  recv)),
+        bound, out.ctypes.data,
+    )
+    if rc:
+        raise GraphModelError("a state-table row has fewer points than states")
+    num_tx, num_recv, num_edges, dcs_levels = out.tolist()
+    # Shrinking reallocates in place: no second copy of the arrays.
+    tx_w.resize(num_tx, refcheck=False)
+    tx_cnt.resize(num_tx, refcheck=False)
+    recv.resize(num_recv, refcheck=False)
+    return tx_ptr, recv_ptr, tx_k0, tx_w, tx_cnt, recv, num_edges, dcs_levels
 
 
 def greedy_incremental_dst_numpy(
@@ -821,6 +794,17 @@ _SEARCH_ARRAYS = (
 )
 
 
+def _need_vector(what: str, name: str, arr, dtype) -> None:
+    """Raise :class:`GraphModelError` unless C code can read ``arr`` as a
+    C-contiguous vector of ``dtype``."""
+    if not (isinstance(arr, np.ndarray) and arr.dtype == dtype
+            and arr.ndim == 1 and arr.flags.c_contiguous):
+        raise GraphModelError(
+            f"{what} needs {name} as a C-contiguous {np.dtype(dtype)} "
+            f"vector, got {getattr(arr, 'dtype', arr)!r}"
+        )
+
+
 def _check_search_arrays(graph: NumpyAuxGraph, ids: List[int]) -> None:
     """Raise :class:`GraphModelError` unless the compiled search can read
     ``graph``'s arrays and the node ids ``ids`` as they are."""
@@ -828,13 +812,7 @@ def _check_search_arrays(graph: NumpyAuxGraph, ids: List[int]) -> None:
         raise GraphModelError("the search needs wait as bytes")
     S = len(graph.wait)
     for name, dtype in _SEARCH_ARRAYS:
-        arr = getattr(graph, name)
-        if not (isinstance(arr, np.ndarray) and arr.dtype == dtype
-                and arr.ndim == 1 and arr.flags.c_contiguous):
-            raise GraphModelError(
-                f"the search needs {name} as a C-contiguous "
-                f"{np.dtype(dtype)} vector, got {getattr(arr, 'dtype', arr)!r}"
-            )
+        _need_vector("the search", name, getattr(graph, name), dtype)
     T = len(graph.tx_w)
     # The last state has no waiting edge: the search reads dist[u + 1].
     if not (len(graph.tx_ptr) == len(graph.recv_ptr) == S + 1
@@ -845,6 +823,8 @@ def _check_search_arrays(graph: NumpyAuxGraph, ids: List[int]) -> None:
             f"inconsistent aux-graph arrays for {S} states and {T} "
             "transmissions"
         )
+    if S + T >= 2**31:
+        raise GraphModelError(f"{S + T} aux nodes exceed the heap's int32 ids")
     bad = [i for i in ids if not 0 <= i < S + T]
     if bad:
         raise GraphModelError(f"node ids {bad!r} out of range")

@@ -42,6 +42,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 from ..api import (
     BroadcastPlan,
     BroadcastPlanSet,
+    _check_deadline,
     _window_bounds,
     plan_broadcast,
     plan_broadcast_many,
@@ -449,7 +450,8 @@ class PlanningService:
             self._requests += 1
         timeout = self._timeout if timeout is None else _check_timeout(timeout)
         base = self._resolve_trace(trace)
-        deadline = float(deadline)
+        # Checked before the window, which the deadline sizes.
+        deadline = _check_deadline(deadline)
         tveg = self._shared_tveg(base, channel, window, deadline, seed)
         key = plan_cache_key(
             tveg, source, deadline, algorithm=algorithm, seed=seed,
@@ -519,6 +521,8 @@ class PlanningService:
             self._requests += len(src_list)
         try:
             base = self._resolve_trace(trace)
+            for d in dl_list:  # before the windows, which deadlines size
+                _check_deadline(d)
             # Group requests sharing one registry TVEG.  With a scalar
             # window the bounds — hence the graph — depend on the
             # deadline; otherwise every request shares a single graph.

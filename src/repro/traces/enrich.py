@@ -38,17 +38,21 @@ Node = Hashable
 
 
 class _Profile:
-    """Distance profile of one contact: piecewise-linear knots over time."""
+    """Distance profile of one contact: piecewise-linear knots over time,
+    or with ``times=None`` the one distance ``values`` throughout, which
+    is what ``np.interp`` between two equal knots returns exactly."""
 
     __slots__ = ("start", "end", "times", "values")
 
-    def __init__(self, start: float, end: float, times: np.ndarray, values: np.ndarray):
+    def __init__(self, start: float, end: float, times, values):
         self.start = start
         self.end = end
         self.times = times
         self.values = values
 
     def at(self, t: float) -> float:
+        if self.times is None:
+            return self.values
         return float(np.interp(t, self.times, self.values))
 
 
@@ -121,9 +125,8 @@ class DistanceModel:
 
     # ------------------------------------------------------------------
     def _constant_profile(self, c: Contact, rng: np.random.Generator) -> _Profile:
-        d = float(rng.uniform(self.d_min, self.d_max))
         return _Profile(
-            c.start, c.end, np.array([c.start, c.end]), np.array([d, d])
+            c.start, c.end, None, float(rng.uniform(self.d_min, self.d_max))
         )
 
     def _approach_profile(self, c: Contact, rng: np.random.Generator) -> _Profile:

@@ -1,4 +1,4 @@
-"""The compiled Steiner search: build, cache, load and argument checks.
+"""The compiled aux fill and Steiner search: build, cache, load and argument checks.
 
 Each test runs Python in a subprocess whose ``PYTHONPYCACHEPREFIX`` is a
 fresh directory, so the library cache starts empty and a failed or
@@ -74,11 +74,11 @@ def test_concurrent_first_plans_share_one_library(tmp_path):
         assert proc.returncode == 0, err
         outs.append(json.loads(out))
     assert outs[0] and all(out == outs[0] for out in outs)
-    files = [p.name for p in cache.rglob("_steiner.*")]
+    files = [p.name for p in cache.rglob("_native.*")]
     assert len(files) == 1 and files[0].endswith(".so"), files
     # a second process loads the cached library and plans the same
     assert json.loads(_run(PLAN, cache)) == outs[0]
-    assert [p.name for p in cache.rglob("_steiner.*")] == files
+    assert [p.name for p in cache.rglob("_native.*")] == files
 
 
 def test_bad_arrays_raise_graph_model_error(tmp_path):
@@ -120,4 +120,57 @@ def test_bad_arrays_raise_graph_model_error(tmp_path):
         "rejected float32 tx_w", "rejected non-contiguous recv",
         "rejected short tx_ptr", "rejected terminal out of range",
         "rejected last state waits", "True",
+    ]
+
+
+def test_bad_fill_arrays_raise_graph_model_error(tmp_path):
+    out = _run("""
+        import numpy as np
+        from repro.compute import numpy_backend
+        from repro.errors import GraphModelError
+        from repro.traces import deterministic_trace
+        from repro.tveg import tveg_from_trace
+
+        fill = numpy_backend._fill_rows
+        seen = {}
+
+        def spy(**arrays):
+            seen.update(arrays)
+            return fill(**arrays)
+
+        numpy_backend._fill_rows = spy
+        tveg = tveg_from_trace(deterministic_trace(), "static", seed=1)
+        g = numpy_backend.build_numpy_aux_graph(tveg, 0, 100.0)
+        numpy_backend._fill_rows = fill
+        a, b, nbr = seen["a"], seen["b"], seen["nbr"]
+        N = len(seen["node_base"]) - 1
+        first = int(np.flatnonzero(np.diff(seen["comp_ptr"]))[0])
+        past = b.copy()
+        past[seen["comp_ptr"][first]] = np.diff(seen["node_base"])[first] + 1
+        far = nbr.copy()
+        far[0] = N
+        loose = np.repeat(a, 2)[::2]
+        assert np.array_equal(loose, a) and not loose.flags.c_contiguous
+        bad = {
+            "float32 costs": dict(cost=seen["cost"].astype(np.float32)),
+            "non-contiguous runs": dict(a=loose),
+            "run past the node's points": dict(b=past),
+            "neighbor index N": dict(nbr=far),
+        }
+        for name, change in bad.items():
+            try:
+                fill(**{**seen, **change})
+            except GraphModelError:
+                print("rejected", name)
+            else:
+                print("accepted", name)
+        rows = fill(**seen)
+        print(all(np.array_equal(x, getattr(g, name)) for x, name in zip(
+            rows, ("tx_ptr", "recv_ptr", "tx_k0", "tx_w", "tx_cnt", "recv")
+        )) and rows[6:] == (g.num_edges, g.dcs_levels))
+    """, tmp_path / "cache")
+    assert out.splitlines() == [
+        "rejected float32 costs", "rejected non-contiguous runs",
+        "rejected run past the node's points", "rejected neighbor index N",
+        "True",
     ]

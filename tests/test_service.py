@@ -411,6 +411,35 @@ class TestPlanningService:
         finally:
             svc.close()
 
+    @pytest.mark.parametrize("deadline, message", [
+        ("-5", "deadline must be non-negative"),
+        ("NaN", "deadline must be finite"),
+    ])
+    def test_bad_deadline_with_window_names_the_deadline(self, deadline,
+                                                          message):
+        # a scalar window spans ``deadline`` seconds, so the deadline is
+        # checked before the window it sizes, as plan_broadcast does
+        trace, _ = make_random_instance(seed=1)
+        svc = PlanningService({"t": trace}, max_wait=0.0, workers=1)
+        try:
+            for path, body in (
+                ("/plan", '{"trace": "t", "source": 0, "deadline": %s, '
+                          '"window": 9000}'),
+                ("/plan_many", '{"trace": "t", "sources": [0, 0], '
+                               '"deadlines": %s, "window": 9000}'),
+            ):
+                method, kwargs = parse_plan_request(
+                    path, json.loads(body % deadline)
+                )
+                status, doc = execute_request(svc, method, kwargs)
+                assert status == 400
+                assert message in doc["error"], doc["error"]
+            with pytest.raises(ValueError, match=message):
+                plan_broadcast(trace, 0, float(deadline), window=9000.0)
+            assert svc.batcher.stats()["submitted"] == 0
+        finally:
+            svc.close()
+
     @pytest.mark.parametrize("timeout", ["NaN", "-1", "0", "1e309"])
     def test_bad_timeout_is_400_and_submits_nothing(self, timeout):
         trace, _ = make_random_instance(seed=1)

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import GraphModelError, TraceFormatError
 from repro.traces import (
@@ -21,6 +23,7 @@ from repro.traces import (
     write_crawdad,
     write_csv,
 )
+from repro.traces.enrich import _Profile
 
 
 class TestContactModel:
@@ -220,6 +223,24 @@ class TestDistanceModel:
         c = det_trace.contacts[0]
         ds = {provider(c.u, c.v, c.start + f * c.duration) for f in (0.0, 0.5, 0.9)}
         assert len(ds) == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        start=st.floats(-1e6, 1e6),
+        length=st.one_of(st.just(0.0), st.floats(0.0, 1e5)),
+        frac=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        d=st.floats(2.0, 10.0),
+    )
+    def test_constant_profile_is_the_two_knot_interpolation(
+        self, start, length, frac, d
+    ):
+        # the drawn float, returned as is, is what np.interp over the
+        # two equal knots [(start, d), (end, d)] returns at every t in
+        # [start, end], endpoints and zero-length spans included
+        end = start + length
+        t = min(max(start + frac * (end - start), start), end)
+        knots = np.interp(t, np.array([start, end]), np.array([d, d]))
+        assert _Profile(start, end, None, d).at(t).hex() == float(knots).hex()
 
     def test_outside_contact_raises(self, det_trace):
         provider = DistanceModel().attach(det_trace, seed=0)
