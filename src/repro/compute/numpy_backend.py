@@ -8,19 +8,20 @@ implements them with batched numpy operations and two compiled loops
 construction (``build_aux_graph`` in ``tests/aux_oracle.py``) **byte
 for byte**:
 
-* :func:`node_components` gives each node canonically sorted
+* :func:`build_numpy_aux_graph` takes each node's canonically sorted
   ``(cost, neighbor)`` *component* rows, each active on one contiguous
-  run of the node's DTS points.  When link costs are constant within a
-  contact (``tveg.cost_cacheable``) a component is a τ-eroded adjacency
+  run of the node's DTS points, from
+  :func:`~repro.tveg.costsets.node_components` — the rows the DCS point
+  queries read too.  When link costs are constant within a contact
+  (``tveg.cost_cacheable``) a component is a τ-eroded adjacency
   component, its cost taken once from the TVEG's shared per-contact cost
   cache; otherwise every active (neighbor, point) cell is its own
   one-point component, costed at that point.  Either way the costs are
-  the floats the reference's timeline sweep computes.
-* :func:`build_numpy_aux_graph` derives every DCS and every auxiliary
-  node from those arrays in one compiled pass over all nodes
-  (``_auxfill.c``, O(cells) — a cell is one (component, DTS point) pair
-  where the component is active), with no per-neighbor loop and no
-  search per cell: it reads the columnar DTS
+  the floats the reference's timeline sweep computes.  The build
+  derives every DCS and every auxiliary node from those arrays in one
+  compiled pass over all nodes (``_auxfill.c``, O(cells) — a cell is
+  one (component, DTS point) pair where the component is active), with
+  no per-neighbor loop and no search per cell: it reads the columnar DTS
   (:class:`~repro.dts.dts.DiscreteTimeSet`) by grid position, finds each
   cell's receiver state in one node-major state table, sweeps each
   node's points with its active components kept in canonical order, and
@@ -56,7 +57,6 @@ from __future__ import annotations
 
 import ctypes
 import math
-from bisect import bisect_left
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, replace
 from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
@@ -67,11 +67,11 @@ from .. import obs
 from ..auxgraph.model import AuxNode, state_node, tx_node
 from ..dts.dts import DiscreteTimeSet, build_dts
 from ..errors import GraphModelError, InfeasibleError
+from ..tveg.costsets import node_components
 from ..tveg.graph import TVEG
 from . import native
 
 __all__ = [
-    "node_components",
     "NumpyAuxGraph",
     "LazyTreeEdges",
     "build_numpy_aux_graph",
@@ -80,90 +80,6 @@ __all__ = [
 
 Node = Hashable
 Edge = Tuple[AuxNode, AuxNode]
-
-
-class NodeComponents:
-    """One node's contact components in canonical DCS order.
-
-    Rows are sorted by ``(cost, repr(neighbor))`` — the exact
-    :func:`~repro.tveg.costsets._sorted_entries` key.  At any DTS point
-    at most one component per neighbor is active (interval sets are
-    normalized, and a one-point component covers a single point), and
-    distinct neighbors have distinct ``repr``, so the *active subset* of
-    this canonical order is precisely the entry order of that point's
-    :class:`~repro.tveg.costsets.DiscreteCostSet`.
-    """
-
-    __slots__ = ("costs", "neighbors")
-
-    def __init__(self, costs, neighbors):
-        self.costs = costs          #: (C,) float64, ascending
-        self.neighbors = neighbors  #: list of C neighbor labels
-
-    def __len__(self) -> int:
-        return len(self.neighbors)
-
-
-def _canonical(raw: List[tuple]):
-    """Sort ``(cost, repr(neighbor), lo, hi, neighbor)`` rows canonically;
-    returns the :class:`NodeComponents` and the ``lo`` / ``hi`` arrays."""
-    raw.sort(key=lambda item: (item[0], item[1]))
-    comp = NodeComponents(
-        costs=np.array([r[0] for r in raw], dtype=np.float64),
-        neighbors=[r[4] for r in raw],
-    )
-    return comp, np.array([r[2] for r in raw]), np.array([r[3] for r in raw])
-
-
-def node_components(
-    tveg: TVEG, node: Node, points: "np.ndarray"
-) -> Tuple[NodeComponents, "np.ndarray", "np.ndarray"]:
-    """The node's canonical components and where each one is active.
-
-    Returns ``(components, a, b)``: component ``j`` is adjacent at DTS
-    point ``l`` (of the node's ascending ``points``) exactly when
-    ``a[j] <= l < b[j]``.  Components with a non-finite cost are dropped,
-    matching the DCS entry filter.
-
-    With ``tveg.cost_cacheable`` the components are the τ-eroded
-    adjacency components, costed once at their start through
-    :meth:`~repro.tveg.graph.TVEG.contact_cost` (which shares the TVEG's
-    per-contact cost cache with the point-query path) and
-    cached per node on :meth:`~repro.tveg.graph.TVEG.compute_cache`.
-    Otherwise each active (neighbor, point) cell is a one-point component
-    costed by the same ``contact_cost(node, other, t, start)`` call the
-    reference's timeline sweep makes at that point.
-    """
-    tvg = tveg.tvg
-    if not tveg.cost_cacheable:
-        pts = points.tolist()
-        raw = []
-        for other in tvg.incident(node):
-            key = repr(other)
-            for s, e in tvg.adjacency_set(node, other).pairs:
-                for l in range(bisect_left(pts, s), bisect_left(pts, e)):
-                    c = tveg.contact_cost(node, other, pts[l], s)
-                    if math.isfinite(c):
-                        raw.append((c, key, l, l + 1, other))
-        return _canonical(raw)
-    cache = tveg.compute_cache()
-    hit = cache.get(("components", node))
-    if hit is None:
-        raw = []
-        for other in tvg.incident(node):
-            for s, e in tvg.adjacency_set(node, other).pairs:
-                # Erosion preserves component starts, so ``s`` is also the
-                # presence-interval start — the shared cost-cache key.
-                c = tveg.contact_cost(node, other, s, s)
-                if math.isfinite(c):
-                    raw.append((c, repr(other), s, e, other))
-        hit = cache[("components", node)] = _canonical(raw)
-    comp, starts, ends = hit
-    return (
-        comp,
-        np.searchsorted(points, starts, side="left"),
-        np.searchsorted(points, ends, side="left"),
-    )
 
 
 class LazyAuxNodes(Sequence):
@@ -468,7 +384,7 @@ def build_numpy_aux_graph(
     order and weights are identical to the networkx reference build's
     (``tests/aux_oracle.py``) — pinned row for row by the compute-parity
     suite, on costs constant within each contact and on costs that vary
-    within one (see :func:`node_components`).
+    within one (see :func:`~repro.tveg.costsets.node_components`).
 
     Python takes every node's components (so each cost still comes from
     :meth:`~repro.tveg.graph.TVEG.contact_cost`), joins them into one set
@@ -530,7 +446,7 @@ def build_numpy_aux_graph(
 
     components = [
         node_components(tveg, node, pts_of[node]) for node in labels
-    ]
+    ]  # (costs, neighbors, a, b) per node
     tx_ptr, recv_ptr, tx_k0, tx_w, tx_cnt, recv, num_edges, dcs_level_total = (
         _fill_rows(
             node_base=node_base,
@@ -538,14 +454,14 @@ def build_numpy_aux_graph(
             recv_at=recv_at,
             # A transmission at a grid point must complete by the deadline.
             can_tx=t_recv <= end,
-            comp_ptr=np.cumsum([0] + [len(c) for c, _, _ in components],
+            comp_ptr=np.cumsum([0] + [len(n) for _, n, _, _ in components],
                                dtype=np.int64),
-            cost=np.concatenate([c.costs for c, _, _ in components]),
-            nbr=np.array([node_index[n] for c, _, _ in components
-                          for n in c.neighbors], dtype=np.int64),
-            a=np.concatenate([a for _, a, _ in components]).astype(
+            cost=np.concatenate([c for c, _, _, _ in components]),
+            nbr=np.array([node_index[v] for _, n, _, _ in components
+                          for v in n], dtype=np.int64),
+            a=np.concatenate([a for _, _, a, _ in components]).astype(
                 np.int64, copy=False),
-            b=np.concatenate([b for _, _, b in components]).astype(
+            b=np.concatenate([b for _, _, _, b in components]).astype(
                 np.int64, copy=False),
         )
     )

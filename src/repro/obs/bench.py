@@ -135,10 +135,10 @@ def _ops(
 ) -> List[Tuple[str, Callable[[], Optional[Dict[str, float]]]]]:
     """(name, thunk) pairs; a thunk may return a counters dict.
 
-    The aux-build and scheduler ops clear the TVEG's DCS/cost caches
-    before each repeat so every timing is a cold build — otherwise the
-    first op to run would warm the memo for the rest and the numbers
-    would depend on suite order.
+    The aux-build and scheduler ops clear the TVEG's caches before each
+    repeat so every timing is a cold build — otherwise the first op to
+    run would warm the components for the rest and the numbers would
+    depend on suite order.
     """
     from ..algorithms import make_scheduler
     from ..api import plan_broadcast, plan_broadcast_many, plan_cache_key
@@ -280,7 +280,7 @@ def _ops(
     def plan_many():
         # The batch API: k sources over one shared instance, cold caches —
         # the acceptance bar is beating k independent plan_broadcast calls
-        # by amortizing the TVEG/DCS/aux construction across the batch.
+        # by amortizing the TVEG/component/aux construction across the batch.
         static.clear_caches()
         planset = plan_broadcast_many(static, many_sources, delay)
         return {"requests": float(len(planset))}

@@ -140,8 +140,8 @@ def thread_map(
 
     The shared-memory sibling of :func:`parallel_map`, for work that must
     see the caller's live state — the planning service's batch executor
-    runs jobs here so every job shares one TVEG object (and its DCS / cost
-    caches), one plan cache, and the process-global obs tracer and ledger,
+    runs jobs here so every job shares one TVEG object (and its component
+    and cost caches), one plan cache, and the process-global obs tracer and ledger,
     none of which survive a hop across a process boundary.  Results come
     back in item order; nothing needs to be picklable.
     """

@@ -3,8 +3,8 @@
 Serving traffic one request at a time repeats the work the planner is
 built to do *once*: the auxiliary-graph build and the per-node contact
 components and cost sets it derives.  Concurrent
-requests against the same TVEG share those through the graph's DCS / cost
-caches — but only if they run in one process against one TVEG object, and
+requests against the same TVEG share those through the graph's component
+and cost caches — but only if they run in one process against one TVEG object, and
 only the *first* of K identical requests needs to run at all.
 
 :class:`Batcher` provides both amortizations:

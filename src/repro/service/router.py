@@ -2,7 +2,7 @@
 
 A sharded service only beats a single process if repeat configurations
 keep landing on the shard whose live caches — the registry TVEG, its
-component/DCS/cost structures and aux-graph builds, the hot tier of the
+contact components, cost caches and aux-graph builds, the hot tier of the
 plan cache — are already warm for them.  Random or round-robin dispatch
 would spread K repeats of one configuration over K shards and pay the
 cold build K times; the paper's workload shape (many ``(source,

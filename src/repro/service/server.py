@@ -8,7 +8,7 @@ object an application (or the HTTP front-end in
 * a bounded registry of **shared TVEGs** — one per distinct
   ``(trace, channel, window, seed)`` — so concurrent requests that differ
   only in algorithm or source hit the same live graph object and share its
-  DCS / cost caches;
+  contact components (with their cost sets) and cost caches;
 * a :class:`~repro.service.cache.PlanCache` answering repeated problems
   without recomputation;
 * a :class:`~repro.service.batcher.Batcher` deduping and amortizing what
@@ -399,7 +399,8 @@ class PlanningService:
         seed,
     ) -> TVEG:
         """The one TVEG every request with this (trace, channel, window,
-        seed) shares — so their DCS/cost and aux-graph work amortizes.
+        seed) shares — so their component, cost-set and aux-graph work
+        amortizes.
 
         Keyed by the trace's content fingerprint, not the request's trace
         name, so a request that omits the name (single hosted trace) and
@@ -448,24 +449,26 @@ class PlanningService:
         t0 = time.perf_counter()
         with self._lock:
             self._requests += 1
-        timeout = self._timeout if timeout is None else _check_timeout(timeout)
-        base = self._resolve_trace(trace)
-        # Checked before the window, which the deadline sizes.
-        deadline = _check_deadline(deadline)
-        tveg = self._shared_tveg(base, channel, window, deadline, seed)
-        key = plan_cache_key(
-            tveg, source, deadline, algorithm=algorithm, seed=seed,
-            **scheduler_kwargs,
-        )
-        cached = key in self._cache
-
-        def run() -> BroadcastPlan:
-            return plan_broadcast(
-                tveg, source, deadline, algorithm=algorithm, seed=seed,
-                cache=self._cache, **scheduler_kwargs,
-            )
-
         try:
+            timeout = (
+                self._timeout if timeout is None else _check_timeout(timeout)
+            )
+            base = self._resolve_trace(trace)
+            # Checked before the window, which the deadline sizes.
+            deadline = _check_deadline(deadline)
+            tveg = self._shared_tveg(base, channel, window, deadline, seed)
+            key = plan_cache_key(
+                tveg, source, deadline, algorithm=algorithm, seed=seed,
+                **scheduler_kwargs,
+            )
+            cached = key in self._cache
+
+            def run() -> BroadcastPlan:
+                return plan_broadcast(
+                    tveg, source, deadline, algorithm=algorithm, seed=seed,
+                    cache=self._cache, **scheduler_kwargs,
+                )
+
             future = self._batcher.submit(key, run)
             plan = future.result(timeout=timeout)
         except BaseException:

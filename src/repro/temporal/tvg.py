@@ -201,9 +201,10 @@ class TVG:
     def version(self) -> int:
         """Mutation counter; bumps on every contact/presence change.
 
-        Consumers that cache derived structures (the TVEG's DCS memo,
-        compute and aux-graph caches) key them on this stamp to stay
-        correct across mutation.
+        Consumers that cache derived structures (the TVEG's per-node
+        contact components with their cost sets, its contact-cost, replay
+        and aux-graph caches) key them on this stamp to stay correct
+        across mutation.
         """
         return self._version
 

@@ -51,7 +51,6 @@ def tveg_from_trace(
     distance_model: Optional[DistanceModel] = None,
     tau: float = 0.0,
     seed: SeedLike = None,
-    dcs_capacity: Optional[int] = None,
 ) -> TVEG:
     """Build a TVEG from a contact trace in one call.
 
@@ -63,14 +62,8 @@ def tveg_from_trace(
 
     ``trace`` is a :class:`~repro.traces.model.ContactTrace`, or any
     object with its ``to_tvg`` / ``pair_presence`` surface.
-    ``dcs_capacity`` bounds the TVEG's
-    discrete-cost-set memo (see :class:`~repro.tveg.graph.TVEG`); leave
-    ``None`` for the unbounded default.
     """
     tvg = trace.to_tvg(tau=tau)
     dm = distance_model or DistanceModel()
     provider = dm.attach(trace, seed=seed)
-    return TVEG(
-        tvg, make_channel(channel, params), provider,
-        dcs_capacity=dcs_capacity,
-    )
+    return TVEG(tvg, make_channel(channel, params), provider)

@@ -7,13 +7,20 @@ collapses to the *discrete cost set* ``W^di_{i,t} = {w¹, ..., w^m}``.
 Property 6.1(i) — the broadcast nature — says transmitting at ``w^k``
 informs every neighbor whose minimum cost is ≤ ``w^k``.
 
-:func:`discrete_cost_set` answers one (node, time) pair through the TVEG's
-point queries.  It shares the TVEG's per-contact cost cache and memoizes
-results on the TVEG (``(node, t)`` keyed), so the event-driven schedulers,
-the exact oracle and the reduction passes never recompute a DCS.  The
-auxiliary-graph build
-(:func:`~repro.compute.numpy_backend.build_numpy_aux_graph`) costs whole
-contact components and never asks for a DCS.
+A node's DCS changes only where one of its own adjacency components starts
+or ends.  Every DCS consumer reads those components, listed once per node
+(:class:`NodeComponents`, cached on the TVEG) in the canonical DCS order
+that :func:`canonical` defines:
+
+* the auxiliary-graph build
+  (:func:`~repro.compute.numpy_backend.build_numpy_aux_graph`) takes from
+  :func:`node_components` the run of DTS points where each component is
+  active;
+* :func:`discrete_cost_set` answers one (node, time) query — for the
+  event-driven schedulers, the exact oracle and the reduction passes — by
+  bisecting the time into the node's sorted component boundaries.  The
+  active entries of each segment between two boundaries are cached with
+  the components, so no (node, time) pair is ever memoized.
 """
 
 from __future__ import annotations
@@ -21,13 +28,21 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Hashable, Iterable, List, Tuple
+from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
+
+import numpy as np
 
 from .. import obs
 from ..errors import ScheduleError
 from .graph import TVEG
 
-__all__ = ["DiscreteCostSet", "discrete_cost_set"]
+__all__ = [
+    "DiscreteCostSet",
+    "discrete_cost_set",
+    "NodeComponents",
+    "node_components",
+    "canonical",
+]
 
 Node = Hashable
 
@@ -62,7 +77,7 @@ class DiscreteCostSet:
 
     @property
     def neighbors(self) -> Tuple[Node, ...]:
-        return tuple(n for _, n in self.entries)
+        return tuple([n for _, n in self.entries])
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -111,35 +126,135 @@ class DiscreteCostSet:
         raise ScheduleError(f"{w!r} is not a DCS level of node {self.node!r}")
 
 
-def _sorted_entries(
-    raw: List[Tuple[float, Node]]
-) -> Tuple[Tuple[float, Node], ...]:
-    """Finite ``(cost, neighbor)`` pairs in the canonical DCS order."""
-    raw.sort(key=lambda item: (item[0], repr(item[1])))
-    return tuple((c, v) for c, v in raw if math.isfinite(c))
+def canonical(rows: Iterable[Sequence]) -> List[Sequence]:
+    """``(cost, neighbor, ...)`` rows in the canonical DCS order.
+
+    Rows whose cost is not finite are dropped; the rest sort by ascending
+    cost, ties broken by ``repr(neighbor)`` (the sort is stable).  This is
+    the one definition of the order: the component rows of
+    :func:`node_components` and the per-query costs of contacts whose cost
+    varies are both sorted here.
+    """
+    out = [r for r in rows if math.isfinite(r[0])]
+    out.sort(key=lambda r: (r[0], repr(r[1])))
+    return out
+
+
+class NodeComponents:
+    """One node's adjacency components: every τ-eroded ``[start, end)``
+    on which a neighbor is adjacent, one ``(cost, neighbor, start, end)``
+    row each.
+
+    When link costs are constant within contacts (``costed``, from
+    ``tveg.cost_cacheable``) the rows are in :func:`canonical` order.  At
+    any time at most one component per neighbor is active (interval sets
+    are normalized) and distinct neighbors have distinct ``repr``, so the
+    rows active at ``t``, in row order, are the DCS at ``t``.  Otherwise
+    every ``cost`` is ``None`` and the rows stay in incident order: each
+    query costs its active rows at its own time.
+
+    The active rows change only at a component start or end, so they are
+    constant on each *segment* between two consecutive ``bounds``; segment
+    ``bisect_right(bounds, t)`` holds ``t``, and ``segments`` caches what
+    :meth:`active` returns for it (at most ``2 × len(rows) + 1`` segments).
+    """
+
+    __slots__ = ("rows", "costed", "bounds", "segments")
+
+    def __init__(self, rows: List[tuple], costed: bool) -> None:
+        self.rows = rows
+        self.costed = costed
+        self.bounds = None  # sorted by the first DCS query, not the aux build
+        self.segments: Dict[int, tuple] = {}
+
+    def active(self, t: float) -> tuple:
+        """The rows active at ``t``: ``(cost, neighbor)`` entries when
+        ``costed``, else whole rows."""
+        active = [r for r in self.rows if r[2] <= t < r[3]]
+        if self.costed:
+            return tuple([(c, v) for c, v, _, _ in active])
+        return tuple(active)
+
+
+def _components(tveg: TVEG, node: Node) -> NodeComponents:
+    """The node's :class:`NodeComponents`, built once per TVG version."""
+    cache = tveg.compute_cache()
+    comps = cache.get(node)
+    if comps is None:
+        tvg, costed = tveg.tvg, tveg.cost_cacheable
+        # Erosion preserves component starts, so ``s`` is also the
+        # presence-interval start — the shared cost-cache key.
+        rows = [
+            (tveg.contact_cost(node, v, s, s) if costed else None, v, s, e)
+            for v in tvg.incident(node)
+            for s, e in tvg.adjacency_set(node, v).pairs
+        ]
+        comps = cache[node] = NodeComponents(
+            canonical(rows) if costed else rows, costed
+        )
+    return comps
+
+
+def node_components(
+    tveg: TVEG, node: Node, points: "np.ndarray"
+) -> Tuple["np.ndarray", List[Node], "np.ndarray", "np.ndarray"]:
+    """The node's components as the auxiliary-graph build reads them.
+
+    Returns ``(costs, neighbors, a, b)``, one entry per component in
+    canonical order: the neighbor is adjacent at DTS point ``l`` (of the
+    node's ascending ``points``) at ``costs[j]`` exactly when
+    ``a[j] <= l < b[j]``.
+
+    With ``tveg.cost_cacheable`` these are the node's
+    :class:`NodeComponents` rows, each costed once at its start through
+    :meth:`~repro.tveg.graph.TVEG.contact_cost`.  Otherwise each active
+    (neighbor, point) cell is a one-point component costed by the same
+    ``contact_cost(node, other, t, start)`` call
+    :func:`discrete_cost_set` makes at that point.
+    """
+    comps = _components(tveg, node)
+    if comps.costed:
+        rows = comps.rows
+        return (
+            np.array([r[0] for r in rows], dtype=np.float64),
+            [r[1] for r in rows],
+            np.searchsorted(points, [r[2] for r in rows]),
+            np.searchsorted(points, [r[3] for r in rows]),
+        )
+    pts = points.tolist()
+    cells = canonical(
+        (tveg.contact_cost(node, v, pts[l], s), v, l)
+        for _, v, s, e in comps.rows
+        for l in range(bisect_left(pts, s), bisect_left(pts, e))
+    )
+    a = np.array([l for _, _, l in cells], dtype=np.int64)
+    return (np.array([c for c, _, _ in cells], dtype=np.float64),
+            [v for _, v, _ in cells], a, a + 1)
 
 
 def discrete_cost_set(tveg: TVEG, node: Node, t: float) -> DiscreteCostSet:
-    """Compute (or recall) the DCS of ``node`` at time ``t``.
+    """The DCS of ``node`` at time ``t``, read from its components.
 
-    Results are memoized on the TVEG keyed by the exact ``(node, t)`` pair;
-    repeated queries — schedule extraction, the reduction passes, the
-    FR-EEDCB backbone stage — hit the memo.  Neighbors whose backbone cost
-    is infinite (should not happen for adjacent links) are dropped
-    defensively.
+    Bisects ``t`` into the node's component boundaries and takes the
+    segment's entries, cached on the first query that lands in the
+    segment (:meth:`NodeComponents.active`).  When costs vary within
+    contacts, the segment's active components are costed at ``t``
+    through :meth:`~repro.tveg.graph.TVEG.contact_cost` and sorted
+    canonically.  Neighbors whose cost is infinite (should not happen for
+    adjacent links) are dropped defensively.  Raises
+    :class:`~repro.errors.GraphModelError` for a node not in the graph.
     """
-    memo = tveg.dcs_memo()
-    key = (node, t)
-    cached = memo.get(key)
-    if cached is not None:
-        obs.counter("tveg.dcs_memo_hits")
-        return cached
-    entries = _sorted_entries(
-        [(c, v) for v, c in tveg.neighbor_costs(node, t)]
-    )
-    obs.counter("tveg.dcs_built")
-    obs.counter("tveg.dcs_levels", len(entries))
-    dcs = DiscreteCostSet(node=node, time=t, entries=entries)
-    memo[key] = dcs
-    return dcs
-
+    comps = tveg.compute_cache().get(node) or _components(tveg, node)
+    if comps.bounds is None:
+        comps.bounds = sorted({x for r in comps.rows for x in r[2:]})
+    k = bisect_right(comps.bounds, t)
+    entries = comps.segments.get(k)
+    if entries is None:
+        entries = comps.segments[k] = comps.active(t)
+        obs.counter("tveg.dcs_built")
+        obs.counter("tveg.dcs_levels", len(entries))
+    if not comps.costed:
+        entries = tuple(canonical(
+            (tveg.contact_cost(node, v, t, s), v) for _, v, s, _ in entries
+        ))
+    return DiscreteCostSet(node, t, entries)

@@ -14,11 +14,10 @@ from __future__ import annotations
 import hashlib
 import math
 from collections import OrderedDict
-from typing import Callable, Hashable, List, Optional, Tuple
+from typing import Callable, Hashable, Tuple
 
 from ..channels.base import AbsentED, EDFunction
 from ..channels.models import ChannelModel
-from ..errors import GraphModelError
 from ..params import PhyParams
 from ..temporal.tvg import TVG, edge_key
 
@@ -27,36 +26,6 @@ __all__ = ["TVEG", "DistanceProvider"]
 Node = Hashable
 #: Anything answering ``distance(u, v, t) -> float`` for in-contact queries.
 DistanceProvider = Callable[[Node, Node, float], float]
-
-
-class _BoundedDCSMemo(OrderedDict):
-    """A DCS memo with an entry cap: least-recently-hit cost sets evict.
-
-    Serves the exact plain-``dict`` interface :mod:`repro.tveg.costsets`
-    drives (``get`` / item assignment / ``clear``), so it can replace the
-    unbounded memo transparently.  Eviction is parity-safe by construction:
-    the memo is pure memoization, so a dropped entry is simply recomputed —
-    same floats, same ordering — on the next query.  This is what keeps
-    full-trace planning on million-contact stores from pinning one
-    ``DiscreteCostSet`` per (node, time-point) in memory for the whole run.
-    """
-
-    def __init__(self, capacity: int) -> None:
-        super().__init__()
-        if capacity < 1:
-            raise GraphModelError("dcs_capacity must be a positive integer")
-        self.capacity = int(capacity)
-
-    def get(self, key, default=None):
-        found = super().get(key, default)
-        if found is not default:
-            self.move_to_end(key)
-        return found
-
-    def __setitem__(self, key, value) -> None:
-        super().__setitem__(key, value)
-        if len(self) > self.capacity:
-            self.popitem(last=False)
 
 
 class TVEG:
@@ -72,13 +41,6 @@ class TVEG:
         A distance provider; must answer for every (pair, time) at which the
         pair is in contact.  See :class:`~repro.traces.enrich.DistanceModel`
         and :mod:`repro.mobility` for the two standard sources.
-    dcs_capacity:
-        Optional cap on retained :class:`DiscreteCostSet` memo entries.
-        ``None`` (the default) memoizes every ``(node, t)`` cost set for
-        the TVG version's lifetime; a positive integer bounds the memo
-        with LRU eviction instead — identical results (evicted entries are
-        recomputed bit-for-bit on demand), bounded memory.  The scale
-        pipeline sets this when planning on million-contact stores.
     """
 
     def __init__(
@@ -86,7 +48,6 @@ class TVEG:
         tvg: TVG,
         channel: ChannelModel,
         distances: DistanceProvider,
-        dcs_capacity: Optional[int] = None,
     ) -> None:
         self._tvg = tvg
         self._channel = channel
@@ -98,16 +59,9 @@ class TVEG:
             getattr(distances, "constant_within_contacts", False)
         )
         self._cost_cache: dict = {}
-        # DCS memo: (node, t) → DiscreteCostSet, valid for one TVG version.
-        # Populated by repro.tveg.costsets so the event schedulers, the
-        # oracle and the reduction passes share one computation per
-        # (node, point).
-        self._dcs_memo: dict = (
-            {} if dcs_capacity is None else _BoundedDCSMemo(dcs_capacity)
-        )
-        self._dcs_memo_version = tvg.version
-        # Derived-array memo for the numpy compute backend (per-node contact
-        # component arrays etc.), same version discipline as the DCS memo.
+        # Per-node contact components (repro.tveg.costsets), read by the
+        # aux build and every DCS query; valid for one TVG version, and
+        # dropped with the cost cache when it changes.
         self._compute_cache: dict = {}
         self._compute_cache_version = tvg.version
         # Auxiliary-graph cache: (deadline, targets) → aux graph.
@@ -181,18 +135,6 @@ class TVEG:
         """``φ_t^{e_{u,v}}(w)`` — single-transmission failure probability."""
         return self.ed(u, v, t).failure(w)
 
-    def _backbone_weight_at(self, u: Node, v: Node, t: float) -> float:
-        """Backbone cost of an adjacent link, with per-contact caching."""
-        if not self._cost_cacheable:
-            return self._channel.backbone_weight(self.distance(u, v, t))
-        key = edge_key(u, v)
-        start = self._tvg.presence(u, v).interval_at(t).start
-        cached = self._cost_cache.get((key, start))
-        if cached is None:
-            cached = self._channel.backbone_weight(self.distance(u, v, t))
-            self._cost_cache[(key, start)] = cached
-        return cached
-
     def min_cost(self, u: Node, v: Node, t: float) -> float:
         """The link's backbone cost at ``t`` (Section VI), ``inf`` if absent.
 
@@ -202,30 +144,22 @@ class TVEG:
         """
         if not self.adjacent(u, v, t):
             return math.inf
-        return self._backbone_weight_at(u, v, t)
-
-    def dcs_memo(self) -> dict:
-        """The live ``(node, t) → DiscreteCostSet`` memo (version-checked).
-
-        Accessing the memo after the underlying TVG mutated clears it, so
-        stale cost sets are never served.  The cost cache is dropped with it
-        (its contact keys may no longer exist).
-        """
-        if self._dcs_memo_version != self._tvg.version:
-            self._dcs_memo.clear()
-            self._cost_cache.clear()
-            self._dcs_memo_version = self._tvg.version
-        return self._dcs_memo
+        self.compute_cache()  # drops the contact costs of an old topology
+        start = self._tvg.presence(u, v).interval_at(t).start
+        return self.contact_cost(u, v, t, start)
 
     def compute_cache(self) -> dict:
-        """The numpy backend's derived-array memo (version-checked).
+        """Memo of per-node contact components (version-checked).
 
-        Holds per-node contact-component arrays and similar pure
-        derivations of the current topology; dropped automatically when
-        the underlying TVG mutates, like :meth:`dcs_memo`.
+        Maps each node to its :class:`~repro.tveg.costsets.NodeComponents`,
+        with the DCS segments derived from them.  Accessing it after the
+        underlying TVG mutated clears it, and the per-contact cost cache
+        with it (its contact keys may no longer exist), so stale
+        components and costs are never served.
         """
         if self._compute_cache_version != self._tvg.version:
             self._compute_cache.clear()
+            self._cost_cache.clear()
             self._compute_cache_version = self._tvg.version
         return self._compute_cache
 
@@ -278,13 +212,12 @@ class TVEG:
     def clear_caches(self) -> None:
         """Drop every layer of memoized state derived from the topology.
 
-        Covers the DCS memo, the per-contact cost cache, the compute
-        backend's derived arrays, the replay memo and retained
+        Covers the per-contact cost cache, the per-node contact components
+        (with their DCS segments), the replay memo and retained
         auxiliary-graph builds.  Results are unaffected (the caches are
         pure memoization); used by the benchmark suite to time cold
         builds.
         """
-        self._dcs_memo.clear()
         self._cost_cache.clear()
         self._compute_cache.clear()
         self._aux_cache.clear()
@@ -295,11 +228,13 @@ class TVEG:
         """Backbone cost of a link known to be in contact at ``t``, within
         the presence interval starting at ``contact_start``.
 
-        The auxiliary-graph build costs its contact components through
-        this (:func:`~repro.compute.numpy_backend.node_components`).  It
-        shares :attr:`_cost_cache` with the point-query path — keyed by
-        the same ``(edge, presence-interval start)`` — so component costs
-        and point-query costs are the same float objects bit-for-bit.
+        Every backbone cost goes through this: the contact components of
+        :mod:`repro.tveg.costsets` (so the aux build and every DCS) and
+        :meth:`min_cost`.  When costs are constant within contacts it is
+        cached per ``(edge, presence-interval start)``, so each contact's
+        cost is one float object.  The cache is dropped by
+        :meth:`compute_cache` when the TVG mutates, and those callers go
+        through that first.
         """
         if not self._cost_cacheable:
             return self._channel.backbone_weight(self.distance(node, other, t))
@@ -345,16 +280,6 @@ class TVEG:
         fp = h.hexdigest()[:16]
         self._fingerprint = (version, fp)
         return fp
-
-    def neighbor_costs(self, node: Node, t: float) -> List[Tuple[Node, float]]:
-        """``(neighbor, backbone cost)`` for all nodes adjacent at ``t``,
-        sorted ascending by cost — the raw material of the DCS."""
-        out = [
-            (v, self._backbone_weight_at(node, v, t))
-            for v in self.neighbors(node, t)
-        ]
-        out.sort(key=lambda item: (item[1], repr(item[0])))
-        return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"TVEG({self._tvg!r}, channel={self._channel!r})"

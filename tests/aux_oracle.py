@@ -49,7 +49,7 @@ from repro.dts.dts import DiscreteTimeSet, build_dts
 from repro.errors import GraphModelError, InfeasibleError
 from repro.schedule.schedule import Schedule, Transmission
 from repro.steiner import memt
-from repro.tveg.costsets import DiscreteCostSet, _sorted_entries
+from repro.tveg.costsets import DiscreteCostSet, canonical
 from repro.tveg.graph import TVEG
 
 Node = Hashable
@@ -156,10 +156,11 @@ def discrete_cost_sets(
     queries — ``O(points + events)`` instead of ``O(points × incident
     edges)`` repeated interval scans.  Produces exactly the cost sets
     :func:`repro.tveg.costsets.discrete_cost_set` would (same costs, same
-    ordering; the per-contact cost cache is shared), and populates the
-    same memo.
+    ordering; the per-contact cost cache is shared); a repeated time is
+    answered from a local memo.
     """
-    memo = tveg.dcs_memo()
+    tveg.compute_cache()  # drops the contact costs of an old topology
+    memo: Dict[float, DiscreteCostSet] = {}
     out: List[DiscreteCostSet] = []
     sweep = None
     built = levels = 0
@@ -171,12 +172,8 @@ def discrete_cost_sets(
     last_pos = -1
     last_entries: Tuple[Tuple[float, Node], ...] = ()
     for t in times:
-        key = (node, t)
-        cached = memo.get(key)
+        cached = memo.get(t)
         if cached is not None:
-            # The sweep (if any) simply skips this time; advance() applies
-            # all intervening events at the next miss.
-            obs.counter("tveg.dcs_memo_hits")
             out.append(cached)
             continue
         if sweep is None:
@@ -185,15 +182,13 @@ def discrete_cost_sets(
         if reusable and sweep.position == last_pos:
             entries = last_entries
         else:
-            entries = _sorted_entries(
-                [
-                    (tveg.contact_cost(node, other, t, start), other)
-                    for other, start in active.items()
-                ]
-            )
+            entries = tuple(canonical(
+                (tveg.contact_cost(node, other, t, start), other)
+                for other, start in active.items()
+            ))
             last_pos, last_entries = sweep.position, entries
         dcs = DiscreteCostSet(node=node, time=t, entries=entries)
-        memo[key] = dcs
+        memo[t] = dcs
         out.append(dcs)
         built += 1
         levels += len(entries)

@@ -44,7 +44,7 @@ from repro.traces import (
     HaggleLikeConfig,
     haggle_like_trace,
 )
-from repro.tveg import tveg_from_trace
+from repro.tveg import discrete_cost_set, tveg_from_trace
 
 from .aux_oracle import build_aux_graph, greedy_incremental_dst
 from .aux_oracle import solve_memt as reference_memt
@@ -611,11 +611,16 @@ def test_clear_caches_clears_every_cache():
     assert tveg.compute_cache()
     assert tveg.aux_cache()
     assert tveg.replay_cache()
+    warm = tveg.compute_cache()[0]
     tveg.clear_caches()
     assert not tveg.compute_cache()
     assert not tveg.aux_cache()
     assert not tveg.replay_cache()
-    assert not tveg.dcs_memo()
+    # a DCS query rebuilds the node's component rows from the topology
+    t = warm.rows[0][2]
+    assert discrete_cost_set(tveg, 0, t).entries
+    rebuilt = tveg.compute_cache()[0]
+    assert rebuilt is not warm and rebuilt.rows == warm.rows
     # the graph still plans correctly after the purge, cold
     r = make_scheduler("eedcb").run(tveg, 0, 300.0)
     assert r.schedule is not None

@@ -368,6 +368,28 @@ class TestPlanningService:
         with pytest.raises(KeyError):
             service.plan("nope", 600.0)
 
+    def test_every_rejection_counts_as_an_error(self):
+        # a request refused before the batch queue (unknown trace, bad
+        # deadline, bad timeout) is an error like one failing inside it
+        trace, _ = make_random_instance(seed=1)
+        svc = PlanningService({"t": trace}, max_wait=0.0, workers=1)
+        try:
+            rejections = (
+                (KeyError, dict(trace="nope", deadline=100.0)),
+                (ValueError, dict(trace="t", deadline=-5.0)),
+                (ValueError, dict(trace="t", deadline=100.0,
+                                  timeout=float("nan"))),
+            )
+            for n, (exc, kwargs) in enumerate(rejections, 1):
+                with pytest.raises(exc):
+                    svc.plan(source=0, **kwargs)
+                m = svc.metrics()
+                assert (m["requests"], m["errors"]) == (n, n)
+                assert svc.telemetry.counter("service.plan_errors") == n
+            assert svc.batcher.stats()["submitted"] == 0
+        finally:
+            svc.close()
+
     def test_default_trace_when_single(self, service):
         r = service.plan(None, 600.0, window=2000.0, seed=3)
         assert r.plan.deadline == 600.0

@@ -531,28 +531,6 @@ def test_plan_config_rejects_unknown_types():
         plan_broadcast(oracle.ContactTrace([]), None, 100.0)
 
 
-def test_dcs_capacity_bounded_and_parity(haggle_pair):
-    trace, store = haggle_pair
-    t_full = tveg_from_trace(trace, "static", seed=7)
-    t_bound = tveg_from_trace(store, "static", seed=7, dcs_capacity=8)
-    from repro.algorithms import make_scheduler
-
-    r1 = make_scheduler("eedcb").run(t_full, trace.nodes[0], 4000.0)
-    r2 = make_scheduler("eedcb").run(t_bound, trace.nodes[0], 4000.0)
-    assert r1.schedule == r2.schedule
-    assert repr(r1.schedule.total_cost) == repr(r2.schedule.total_cost)
-    assert len(t_bound.dcs_memo()) <= 8
-    assert len(t_full.dcs_memo()) > 8
-
-
-def test_dcs_capacity_validation():
-    from repro.errors import GraphModelError
-    from repro.tveg.graph import _BoundedDCSMemo
-
-    with pytest.raises(GraphModelError):
-        _BoundedDCSMemo(0)
-
-
 # ----------------------------------------------------------------------
 # scale generator
 # ----------------------------------------------------------------------

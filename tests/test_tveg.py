@@ -49,12 +49,6 @@ class TestTVEGQueries:
         static, fading = paired_tvegs
         assert static.distance(0, 1, 15.0) == fading.distance(0, 1, 15.0)
 
-    def test_neighbor_costs_sorted(self, det_static):
-        costs = det_static.neighbor_costs(0, 15.0)  # 0 adjacent to 1 and 3
-        assert [v for v, _ in costs] in ([1, 3], [3, 1])
-        ws = [w for _, w in costs]
-        assert ws == sorted(ws)
-
     def test_passthrough_properties(self, det_static):
         assert det_static.num_nodes == 4
         assert det_static.horizon == 100.0

@@ -96,8 +96,9 @@ plan set as a `repro.planset/1` document.
     "repro.compute": """\
 # Compute kernels
 
-`repro.compute.numpy_backend` holds EEDCB's numpy hot path: per-node
-contact costs batched into canonical component arrays (one component
+`repro.compute.numpy_backend` holds EEDCB's numpy hot path: each
+node's canonical contact components (from `repro.tveg.costsets`, the
+rows the DCS point queries read too) batched into arrays (one component
 per contact when costs are constant within it, one per active
 (neighbor, point) cell when they vary), the auxiliary graph in implicit
 form — per-state and per-transmission arrays from which each row, node

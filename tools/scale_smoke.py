@@ -13,12 +13,14 @@ and asserts the three scale acceptance properties:
    the header's copy is not used), and parsed into per-contact objects
    by the dict-backed reference model in ``tests/trace_oracle.py``;
 2. **bounded memory**: a child interpreter plans one source from the
-   ``.ctrace`` file — windowed store → ``tveg_from_trace`` with an LRU
-   ``dcs_capacity`` bound — under a hard ``resource.setrlimit``
-   address-space ceiling (``--limit-mb``).  With the default GREED
-   scheduler, the unbounded DCS memo alone needs ~2.8 GB on the full
-   instance, so a regression to per-contact objects or an unbounded
-   memo dies on ``MemoryError`` instead of quietly using more RAM.
+   ``.ctrace`` file — windowed store → ``tveg_from_trace`` — under a
+   hard ``resource.setrlimit`` address-space ceiling (``--limit-mb``).
+   The default GREED scheduler answers its discrete cost sets from each
+   node's contact components and plans the full instance at about
+   310 MB peak RSS, the loaded trace included; a memo of one cost set
+   per (node, event time) needed ~2.8 GB there, so a regression to it or
+   to per-contact objects dies on ``MemoryError`` instead of quietly
+   using more RAM.
    ``--algorithm eedcb`` guards the Section VI-A auxiliary graph and
    the Steiner search instead: on the quick instance (6.1M aux nodes,
    19.1M edges) the implicit graph at 16 bytes per transmission node
@@ -88,11 +90,6 @@ HAGGLE_WINDOW, HAGGLE_DEADLINE = (9000.0, 11000.0), 2000.0
 SOURCE = 0
 ALGORITHMS = ("greed", "eedcb")
 PLAN_SEED = 5
-# The greedy event scheduler queries a DCS per (informed node, event
-# time); left unbounded the memo costs ~2.8 GB peak RSS on the full
-# instance.  The LRU bound recomputes evicted entries bit-for-bit, so
-# both legs plan under it and the schedules stay byte-identical.
-DCS_CAPACITY = 100_000
 
 
 def _instance(name: str):
@@ -183,12 +180,12 @@ def _child(args) -> int:
         trace = parse_crawdad(args.path)
     trace_fp = trace.fingerprint()
     load_s = time.perf_counter() - t0
-    # The same window → shift → TVEG pipeline plan_broadcast(window=...)
-    # runs internally, built explicitly so the DCS memo can be bounded.
+    # The window → shift → TVEG pipeline plan_broadcast(window=...) runs
+    # internally, spelled out because the dict leg's reference trace model
+    # is not the ContactTrace that plan_broadcast accepts.
     start, end = window
     windowed = trace.restrict_window(start, end).shift(-start)
-    tveg = tveg_from_trace(windowed, seed=PLAN_SEED,
-                           dcs_capacity=DCS_CAPACITY)
+    tveg = tveg_from_trace(windowed, seed=PLAN_SEED)
     plan = plan_broadcast(
         tveg, SOURCE, deadline, algorithm=args.algorithm, seed=PLAN_SEED,
     )
@@ -267,8 +264,9 @@ def main(argv=None) -> int:
                         "eedcb exercises the auxiliary graph)")
     parser.add_argument("--limit-mb", type=int, default=1024,
                         help="address-space ceiling for the store leg in MB "
-                        "(0 disables; default 1024 — the unbounded DCS "
-                        "memo alone needs ~2.8 GB, so a regression to it "
+                        "(0 disables; default 1024 — GREED plans the full "
+                        "instance at about 310 MB, while a per-(node, time) "
+                        "DCS memo needed ~2.8 GB, so a regression to it "
                         "trips the ceiling)")
     parser.add_argument("--workdir", default=None,
                         help="keep generated files here instead of a "
