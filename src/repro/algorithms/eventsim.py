@@ -13,6 +13,7 @@ ambiguity (see DESIGN.md):
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Callable, Hashable, List, Optional, Sequence, Set, Tuple
 
 from .. import obs
@@ -38,13 +39,13 @@ def event_times(tveg: TVEG, start_time: float, deadline: float) -> List[float]:
     Coverage opportunities change only when some contact begins or ends (or
     when a node becomes informed — which itself happens at such an instant
     under τ = 0), so these are the only times the baselines need to act at.
+    The boundaries are :meth:`~repro.temporal.tvg.TVG.adjacency_boundaries`,
+    sorted once per TVG version; each run bisects its window out of them.
     """
     end = min(deadline - tveg.tau, tveg.horizon)
-    points: Set[float] = {start_time}
-    for _, pres in tveg.tvg.edges_with_presence():
-        for b in pres.erode(tveg.tau).boundaries_within(start_time, end):
-            points.add(b)
-    return sorted(points)
+    bounds = tveg.tvg.adjacency_boundaries()
+    lo = bisect_right(bounds, start_time)
+    return [start_time, *bounds[lo:bisect_right(bounds, end)]]
 
 
 def _candidates(

@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .. import obs
 from ..errors import InfeasibleError
@@ -48,6 +47,15 @@ from .coordinate import coordinate_descent_allocation
 from .problem import AllocationProblem
 
 __all__ = ["AllocationResult", "solve_allocation"]
+
+
+def minimize(**kwargs):
+    """:func:`scipy.optimize.minimize`, imported on the first SLSQP polish
+    so that the planners without an allocation stage never load
+    ``scipy.optimize``."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(**kwargs)
 
 
 @dataclass(frozen=True)

@@ -9,13 +9,15 @@ the outage probability is the regularized lower incomplete gamma function:
 ``m = 1`` recovers the Rayleigh ED-function exactly (verified in tests);
 ``m → ∞`` approaches the step function, interpolating between the paper's
 two channel regimes.
+
+``scipy.special`` is imported by the first :meth:`NakagamiED.failure` or
+:meth:`NakagamiED.min_cost` call, so planners on the other channels never
+load it.
 """
 
 from __future__ import annotations
 
 import math
-
-from scipy.special import gammainc, gammaincinv
 
 from ..errors import ChannelModelError
 from .base import EDFunction
@@ -50,6 +52,8 @@ class NakagamiED(EDFunction):
         self._check_cost(w)
         if w == 0.0:
             return 1.0
+        from scipy.special import gammainc
+
         return float(gammainc(self._m, self._m * self._beta / w))
 
     def min_cost(self, target_failure: float) -> float:
@@ -57,6 +61,8 @@ class NakagamiED(EDFunction):
             return 0.0
         if target_failure <= 0.0:
             return math.inf
+        from scipy.special import gammaincinv
+
         q = float(gammaincinv(self._m, target_failure))
         if q <= 0.0:
             return math.inf

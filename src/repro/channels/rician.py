@@ -10,14 +10,15 @@ outage probability becomes
 
 where ``β = N0·B·γ_th / d^{-α}`` as in the Rayleigh model.  ``K = 0``
 recovers the Rayleigh ED-function exactly (verified by the test suite).
+
+``scipy.stats`` is imported by the first :meth:`RicianED.failure` or
+:meth:`RicianED.min_cost` call, so planners on the other channels never
+load it.
 """
 
 from __future__ import annotations
 
 import math
-
-from scipy.optimize import brentq
-from scipy.stats import ncx2
 
 from ..errors import ChannelModelError
 from .base import EDFunction
@@ -52,6 +53,8 @@ class RicianED(EDFunction):
         self._check_cost(w)
         if w == 0.0:
             return 1.0
+        from scipy.stats import ncx2
+
         arg = 2.0 * (1.0 + self._k) * self._beta / w
         return float(ncx2.cdf(arg, df=2, nc=2.0 * self._k))
 
@@ -60,6 +63,8 @@ class RicianED(EDFunction):
             return 0.0
         if target_failure <= 0.0:
             return math.inf
+        from scipy.stats import ncx2
+
         q = float(ncx2.ppf(target_failure, df=2, nc=2.0 * self._k))
         if q <= 0.0:
             return math.inf

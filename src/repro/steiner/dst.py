@@ -11,12 +11,15 @@ benchmark.  The greedy solver is
 from __future__ import annotations
 
 import math
-from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
-
-import networkx as nx
+from typing import (
+    TYPE_CHECKING, Dict, Hashable, List, Optional, Sequence, Set, Tuple,
+)
 
 from .. import obs
 from ..errors import InfeasibleError, SolverError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["charikar_dst"]
 
@@ -36,6 +39,8 @@ class _CharikarSolver:
 
     def _sp(self, v: AuxNode) -> Tuple[Dict, Dict]:
         if v not in self._sp_cache:
+            import networkx as nx
+
             self._sp_cache[v] = nx.single_source_dijkstra(
                 self._g, v, weight="weight"
             )

@@ -22,8 +22,6 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Optional, Sequence, Set, Tuple
 
-import networkx as nx
-
 from .. import obs
 from ..compute.numpy_backend import NumpyAuxGraph, greedy_incremental_dst_numpy
 from ..errors import SolverError
@@ -84,13 +82,13 @@ def solve_memt(
             return greedy_incremental_dst_numpy(graph, root, terminals,
                                                 stats=stats)
         if method == "sptree":
-            if not isinstance(graph, nx.DiGraph):
+            if isinstance(graph, NumpyAuxGraph):
                 graph = graph.to_networkx()
             edges = shortest_path_tree(graph, root, terminals)
             if stats is not None:
                 stats.setdefault("expansions", 0)
         elif method == "charikar":
-            if not isinstance(graph, nx.DiGraph):
+            if isinstance(graph, NumpyAuxGraph):
                 graph = graph.to_networkx()
             edges = charikar_dst(
                 graph, root, terminals, level, max_candidates, stats=stats

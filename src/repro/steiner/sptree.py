@@ -9,11 +9,13 @@ against which the ablation bench measures the better solvers.
 from __future__ import annotations
 
 import math
-from typing import Hashable, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Hashable, Sequence, Set, Tuple
 
-import networkx as nx
-
+from ..compute.numpy_backend import NumpyAuxGraph
 from ..errors import InfeasibleError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["shortest_path_tree", "tree_cost"]
 
@@ -27,6 +29,8 @@ def shortest_path_tree(
     terminals: Sequence[AuxNode],
 ) -> Set[Edge]:
     """Union of root→terminal shortest paths (weight attribute ``weight``)."""
+    import networkx as nx
+
     dist, paths = nx.single_source_dijkstra(graph, root, weight="weight")
     missing = [t for t in terminals if t not in dist]
     if missing:
@@ -52,6 +56,6 @@ def tree_cost(graph, edges: Set[Edge]) -> float:
     graph sums the child transmissions' ``tx_w`` levels by node id
     (:meth:`~repro.compute.numpy_backend.NumpyAuxGraph.tree_cost`).
     """
-    if isinstance(graph, nx.DiGraph):
-        return float(math.fsum(graph[u][v]["weight"] for u, v in edges))
-    return graph.tree_cost(edges)
+    if isinstance(graph, NumpyAuxGraph):
+        return graph.tree_cost(edges)
+    return float(math.fsum(graph[u][v]["weight"] for u, v in edges))

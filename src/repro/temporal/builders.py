@@ -7,13 +7,14 @@ annotations.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Mapping, Sequence, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Hashable, Iterable, Mapping, Sequence, Tuple
 
 from ..core.intervals import IntervalSet
 from ..errors import GraphModelError
 from .tvg import TVG
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["from_contacts", "from_snapshots", "from_networkx"]
 

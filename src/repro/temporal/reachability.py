@@ -12,14 +12,15 @@ truth for the DTS equivalence experiments.
 from __future__ import annotations
 
 import math
-from typing import Dict, FrozenSet, Hashable, Set
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, FrozenSet, Hashable, Set
 
 from .. import obs
 from ..errors import GraphModelError
 from .journeys import earliest_arrivals
 from .tvg import TVG
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "reachable_set",
@@ -67,6 +68,8 @@ def reachability_graph(
     ``j`` ≤ deadline.  Computed by one temporal Dijkstra per node —
     ``O(N · E log E)`` overall, fine at trace scale.
     """
+    import networkx as nx
+
     with obs.span("reachability.graph", nodes=tvg.num_nodes):
         g = nx.DiGraph()
         g.add_nodes_from(tvg.nodes)

@@ -20,12 +20,16 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
-
-import networkx as nx
+from typing import (
+    TYPE_CHECKING, Dict, Hashable, Iterable, Iterator, List, Optional,
+    Sequence, Tuple,
+)
 
 from ..core.intervals import Interval, IntervalSet, merge_all
 from ..errors import GraphModelError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["TVG", "edge_key"]
 
@@ -87,6 +91,8 @@ class TVG:
         self._incident: Dict[Node, List[Node]] = {n: [] for n in self._nodes}
         # A version stamp consumers key their derived caches on.
         self._version = 0
+        # (version, sorted adjacency boundaries): adjacency_boundaries()
+        self._adjacency_bounds: Optional[Tuple[int, Tuple[float, ...]]] = None
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -213,6 +219,8 @@ class TVG:
     # ------------------------------------------------------------------
     def snapshot(self, t: float) -> nx.Graph:
         """The static graph of edges adjacent (``ρ_τ``) at time ``t``."""
+        import networkx as nx
+
         g = nx.Graph()
         g.add_nodes_from(self._nodes)
         for (a, b), pres in self._presence.items():
@@ -230,6 +238,24 @@ class TVG:
         for pres in self._presence.values():
             points.update(pres.boundaries_within(0.0, self._horizon))
         return tuple(sorted(points))
+
+    def adjacency_boundaries(self) -> Tuple[float, ...]:
+        """Every boundary of every edge's adjacency set, sorted, deduplicated.
+
+        The union over edges of ``adjacency_set(u, v).boundaries()``: the
+        instants at which some ``ρ_τ`` adjacency begins or ends.  Built once
+        per :attr:`version`, so callers bisect their window out of it
+        instead of eroding every presence set again.
+        """
+        memo = self._adjacency_bounds
+        if memo is not None and memo[0] == self._version:
+            return memo[1]
+        points = set()
+        for pres in self._presence.values():
+            points.update(pres.erode(self._tau).boundaries())
+        bounds = tuple(sorted(points))
+        self._adjacency_bounds = (self._version, bounds)
+        return bounds
 
     def pair_boundaries(self, u: Node, v: Node) -> Tuple[float, ...]:
         """Adjacency boundaries of the pair ``(u, v)`` inside the span.

@@ -216,7 +216,9 @@ class TVEG:
         (with their DCS segments), the replay memo and retained
         auxiliary-graph builds.  Results are unaffected (the caches are
         pure memoization); used by the benchmark suite to time cold
-        builds.
+        builds.  The TVG's own memo of sorted adjacency boundaries
+        (:meth:`~repro.temporal.tvg.TVG.adjacency_boundaries`) stays; it
+        is rebuilt whenever the TVG's version moves.
         """
         self._cost_cache.clear()
         self._compute_cache.clear()

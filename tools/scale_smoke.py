@@ -17,19 +17,20 @@ and asserts the three scale acceptance properties:
    hard ``resource.setrlimit`` address-space ceiling (``--limit-mb``).
    The default GREED scheduler answers its discrete cost sets from each
    node's contact components and plans the full instance at about
-   310 MB peak RSS, the loaded trace included; a memo of one cost set
+   240 MB peak RSS, the loaded trace included; a memo of one cost set
    per (node, event time) needed ~2.8 GB there, so a regression to it or
    to per-contact objects dies on ``MemoryError`` instead of quietly
    using more RAM.
    ``--algorithm eedcb`` guards the Section VI-A auxiliary graph and
    the Steiner search instead: on the quick instance (6.1M aux nodes,
    19.1M edges) the implicit graph at 16 bytes per transmission node
-   and the compiled search plan under a 576 MB ceiling, while the
+   and the compiled search plan under a 384 MB ceiling (576 MB while
+   every process imported scipy and networkx at start-up), while the
    Python search needed 768 MB, the 40-byte layout joined from
    per-node parts more than 896 MB, queueing every transmission node
    more than 1408 MB and materializing every edge as arrays about
-   2600 MB, so ``--limit-mb 704`` trips if any of them comes back.
-   On the full instance EEDCB plans under ``--limit-mb 1792``;
+   2600 MB, so ``--limit-mb 512`` trips if any of them comes back.
+   On the full instance EEDCB plans under ``--limit-mb 1600``;
 3. **parity**: the store-backed schedule is byte-identical (relay ids,
    ``float.hex()`` times/costs, total cost) to the dict-backed oracle
    (``tests/trace_oracle.py``) planned from the same text file in an
@@ -47,8 +48,8 @@ and asserts the three scale acceptance properties:
 99, as for the N=50 scaling trace) over the 9000–11000 s window with a
 2000 s deadline, and runs it through the same three checks.  Its
 auxiliary graph is the largest of the three instances (43.5M nodes,
-471.7M edges): EEDCB plans it at about 1.0 GB peak RSS, so
-``--limit-mb 1472`` trips if the Python search (1.26 GB) or the 3.9 GB
+471.7M edges): EEDCB plans it at about 0.86 GB peak RSS, so
+``--limit-mb 1280`` trips if the Python search (1.26 GB) or the 3.9 GB
 aux-graph layout comes back.
 
 Usage::
@@ -56,11 +57,11 @@ Usage::
     PYTHONPATH=src python tools/scale_smoke.py             # full instance
     PYTHONPATH=src python tools/scale_smoke.py --quick     # 50k contacts
     PYTHONPATH=src python tools/scale_smoke.py --quick --algorithm eedcb \
-        --limit-mb 704                                     # aux-graph guard
+        --limit-mb 512                                     # aux-graph guard
     PYTHONPATH=src python tools/scale_smoke.py --algorithm eedcb \
-        --limit-mb 1792 --timeout 1500                     # EEDCB at N=1000
+        --limit-mb 1600 --timeout 1500                     # EEDCB at N=1000
     PYTHONPATH=src python tools/scale_smoke.py --haggle-n100 \
-        --algorithm eedcb --limit-mb 1472                  # EEDCB at N=100
+        --algorithm eedcb --limit-mb 1280                  # EEDCB at N=100
 
 Exits nonzero with a diagnostic on the first violated property.
 """
@@ -265,7 +266,7 @@ def main(argv=None) -> int:
     parser.add_argument("--limit-mb", type=int, default=1024,
                         help="address-space ceiling for the store leg in MB "
                         "(0 disables; default 1024 — GREED plans the full "
-                        "instance at about 310 MB, while a per-(node, time) "
+                        "instance at about 240 MB, while a per-(node, time) "
                         "DCS memo needed ~2.8 GB, so a regression to it "
                         "trips the ceiling)")
     parser.add_argument("--workdir", default=None,
