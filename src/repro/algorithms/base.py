@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, Optional
+from typing import Callable, Dict, Hashable
 
 from .. import obs
 from ..errors import SolverError
@@ -65,10 +65,16 @@ class Scheduler(ABC):
     ``steiner_expansions``
         Work counter of the Steiner solve (settled Dijkstra pops for the
         greedy solver, recursive subproblems for Charikar, 0 for sptree).
-    ``nlp_iterations``
-        Total SLSQP iterations of the Section VI-B allocation (FR-* only).
-    ``memt_method`` / ``allocation_method`` / ``tree_cost`` / ``raw_cost``
-        Method labels and pre-reduction costs, where applicable.
+    ``memt_method`` / ``tree_cost`` / ``raw_cost``
+        Method label and pre-reduction costs, where applicable.
+
+    FR-EEDCB, FR-GREED and FR-RAND add the Section VI-B allocation's
+    ``allocation_method``, ``nlp_iterations`` (total SLSQP iterations),
+    ``slsqp_converged``, ``num_constraints`` (Eqs. 15–16),
+    ``backbone_feasible`` (the ``w0`` backbone already meets ε),
+    ``backbone_cost`` and ``allocated_cost`` to their backbone's keys; a
+    GREED/RAND backbone that leaves nodes uninformed adds only
+    ``allocation_method = "backbone (partial coverage)"``.
 
     Keys beyond these are algorithm-specific extras.
     """

@@ -14,7 +14,7 @@ ambiguity (see DESIGN.md):
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Callable, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Hashable, List, Optional, Set, Tuple
 
 from .. import obs
 from ..errors import SolverError

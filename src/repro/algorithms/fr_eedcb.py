@@ -1,4 +1,5 @@
-"""FR-EEDCB — fading-resistant EEDCB (Section VI-B).
+"""FR-EEDCB — fading-resistant EEDCB (Section VI-B) — and the allocation
+stage FR-GREED and FR-RAND share with it.
 
 Two stages, exactly as the paper decomposes TMEDB-R:
 
@@ -11,6 +12,11 @@ Two stages, exactly as the paper decomposes TMEDB-R:
    cost vector ``W`` given ``[R, T]``, accounting for the fact that under
    fading every transmission contributes probabilistically to every node it
    touches (so costs can drop below ``w0`` where coverage overlaps).
+
+FR-GREED and FR-RAND (Section VII) run :class:`FadingResistant`, this
+stage 2, on their own backbones.  It lives here, not in
+:mod:`repro.allocation`, because ``perfbench/spans.py`` times the
+``allocation.solve`` layer by wrapping this module's imported names.
 """
 
 from __future__ import annotations
@@ -26,29 +32,21 @@ from ..tveg.graph import TVEG
 from .base import Scheduler, SchedulerResult, record_schedule, register
 from .eedcb import EEDCB
 
-__all__ = ["FREEDCB"]
+__all__ = ["FadingResistant", "FREEDCB"]
 
 Node = Hashable
 
 
-@register("fr-eedcb")
-class FREEDCB(Scheduler):
-    """Backbone selection via EEDCB + NLP energy allocation.
+class FadingResistant(Scheduler):
+    """A static ``backbone`` scheduler + the NLP energy allocation.
 
-    Parameters mirror :class:`~repro.algorithms.eedcb.EEDCB`, plus
-    ``use_slsqp`` to disable the SLSQP polish (coordinate descent and the
-    closed form remain).
+    ``targets`` is the multicast subset the allocation must reach (None =
+    broadcast).  A backbone that reports ``informed`` (GREED, RAND) and
+    leaves nodes uninformed, or schedules nothing, is returned as is.
     """
 
-    def __init__(
-        self,
-        memt_method: str = "greedy",
-        charikar_level: int = 2,
-        use_slsqp: bool = True,
-        targets=None,
-    ):
-        self._backbone = EEDCB(memt_method, charikar_level, targets=targets)
-        self._use_slsqp = use_slsqp
+    def __init__(self, backbone: Scheduler, targets=None):
+        self._backbone = backbone
         self._targets = tuple(targets) if targets is not None else None
 
     def run(
@@ -60,13 +58,22 @@ class FREEDCB(Scheduler):
     ) -> SchedulerResult:
         if not tveg.is_fading:
             raise SolverError(
-                "FR-EEDCB targets fading channels; use EEDCB on static ones"
+                f"{self.name.upper()} targets fading channels; "
+                f"use {self._backbone.name.upper()} on static ones"
             )
-        backbone_result = self._backbone.run(tveg, source, deadline, start_time)
-        backbone = backbone_result.schedule
-        info = dict(backbone_result.info)
+        base = self._backbone.run(tveg, source, deadline, start_time)
+        backbone, info = base.schedule, dict(base.info)
+        informed = info.get("informed")
+        if informed is not None and (backbone.is_empty
+                                     or informed < tveg.num_nodes):
+            # Partial backbone: allocation constraints would be infeasible
+            # for the unreached nodes; keep w0 costs for the reached part.
+            info["allocation_method"] = "backbone (partial coverage)"
+            record_schedule(backbone, self.name)
+            return SchedulerResult(schedule=backbone, info=info)
         stage_seconds: Dict[str, float] = dict(info.get("stage_seconds", {}))
-        with obs.stage(stage_seconds, "allocation", "fr_eedcb.allocation"):
+        span = self.name.replace("-", "_") + ".allocation"
+        with obs.stage(stage_seconds, "allocation", span):
             # The ε-exact backbone is a valid allocation whenever it is
             # itself feasible — in that case the margin-tightened NLP must
             # never return anything more expensive.  (Rare extraction
@@ -80,22 +87,31 @@ class FREEDCB(Scheduler):
                 tveg, backbone, source, targets=self._targets
             )
             alloc = solve_allocation(
-                problem,
-                use_slsqp=self._use_slsqp,
-                fallback=backbone.cost_array() if backbone_ok else None,
+                problem, fallback=backbone.cost_array() if backbone_ok else None
             )
         schedule = backbone.with_costs(alloc.costs)
-        record_schedule(schedule, "fr-eedcb")
+        record_schedule(schedule, self.name)
         info.update(
-            {
-                "allocation_method": alloc.method,
-                "slsqp_converged": alloc.slsqp_converged,
-                "backbone_feasible": backbone_ok,
-                "backbone_cost": backbone.total_cost,
-                "allocated_cost": alloc.total,
-                "num_constraints": len(problem.constraints),
-                "nlp_iterations": alloc.nlp_iterations,
-                "stage_seconds": stage_seconds,
-            }
+            allocation_method=alloc.method,
+            slsqp_converged=alloc.slsqp_converged,
+            backbone_feasible=backbone_ok,
+            backbone_cost=backbone.total_cost,
+            allocated_cost=alloc.total,
+            num_constraints=len(problem.constraints),
+            nlp_iterations=alloc.nlp_iterations,
+            stage_seconds=stage_seconds,
         )
         return SchedulerResult(schedule=schedule, info=info)
+
+
+@register("fr-eedcb")
+class FREEDCB(FadingResistant):
+    """Backbone selection via EEDCB + NLP energy allocation.
+
+    Parameters mirror :class:`~repro.algorithms.eedcb.EEDCB`.
+    """
+
+    def __init__(self, memt_method: str = "greedy", charikar_level: int = 2,
+                 targets=None):
+        super().__init__(EEDCB(memt_method, charikar_level, targets=targets),
+                         targets)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Hashable, List, Optional, Tuple
 
 import numpy as np
 

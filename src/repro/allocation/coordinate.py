@@ -16,7 +16,7 @@ over its constraints, clamped to ``[lb, w_max]``.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 

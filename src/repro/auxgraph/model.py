@@ -25,7 +25,7 @@ state node with the terminals ``u_{i, last}``.
 
 from __future__ import annotations
 
-from typing import Hashable, Tuple, Union
+from typing import Hashable, Tuple
 
 __all__ = [
     "state_node",

@@ -21,7 +21,6 @@ any sub-ε target yields the same threshold).
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 from typing import Callable
 

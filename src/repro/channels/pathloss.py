@@ -8,7 +8,6 @@ constant-gain model for unit tests.  A gain model is any callable
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from ..errors import ChannelModelError

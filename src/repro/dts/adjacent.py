@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Optional, Tuple
 
-from ..core.partitions import Partition, combine
-from ..temporal.tvg import TVG, edge_key
+from ..core.partitions import Partition
+from ..temporal.tvg import TVG
 
 __all__ = ["pair_partition", "adjacent_partition", "all_adjacent_partitions"]
 

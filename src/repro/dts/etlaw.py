@@ -20,7 +20,7 @@ from typing import Hashable, Optional
 
 from ..core.partitions import Partition
 from ..schedule.probability import informed_time
-from ..schedule.schedule import Schedule, Transmission
+from ..schedule.schedule import Schedule
 from ..tveg.graph import TVEG
 from .adjacent import adjacent_partition
 

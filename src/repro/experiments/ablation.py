@@ -15,8 +15,7 @@ fixed (run standalone: ``python -m repro.experiments.ablation``):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 import numpy as np
 
@@ -28,7 +27,6 @@ from ..allocation import (
 )
 from ..auxgraph import extract_schedule
 from ..compute.numpy_backend import build_numpy_aux_graph
-from ..core.rng import SeedLike
 from ..dts import build_dts
 from ..errors import InfeasibleError
 from ..schedule import check_feasibility

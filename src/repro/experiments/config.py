@@ -8,8 +8,7 @@ presets shrink repetition counts so the benchmark suite stays responsive;
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Tuple
+from dataclasses import dataclass, replace
 
 from ..params import PAPER_PARAMS, PhyParams
 

@@ -11,9 +11,7 @@ contacts — and increases with N.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from ..core.rng import as_generator
 from .config import ExperimentConfig, FAST_CONFIG

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .. import obs
 from ..algorithms.base import make_scheduler
 from ..parallel import parallel_map, resolve_workers
 from ..channels.models import RayleighChannel, StaticChannel
-from ..core.rng import SeedLike, as_generator
+from ..core.rng import SeedLike
 from ..errors import InfeasibleError
 from ..sim.runner import run_trials
 from ..temporal.reachability import broadcast_feasible_sources

@@ -85,7 +85,7 @@ from .manifest import (
     write_manifest,
 )
 from .histogram import DEFAULT_LATENCY_BUCKETS, FixedHistogram, MetricsRegistry
-from .metrics import Histogram, MetricsReport, MetricStat, aggregate, percentile
+from .metrics import MetricsReport, MetricStat, aggregate, percentile
 from .promtext import (
     PROMETHEUS_CONTENT_TYPE,
     parse_prometheus_text,
@@ -128,7 +128,6 @@ __all__ = [
     "gauge",
     "stage",
     # metrics
-    "Histogram",
     "MetricStat",
     "MetricsReport",
     "aggregate",

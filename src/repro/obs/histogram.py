@@ -1,7 +1,7 @@
 """Fixed-bucket latency histograms and a mergeable metrics registry.
 
-The exact :class:`~repro.obs.metrics.Histogram` retains every value —
-perfect for batch reports, unusable for a service that must answer
+Batch reports (:func:`repro.obs.metrics.aggregate`) retain every span
+duration — exact, but unusable for a service that must answer
 ``GET /metrics`` after millions of requests.  :class:`FixedHistogram`
 is the streaming counterpart: a fixed, shared bucket layout (so shards
 can merge), integer counts, and an *exact* running sum kept as Shewchuk

@@ -1,8 +1,8 @@
 """Aggregation of trace snapshots: timers, counters, gauges, percentiles.
 
 :func:`aggregate` folds a :class:`~repro.obs.tracer.TraceSnapshot` into a
-:class:`MetricsReport`: one :class:`Histogram` of durations per span name
-(the *timers*), plus the counters and gauges verbatim.  ``report.rows()``
+:class:`MetricsReport`: every span's duration listed under its name (the
+*timers*), plus the counters and gauges verbatim.  ``report.rows()``
 flattens everything into :class:`MetricStat` records — the schema the CSV
 exporter writes.
 
@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from .tracer import TraceSnapshot
 
-__all__ = ["Histogram", "MetricStat", "MetricsReport", "aggregate", "percentile"]
+__all__ = ["MetricStat", "MetricsReport", "aggregate", "percentile"]
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -40,55 +40,6 @@ def percentile(values: Sequence[float], q: float) -> float:
         return float(ordered[lo])
     frac = pos - lo
     return float(ordered[lo] * (1.0 - frac) + ordered[hi] * frac)
-
-
-class Histogram:
-    """An exact (all-values-retained) histogram with percentile queries.
-
-    At observability scale — thousands of spans per run — keeping the raw
-    values is cheaper and more accurate than bucketing.
-    """
-
-    __slots__ = ("_values",)
-
-    def __init__(self, values: Optional[Iterable[float]] = None):
-        self._values: List[float] = list(values) if values is not None else []
-
-    def record(self, value: float) -> None:
-        self._values.append(float(value))
-
-    def merge(self, other: "Histogram") -> "Histogram":
-        """A new histogram holding both operands' values."""
-        return Histogram(self._values + other._values)
-
-    @property
-    def count(self) -> int:
-        return len(self._values)
-
-    @property
-    def total(self) -> float:
-        return float(sum(self._values))
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self._values else math.nan
-
-    @property
-    def minimum(self) -> float:
-        return float(min(self._values)) if self._values else math.nan
-
-    @property
-    def maximum(self) -> float:
-        return float(max(self._values)) if self._values else math.nan
-
-    def percentile(self, q: float) -> float:
-        return percentile(self._values, q)
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Histogram(count={self.count}, total={self.total:.6g})"
 
 
 #: the CSV/row schema shared by every aggregated metric
@@ -114,9 +65,13 @@ class MetricStat:
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """Aggregated view of one snapshot: per-name timers + raw scalars."""
+    """Aggregated view of one snapshot: per-name timers + raw scalars.
 
-    timers: Dict[str, Histogram]
+    ``timers`` maps each span name to its durations in seconds, in the
+    snapshot's order.
+    """
+
+    timers: Dict[str, List[float]]
     counters: Dict[str, float]
     gauges: Dict[str, float]
 
@@ -124,19 +79,20 @@ class MetricsReport:
         """Flat, deterministically ordered rows (timers, counters, gauges)."""
         out: List[MetricStat] = []
         for name in sorted(self.timers):
-            h = self.timers[name]
+            values = self.timers[name]
+            total = float(sum(values))
             out.append(
                 MetricStat(
                     kind="timer",
                     name=name,
-                    count=h.count,
-                    total=h.total,
-                    mean=h.mean,
-                    minimum=h.minimum,
-                    maximum=h.maximum,
-                    p50=h.percentile(50),
-                    p90=h.percentile(90),
-                    p99=h.percentile(99),
+                    count=len(values),
+                    total=total,
+                    mean=total / len(values),
+                    minimum=float(min(values)),
+                    maximum=float(max(values)),
+                    p50=percentile(values, 50),
+                    p90=percentile(values, 90),
+                    p99=percentile(values, 99),
                 )
             )
         for name in sorted(self.counters):
@@ -160,11 +116,11 @@ class MetricsReport:
 
 def aggregate(snapshot: TraceSnapshot) -> MetricsReport:
     """Fold a snapshot into per-span-name duration histograms + scalars."""
-    timers: Dict[str, Histogram] = {}
+    timers: Dict[str, List[float]] = {}
     for s in snapshot.spans:
         if s.duration is None:  # pragma: no cover - snapshots drop open spans
             continue
-        timers.setdefault(s.name, Histogram()).record(s.duration)
+        timers.setdefault(s.name, []).append(float(s.duration))
     return MetricsReport(
         timers=timers,
         counters=dict(snapshot.counters),

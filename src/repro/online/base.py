@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, Hashable, Optional
+from typing import Hashable, Optional
 
 __all__ = ["ForwardDecision", "NodeView", "OnlineProtocol"]
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Tuple
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .. import obs
 from ..core.rng import SeedLike, as_generator, spawn
 from ..errors import SolverError
 from ..tveg.graph import TVEG
-from .base import ForwardDecision, NodeView, OnlineProtocol
+from .base import NodeView, OnlineProtocol
 from .protocols import DirectDelivery
 
 __all__ = ["OnlineOutcome", "OnlineSummary", "run_online", "run_online_trials"]

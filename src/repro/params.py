@@ -19,7 +19,7 @@ exactly once in the code base.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .core.units import db_to_linear
 from .errors import ChannelModelError

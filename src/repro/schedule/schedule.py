@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Hashable, Iterable, Iterator, Sequence, Tuple
 
 import numpy as np
 

@@ -12,7 +12,7 @@ Legend: ``─`` no contact, ``═`` in contact with someone, ``T`` transmits,
 from __future__ import annotations
 
 import math
-from typing import Dict, Hashable, List, Optional
+from typing import Hashable, List, Optional
 
 from ..tveg.graph import TVEG
 from .feasibility import check_feasibility

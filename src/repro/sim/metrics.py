@@ -8,7 +8,7 @@
 
 from __future__ import annotations
 
-from typing import Hashable, Sequence
+from typing import Sequence
 
 import numpy as np
 

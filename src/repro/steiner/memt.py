@@ -27,7 +27,7 @@ from ..compute.numpy_backend import NumpyAuxGraph, greedy_incremental_dst_numpy
 from ..errors import SolverError
 from .dst import charikar_dst
 from .prune import prune_tree
-from .sptree import shortest_path_tree, tree_cost
+from .sptree import shortest_path_tree
 
 __all__ = ["solve_memt", "MEMT_METHODS"]
 

@@ -7,7 +7,7 @@ annotations.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Hashable, Iterable, Mapping, Sequence, Tuple
+from typing import TYPE_CHECKING, Hashable, Iterable, Sequence, Tuple
 
 from ..core.intervals import IntervalSet
 from ..errors import GraphModelError

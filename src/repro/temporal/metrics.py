@@ -14,7 +14,6 @@ from typing import Dict, Hashable, List, Sequence, Tuple
 
 import numpy as np
 
-from ..core.intervals import IntervalSet
 from .tvg import TVG
 
 __all__ = [

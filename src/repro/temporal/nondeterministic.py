@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Tuple
 
 import numpy as np
 
-from ..core.intervals import IntervalSet
 from ..core.rng import SeedLike, as_generator, spawn
 from ..errors import GraphModelError, InfeasibleError, TraceFormatError
 from ..traces.model import Contact, ContactTrace

@@ -12,10 +12,9 @@ truth for the DTS equivalence experiments.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Dict, FrozenSet, Hashable, Set
+from typing import TYPE_CHECKING, FrozenSet, Hashable, Set
 
 from .. import obs
-from ..errors import GraphModelError
 from .journeys import earliest_arrivals
 from .tvg import TVG
 

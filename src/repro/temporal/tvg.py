@@ -18,14 +18,12 @@ directed, but directionality arises there from time, not from the TVG.
 
 from __future__ import annotations
 
-import itertools
-import math
 from typing import (
     TYPE_CHECKING, Dict, Hashable, Iterable, Iterator, List, Optional,
     Sequence, Tuple,
 )
 
-from ..core.intervals import Interval, IntervalSet, merge_all
+from ..core.intervals import IntervalSet
 from ..errors import GraphModelError
 
 if TYPE_CHECKING:

@@ -21,7 +21,6 @@ assumption extended to the interval), a documented approximation.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from typing import Dict, Hashable, List, Tuple
 

@@ -8,7 +8,7 @@ to print a trace summary the way the Haggle papers characterize theirs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict
 
 import numpy as np
 

@@ -131,9 +131,45 @@ class TestFadingSchedulers:
         assert res.info["allocated_cost"] <= res.info["backbone_cost"] * 1.001
 
     def test_fr_on_static_rejected(self, det_static):
-        for name in ("fr-eedcb", "fr-greed", "fr-rand"):
-            with pytest.raises(SolverError):
+        texts = {
+            "fr-eedcb": "FR-EEDCB targets fading channels; use EEDCB on static ones",
+            "fr-greed": "FR-GREED targets fading channels; use GREED on static ones",
+            "fr-rand": "FR-RAND targets fading channels; use RAND on static ones",
+        }
+        for name, text in texts.items():
+            with pytest.raises(SolverError) as err:
                 make_scheduler(name).run(det_static, 0, 100.0)
+            assert str(err.value) == text
+
+    def test_fr_eedcb_source_only_targets(self):
+        # EEDCB reports no ``informed``, so a source-only multicast is no
+        # partial backbone: its empty schedule goes through the allocation.
+        _, fading = make_random_instance(seed=2, channel="rayleigh")
+        res = make_scheduler("fr-eedcb", targets=(0,)).run(fading, 0, 300.0)
+        assert len(res.schedule) == 0
+        assert res.info["allocation_method"] == "closed_form"
+        assert res.info["allocated_cost"] == 0.0
+
+    def test_fr_family_shares_one_info_schema(self):
+        _, fading = make_random_instance(seed=2, channel="rayleigh")
+        added = {}
+        for name, backbone in (("fr-eedcb", "eedcb"), ("fr-greed", "greed"),
+                               ("fr-rand", "rand")):
+            kwargs = {"seed": 4} if "rand" in name else {}
+            fr = make_scheduler(name, **kwargs).run(fading, 0, 300.0)
+            base = make_scheduler(backbone, **kwargs).run(fading, 0, 300.0)
+            rows = [(s.relay, s.time) for s in fr.schedule]
+            assert rows == [(s.relay, s.time) for s in base.schedule], name
+            assert fr.info["backbone_cost"] == base.schedule.total_cost, name
+            added[name] = set(fr.info) - set(base.info)
+            assert set(fr.info["stage_seconds"]) == (
+                set(base.info["stage_seconds"]) | {"allocation"}
+            ), name
+        assert added["fr-eedcb"] == added["fr-greed"] == added["fr-rand"] == {
+            "allocation_method", "slsqp_converged", "backbone_feasible",
+            "backbone_cost", "allocated_cost", "num_constraints",
+            "nlp_iterations",
+        }
 
     def test_fr_greed_and_rand_feasible(self, det_fading):
         for name in ("fr-greed", "fr-rand"):

@@ -12,6 +12,8 @@ import math
 import pytest
 
 from repro import check_feasibility, make_scheduler, obs
+from repro.algorithms import SCHEDULERS
+from repro.errors import InfeasibleError
 from repro.params import PAPER_PARAMS
 from repro.schedule import Schedule, Transmission
 from repro.obs.bench import compare
@@ -251,6 +253,33 @@ class TestDomainEvents:
         assert len(rows) == len(result.schedule)
         assert all(e.fields["algorithm"] == "eedcb" for e in rows)
         assert all(e.t is not None for e in rows)
+        # Every scheduler tags its own result rows, on a full run (300 s)
+        # and on a partial one (20 s: GREED/RAND and their FR variants keep
+        # the partial backbone; EEDCB, FR-EEDCB and the oracle refuse it).
+        _, fading = make_random_instance(seed=2, channel="rayleigh")
+        partial = 0
+        for name in sorted(SCHEDULERS):
+            graph = fading if name.startswith("fr-") else tveg
+            for deadline in (300.0, 20.0):
+                obs.disable_ledger()
+                obs.enable_ledger()
+                try:
+                    result = make_scheduler(name).run(graph, 0, deadline)
+                except InfeasibleError:
+                    assert deadline == 20.0
+                    assert name in ("eedcb", "fr-eedcb", "oracle")
+                    continue
+                tagged = [
+                    (e.fields["relay"], e.t, e.fields["cost"])
+                    for e in obs.ledger_events()
+                    if e.type == obs.EV_TRANSMISSION_SCHEDULED
+                    and e.fields["algorithm"] == name
+                ]
+                want = [(s.relay, s.time, s.cost) for s in result.schedule]
+                assert tagged == want, (name, deadline)
+                if deadline == 20.0 and want:
+                    partial += 1
+        assert partial == 4  # greed, rand, fr-greed, fr-rand
 
     def test_feasibility_silent_without_record_label(self):
         _, tveg = make_random_instance(seed=2)
