@@ -36,6 +36,7 @@ from ..compute import numpy_backend
 from ..dts.dts import build_dts
 from ..errors import InfeasibleError
 from ..schedule.reduce import lower_costs, remove_redundant, upgrade_and_prune
+from ..schedule.schedule import Schedule
 from ..steiner.memt import solve_memt
 from ..steiner.sptree import tree_cost
 from ..tveg.graph import TVEG
@@ -131,6 +132,15 @@ class EEDCB(Scheduler):
                 raise InfeasibleError(
                     f"no journey reaches {missing!r} from {source!r} by {deadline:g}"
                 )
+            if all(n == source for n in required):
+                # Nothing to inform: no DTS, aux graph or search.
+                return SchedulerResult(schedule=Schedule.empty(), info={
+                    "aux_nodes": 0, "aux_edges": 0, "dts_points": 0,
+                    "dcs_levels": 0, "steiner_expansions": 0,
+                    "tree_cost": 0.0, "raw_cost": 0.0,
+                    "memt_method": self._method,
+                    "stage_seconds": stage_seconds,
+                })
             aux = self._cached_aux(tveg, source, deadline)
             with obs.stage(stage_seconds, "dts", "eedcb.dts"):
                 if aux is None:

@@ -49,7 +49,7 @@ from .obs.tracer import TraceSnapshot
 from .params import PAPER_PARAMS, PhyParams
 from .schedule.feasibility import FeasibilityReport, check_feasibility
 from .schedule.schedule import Schedule
-from .temporal.reachability import broadcast_feasible_sources
+from .temporal.reachability import first_feasible_source
 from .traces.model import ContactTrace
 from .tveg.builders import tveg_from_trace
 from .tveg.graph import TVEG
@@ -277,7 +277,7 @@ def _plan_on_tveg(
     seed,
     cache,
     key: str,
-    feasible_memo: Optional[Dict[float, List[Node]]] = None,
+    source_memo: Optional[Dict[float, Optional[Node]]] = None,
 ) -> BroadcastPlan:
     """Run one planning request against an already-built TVEG.
 
@@ -285,24 +285,22 @@ def _plan_on_tveg(
     :func:`plan_broadcast_many` — source auto-pick, scheduler run,
     feasibility check, manifest, cache store — kept in one place so the
     batch path is the single path per request, not a reimplementation.
-    ``feasible_memo`` (batch only) caches the auto-pick source list per
+    ``source_memo`` (batch only) caches the auto-picked source per
     deadline across requests on the same TVEG.
     """
     algo = config["algorithm"]
     if source is None:
-        feasible = feasible_memo.get(deadline) if feasible_memo is not None else None
-        if feasible is None:
-            feasible = sorted(
-                broadcast_feasible_sources(tveg.tvg, 0.0, deadline)
-            )
-            if feasible_memo is not None:
-                feasible_memo[deadline] = feasible
-        if not feasible:
+        if source_memo is not None and deadline in source_memo:
+            source = source_memo[deadline]
+        else:
+            source = first_feasible_source(tveg.tvg, 0.0, deadline)
+            if source_memo is not None:
+                source_memo[deadline] = source
+        if source is None:
             raise InfeasibleError(
                 "no broadcast-feasible source in this window; try another "
                 "window or a larger deadline"
             )
-        source = feasible[0]
 
     scheduler = make_scheduler(algo, **config["scheduler_kwargs"])
 
@@ -450,7 +448,7 @@ def plan_broadcast_many(
     * one auxiliary-graph build per (deadline, targets) on that TVEG,
       re-rooted per source via the TVEG's aux cache (the Section VI-A
       construction is source-independent);
-    * one auto-pick feasible-source computation per deadline.
+    * one source auto-pick per deadline.
 
     This is the natural shape for the time-vs-energy tradeoff sweeps and
     repeated same-graph broadcasts of the related work: k plans for
@@ -494,7 +492,7 @@ def plan_broadcast_many(
         )
         g = groups.get(bounds)
         if g is None:
-            g = {"bounds": bounds, "tveg": None, "feas": {}}
+            g = {"bounds": bounds, "tveg": None, "sources": {}}
             groups[bounds] = g
         return g
 
@@ -525,7 +523,7 @@ def plan_broadcast_many(
                 _plan_on_tveg(
                     group_tveg(g), s, d,
                     config=config, seed=seed,
-                    cache=cache, key=key, feasible_memo=g["feas"],
+                    cache=cache, key=key, source_memo=g["sources"],
                 )
             )
     return BroadcastPlanSet(plans=tuple(plans))

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from ..errors import ChannelModelError
 from .base import EDFunction
 
@@ -42,14 +40,6 @@ class RayleighED(EDFunction):
         if w == 0.0:
             return 1.0
         return -math.expm1(-self._beta / w)
-
-    def failure_array(self, ws: np.ndarray) -> np.ndarray:
-        """Vectorized ``φ`` for the NLP solver's constraint evaluations."""
-        ws = np.asarray(ws, dtype=float)
-        out = np.ones_like(ws)
-        pos = ws > 0
-        out[pos] = -np.expm1(-self._beta / ws[pos])
-        return out
 
     def min_cost(self, target_failure: float) -> float:
         if target_failure >= 1.0:

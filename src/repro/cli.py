@@ -49,7 +49,7 @@ from .experiments import (
 from .params import PAPER_PARAMS
 from .schedule import check_feasibility
 from .sim import run_trials
-from .temporal.reachability import broadcast_feasible_sources
+from .temporal.reachability import first_feasible_source
 from .traces import (
     HaggleLikeConfig,
     haggle_like_trace,
@@ -311,8 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="admission bound; requests past it get HTTP 429")
     v.add_argument("--max-batch", type=int, default=32,
                    help="most requests drained per batch flush")
-    v.add_argument("--max-wait", type=float, default=0.005,
-                   help="seconds a flush lingers for request coalescing")
     v.add_argument("--timeout", type=_timeout_arg, default=30.0,
                    help="per-request seconds before HTTP 504")
     v.add_argument("--cache-capacity", type=int, default=128,
@@ -376,16 +374,14 @@ def _prepare(args):
         "rayleigh" if args.algorithm.startswith("fr-") else "static"
     )
     tveg = tveg_from_trace(window, channel, seed=args.seed)
-    if args.source is not None:
-        source = args.source
-    else:
-        feasible = sorted(broadcast_feasible_sources(tveg.tvg, 0.0, args.delay))
-        if not feasible:
+    source = args.source
+    if source is None:
+        source = first_feasible_source(tveg.tvg, 0.0, args.delay)
+        if source is None:
             raise InfeasibleError(
                 "no broadcast-feasible source in this window; "
                 "try --window-start elsewhere or a larger --delay"
             )
-        source = feasible[0]
     kwargs = {"seed": args.seed} if "rand" in args.algorithm else {}
     scheduler = make_scheduler(args.algorithm, **kwargs)
     return tveg, source, scheduler
@@ -695,8 +691,7 @@ def _cmd_serve(args) -> int:
     )
     service_kwargs = dict(
         workers=args.workers, max_batch=args.max_batch,
-        max_wait=args.max_wait, max_queue=args.max_queue,
-        timeout=args.timeout,
+        max_queue=args.max_queue, timeout=args.timeout,
     )
     logger = (logging.getLogger("repro.serve")
               if (args.verbose or args.log_level) else None)

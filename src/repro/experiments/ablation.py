@@ -31,7 +31,7 @@ from ..dts import build_dts
 from ..errors import InfeasibleError
 from ..schedule import check_feasibility
 from ..steiner import solve_memt
-from ..temporal.reachability import broadcast_feasible_sources
+from ..temporal.reachability import first_feasible_source
 from ..traces import HaggleLikeConfig, haggle_like_trace, uniform_trace
 from ..tveg import tveg_from_trace
 
@@ -48,10 +48,10 @@ def _window_instance(num_nodes: int, channel: str, trace_seed: int, dist_seed: i
     trace = haggle_like_trace(HaggleLikeConfig(num_nodes=num_nodes), seed=trace_seed)
     window = trace.restrict_window(9000.0, 11000.0).shift(-9000.0)
     tveg = tveg_from_trace(window, channel, seed=dist_seed)
-    sources = sorted(broadcast_feasible_sources(tveg.tvg, 0.0, 2000.0))
-    if not sources:
+    source = first_feasible_source(tveg.tvg, 0.0, 2000.0)
+    if source is None:
         raise InfeasibleError("ablation window infeasible; change the seed")
-    return tveg, sources[0]
+    return tveg, source
 
 
 def steiner_ablation(

@@ -113,7 +113,7 @@ def _calibrate(repeats: int = 5) -> float:
 
 def _build_instance(num_nodes: int, delay: float, seed: int):
     """The fixed benchmark instance: a Haggle-like window, both channels."""
-    from ..temporal.reachability import broadcast_feasible_sources
+    from ..temporal.reachability import first_feasible_source
     from ..traces import HaggleLikeConfig, haggle_like_trace
     from ..tveg import tveg_from_trace
 
@@ -121,13 +121,13 @@ def _build_instance(num_nodes: int, delay: float, seed: int):
     window = trace.restrict_window(9000.0, 9000.0 + delay).shift(-9000.0)
     static = tveg_from_trace(window, "static", seed=5)
     fading = tveg_from_trace(window, "rayleigh", seed=5)
-    sources = sorted(broadcast_feasible_sources(static.tvg, 0.0, delay))
-    if not sources:
+    source = first_feasible_source(static.tvg, 0.0, delay)
+    if source is None:
         raise RuntimeError(
             f"benchmark instance (N={num_nodes}, seed={seed}) has no "
             "broadcast-feasible source; adjust the window"
         )
-    return static, fading, sources[0], trace
+    return static, fading, source, trace
 
 
 def _ops(
@@ -178,11 +178,10 @@ def _ops(
         parse_plan_request("/plan", dict(service_body, source=s))
         for s in many_sources
     ]
-    svc_throughput = PlanningService({"bench": trace}, max_wait=0.0,
-                                     workers=2)
+    svc_throughput = PlanningService({"bench": trace}, workers=2)
     execute_request(svc_throughput, service_req[0], dict(service_req[1]))
     svc_throughput.cache.clear()
-    svc_hit = PlanningService({"bench": trace}, max_wait=0.0, workers=2)
+    svc_hit = PlanningService({"bench": trace}, workers=2)
     execute_request(svc_hit, service_req[0], dict(service_req[1]))
 
     def dts_build():
@@ -259,9 +258,9 @@ def _ops(
 
     def batched_plan():
         # The service path: 8 duplicate concurrent requests through a
-        # Batcher, deduped to exactly one cold plan computation.
+        # Batcher, joined by single-flight to one cold plan computation.
         static.clear_caches()
-        with Batcher(max_wait=0.05, workers=2) as b:
+        with Batcher(workers=2) as b:
             futures = [
                 b.submit(
                     plan_key,
@@ -271,10 +270,10 @@ def _ops(
             ]
             for f in futures:
                 f.result(timeout=120)
-        # stats()["deduped"] is *almost* always 7 here, but a stalled
-        # flush thread can legitimately split the batch — don't report a
-        # counter CI would gate exactly (the dedupe property itself is
-        # asserted in tests/test_service.py).
+        # stats()["deduped"] is *almost* always 7 here, but a submitting
+        # thread stalled for longer than the plan can legitimately start
+        # a second compute — don't report a counter CI would gate exactly
+        # (the dedupe property itself is asserted in tests/test_service.py).
         return {"requests": 8.0}
 
     def plan_many():
@@ -555,6 +554,9 @@ def run_bench(
     static, fading, source, trace = _build_instance(n, delay, seed)
 
     def time_op(name: str, thunk, rep: int) -> None:
+        # A short calibration right before the op, so a machine that
+        # changes speed mid-suite scales each op by the speed it ran at.
+        calibration = _calibrate(repeats=2)
         times: List[float] = []
         counters: Optional[Dict[str, float]] = None
         for _ in range(rep):
@@ -568,6 +570,7 @@ def run_bench(
             "p50_ms": percentile(times, 50.0) * 1e3,
             "p95_ms": percentile(times, 95.0) * 1e3,
             "mean_ms": sum(times) / len(times) * 1e3,
+            "calibration_ms": calibration,
             "counters": counters or {},
         }
 
@@ -629,13 +632,15 @@ def compare(
     its recorded peak memory (the ``peak_mb`` counter of the scale ops)
     exceeds the baseline by more than ``tolerance`` (fractional).  Times
     are compared by their per-suite *minimum* (the robust estimator under
-    background load), normalized by each suite's interpreter calibration
-    (see :func:`_calibrate`) so machine speed and transient slowdown cancel
-    out.  By default ops missing from either side are skipped (the suites
-    may differ across versions); ``strict_missing`` instead reports every
-    baseline tier-1 op absent from the current run — a silently dropped op
-    is a gate hole, not a pass — which is how :mod:`benchmarks.regress`
-    runs it.  A shrunken-instance (quick) run is only compared against a
+    background load), normalized by the interpreter calibration (see
+    :func:`_calibrate`) measured right before each op, so machine speed
+    and transient slowdown cancel out even when the machine changes speed
+    mid-suite; an op recorded before per-op calibration existed falls
+    back to its suite's calibration.  By default ops missing from either
+    side are skipped (the suites may differ across versions);
+    ``strict_missing`` instead reports every baseline tier-1 op absent
+    from the current run — a silently dropped op is a gate hole, not a
+    pass — which is how :mod:`benchmarks.regress` runs it.  A shrunken-instance (quick) run is only compared against a
     quick baseline.
     """
     problems: List[str] = []
@@ -644,11 +649,8 @@ def compare(
             "bench modes differ (quick vs full); regenerate the baseline "
             "with the same mode"
         ]
-    cur_cal = current.get("calibration_ms") or 0.0
-    base_cal = baseline.get("calibration_ms") or 0.0
-    # Scale baseline times to this run's machine speed; 1.0 when either
-    # suite predates calibration.
-    scale = cur_cal / base_cal if cur_cal > 0 and base_cal > 0 else 1.0
+    cur_suite_cal = current.get("calibration_ms") or 0.0
+    base_suite_cal = baseline.get("calibration_ms") or 0.0
     base_results = baseline.get("results", {})
     if strict_missing:
         cur_results = current.get("results", {})
@@ -665,6 +667,11 @@ def compare(
         base = base_results.get(op)
         if base is None:
             continue
+        # Scale the baseline time to the machine speed this op ran at;
+        # 1.0 when either side predates calibration.
+        cur_cal = cur.get("calibration_ms") or cur_suite_cal
+        base_cal = base.get("calibration_ms") or base_suite_cal
+        scale = cur_cal / base_cal if cur_cal > 0 and base_cal > 0 else 1.0
         bt = base.get("min_ms", base.get("p50_ms", 0.0)) * scale
         ct = cur.get("min_ms", cur.get("p50_ms", 0.0))
         # Small absolute slack: sub-millisecond ops jitter far more than 25 %.

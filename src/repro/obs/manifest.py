@@ -17,6 +17,7 @@ identifies the experiment, not the machine or the moment.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -64,7 +65,21 @@ def config_hash(config: Any) -> str:
 
 
 def git_sha(cwd: Optional[str] = None) -> Optional[str]:
-    """The current git commit SHA, or ``None`` outside a repo / without git."""
+    """The current git commit SHA, or ``None`` outside a repo / without git.
+
+    ``git`` runs once per process and working directory (``cwd``, else the
+    process's): every later manifest reuses the first answer, so a
+    long-running process records the commit it saw first.
+    """
+    try:
+        where = os.path.abspath(cwd if cwd is not None else os.curdir)
+    except OSError:  # the working directory was removed
+        return None
+    return _rev_parse_head(where)
+
+
+@functools.lru_cache(maxsize=None)
+def _rev_parse_head(cwd: str) -> Optional[str]:
     try:
         out = subprocess.run(
             ["git", "rev-parse", "HEAD"],

@@ -8,9 +8,9 @@ serving layer — compute once, answer many:
   two-tier (LRU memory + JSON disk) cache of
   :class:`~repro.api.BroadcastPlan` keyed by the plan's
   ``manifest["config_hash"]``;
-* :mod:`~repro.service.batcher` — :class:`Batcher`, a bounded request
-  queue that groups concurrent requests, executes one compute per unique
-  key on a thread pool, and fans results out to duplicates;
+* :mod:`~repro.service.batcher` — :class:`Batcher`, a bounded
+  single-flight request queue: a duplicate of a queued or running
+  request joins its future, and unique requests run on a thread pool;
 * :mod:`~repro.service.server` — :class:`PlanningService`, the embeddable
   facade combining both over a set of named traces, plus the request
   parsing and status-code rules every deployment shape shares;

@@ -1,4 +1,4 @@
-"""Batched scheduling queue: group, dedupe, and amortize plan requests.
+"""Batched scheduling queue: single-flight dedupe and amortized plan requests.
 
 Serving traffic one request at a time repeats the work the planner is
 built to do *once*: the auxiliary-graph build and the per-node contact
@@ -11,32 +11,37 @@ only the *first* of K identical requests needs to run at all.
 
 * requests enqueue as ``(key, compute)`` pairs and return a
   :class:`concurrent.futures.Future`;
-* a flush collects everything queued (up to ``max_batch``, waiting at most
-  ``max_wait`` seconds for stragglers after the first arrival), groups it
-  by content-address key, and executes **one compute per unique key** on a
-  bounded thread pool (:func:`repro.parallel.thread_map` — threads, not
-  processes, so every job shares the live TVEG caches, plan cache, and obs
-  state); duplicates get the leader's result fanned out to their futures.
-  A batch of K identical requests therefore performs exactly one
-  auxiliary-graph build — the property the service smoke test asserts via
-  the ``auxgraph.numpy_builds`` counter.
+* ``submit`` is single-flight: a request whose content-address key is
+  already queued or computing joins that job's future instead of
+  queueing, so duplicates share one compute for its whole run and every
+  queued job is unique;
+* the flush loop takes the first job plus whatever else is already
+  queued (up to ``max_batch``) without waiting for more, and executes the
+  batch on a bounded thread pool (:func:`repro.parallel.thread_map` —
+  threads, not processes, so every job shares the live TVEG caches, plan
+  cache, and obs state).  K identical requests therefore perform exactly
+  one auxiliary-graph build — the property the service smoke test
+  asserts via the ``auxgraph.numpy_builds`` counter.
+
+A job leaves the single-flight table before its future resolves, so a
+duplicate submitted after the result is out computes afresh.
 
 Admission control is the queue bound: ``submit`` on a full queue raises
 :class:`~repro.errors.ServiceOverloaded` immediately (the HTTP layer maps
 it to 429 + ``Retry-After``) instead of letting latency grow without
-bound.  Every flush emits an :data:`~repro.obs.EV_BATCH_FLUSHED` event and
-``service.*`` counters.
+bound; a request that joins a job takes no queue slot.  Every flush emits
+an :data:`~repro.obs.EV_BATCH_FLUSHED` event and ``service.*`` counters.
 """
 
 from __future__ import annotations
 
-import queue
+import collections
 import threading
 import time
 from concurrent.futures import Future
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Deque, Dict, List, Optional
 
 from .. import obs
 from ..errors import ServiceOverloaded
@@ -73,32 +78,30 @@ class _Job:
     key: str
     compute: Callable[[], Any]
     future: "Future[Any]"
-    # Trace context travels with the job, not the thread: the submitter's
+    # Trace context travels with the job, not the thread: the leader's
     # request id re-enters scope on the flush pool so the compute's ledger
     # events stay attributable, and the enqueue timestamp feeds the
-    # queue-wait histogram.
-    request_id: Optional[str] = None
-    enqueued_at: float = 0.0
+    # queue-wait histogram.  ``request_ids`` lists every request the
+    # compute serves, leader first (``None`` outside any request scope).
+    request_ids: List[Optional[str]]
+    enqueued_at: float
 
 
 class Batcher:
-    """A bounded request queue with per-batch dedupe and a worker pool.
+    """A bounded single-flight request queue with a worker pool.
 
     Parameters
     ----------
     workers:
-        Thread-pool width for executing a batch's *unique* jobs
-        (normalized by :func:`repro.parallel.resolve_workers`; the GIL
-        serializes pure-Python scheduling work, so the pool mainly overlaps
-        distinct jobs' I/O and keeps batch latency bounded — the real wins
-        are dedupe and the shared caches).
+        Thread-pool width for executing a batch's jobs (normalized by
+        :func:`repro.parallel.resolve_workers`; the GIL serializes
+        pure-Python scheduling work, so the pool mainly overlaps distinct
+        jobs' I/O and native searches — the real wins are dedupe and the
+        shared caches).
     max_batch:
-        Most requests drained per flush.
-    max_wait:
-        Seconds the flush loop lingers after the first request arrives,
-        letting concurrent duplicates pile into the same batch.
+        Most queued jobs drained per flush.
     max_queue:
-        Admission bound; ``submit`` past it raises
+        Admission bound on queued (unique) jobs; ``submit`` past it raises
         :class:`~repro.errors.ServiceOverloaded`.  ``0`` means unbounded.
     metrics:
         Optional :class:`~repro.obs.histogram.MetricsRegistry` receiving
@@ -110,29 +113,28 @@ class Batcher:
         self,
         workers: Optional[int] = None,
         max_batch: int = 32,
-        max_wait: float = 0.005,
         max_queue: int = 256,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if max_wait < 0:
-            raise ValueError(f"max_wait must be >= 0, got {max_wait}")
         if max_queue < 0:
             raise ValueError(f"max_queue must be >= 0, got {max_queue}")
         self._workers = resolve_workers(workers)
         self._max_batch = int(max_batch)
-        self._max_wait = float(max_wait)
-        self._queue: "queue.Queue[Optional[_Job]]" = queue.Queue(
-            maxsize=int(max_queue)
-        )
+        self._max_queue = int(max_queue)
+        # One lock guards the queue, the single-flight table, the stats
+        # and the closed flag; the flush loop sleeps on its condition.
+        self._cond = threading.Condition()
+        self._queue: Deque[_Job] = collections.deque()
+        #: key -> the job queued or computing for it
+        self._inflight: Dict[str, _Job] = {}
         self._stats = BatcherStats()
-        self._stats_lock = threading.Lock()
+        self._closed = False
         # Stage-latency sink (queue_wait / batch_wait / compute); the
         # owning PlanningService passes its registry so all stages land
         # in one mergeable document.
         self._metrics = metrics if metrics is not None else MetricsRegistry()
-        self._closed = threading.Event()
         self._thread = threading.Thread(
             target=self._run, name="repro-batcher", daemon=True
         )
@@ -141,85 +143,80 @@ class Batcher:
     # ------------------------------------------------------------------
     @property
     def queue_depth(self) -> int:
-        """Requests currently waiting (approximate, by nature of queues)."""
-        return self._queue.qsize()
+        """Jobs currently waiting for a flush (approximate by nature)."""
+        return len(self._queue)
 
     def stats(self) -> Dict[str, Any]:
-        with self._stats_lock:
+        with self._cond:
             doc = self._stats.as_dict()
         doc["queue_depth"] = self.queue_depth
         doc["workers"] = self._workers
         doc["max_batch"] = self._max_batch
-        doc["max_wait"] = self._max_wait
-        doc["max_queue"] = self._queue.maxsize
+        doc["max_queue"] = self._max_queue
         return doc
 
     def submit(self, key: str, compute: Callable[[], Any]) -> "Future[Any]":
         """Enqueue one request; the future resolves to ``compute()``'s
-        result (or its exception), shared with every concurrent duplicate
-        of ``key``.
+        result (or its exception), shared with every duplicate of ``key``
+        submitted while that compute is queued or running.
 
         Raises :class:`~repro.errors.ServiceOverloaded` when the queue is
         at its admission bound, and after :meth:`close`.
         """
-        if self._closed.is_set():
-            raise ServiceOverloaded("planning service is shutting down")
-        job = _Job(
-            key=key,
-            compute=compute,
-            future=Future(),
-            request_id=obs.current_request_id(),
-            enqueued_at=time.monotonic(),
-        )
-        try:
-            self._queue.put_nowait(job)
-        except queue.Full:
-            with self._stats_lock:
-                self._stats.rejected += 1
-            obs.counter("service.request_rejected")
-            led = obs.get_ledger()
-            if led.enabled:
-                led.emit(
-                    obs.EV_REQUEST_REJECTED, key=key, reason="queue_full",
-                    queue_depth=self.queue_depth,
-                )
-            raise ServiceOverloaded(
-                f"batch queue full ({self._queue.maxsize} pending)"
-            ) from None
-        with self._stats_lock:
-            self._stats.submitted += 1
-        if self._closed.is_set() and not self._thread.is_alive():
-            # Raced a concurrent close(): the flush loop may already be gone,
-            # so nothing would ever resolve this future.  Sweep the queue —
-            # the job either fails with ServiceOverloaded here or was
-            # legitimately flushed first; it never hangs.
-            self._fail_pending(
-                "planning service shut down before this request was scheduled"
+        request_id = obs.current_request_id()
+        with self._cond:
+            if self._closed:
+                raise ServiceOverloaded("planning service is shutting down")
+            job = self._inflight.get(key)
+            if job is not None:
+                job.request_ids.append(request_id)
+                self._stats.submitted += 1
+                self._stats.deduped += 1
+                return job.future
+            depth = len(self._queue)
+            if not self._max_queue or depth < self._max_queue:
+                job = _Job(key, compute, Future(), [request_id],
+                           time.monotonic())
+                self._queue.append(job)
+                self._inflight[key] = job
+                self._stats.submitted += 1
+                self._cond.notify()
+                return job.future
+            self._stats.rejected += 1
+        obs.counter("service.request_rejected")
+        led = obs.get_ledger()
+        if led.enabled:
+            led.emit(
+                obs.EV_REQUEST_REJECTED, key=key, reason="queue_full",
+                queue_depth=depth,
             )
-        return job.future
+        raise ServiceOverloaded(f"batch queue full ({depth} pending)")
 
     def close(self, timeout: Optional[float] = 5.0) -> None:
         """Stop accepting work, drain what's queued, and join the thread.
 
         Shutdown ordering guarantee: every future handed out by
         :meth:`submit` **resolves** — jobs the flush loop drains before
-        exiting complete normally; anything still queued when the loop is
-        gone (including stragglers that raced a concurrent ``submit``)
-        fails with :class:`~repro.errors.ServiceOverloaded` rather than
-        pending forever.  Safe to call more than once.
+        exiting complete normally; anything still queued when the join
+        times out (a compute is wedged) fails with
+        :class:`~repro.errors.ServiceOverloaded` rather than pending
+        forever.  Safe to call more than once.
         """
-        if not self._closed.is_set():
-            self._closed.set()
-            try:
-                self._queue.put_nowait(None)  # wake the flush loop
-            except queue.Full:
-                pass
+        with self._cond:
+            self._closed = True
+            self._cond.notify()
         self._thread.join(timeout=timeout)
-        # The flush loop drains the queue before returning; this sweep only
-        # matters when the join timed out (a compute is wedged) or a submit
-        # raced the shutdown — either way the futures must not hang.
-        self._fail_pending("planning service shut down before this request "
-                           "was scheduled")
+        with self._cond:
+            pending = list(self._queue)
+            self._queue.clear()
+            for job in pending:
+                del self._inflight[job.key]
+                self._stats.rejected += len(job.request_ids)
+        for job in pending:
+            job.future.set_exception(ServiceOverloaded(
+                "planning service shut down before this request was scheduled"
+            ))
+            obs.counter("service.request_rejected", len(job.request_ids))
 
     def __enter__(self) -> "Batcher":
         return self
@@ -227,133 +224,74 @@ class Batcher:
     def __exit__(self, *exc: Any) -> None:
         self.close()
 
-    def _fail_pending(self, reason: str) -> None:
-        """Drain the queue, failing every remaining job's future.
-
-        Runs only during shutdown.  A future that resolved concurrently
-        (the flush loop got there first) is left untouched.
-        """
-        while True:
-            try:
-                job = self._queue.get_nowait()
-            except queue.Empty:
-                return
-            if job is None:
-                continue
-            try:
-                job.future.set_exception(ServiceOverloaded(reason))
-            except Exception:  # already resolved by a racing flush
-                continue
-            with self._stats_lock:
-                self._stats.rejected += 1
-            obs.counter("service.request_rejected")
-
     # ------------------------------------------------------------------
     def _run(self) -> None:
         while True:
-            batch = self._collect()
-            if batch:
-                self._flush(batch)
-            elif self._closed.is_set() and self._queue.empty():
-                return
-
-    def _collect(self) -> List[_Job]:
-        """Block for the first job, then linger ``max_wait`` for company."""
-        try:
-            first = self._queue.get(timeout=0.1)
-        except queue.Empty:
-            return []
-        if first is None:
-            return []
-        batch = [first]
-        deadline = time.monotonic() + self._max_wait
-        while len(batch) < self._max_batch:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                break
-            try:
-                job = self._queue.get(timeout=remaining)
-            except queue.Empty:
-                break
-            if job is None:
-                break
-            batch.append(job)
-        return batch
+            with self._cond:
+                while not self._queue and not self._closed:
+                    self._cond.wait()
+                if not self._queue:
+                    return
+                n = min(len(self._queue), self._max_batch)
+                batch = [self._queue.popleft() for _ in range(n)]
+            self._flush(batch)
 
     def _flush(self, batch: List[_Job]) -> None:
-        groups: "Dict[str, List[_Job]]" = {}
-        for job in batch:
-            groups.setdefault(job.key, []).append(job)
-        leaders = [jobs[0] for jobs in groups.values()]
-
         flush_started = time.monotonic()
         metrics = self._metrics
         for job in batch:
             metrics.observe("stage.queue_wait", flush_started - job.enqueued_at)
 
-        def run(leader: _Job) -> Any:
+        def run(job: _Job) -> bool:
             started = time.monotonic()
             metrics.observe("stage.batch_wait", started - flush_started)
             # Re-enter the leader's request scope on this pool thread so the
             # compute's cache/plan events carry the originating request id.
             # Jobs submitted outside any request scope run without one —
             # no id is invented for them.
-            if leader.request_id is not None:
-                ctx: Any = obs.request_context(leader.request_id)
-            else:
-                ctx = nullcontext()
+            leader = job.request_ids[0]
+            ctx = (obs.request_context(leader) if leader is not None
+                   else nullcontext())
+            error: Optional[BaseException] = None
             with ctx:
                 try:
-                    result = leader.compute()
-                except BaseException as exc:  # delivered via the futures
-                    metrics.observe(
-                        "stage.compute", time.monotonic() - started
-                    )
-                    return _Failure(exc)
+                    result = job.compute()
+                except BaseException as exc:  # delivered via the future
+                    error = exc
             metrics.observe("stage.compute", time.monotonic() - started)
-            return result
+            # Leave the single-flight table before resolving, so a
+            # duplicate that sees the result can only start a new compute.
+            with self._cond:
+                del self._inflight[job.key]
+            if error is not None:
+                job.future.set_exception(error)
+            else:
+                job.future.set_result(result)
+            return error is not None
 
-        results = thread_map(run, leaders, workers=self._workers)
+        failures = sum(thread_map(run, batch, workers=self._workers))
 
-        failures = 0
-        for leader, result in zip(leaders, results):
-            for job in groups[leader.key]:
-                if isinstance(result, _Failure):
-                    job.future.set_exception(result.exc)
-                else:
-                    job.future.set_result(result)
-            if isinstance(result, _Failure):
-                failures += 1
-
-        deduped = len(batch) - len(leaders)
-        with self._stats_lock:
+        served = sum(len(job.request_ids) for job in batch)
+        deduped = served - len(batch)
+        with self._cond:
             self._stats.batches += 1
-            self._stats.executed += len(leaders)
-            self._stats.deduped += deduped
+            self._stats.executed += len(batch)
             self._stats.failures += failures
         obs.counter("service.batches")
-        obs.counter("service.batched_requests", len(batch))
+        obs.counter("service.batched_requests", served)
         if deduped:
             obs.counter("service.deduped_requests", deduped)
         led = obs.get_ledger()
         if led.enabled:
-            # Per-group request attribution: each key maps to the ids of
-            # every request that rode this flush, leader first — the ledger
+            # Per-job request attribution: each key maps to the ids of
+            # every request its compute served, leader first — the ledger
             # record that lets a dedupe victim find whose compute served it.
-            flush_groups = {
-                key: [j.request_id for j in jobs if j.request_id is not None]
-                for key, jobs in groups.items()
+            groups = {
+                job.key: [rid for rid in job.request_ids if rid is not None]
+                for job in batch
             }
             led.emit(
-                obs.EV_BATCH_FLUSHED, size=len(batch), unique=len(leaders),
+                obs.EV_BATCH_FLUSHED, size=served, unique=len(batch),
                 deduped=deduped, failures=failures,
-                groups={k: v for k, v in flush_groups.items() if v},
+                groups={k: v for k, v in groups.items() if v},
             )
-
-
-@dataclass
-class _Failure:
-    """Wrapper distinguishing a compute's exception from a result of any
-    type (including exceptions legitimately *returned*)."""
-
-    exc: BaseException

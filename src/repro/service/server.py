@@ -299,7 +299,7 @@ class PlanningService:
         :class:`PlanCache`.
     batcher:
         Request batcher; defaults to a fresh :class:`Batcher` built from
-        ``workers`` / ``max_batch`` / ``max_wait`` / ``max_queue``.
+        ``workers`` / ``max_batch`` / ``max_queue``.
     timeout:
         Default seconds a :meth:`plan` call waits for its batched result
         before raising :class:`TimeoutError` (HTTP 504).
@@ -316,7 +316,6 @@ class PlanningService:
         batcher: Optional[Batcher] = None,
         workers: Optional[int] = None,
         max_batch: int = 32,
-        max_wait: float = 0.005,
         max_queue: int = 256,
         timeout: float = 30.0,
         tveg_capacity: int = 16,
@@ -333,8 +332,8 @@ class PlanningService:
         # processes and rendered by both /metrics representations.
         self.telemetry = MetricsRegistry()
         self._batcher = batcher if batcher is not None else Batcher(
-            workers=workers, max_batch=max_batch, max_wait=max_wait,
-            max_queue=max_queue, metrics=self.telemetry,
+            workers=workers, max_batch=max_batch, max_queue=max_queue,
+            metrics=self.telemetry,
         )
         self._timeout = timeout
         self._tvegs: "OrderedDict[Tuple, TVEG]" = OrderedDict()

@@ -367,7 +367,7 @@ class ShardPool:
         pass the same ``disk_dir`` to share the persistent tier.
     service_kwargs:
         Forwarded to each shard's :class:`PlanningService` (workers,
-        max_batch, max_wait, max_queue, timeout, tveg_capacity).
+        max_batch, max_queue, timeout, tveg_capacity).
     max_inflight:
         Per-shard in-flight request bound (HTTP 429 past it).
     request_threads:

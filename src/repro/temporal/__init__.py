@@ -20,6 +20,7 @@ from .metrics import (
 )
 from .reachability import (
     broadcast_feasible_sources,
+    first_feasible_source,
     is_broadcastable,
     reachability_graph,
     reachable_set,
@@ -43,6 +44,7 @@ __all__ = [
     "is_broadcastable",
     "reachability_graph",
     "broadcast_feasible_sources",
+    "first_feasible_source",
     "from_contacts",
     "from_snapshots",
     "from_networkx",

@@ -12,7 +12,7 @@ truth for the DTS equivalence experiments.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, FrozenSet, Hashable, Set
+from typing import TYPE_CHECKING, FrozenSet, Hashable, Optional, Set
 
 from .. import obs
 from .journeys import earliest_arrivals
@@ -26,6 +26,7 @@ __all__ = [
     "is_broadcastable",
     "reachability_graph",
     "broadcast_feasible_sources",
+    "first_feasible_source",
 ]
 
 Node = Hashable
@@ -91,3 +92,20 @@ def broadcast_feasible_sources(
             if len(reachable_set(tvg, src, start_time, deadline)) == n:
                 out.add(src)
     return frozenset(out)
+
+
+def first_feasible_source(
+    tvg: TVG, start_time: float = 0.0, deadline: float = math.inf
+) -> Optional[Node]:
+    """The smallest broadcast-feasible source, or ``None`` when none exists.
+
+    Equal to ``min(broadcast_feasible_sources(...))``, but nodes are tried
+    in sorted order and the search stops at the first whose broadcast
+    completes within the window.  This is the source auto-pick of
+    :func:`repro.api.plan_broadcast` and ``repro schedule``.
+    """
+    with obs.span("reachability.first_feasible_source", nodes=tvg.num_nodes):
+        for src in sorted(tvg.nodes):
+            if is_broadcastable(tvg, src, start_time, deadline):
+                return src
+    return None

@@ -150,6 +150,22 @@ class TestFadingSchedulers:
         assert res.info["allocation_method"] == "closed_form"
         assert res.info["allocated_cost"] == 0.0
 
+    @pytest.mark.parametrize("name,channel", [("eedcb", "static"),
+                                              ("fr-eedcb", "rayleigh")])
+    def test_source_only_targets_build_nothing(self, name, channel):
+        # Nothing to inform: no DTS, aux graph or search, the same info
+        # keys as a full run, every count zero.
+        _, tveg = make_random_instance(seed=2, channel=channel)
+        res = make_scheduler(name, targets=(0,)).run(tveg, 0, 300.0)
+        assert len(res.schedule) == 0
+        assert len(tveg.aux_cache()) == 0
+        for key in ("dts_points", "aux_nodes", "aux_edges", "dcs_levels",
+                    "steiner_expansions"):
+            assert res.info[key] == 0, key
+        assert res.info["tree_cost"] == res.info["raw_cost"] == 0.0
+        full = make_scheduler(name).run(tveg, 0, 300.0)
+        assert set(res.info) == set(full.info)
+
     def test_fr_family_shares_one_info_schema(self):
         _, fading = make_random_instance(seed=2, channel="rayleigh")
         added = {}

@@ -71,7 +71,7 @@ def trace():
 
 @pytest.fixture(scope="module")
 def backend(trace):
-    service = PlanningService({"demo": trace}, max_wait=0.0, workers=2)
+    service = PlanningService({"demo": trace}, workers=2)
     yield LocalBackend(service)
     service.close()
 
@@ -231,17 +231,23 @@ class TestErrorMapping:
 
 class TestTimeout:
     def test_slow_compute_times_out_504(self, trace):
-        service = PlanningService({"demo": trace}, max_wait=0.0, workers=1)
-        backend = LocalBackend(service)
+        # The one batch worker runs a compute that blocks until the event
+        # is set, so the request queues behind it and cannot finish.
+        release = threading.Event()
+        service = PlanningService({"demo": trace}, workers=1)
+        blocker = service.batcher.submit("blocker", lambda: release.wait(30))
         try:
-            with BackgroundServer(backend, port=0, timeout=0.001) as srv:
+            with BackgroundServer(LocalBackend(service), port=0,
+                                  timeout=0.001) as srv:
                 client = Client(srv.address)
-                # a cold config cannot finish within 1 ms
                 status, doc = client.post("/plan", {**BODY, "seed": 909})
-                assert status == 504
-                assert "timed out" in doc["error"]
+                release.set()  # the queued plan runs, so the drain is quick
                 client.close()
+            assert status == 504
+            assert "timed out" in doc["error"]
+            assert blocker.result(30) is True
         finally:
+            release.set()
             service.close()
 
 
@@ -261,7 +267,7 @@ class TestKeepAliveAndDrain:
         conn.close()
 
     def test_stop_refuses_new_connections(self, trace):
-        service = PlanningService({"demo": trace}, max_wait=0.0)
+        service = PlanningService({"demo": trace})
         backend = LocalBackend(service)
         srv = BackgroundServer(backend, port=0)
         host, port = srv.address
@@ -281,7 +287,7 @@ class TestKeepAliveAndDrain:
         """``stop()`` closes a keep-alive connection idle between
         requests, so no handler is left for the loop's shutdown to
         cancel (which logged a ``CancelledError`` traceback)."""
-        service = PlanningService({"demo": trace}, max_wait=0.0)
+        service = PlanningService({"demo": trace})
         srv = BackgroundServer(LocalBackend(service), port=0)
         client = Client(srv.address)
         try:

@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -80,13 +79,6 @@ class TestRayleighED:
         ed = RayleighED(1.0)
         assert ed.min_cost(1.0) == 0.0
         assert ed.min_cost(0.0) == math.inf
-
-    def test_failure_array_matches_scalar(self):
-        ed = RayleighED(beta=1.7)
-        ws = np.array([0.0, 0.5, 2.0, 100.0])
-        np.testing.assert_allclose(
-            ed.failure_array(ws), [ed.failure(w) for w in ws]
-        )
 
     def test_log_failure(self):
         ed = RayleighED(beta=1.7)

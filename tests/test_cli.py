@@ -260,6 +260,8 @@ class TestBenchCommand:
         assert doc["quick"] is True
         assert "eedcb_run" in doc["results"]
         assert doc["results"]["eedcb_run"]["min_ms"] > 0
+        # each op carries the calibration measured right before it
+        assert all(r["calibration_ms"] > 0 for r in doc["results"].values())
         assert doc["overhead"]["estimated_fraction_of_eedcb"] < 0.01
         captured = capsys.readouterr()
         assert "gate skipped" in captured.out + captured.err

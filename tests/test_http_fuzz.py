@@ -46,7 +46,7 @@ other_bodies = st.sampled_from([
 @pytest.fixture(scope="module")
 def address():
     trace, _ = make_random_instance(seed=1)
-    service = PlanningService({"t": trace}, max_wait=0.0, workers=1)
+    service = PlanningService({"t": trace}, workers=1)
     with BackgroundServer(LocalBackend(service), port=0, edge_cache=0) as srv:
         yield srv.address
 

@@ -46,7 +46,7 @@ for channel in ("static", "rayleigh"):
 
 from repro.service import PlanningService
 
-with PlanningService({"t": trace}, max_wait=0.0) as svc:
+with PlanningService({"t": trace}) as svc:
     assert svc.plan("t", 100.0, source=0, seed=1).plan.schedule
 seen["PlanningService.plan"] = heavy()
 

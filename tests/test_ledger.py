@@ -146,6 +146,32 @@ class TestManifest:
         assert m1["seed"] == 7
         assert m1["python"] and m1["platform"]
 
+    def test_git_runs_once_per_process_and_directory(self, tmp_path,
+                                                      monkeypatch):
+        import subprocess
+
+        spawned = []
+
+        def fake_run(args, cwd=None, **kwargs):
+            spawned.append((tuple(args), cwd))
+            return subprocess.CompletedProcess(args, 0, stdout="c0ffee\n",
+                                               stderr="")
+
+        monkeypatch.setattr(subprocess, "run", fake_run)
+        here, other = tmp_path / "here", tmp_path / "other"
+        here.mkdir()
+        other.mkdir()
+        monkeypatch.chdir(here)
+        m1 = obs.run_manifest(config={"k": 1})
+        m2 = obs.run_manifest(config={"k": 2})
+        assert m1["git_sha"] == m2["git_sha"] == "c0ffee"
+        assert len(spawned) == 1
+        assert spawned[0][0] == ("git", "rev-parse", "HEAD")
+        # another directory asks git once more, then is memoized too
+        assert obs.git_sha(cwd=str(other)) == "c0ffee"
+        assert obs.git_sha(cwd=str(other)) == "c0ffee"
+        assert len(spawned) == 2
+
     def test_manifest_file_roundtrip(self, tmp_path):
         p = tmp_path / "m.json"
         m = obs.run_manifest(config={"k": 1}, wall_seconds=0.25, figure="fig5")
@@ -458,6 +484,51 @@ class TestBenchGate:
         base = self._doc(trace_ingest=(100.0, {"peak_mb": 10.0}))
         cur = self._doc(trace_ingest=(100.0, {"peak_mb": 15.0}))
         assert compare(cur, base) == []
+
+    @staticmethod
+    def _with_op_calibration(doc, **cals):
+        for op, cal in cals.items():
+            doc["results"][op]["calibration_ms"] = cal
+        return doc
+
+    def test_gate_scales_each_op_by_its_own_calibration(self):
+        # The machine halved its speed during one op only: that op and the
+        # calibration right before it both doubled, while the suite's own
+        # calibration stayed put.  No regression.
+        base = self._with_op_calibration(
+            self._doc(cal=10.0, trace_ingest=(100.0, None),
+                      eedcb_run=(100.0, None)),
+            trace_ingest=10.0, eedcb_run=10.0,
+        )
+        cur = self._with_op_calibration(
+            self._doc(cal=10.0, trace_ingest=(200.0, None),
+                      eedcb_run=(100.0, None)),
+            trace_ingest=20.0, eedcb_run=10.0,
+        )
+        assert compare(cur, base, tolerance=0.5) == []
+
+    def test_gate_fails_slowdown_at_equal_op_calibration(self):
+        base = self._with_op_calibration(
+            self._doc(cal=10.0, trace_ingest=(100.0, None)), trace_ingest=10.0
+        )
+        cur = self._with_op_calibration(
+            self._doc(cal=20.0, trace_ingest=(200.0, None)), trace_ingest=10.0
+        )
+        problems = compare(cur, base, tolerance=0.5)
+        assert len(problems) == 1 and "trace_ingest" in problems[0]
+
+    def test_gate_falls_back_to_suite_calibration(self):
+        # A baseline recorded before per-op calibration: its ops scale by
+        # the suite calibration, the current ops by their own.
+        base = self._doc(cal=10.0, trace_ingest=(100.0, None))
+        slow_machine = self._with_op_calibration(
+            self._doc(cal=10.0, trace_ingest=(200.0, None)), trace_ingest=20.0
+        )
+        assert compare(slow_machine, base, tolerance=0.5) == []
+        slow_code = self._with_op_calibration(
+            self._doc(cal=20.0, trace_ingest=(200.0, None)), trace_ingest=10.0
+        )
+        assert compare(slow_code, base, tolerance=0.5)
 
     def test_memory_gate_ignores_calibration(self):
         # A slower machine does not excuse a bigger heap: calibration

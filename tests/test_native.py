@@ -53,7 +53,7 @@ def test_missing_compiler_is_a_native_build_error_and_a_500(tmp_path):
             assert "CC" in str(exc) and "/nonexistent" in str(exc), exc
         else:
             raise AssertionError("planned without a compiler")
-        svc = PlanningService({"t": deterministic_trace()}, max_wait=0.0)
+        svc = PlanningService({"t": deterministic_trace()})
         try:
             status, doc = execute_request(
                 svc, "plan", {"trace": "t", "source": 0, "deadline": 100.0}

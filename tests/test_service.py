@@ -20,6 +20,7 @@ import pytest
 from repro import obs
 from repro.api import plan_broadcast, plan_cache_key
 from repro.errors import ServiceOverloaded
+from repro.obs.histogram import MetricsRegistry
 from repro.service import (
     BackgroundServer,
     Batcher,
@@ -210,7 +211,7 @@ class TestBatcher:
             calls.append(1)
             return 42
 
-        with Batcher(max_wait=0.2, workers=2) as b:
+        with Batcher(workers=2) as b:
             # a blocking job occupies the flush loop so the duplicates
             # really land in one batch
             gate = b.submit("aa", lambda: release.wait(5) and 1)
@@ -225,7 +226,7 @@ class TestBatcher:
         assert stats["executed"] == 2
 
     def test_distinct_keys_all_execute(self):
-        with Batcher(max_wait=0.05) as b:
+        with Batcher() as b:
             futures = [
                 b.submit(f"{i:02x}", lambda i=i: i * i) for i in range(5)
             ]
@@ -234,7 +235,7 @@ class TestBatcher:
 
     def test_exception_fans_out_to_duplicates(self):
         release = threading.Event()
-        with Batcher(max_wait=0.2) as b:
+        with Batcher() as b:
             gate = b.submit("aa", lambda: release.wait(5))
 
             def boom():
@@ -250,7 +251,7 @@ class TestBatcher:
 
     def test_queue_full_raises_service_overloaded(self):
         release = threading.Event()
-        b = Batcher(max_queue=1, max_batch=1, workers=1, max_wait=0.0)
+        b = Batcher(max_queue=1, max_batch=1, workers=1)
         try:
             blocker = b.submit("aa", lambda: release.wait(10))
             deadline = time.time() + 5.0
@@ -277,7 +278,7 @@ class TestBatcher:
         # settle every queued future — completed or ServiceOverloaded —
         # instead of leaving them pending forever.
         release = threading.Event()
-        b = Batcher(workers=1, max_batch=1, max_wait=0.0)
+        b = Batcher(workers=1, max_batch=1)
         blocker = b.submit("aa", lambda: release.wait(10) and 1)
         deadline = time.time() + 5.0
         while b.queue_depth > 0 and time.time() < deadline:
@@ -299,11 +300,110 @@ class TestBatcher:
         release.set()
         assert blocker.result(5) == 1  # in-flight work still completes
 
+    def _running(self, b, key, gate):
+        """Submit a ``key`` compute that blocks on ``gate``; return once it
+        is running (no longer queued), with its future and call list."""
+        calls = []
+        started = threading.Event()
+
+        def compute():
+            calls.append(1)
+            started.set()
+            gate.wait(10)
+            return "done"
+
+        future = b.submit(key, compute)
+        assert started.wait(10), "the flush loop never started the compute"
+        assert b.queue_depth == 0
+        return future, calls
+
+    def test_duplicates_join_a_running_compute(self):
+        gate = threading.Event()
+        with Batcher(workers=1) as b:
+            leader, calls = self._running(b, "aa", gate)
+            joined = [b.submit("aa", lambda: "second") for _ in range(4)]
+            assert all(f is leader for f in joined)
+            assert b.queue_depth == 0  # joiners take no queue slot
+            gate.set()
+            assert [f.result(5) for f in joined] == ["done"] * 4
+        assert calls == [1]
+        stats = b.stats()
+        assert stats["submitted"] == 5
+        assert stats["deduped"] == 4
+        assert stats["executed"] == 1
+        assert stats["batches"] == 1
+
+    def test_exception_reaches_every_joined_caller(self):
+        gate = threading.Event()
+        started = threading.Event()
+
+        def boom():
+            started.set()
+            gate.wait(10)
+            raise RuntimeError("nope")
+
+        with Batcher(workers=1) as b:
+            leader = b.submit("aa", boom)
+            assert started.wait(10)
+            joined = [b.submit("aa", lambda: 1) for _ in range(3)]
+            gate.set()
+            for f in [leader, *joined]:
+                with pytest.raises(RuntimeError, match="nope"):
+                    f.result(5)
+        assert b.stats()["failures"] == 1
+        assert b.stats()["deduped"] == 3
+
+    def test_flush_event_lists_joined_request_ids(self):
+        led = obs.enable_ledger()
+        gate = threading.Event()
+        try:
+            with Batcher(workers=1) as b:
+                with obs.request_context() as leader_id:
+                    leader, _ = self._running(b, "aa", gate)
+                joined_ids = []
+                for _ in range(2):
+                    with obs.request_context() as rid:
+                        joined_ids.append(rid)
+                        b.submit("aa", lambda: 1)
+                b.submit("aa", lambda: 1)  # outside any request scope
+                gate.set()
+                leader.result(5)
+            flushes = [ev for ev in led.events()
+                       if ev.type == obs.EV_BATCH_FLUSHED]
+        finally:
+            obs.disable_ledger()
+        assert len(flushes) == 1
+        fields = flushes[0].fields
+        assert fields["groups"] == {"aa": [leader_id, *joined_ids]}
+        assert (fields["size"], fields["unique"], fields["deduped"]) == (4, 1, 3)
+
+    def test_duplicate_after_result_runs_again(self):
+        calls = []
+
+        def compute():
+            calls.append(1)
+            return len(calls)
+
+        with Batcher(workers=1) as b:
+            assert b.submit("aa", compute).result(5) == 1
+            assert b.submit("aa", compute).result(5) == 2
+        assert b.stats()["deduped"] == 0
+        assert b.stats()["executed"] == 2
+
+    def test_lone_requests_start_without_lingering(self):
+        metrics = MetricsRegistry()
+        with Batcher(workers=1, metrics=metrics) as b:
+            for i in range(20):
+                assert b.submit(f"{i:02x}", lambda i=i: i).result(5) == i
+        waits = metrics.histogram("stage.queue_wait")
+        assert waits.count == 20
+        assert waits.quantile(0.5) < 0.0025
+
     def test_validation(self):
         with pytest.raises(ValueError):
             Batcher(max_batch=0)
         with pytest.raises(ValueError):
-            Batcher(max_wait=-1.0)
+            Batcher(max_queue=-1)
 
 
 # ----------------------------------------------------------------------
@@ -318,7 +418,7 @@ def service_trace():
 
 @pytest.fixture
 def service(service_trace):
-    svc = PlanningService({"demo": service_trace}, max_wait=0.05, workers=4)
+    svc = PlanningService({"demo": service_trace}, workers=4)
     yield svc
     svc.close()
 
@@ -372,7 +472,7 @@ class TestPlanningService:
         # a request refused before the batch queue (unknown trace, bad
         # deadline, bad timeout) is an error like one failing inside it
         trace, _ = make_random_instance(seed=1)
-        svc = PlanningService({"t": trace}, max_wait=0.0, workers=1)
+        svc = PlanningService({"t": trace}, workers=1)
         try:
             rejections = (
                 (KeyError, dict(trace="nope", deadline=100.0)),
@@ -397,7 +497,7 @@ class TestPlanningService:
     @pytest.mark.parametrize("deadline", ["1e309", "Infinity", "NaN"])
     def test_non_finite_deadline_is_400(self, deadline):
         trace, _ = make_random_instance(seed=1)
-        svc = PlanningService({"t": trace}, max_wait=0.0, workers=1)
+        svc = PlanningService({"t": trace}, workers=1)
         try:
             for path, body in (
                 ("/plan", '{"trace": "t", "source": 0, "deadline": %s}'),
@@ -416,7 +516,7 @@ class TestPlanningService:
     @pytest.mark.parametrize("deadline", ["-5", "-1e-9"])
     def test_negative_deadline_is_400(self, deadline):
         trace, _ = make_random_instance(seed=1)
-        svc = PlanningService({"t": trace}, max_wait=0.0, workers=1)
+        svc = PlanningService({"t": trace}, workers=1)
         try:
             for path, body in (
                 ("/plan", '{"trace": "t", "source": 0, "deadline": %s}'),
@@ -442,7 +542,7 @@ class TestPlanningService:
         # a scalar window spans ``deadline`` seconds, so the deadline is
         # checked before the window it sizes, as plan_broadcast does
         trace, _ = make_random_instance(seed=1)
-        svc = PlanningService({"t": trace}, max_wait=0.0, workers=1)
+        svc = PlanningService({"t": trace}, workers=1)
         try:
             for path, body in (
                 ("/plan", '{"trace": "t", "source": 0, "deadline": %s, '
@@ -465,7 +565,7 @@ class TestPlanningService:
     @pytest.mark.parametrize("timeout", ["NaN", "-1", "0", "1e309"])
     def test_bad_timeout_is_400_and_submits_nothing(self, timeout):
         trace, _ = make_random_instance(seed=1)
-        svc = PlanningService({"t": trace}, max_wait=0.0, workers=1)
+        svc = PlanningService({"t": trace}, workers=1)
         try:
             method, kwargs = parse_plan_request("/plan", json.loads(
                 '{"trace": "t", "source": 0, "deadline": 100, '
@@ -486,7 +586,7 @@ class TestPlanningService:
     )
     def test_non_finite_window_is_400(self, window):
         trace, _ = make_random_instance(seed=1)
-        svc = PlanningService({"t": trace}, max_wait=0.0, workers=1)
+        svc = PlanningService({"t": trace}, workers=1)
         try:
             for path, body in (
                 ("/plan", '{"trace": "t", "source": 0, "deadline": 100, '

@@ -38,7 +38,7 @@ def pool(trace):
     with ShardPool(
         {"demo": trace},
         2,
-        service_kwargs={"max_wait": 0.0, "workers": 2},
+        service_kwargs={"workers": 2},
     ) as p:
         yield p
 
@@ -122,8 +122,7 @@ class TestShardPool:
     def test_warm_counts_unreadable_arguments_failed(self, trace):
         """``read_warm_file`` accepts ``{"deadline": "abc"}``, which
         routing cannot read: one failed entry, never an aborted boot."""
-        with ShardPool({"demo": trace}, 1,
-                       service_kwargs={"max_wait": 0.0}) as one:
+        with ShardPool({"demo": trace}, 1) as one:
             report = one.warm([{"deadline": "abc"}, {**BODY, "seed": 78}])
         assert report == {"warmed": 1, "failed": 1}
 
@@ -132,7 +131,7 @@ class TestShardPool:
         _, future = pool.submit_request("plan", dict(BODY))
         status, doc = future.result(timeout=120)
         assert status == 200
-        svc = PlanningService({"demo": trace}, max_wait=0.0)
+        svc = PlanningService({"demo": trace})
         try:
             local = svc.plan(trace="demo", **BODY).as_doc()
         finally:
@@ -147,7 +146,7 @@ class TestBackpressureAndDrain:
             {"demo": trace},
             1,
             max_inflight=1,
-            service_kwargs={"max_wait": 0.0, "workers": 1},
+            service_kwargs={"workers": 1},
         )
         try:
             # a cold compute holds the single in-flight slot...
@@ -170,9 +169,7 @@ class TestBackpressureAndDrain:
         assert not pool.handles[0].proc.is_alive()
 
     def test_submit_after_drain_rejected(self, trace):
-        pool = ShardPool(
-            {"demo": trace}, 1, service_kwargs={"max_wait": 0.0}
-        )
+        pool = ShardPool({"demo": trace}, 1)
         pool.drain(timeout=30)
         with pytest.raises(ServiceOverloaded):
             pool.submit_request("plan", dict(BODY))
@@ -182,8 +179,7 @@ class TestFrontEnd:
     def test_routing_error_is_400(self, trace):
         # the front-end routes a request before any shard sees it; a bad
         # argument found there is the 400 planning would give
-        with ShardPool({"demo": trace}, 1,
-                       service_kwargs={"max_wait": 0.0}) as pool, \
+        with ShardPool({"demo": trace}, 1) as pool, \
                 BackgroundServer(pool, port=0) as srv:
             conn = http.client.HTTPConnection(*srv.address, timeout=60)
             conn.request("POST", "/plan", body=b'{"deadline": 1e309}')

@@ -384,7 +384,7 @@ class TestBatcherPropagation:
             seen["rid"] = current_request_id()
             return 42
 
-        with Batcher(max_wait=0.01, workers=2, metrics=metrics) as b:
+        with Batcher(workers=2, metrics=metrics) as b:
             with request_context() as rid:
                 fut = b.submit("k1", compute)
             assert fut.result(timeout=30) == 42
@@ -398,7 +398,7 @@ class TestBatcherPropagation:
             assert metrics.histogram(stage).count >= 1, stage
 
     def test_contextless_jobs_stay_untagged(self):
-        with Batcher(max_wait=0.0, workers=1) as b:
+        with Batcher(workers=1) as b:
             fut = b.submit("k", lambda: current_request_id())
             assert fut.result(timeout=30) is None
 
@@ -410,7 +410,7 @@ def trace():
 
 @pytest.fixture(scope="module")
 def server(trace):
-    service = PlanningService({"demo": trace}, max_wait=0.0, workers=2)
+    service = PlanningService({"demo": trace}, workers=2)
     backend = LocalBackend(service)
     with BackgroundServer(backend, port=0) as srv:
         yield srv
@@ -431,7 +431,7 @@ def _http(server, verb, path, body=None, headers=None):
 
 class TestServiceTelemetry:
     def test_request_histograms_and_stage_serialize(self, trace):
-        with PlanningService({"demo": trace}, max_wait=0.0, workers=2) as svc:
+        with PlanningService({"demo": trace}, workers=2) as svc:
             svc.plan("demo", 600.0, window=2000.0, seed=3)
             svc.plan("demo", 600.0, window=2000.0, seed=3)
             doc = svc.metrics()
@@ -589,7 +589,7 @@ class TestShardLedgerJourney:
         rids = []
         pool = ShardPool(
             {"demo": trace}, 2,
-            service_kwargs={"max_wait": 0.0, "workers": 2},
+            service_kwargs={"workers": 2},
         )
         try:
             for seed in (3, 4, 5):
@@ -632,7 +632,7 @@ class TestShardLedgerJourney:
         """Satellite: counters keep counting across a shard's retirement."""
         pool = ShardPool(
             {"demo": trace}, 1,
-            service_kwargs={"max_wait": 0.0, "workers": 1},
+            service_kwargs={"workers": 1},
         )
         try:
             _, fut = pool.submit_request("plan", dict(BODY))

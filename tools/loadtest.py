@@ -454,8 +454,6 @@ class BootedServer:
             "--cache-capacity", str(args.cache_capacity),
             "--shards", str(shards),
         ]
-        if shards:
-            cmd += ["--max-wait", "0"]
         if warm_file:
             cmd += ["--warm", warm_file]
         env = dict(os.environ)

@@ -5,8 +5,9 @@ Starts a real planning service over a synthetic trace and drives it the
 way a client fleet would, asserting the service's acceptance properties:
 
 1. **cache**: concurrent duplicate ``POST /plan`` requests all succeed,
-   return identical plans, and ``GET /cache/stats`` records at least one
-   hit afterwards;
+   return identical plans from one auxiliary-graph build (the batcher
+   joins duplicates to the compute already queued or running), and
+   ``GET /cache/stats`` records at least one hit afterwards;
 2. **backpressure**: with a deliberately tiny queue bound, a burst of
    *distinct* (uncacheable) requests yields at least one HTTP 429 carrying
    a ``Retry-After`` header, while every admitted request still completes;
@@ -80,7 +81,7 @@ def main() -> int:
 
     # --- property 1+3: duplicate requests share one computation ----------
     obs.enable()  # tracer counters observe the auxiliary-graph builds
-    service = PlanningService({"synthetic": trace}, max_wait=0.05, workers=4)
+    service = PlanningService({"synthetic": trace}, workers=4)
     server = BackgroundServer(LocalBackend(service), port=0)
     url = "http://%s:%d" % server.address
     print(f"# serving on {url}")
@@ -128,7 +129,8 @@ def main() -> int:
     check(health["status"] == "ok", "/healthz reports ok")
     metrics = _get(url, "/metrics")
     check(metrics["batcher"]["deduped"] >= 1,
-          f"batcher deduped requests ({metrics['batcher']['deduped']})")
+          "batcher joined duplicates to a running compute "
+          f"(deduped {metrics['batcher']['deduped']})")
 
     server.stop()  # drains the backend, which closes the service
     check(not server._thread.is_alive(), "first server shut down cleanly")
@@ -139,7 +141,7 @@ def main() -> int:
     service = PlanningService(
         {"synthetic": trace},
         cache=PlanCache(capacity=4),
-        workers=1, max_batch=1, max_wait=0.0, max_queue=1,
+        workers=1, max_batch=1, max_queue=1,
     )
     server = BackgroundServer(LocalBackend(service), port=0)
     url = "http://%s:%d" % server.address
