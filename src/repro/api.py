@@ -39,7 +39,10 @@ import math
 import time
 from collections.abc import Sequence as SequenceABC
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any, Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple,
+    Union,
+)
 
 from . import obs
 from .algorithms.base import canonical_scheduler_name, make_scheduler
@@ -51,7 +54,7 @@ from .schedule.feasibility import FeasibilityReport, check_feasibility
 from .schedule.schedule import Schedule
 from .temporal.reachability import first_feasible_source
 from .traces.model import ContactTrace
-from .tveg.builders import tveg_from_trace
+from .tveg.builders import channel_class, tveg_from_trace
 from .tveg.graph import TVEG
 
 __all__ = [
@@ -209,10 +212,14 @@ def plan_config(
 
     ``source=None`` (auto-pick) is part of the identity as-is; the pick is
     deterministic, so the key remains sound without resolving it here (and
-    the hit path never has to build a graph to find out).
+    the hit path never has to build a graph to find out).  A channel name
+    is recorded as given; a :class:`~repro.channels.models.ChannelModel`
+    instance by its :meth:`~repro.channels.models.ChannelModel.describe`
+    and its own ``params``.
 
     Raises :class:`ValueError` for a non-finite or negative ``deadline``
-    (:func:`_check_deadline`) or a non-finite window bound.
+    (:func:`_check_deadline`) or a non-finite window bound, and
+    :class:`~repro.errors.GraphModelError` for an unknown channel name.
     """
     deadline = _check_deadline(deadline)
     algo = canonical_scheduler_name(algorithm)
@@ -229,10 +236,12 @@ def plan_config(
         if window is not None:
             _window_bounds(window, deadline)
         fingerprint = trace_or_tveg.fingerprint()
-        channel_label = (
-            channel if isinstance(channel, str) else type(channel).__name__
-        )
-        eff_params = params
+        if isinstance(channel, ChannelModel):
+            channel_label = channel.describe()
+            eff_params = channel.params
+        else:
+            channel_class(channel)
+            channel_label, eff_params = channel, params
     else:
         raise TypeError(
             f"expected a ContactTrace or TVEG, "
@@ -268,26 +277,69 @@ def plan_cache_key(
     return obs.config_hash(plan_config(trace_or_tveg, source, deadline, **kwargs))
 
 
-def _plan_on_tveg(
-    tveg: TVEG,
+def _build_tveg(
+    trace_or_tveg: Union[ContactTrace, TVEG],
+    bounds: Optional[Tuple[float, float]],
+    config: Dict[str, Any],
+    channel: Union[str, ChannelModel],
+    params: PhyParams,
+    cache,
+) -> TVEG:
+    """The TVEG a plan with ``config`` runs on.
+
+    A TVEG input is used as-is.  A trace is restricted to ``bounds`` (when
+    given), shifted to start at ``t = 0`` and built with the plan's
+    channel, params and seed.  With a ``cache`` the graph is shared through
+    :meth:`repro.service.PlanCache.tveg`, keyed by the TVEG-defining part
+    of ``config``, so every plan on one instance runs on one live graph.
+    """
+    if isinstance(trace_or_tveg, TVEG):
+        return trace_or_tveg
+
+    def build() -> TVEG:
+        trace = trace_or_tveg
+        if bounds is not None:
+            trace = trace.restrict_window(*bounds).shift(-bounds[0])
+        return tveg_from_trace(
+            trace, channel, params=params, seed=config["seed"]
+        )
+
+    if cache is None:
+        return build()
+    key = obs.config_hash({
+        "instance": config["instance"], "window": bounds,
+        "channel": config["channel"], "params": config["params"],
+        "seed": config["seed"],
+    })
+    return cache.tveg(key, build)
+
+
+def _plan(
+    build_tveg: Callable[[], TVEG],
     source: Optional[Node],
     deadline: float,
     *,
     config: Dict[str, Any],
     seed,
     cache,
-    key: str,
     source_memo: Optional[Dict[float, Optional[Node]]] = None,
 ) -> BroadcastPlan:
-    """Run one planning request against an already-built TVEG.
+    """Answer one planning request from ``cache``, or plan it.
 
     The shared tail of :func:`plan_broadcast` and
-    :func:`plan_broadcast_many` — source auto-pick, scheduler run,
-    feasibility check, manifest, cache store — kept in one place so the
-    batch path is the single path per request, not a reimplementation.
-    ``source_memo`` (batch only) caches the auto-picked source per
-    deadline across requests on the same TVEG.
+    :func:`plan_broadcast_many` — cache lookup, source auto-pick,
+    scheduler run, feasibility check, manifest, cache store — kept in one
+    place so the batch path is the single path per request, not a
+    reimplementation.  ``build_tveg`` is called only when the request is
+    not a memory hit.  ``source_memo`` (batch only) caches the auto-picked
+    source per deadline across requests on the same TVEG.
     """
+    if cache is not None:
+        key = obs.config_hash(config)
+        hit = cache.lookup(key, build_tveg)
+        if hit is not None:
+            return hit
+    tveg = build_tveg()
     algo = config["algorithm"]
     if source is None:
         if source_memo is not None and deadline in source_memo:
@@ -317,6 +369,7 @@ def _plan_on_tveg(
         wall_seconds=time.perf_counter() - t0,
         resolved_source=source,
     )
+    channel = config["channel"]
     plan = BroadcastPlan(
         schedule=result.schedule,
         feasibility=report,
@@ -324,7 +377,7 @@ def _plan_on_tveg(
         source=source,
         deadline=deadline,
         algorithm=algo,
-        channel=config["channel"],
+        channel=channel if isinstance(channel, str) else channel["model"],
         info=dict(result.info),
         obs=obs.snapshot() if obs.is_enabled() else None,
         manifest=manifest,
@@ -386,7 +439,9 @@ def plan_broadcast(
         its :func:`plan_cache_key`; a hit replays the stored plan —
         byte-identical schedule, cost, and info — without touching a
         scheduler (a memory hit builds no graph at all), a miss computes
-        normally and stores the result.
+        normally and stores the result.  A trace's TVEG is shared through
+        the cache with every other plan on the same window, channel,
+        params and seed.
     scheduler_kwargs:
         Extra constructor arguments forwarded to the scheduler (e.g.
         ``memt_method="charikar"``).
@@ -400,25 +455,12 @@ def plan_broadcast(
         params=params, **scheduler_kwargs,
     )
     deadline = float(deadline)
-
-    def build_tveg() -> TVEG:
-        if isinstance(trace_or_tveg, TVEG):
-            return trace_or_tveg
-        trace = trace_or_tveg
-        if window is not None:
-            start, end = _window_bounds(window, deadline)
-            trace = trace.restrict_window(start, end).shift(-start)
-        return tveg_from_trace(trace, channel, params=params, seed=seed)
-
-    key = obs.config_hash(config)
-    if cache is not None:
-        hit = cache.lookup(key, build_tveg)
-        if hit is not None:
-            return hit
-
-    return _plan_on_tveg(
-        build_tveg(), source, deadline,
-        config=config, seed=seed, cache=cache, key=key,
+    bounds = None if window is None else _window_bounds(window, deadline)
+    return _plan(
+        lambda: _build_tveg(
+            trace_or_tveg, bounds, config, channel, params, cache
+        ),
+        source, deadline, config=config, seed=seed, cache=cache,
     )
 
 
@@ -478,18 +520,13 @@ def plan_broadcast_many(
         )
         for s, d in zip(src_list, dl_list)
     ]
-    keys = [obs.config_hash(c) for c in configs]
 
-    # One TVEG per distinct effective trace window.  ``None`` bounds mean
-    # "the input as-is" (a TVEG input, or no window), i.e. a single group.
+    # One TVEG per distinct effective trace window; no window (or a TVEG
+    # input) is a single group.
     groups: Dict[Optional[Tuple[float, float]], Dict[str, Any]] = {}
 
     def group_for(deadline: float) -> Dict[str, Any]:
-        bounds = (
-            None
-            if isinstance(trace_or_tveg, TVEG) or window is None
-            else _window_bounds(window, deadline)
-        )
+        bounds = None if window is None else _window_bounds(window, deadline)
         g = groups.get(bounds)
         if g is None:
             g = {"bounds": bounds, "tveg": None, "sources": {}}
@@ -498,32 +535,21 @@ def plan_broadcast_many(
 
     def group_tveg(g: Dict[str, Any]) -> TVEG:
         if g["tveg"] is None:
-            if isinstance(trace_or_tveg, TVEG):
-                g["tveg"] = trace_or_tveg
-            else:
-                trace = trace_or_tveg
-                if g["bounds"] is not None:
-                    start, end = g["bounds"]
-                    trace = trace.restrict_window(start, end).shift(-start)
-                g["tveg"] = tveg_from_trace(
-                    trace, channel, params=params, seed=seed
-                )
+            g["tveg"] = _build_tveg(
+                trace_or_tveg, g["bounds"], configs[0], channel, params,
+                cache,
+            )
         return g["tveg"]
 
     plans: List[BroadcastPlan] = []
     with obs.span("api.plan_broadcast_many", requests=len(src_list)):
-        for s, d, config, key in zip(src_list, dl_list, configs, keys):
+        for s, d, config in zip(src_list, dl_list, configs):
             g = group_for(d)
-            if cache is not None:
-                hit = cache.lookup(key, lambda: group_tveg(g))
-                if hit is not None:
-                    plans.append(hit)
-                    continue
             plans.append(
-                _plan_on_tveg(
-                    group_tveg(g), s, d,
-                    config=config, seed=seed,
-                    cache=cache, key=key, source_memo=g["sources"],
+                _plan(
+                    lambda: group_tveg(g), s, d,
+                    config=config, seed=seed, cache=cache,
+                    source_memo=g["sources"],
                 )
             )
     return BroadcastPlanSet(plans=tuple(plans))

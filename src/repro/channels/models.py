@@ -22,7 +22,8 @@ any sub-ε target yields the same threshold).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable
+from dataclasses import asdict
+from typing import Any, Callable, Dict
 
 from ..errors import ChannelModelError
 from ..params import PhyParams
@@ -57,6 +58,22 @@ class ChannelModel(ABC):
 
     def gain(self, distance: float) -> float:
         return self._gain(distance)
+
+    def describe(self) -> Dict[str, Any]:
+        """Everything that fixes this channel's ED-functions, JSON-ready.
+
+        The model, its own shape parameters (Rician ``k_factor``,
+        Nakagami ``m``), its gain model and its :class:`PhyParams`: the
+        plan cache key and :meth:`repro.tveg.graph.TVEG.fingerprint` both
+        identify a channel by this, so two channels differing in any of
+        it never share a cached plan.  A custom gain model should have a
+        value ``repr`` (as the dataclass models do).
+        """
+        return {
+            "model": type(self).__name__,
+            "gain": repr(self._gain),
+            "params": asdict(self._params),
+        }
 
     def beta(self, distance: float) -> float:
         """The common outage scale ``N0·B·γ_th / h(d)``."""
@@ -126,6 +143,9 @@ class RicianChannel(ChannelModel):
     def k_factor(self) -> float:
         return self._k
 
+    def describe(self) -> Dict[str, Any]:
+        return {**super().describe(), "k_factor": self._k}
+
     @property
     def is_fading(self) -> bool:
         return True
@@ -151,6 +171,9 @@ class NakagamiChannel(ChannelModel):
     @property
     def m(self) -> float:
         return self._m
+
+    def describe(self) -> Dict[str, Any]:
+        return {**super().describe(), "m": self._m}
 
     @property
     def is_fading(self) -> bool:

@@ -169,9 +169,10 @@ def _ops(
 
     # Two dedicated services for the serving-path ops (daemon batcher
     # threads; no explicit teardown needed).  Each gets one prewarm
-    # request so its TVEG registry is hot — the ops time *serving*, not
-    # graph construction.  ``svc_throughput``'s plan cache is cleared per
-    # repeat (mixed hit/miss workload); ``svc_hit``'s stays warm.
+    # request so the TVEG its plans share is hot — the ops time *serving*,
+    # not graph construction.  ``svc_throughput``'s plan cache is cleared
+    # per repeat (mixed hit/miss workload), so the op holds the prewarm
+    # plan, which keeps that TVEG alive; ``svc_hit``'s cache stays warm.
     service_body = {"deadline": delay, "window": 9000.0, "seed": 5}
     service_req = parse_plan_request("/plan", dict(service_body))
     miss_reqs = [
@@ -179,7 +180,7 @@ def _ops(
         for s in many_sources
     ]
     svc_throughput = PlanningService({"bench": trace}, workers=2)
-    execute_request(svc_throughput, service_req[0], dict(service_req[1]))
+    prewarm = svc_throughput.plan(**service_req[1]).plan
     svc_throughput.cache.clear()
     svc_hit = PlanningService({"bench": trace}, workers=2)
     execute_request(svc_hit, service_req[0], dict(service_req[1]))
@@ -284,7 +285,7 @@ def _ops(
         planset = plan_broadcast_many(static, many_sources, delay)
         return {"requests": float(len(planset))}
 
-    def service_throughput():
+    def service_throughput(_held=prewarm):
         # A fixed mixed hit/miss block through the full serving path
         # (parse → cache → batcher → plan-document serialization): four
         # repeats of the base configuration around each distinct-source

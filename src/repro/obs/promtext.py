@@ -223,7 +223,7 @@ def _emit_service_doc(
     w.family("repro_errors_total", "counter", "Requests that raised an error.")
     w.sample("repro_errors_total", float(doc.get("errors", 0)), labels)  # type: ignore[arg-type]
     if "shared_tvegs" in doc:
-        w.family("repro_shared_tvegs", "gauge", "Resident shared TVEG registry entries.")
+        w.family("repro_shared_tvegs", "gauge", "Live TVEGs the plan cache shares.")
         w.sample("repro_shared_tvegs", float(doc["shared_tvegs"]), labels)  # type: ignore[arg-type]
     cache = doc.get("cache")
     if isinstance(cache, Mapping):

@@ -27,7 +27,8 @@ documents the bodies and status codes.
   (:class:`~repro.errors.ServiceOverloaded` → 429 + ``Retry-After``,
   waited-too-long → 504, bad arguments → 400);
 * keeps an **edge response cache**: the serialized ``plan`` fragment of
-  recent ``/plan`` answers, keyed by the request's routing address.
+  recent ``/plan`` answers, keyed by the request's routing address (the
+  plan's own key).
   Plans are deterministic, so a repeat configuration's response bytes
   are known before any worker is consulted — the envelope is assembled
   around the cached fragment byte-identically to a fresh serialization
@@ -131,7 +132,7 @@ class LocalBackend:
         return 0
 
     def routing(self, method: str, kwargs: Mapping[str, Any]) -> str:
-        trace = self.service._resolve_trace(kwargs.get("trace"))
+        trace = self.service.hosted_trace(kwargs.get("trace"))
         return routing_key(trace, method, kwargs)
 
     def submit_request(
@@ -194,19 +195,19 @@ class LocalBackend:
 class _EdgeCache:
     """Bounded LRU of serialized ``/plan`` response fragments.
 
-    Values are ``(cache_key, plan_fragment_bytes)``; the fragment is the
-    exact ``json.dumps(doc["plan"], sort_keys=True)`` bytes a fresh
-    response would embed, so assembling an envelope around it stays
-    byte-identical to serving the request through a worker.
+    Keyed by the request's routing key, which is its plan's key; each
+    value is the exact ``json.dumps(doc["plan"], sort_keys=True)`` bytes
+    a fresh response would embed, so assembling an envelope around it
+    stays byte-identical to serving the request through a worker.
     """
 
     def __init__(self, capacity: int) -> None:
         self.capacity = int(capacity)
-        self._entries: "OrderedDict[str, Tuple[str, bytes]]" = OrderedDict()
+        self._entries: "OrderedDict[str, bytes]" = OrderedDict()
         self.hits = 0
         self.misses = 0
 
-    def get(self, key: str) -> Optional[Tuple[str, bytes]]:
+    def get(self, key: str) -> Optional[bytes]:
         entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
@@ -215,7 +216,7 @@ class _EdgeCache:
         self.hits += 1
         return entry
 
-    def put(self, key: str, value: Tuple[str, bytes]) -> None:
+    def put(self, key: str, value: bytes) -> None:
         if self.capacity <= 0:
             return
         self._entries[key] = value
@@ -629,11 +630,10 @@ class AsyncPlanningServer:
         self.telemetry.observe("stage.route", time.perf_counter() - t_route)
 
         if method == "plan":
-            hit = self._edge.get(key)
-            if hit is not None:
-                cache_key, fragment = hit
+            fragment = self._edge.get(key)
+            if fragment is not None:
                 wall = asyncio.get_running_loop().time() - t0
-                return 200, _edge_envelope(cache_key, fragment, wall), None
+                return 200, _edge_envelope(key, fragment, wall), None
 
         try:
             _, future = self.backend.submit_request(method, kwargs, key=key)
@@ -656,7 +656,7 @@ class AsyncPlanningServer:
 
         if method == "plan":
             payload, fragment = _plan_envelope(doc)
-            self._edge.put(key, (doc["key"], fragment))
+            self._edge.put(key, fragment)
             return 200, payload, None
         return 200, json.dumps(doc, sort_keys=True).encode("utf-8"), None
 

@@ -235,6 +235,7 @@ class Batcher:
                 n = min(len(self._queue), self._max_batch)
                 batch = [self._queue.popleft() for _ in range(n)]
             self._flush(batch)
+            del batch  # its futures hold plans: don't pin them while idle
 
     def _flush(self, batch: List[_Job]) -> None:
         flush_started = time.monotonic()

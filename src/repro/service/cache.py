@@ -27,6 +27,15 @@ Two tiers:
   tier survives process restarts, so a restarted ``repro serve`` warms up
   from its predecessor's work.
 
+The cache also shares **live TVEGs**: :meth:`PlanCache.tveg` maps the
+TVEG-defining part of a plan's configuration (trace fingerprint, window
+bounds, channel, params, seed) to the graph built for it, weakly, so
+concurrent and later plans on one instance — say, differing only in
+algorithm or source — run on one graph and share its contact
+components, cost sets and aux-graph builds.  A graph lives exactly as
+long as a cached plan or a running compute holds it; the memory tier's
+plans already hold theirs.
+
 Every lookup emits :data:`~repro.obs.EV_PLAN_CACHE_HIT` /
 :data:`~repro.obs.EV_PLAN_CACHE_MISS` ledger events (no-ops when recording
 is off) plus ``service.plan_cache_*`` tracer counters, and updates the local
@@ -42,6 +51,7 @@ from __future__ import annotations
 import os
 import threading
 import time
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
@@ -140,6 +150,9 @@ class PlanCache:
         self._lock = threading.RLock()
         self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
         self._stats = CacheStats()
+        self._tvegs: "weakref.WeakValueDictionary[str, Any]" = (
+            weakref.WeakValueDictionary()
+        )
 
     # ------------------------------------------------------------------
     @property
@@ -153,6 +166,12 @@ class PlanCache:
     @property
     def disk_dir(self) -> Optional[str]:
         return self._disk_dir
+
+    @property
+    def shared_tvegs(self) -> int:
+        """Live TVEGs :meth:`tveg` can hand out."""
+        with self._lock:
+            return len(self._tvegs)
 
     def __len__(self) -> int:
         with self._lock:
@@ -223,6 +242,21 @@ class PlanCache:
             self._stats.misses += 1
             self._record(obs.EV_PLAN_CACHE_MISS, key)
             return None
+
+    def tveg(self, key: str, build: Callable[[], Any]) -> Any:
+        """The live TVEG under ``key``, or ``build()``'s, shared from now on.
+
+        ``key`` names the TVEG-defining part of a plan configuration (see
+        :func:`repro.api.plan_broadcast`).  Two threads missing at once
+        both build; the first to finish is kept and both get it.
+        """
+        with self._lock:
+            tveg = self._tvegs.get(key)
+        if tveg is None:
+            built = build()
+            with self._lock:
+                tveg = self._tvegs.setdefault(key, built)
+        return tveg
 
     def put(self, key: str, plan: Any) -> None:
         """Store a freshly computed plan under its config hash."""

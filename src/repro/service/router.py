@@ -1,7 +1,7 @@
 """Consistent-hash routing: which shard owns which plan configuration.
 
 A sharded service only beats a single process if repeat configurations
-keep landing on the shard whose live caches — the registry TVEG, its
+keep landing on the shard whose live caches — the shared TVEG, its
 contact components, cost caches and aux-graph builds, the hot tier of the
 plan cache — are already warm for them.  Random or round-robin dispatch
 would spread K repeats of one configuration over K shards and pay the
@@ -17,22 +17,16 @@ resizing a pool keeps most shards' warm caches relevant, where modulo
 hashing would reshuffle nearly everything.
 
 :func:`routing_key` reduces a parsed ``/plan`` / ``/plan_many`` request
-to the content address it routes by.  It is built on
-:func:`repro.api.plan_cache_key` over the **raw contact trace** — no TVEG
-is constructed, so the front-end pays ~tens of microseconds per request,
-not a graph build.  The routing key is *not* byte-equal to the plan
-cache's key (that one hashes the window-restricted TVEG the shard builds)
-but it is deterministic and injective over request configurations, which
-is all routing and front-end response caching need: identical requests
-share a routing key, and a routing key never aliases two configurations
-that could yield different plans.
+to the content address it routes by: :func:`repro.api.plan_cache_key`
+over the hosted contact trace — no TVEG is constructed, so the front-end
+pays ~tens of microseconds per request, not a graph build.
 """
 
 from __future__ import annotations
 
 import hashlib
 from bisect import bisect_right
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, List, Mapping, Tuple
 
 from ..api import plan_cache_key
 from ..traces.model import ContactTrace
@@ -91,14 +85,6 @@ class HashRing:
         return counts
 
 
-#: request fields that are NOT scheduler kwargs (mirrors
-#: server.parse_plan_request's field whitelists, plus plan_many spellings)
-_NON_SCHEDULER_FIELDS = frozenset((
-    "trace", "deadline", "deadlines", "source", "sources", "algorithm",
-    "channel", "window", "seed", "timeout",
-))
-
-
 def routing_key(
     trace: ContactTrace,
     method: str,
@@ -109,34 +95,20 @@ def routing_key(
     ``method`` / ``kwargs`` are :func:`repro.service.server.parse_plan_request`
     output; ``trace`` is the already-resolved
     :class:`~repro.traces.model.ContactTrace` the request names.  A
-    ``plan_many`` request routes by its *first* member — every member
-    shares the trace/channel/window/seed that determine which live TVEG
-    serves it, so one shard owns the whole batch.
+    ``/plan`` request's key is its plan's key.  A ``plan_many`` request
+    routes by its *first* member — every member shares the
+    trace/channel/window/seed that determine which live TVEG serves it,
+    so one shard owns the whole batch.
     """
+    kw = dict(kwargs)
+    kw.pop("trace", None)
+    kw.pop("timeout", None)
     if method == "plan_many":
-        sources = list(kwargs.get("sources") or [None])
-        source: Optional[Any] = sources[0] if sources else None
-        deadlines = kwargs.get("deadlines", 2000.0)
-        if isinstance(deadlines, (list, tuple)):
-            deadline = float(deadlines[0]) if deadlines else 2000.0
-        else:
-            deadline = float(deadlines)
+        source = list(kw.pop("sources", None) or [None])[0]
+        deadline = kw.pop("deadlines", 2000.0)
+        if isinstance(deadline, (list, tuple)):
+            deadline = deadline[0] if deadline else 2000.0
     else:
-        source = kwargs.get("source")
-        deadline = float(kwargs.get("deadline", 2000.0))
-    scheduler_kwargs: Dict[str, Any] = {
-        k: v for k, v in kwargs.items() if k not in _NON_SCHEDULER_FIELDS
-    }
-    window = kwargs.get("window")
-    if isinstance(window, list):
-        window = tuple(window)
-    return plan_cache_key(
-        trace,
-        source,
-        deadline,
-        algorithm=kwargs.get("algorithm", "eedcb"),
-        channel=kwargs.get("channel", "static"),
-        window=window,
-        seed=kwargs.get("seed"),
-        **scheduler_kwargs,
-    )
+        source = kw.pop("source", None)
+        deadline = kw.pop("deadline", 2000.0)
+    return plan_cache_key(trace, source, deadline, **kw)

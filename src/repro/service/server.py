@@ -4,20 +4,20 @@
 object an application (or the HTTP front-end in
 :mod:`repro.service.asgi`) drives:
 
-* a set of **named contact traces** it plans against;
-* a bounded registry of **shared TVEGs** — one per distinct
-  ``(trace, channel, window, seed)`` — so concurrent requests that differ
-  only in algorithm or source hit the same live graph object and share its
-  contact components (with their cost sets) and cost caches;
+* a set of **named contact traces** it plans against, each request
+  through :func:`repro.api.plan_broadcast` on the hosted trace — so a
+  served plan's key is the one the library gives the same call;
 * a :class:`~repro.service.cache.PlanCache` answering repeated problems
-  without recomputation;
+  without recomputation, and sharing one live TVEG between the plans on
+  one instance;
 * a :class:`~repro.service.batcher.Batcher` deduping and amortizing what
   the cache misses.
 
 The module-level functions hold the service's HTTP semantics without any
 transport: :func:`parse_plan_request` validates a ``/plan`` or
-``/plan_many`` body, :func:`exception_status` maps a planning exception to
-a status code, and :func:`execute_request` folds one parsed request into
+``/plan_many`` body, :func:`resolve_trace` finds the hosted trace it
+names, :func:`exception_status` maps a planning exception to a status
+code, and :func:`execute_request` folds one parsed request into
 ``(status, doc)``.  The front-end, its in-process
 :class:`~repro.service.asgi.LocalBackend` and the shard workers all call
 them, so every deployment shape judges a request the same way.
@@ -35,7 +35,6 @@ from __future__ import annotations
 import json
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
@@ -43,7 +42,6 @@ from ..api import (
     BroadcastPlan,
     BroadcastPlanSet,
     _check_deadline,
-    _window_bounds,
     plan_broadcast,
     plan_broadcast_many,
     plan_cache_key,
@@ -57,8 +55,6 @@ from ..errors import (
 from ..obs.histogram import MetricsRegistry
 from ..schedule.io import plan_to_doc, planset_to_doc
 from ..traces.model import ContactTrace
-from ..tveg.builders import tveg_from_trace
-from ..tveg.graph import TVEG
 from .batcher import Batcher
 from .cache import PlanCache
 
@@ -70,6 +66,7 @@ __all__ = [
     "execute_request",
     "parse_plan_request",
     "read_warm_file",
+    "resolve_trace",
 ]
 
 
@@ -175,6 +172,32 @@ def parse_plan_request(path: str, body: Any) -> Tuple[str, Dict[str, Any]]:
         )
     kwargs.update(extra)
     return method, kwargs
+
+
+def resolve_trace(
+    traces: Mapping[str, ContactTrace], name: Optional[str]
+) -> ContactTrace:
+    """The hosted trace a request's ``trace`` field names.
+
+    ``None`` means the only hosted trace.  Raises :class:`KeyError` (HTTP
+    404) for an unknown name, or for no name while several are hosted.
+    The service, its in-process backend and the shard pool's router all
+    resolve through this, so they agree on what a name means.
+    """
+    if name is None:
+        if len(traces) == 1:
+            return next(iter(traces.values()))
+        raise KeyError(
+            "request names no trace and the service hosts "
+            f"{len(traces)} — pass \"trace\""
+        )
+    try:
+        return traces[name]
+    except KeyError:
+        raise KeyError(
+            f"unknown trace {name!r}; hosted: "
+            f"{', '.join(sorted(traces)) or '(none)'}"
+        ) from None
 
 
 def exception_status(exc: BaseException) -> Tuple[int, str, Optional[float]]:
@@ -303,9 +326,6 @@ class PlanningService:
     timeout:
         Default seconds a :meth:`plan` call waits for its batched result
         before raising :class:`TimeoutError` (HTTP 504).
-    tveg_capacity:
-        Bound on the shared-TVEG registry; least recently used graphs are
-        dropped past it (their plans stay cached).
     """
 
     def __init__(
@@ -318,13 +338,8 @@ class PlanningService:
         max_batch: int = 32,
         max_queue: int = 256,
         timeout: float = 30.0,
-        tveg_capacity: int = 16,
     ) -> None:
         timeout = _check_timeout(timeout)
-        if tveg_capacity < 1:
-            raise ValueError(
-                f"tveg_capacity must be >= 1, got {tveg_capacity}"
-            )
         self._traces: Dict[str, ContactTrace] = dict(traces or {})
         self._cache = cache if cache is not None else PlanCache()
         # Streaming request telemetry: per-stage and per-endpoint latency
@@ -336,8 +351,6 @@ class PlanningService:
             metrics=self.telemetry,
         )
         self._timeout = timeout
-        self._tvegs: "OrderedDict[Tuple, TVEG]" = OrderedDict()
-        self._tveg_capacity = int(tveg_capacity)
         self._lock = threading.Lock()
         self._started = time.time()
         self._requests = 0
@@ -361,6 +374,11 @@ class PlanningService:
         with self._lock:
             self._traces[name] = trace
 
+    def hosted_trace(self, name: Optional[str]) -> ContactTrace:
+        """The hosted trace ``name`` names (see :func:`resolve_trace`)."""
+        with self._lock:
+            return resolve_trace(self._traces, name)
+
     def close(self) -> None:
         """Shut the batcher down; in-flight requests finish first."""
         self._batcher.close()
@@ -372,55 +390,6 @@ class PlanningService:
         self.close()
 
     # ------------------------------------------------------------------
-    def _resolve_trace(self, name: Optional[str]) -> ContactTrace:
-        with self._lock:
-            if name is None:
-                if len(self._traces) == 1:
-                    return next(iter(self._traces.values()))
-                raise KeyError(
-                    "request names no trace and the service hosts "
-                    f"{len(self._traces)} — pass \"trace\""
-                )
-            try:
-                return self._traces[name]
-            except KeyError:
-                raise KeyError(
-                    f"unknown trace {name!r}; hosted: "
-                    f"{', '.join(sorted(self._traces)) or '(none)'}"
-                ) from None
-
-    def _shared_tveg(
-        self,
-        trace: ContactTrace,
-        channel: str,
-        window: Optional[Any],
-        deadline: float,
-        seed,
-    ) -> TVEG:
-        """The one TVEG every request with this (trace, channel, window,
-        seed) shares — so their component, cost-set and aux-graph work
-        amortizes.
-
-        Keyed by the trace's content fingerprint, not the request's trace
-        name, so a request that omits the name (single hosted trace) and
-        one that spells it out share one graph."""
-        bounds = None if window is None else _window_bounds(window, deadline)
-        regkey = (trace.fingerprint(), channel, bounds, seed)
-        with self._lock:
-            tveg = self._tvegs.get(regkey)
-            if tveg is not None:
-                self._tvegs.move_to_end(regkey)
-                return tveg
-        if bounds is not None:
-            trace = trace.restrict_window(*bounds).shift(-bounds[0])
-        tveg = tveg_from_trace(trace, channel, seed=seed)
-        with self._lock:
-            tveg = self._tvegs.setdefault(regkey, tveg)
-            self._tvegs.move_to_end(regkey)
-            while len(self._tvegs) > self._tveg_capacity:
-                self._tvegs.popitem(last=False)
-        return tveg
-
     def plan(
         self,
         trace: Optional[str] = None,
@@ -435,6 +404,11 @@ class PlanningService:
         **scheduler_kwargs,
     ) -> PlanResponse:
         """Plan one broadcast through the cache and the batch queue.
+
+        The batch queue runs :func:`repro.plan_broadcast` on the hosted
+        trace, so the response ``key`` — the plan's
+        ``manifest["config_hash"]`` — is :func:`repro.api.plan_cache_key`
+        of the same arguments.
 
         Raises :class:`KeyError` for an unknown trace name,
         :class:`ValueError` for a ``timeout`` that is not a positive
@@ -452,23 +426,14 @@ class PlanningService:
             timeout = (
                 self._timeout if timeout is None else _check_timeout(timeout)
             )
-            base = self._resolve_trace(trace)
-            # Checked before the window, which the deadline sizes.
-            deadline = _check_deadline(deadline)
-            tveg = self._shared_tveg(base, channel, window, deadline, seed)
-            key = plan_cache_key(
-                tveg, source, deadline, algorithm=algorithm, seed=seed,
-                **scheduler_kwargs,
-            )
+            args = (self.hosted_trace(trace), source, deadline)
+            kw = dict(algorithm=algorithm, channel=channel, window=window,
+                      seed=seed, **scheduler_kwargs)
+            key = plan_cache_key(*args, **kw)
             cached = key in self._cache
-
-            def run() -> BroadcastPlan:
-                return plan_broadcast(
-                    tveg, source, deadline, algorithm=algorithm, seed=seed,
-                    cache=self._cache, **scheduler_kwargs,
-                )
-
-            future = self._batcher.submit(key, run)
+            future = self._batcher.submit(
+                key, lambda: plan_broadcast(*args, cache=self._cache, **kw)
+            )
             plan = future.result(timeout=timeout)
         except BaseException:
             with self._lock:
@@ -500,8 +465,8 @@ class PlanningService:
         plan cache exactly as the equivalent :meth:`plan` call would, so
         batch and single requests share hits both ways.
 
-        The batch runs inline through :func:`repro.plan_broadcast_many`
-        rather than the batch queue: the point of the batch API is
+        The batch runs inline through one :func:`repro.plan_broadcast_many`
+        call rather than the batch queue: the point of the batch API is
         amortizing graph construction across the member requests, which a
         per-request queue would undo.  Deduplication against concurrent
         single requests still happens at the plan cache.
@@ -522,38 +487,19 @@ class PlanningService:
         with self._lock:
             self._requests += len(src_list)
         try:
-            base = self._resolve_trace(trace)
+            base = self.hosted_trace(trace)
             for d in dl_list:  # before the windows, which deadlines size
                 _check_deadline(d)
-            # Group requests sharing one registry TVEG.  With a scalar
-            # window the bounds — hence the graph — depend on the
-            # deadline; otherwise every request shares a single graph.
-            groups: "OrderedDict[Optional[float], List[int]]" = OrderedDict()
-            scalar_window = isinstance(window, (int, float))
-            for i, d in enumerate(dl_list):
-                groups.setdefault(d if scalar_window else None, []).append(i)
-            plans: List[Optional[BroadcastPlan]] = [None] * len(src_list)
-            keys: List[str] = [""] * len(src_list)
-            cached: List[bool] = [False] * len(src_list)
-            for idxs in groups.values():
-                tveg = self._shared_tveg(
-                    base, channel, window, dl_list[idxs[0]], seed
-                )
-                for i in idxs:
-                    keys[i] = plan_cache_key(
-                        tveg, src_list[i], dl_list[i], algorithm=algorithm,
-                        seed=seed, **scheduler_kwargs,
-                    )
-                    cached[i] = keys[i] in self._cache
-                planset = plan_broadcast_many(
-                    tveg,
-                    [src_list[i] for i in idxs],
-                    [dl_list[i] for i in idxs],
-                    algorithm=algorithm, seed=seed, cache=self._cache,
-                    **scheduler_kwargs,
-                )
-                for i, plan in zip(idxs, planset):
-                    plans[i] = plan
+            kw = dict(algorithm=algorithm, channel=channel, window=window,
+                      seed=seed, **scheduler_kwargs)
+            keys = tuple(
+                plan_cache_key(base, s, d, **kw)
+                for s, d in zip(src_list, dl_list)
+            )
+            cached = tuple(key in self._cache for key in keys)
+            planset = plan_broadcast_many(
+                base, src_list, dl_list, cache=self._cache, **kw
+            )
         except BaseException:
             with self._lock:
                 self._errors += 1
@@ -562,10 +508,7 @@ class PlanningService:
         wall = time.perf_counter() - t0
         self.telemetry.observe("request.plan_many", wall)
         return PlanSetResponse(
-            planset=BroadcastPlanSet(plans=tuple(plans)),
-            keys=tuple(keys),
-            cached=tuple(cached),
-            wall_seconds=wall,
+            planset=planset, keys=keys, cached=cached, wall_seconds=wall,
         )
 
     def warm(self, configs: Iterable[Mapping[str, Any]]) -> Dict[str, int]:
@@ -598,13 +541,12 @@ class PlanningService:
         with self._lock:
             requests, errors = self._requests, self._errors
             traces = sorted(self._traces)
-            shared = len(self._tvegs)
         return {
             "uptime_seconds": time.time() - self._started,
             "requests": requests,
             "errors": errors,
             "traces": traces,
-            "shared_tvegs": shared,
+            "shared_tvegs": self._cache.shared_tvegs,
             "cache": self._cache.stats(),
             "batcher": self._batcher.stats(),
             "telemetry": self.telemetry.as_doc(),

@@ -5,7 +5,7 @@ scheduler's pure-Python work, and a single :class:`~repro.service.batcher.
 Batcher` flush thread is one queue for all traffic.  A
 :class:`ShardPool` runs N worker processes instead — each owns a full
 :class:`~repro.service.server.PlanningService` (its own hot plan-cache
-memory tier, shared-TVEG registry, and batcher) — and routes every
+memory tier with its shared TVEGs, and batcher) — and routes every
 request through a :class:`~repro.service.router.HashRing` keyed on the
 request's content address, so repeat configurations always land where
 the live caches are warm.
@@ -53,7 +53,12 @@ from ..parallel import mp_context
 from ..traces.model import ContactTrace
 from .cache import PlanCache
 from .router import HashRing, routing_key
-from .server import PlanningService, execute_request
+from .server import (
+    PlanningService,
+    execute_request,
+    parse_plan_request,
+    resolve_trace,
+)
 
 __all__ = ["ShardHandle", "ShardPool"]
 
@@ -367,7 +372,7 @@ class ShardPool:
         pass the same ``disk_dir`` to share the persistent tier.
     service_kwargs:
         Forwarded to each shard's :class:`PlanningService` (workers,
-        max_batch, max_queue, timeout, tveg_capacity).
+        max_batch, max_queue, timeout).
     max_inflight:
         Per-shard in-flight request bound (HTTP 429 past it).
     request_threads:
@@ -437,31 +442,13 @@ class ShardPool:
     def trace_names(self) -> List[str]:
         return sorted(self._traces)
 
-    def _resolve_trace(self, name: Optional[str]) -> ContactTrace:
-        # mirrors PlanningService._resolve_trace so routing and serving
-        # agree on what a missing/ambiguous trace name means
-        if name is None:
-            if len(self._traces) == 1:
-                return next(iter(self._traces.values()))
-            raise KeyError(
-                "request names no trace and the service hosts "
-                f"{len(self._traces)} — pass \"trace\""
-            )
-        try:
-            return self._traces[name]
-        except KeyError:
-            raise KeyError(
-                f"unknown trace {name!r}; hosted: "
-                f"{', '.join(sorted(self._traces)) or '(none)'}"
-            ) from None
-
     def routing(self, method: str, kwargs: Mapping[str, Any]) -> str:
         """The content address ``(method, kwargs)`` routes by.
 
         Raises :class:`KeyError` for an unknown trace name — caught at
         the front-end and mapped to 404 without a worker round-trip.
         """
-        trace = self._resolve_trace(kwargs.get("trace"))
+        trace = resolve_trace(self._traces, kwargs.get("trace"))
         return routing_key(trace, method, kwargs)
 
     def shard_for(self, method: str, kwargs: Mapping[str, Any]) -> int:
@@ -585,11 +572,14 @@ class ShardPool:
         failed = 0
         for config in configs:
             body = dict(config)
-            op = body.get("op", "plan")
-            method = "plan_many" if op == "plan_many" else "plan"
-            probe = {k: v for k, v in body.items() if k != "op"}
+            path = "/plan_many" if body.get("op") == "plan_many" else "/plan"
             try:
-                per_shard[self.shard_for(method, probe)].append(body)
+                # routed as the live request will be: parsed first, so
+                # nested scheduler_kwargs key like the served plan
+                method, kwargs = parse_plan_request(
+                    path, {k: v for k, v in body.items() if k != "op"}
+                )
+                per_shard[self.shard_for(method, kwargs)].append(body)
             except Exception:
                 failed += 1
         futures = []

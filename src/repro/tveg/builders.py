@@ -35,13 +35,20 @@ def make_channel(
     """Resolve a channel spec (name or instance) to a :class:`ChannelModel`."""
     if isinstance(channel, ChannelModel):
         return channel
+    return channel_class(channel)(params)
+
+
+def channel_class(name: str) -> type:
+    """The :class:`ChannelModel` subclass a channel name selects.
+
+    Raises :class:`GraphModelError` for an unknown name.
+    """
     try:
-        cls = _CHANNELS[channel]
+        return _CHANNELS[name]
     except KeyError:
         raise GraphModelError(
-            f"unknown channel {channel!r}; choose from {sorted(_CHANNELS)}"
+            f"unknown channel {name!r}; choose from {sorted(_CHANNELS)}"
         ) from None
-    return cls(params)
 
 
 def tveg_from_trace(

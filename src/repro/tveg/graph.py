@@ -252,10 +252,12 @@ class TVEG:
     def fingerprint(self) -> str:
         """Short content hash of the *realized* energy-demand graph.
 
-        Covers the topology (every contact interval), the channel model
-        class, the physical-layer parameters, ``τ``, and the link geometry
-        (each contact's distance sampled at its interval start — the value
-        the constant-within-contact cost cache keys on).  Two TVEGs built
+        Covers the topology (every contact interval), the channel's
+        :meth:`~repro.channels.models.ChannelModel.describe` (model, shape
+        parameters, gain model, physical-layer parameters), ``τ``, and the
+        link geometry (each contact's distance sampled at its interval
+        start — the value the constant-within-contact cost cache keys
+        on).  Two TVEGs built
         from the same trace with the same channel/params/seed hash
         identically; changing any of those changes the hash.  Memoized per
         TVG version, so repeated cache lookups cost one dict read.
@@ -268,8 +270,7 @@ class TVEG:
         h.update(
             repr(
                 (
-                    type(self._channel).__name__,
-                    self._channel.params,
+                    self._channel.describe(),
                     self._tvg.nodes,
                     self._tvg.horizon,
                     self._tvg.tau,

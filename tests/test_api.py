@@ -206,3 +206,76 @@ class TestPlanBroadcast:
         plan = plan_broadcast(trace, 0, 300.0, seed=2)
         expected = plan.tveg.params.normalize_energy(plan.schedule.total_cost)
         assert plan.normalized_energy() == pytest.approx(expected)
+
+
+class TestChannelIdentity:
+    """A channel instance is keyed by everything that fixes its costs."""
+
+    TRACE = haggle_like_trace(HaggleLikeConfig(num_nodes=8), seed=0)
+    KW = dict(window=9000.0, seed=5)
+
+    @pytest.mark.parametrize("algorithm", ["eedcb", "greed"])
+    def test_rician_k_factor_is_part_of_the_key(self, algorithm):
+        from repro.channels import RicianChannel
+        from repro.params import PAPER_PARAMS
+        from repro.service import PlanCache
+
+        def plan(k, cache=None):
+            return plan_broadcast(
+                self.TRACE, None, 2000.0, algorithm=algorithm,
+                channel=RicianChannel(PAPER_PARAMS, k_factor=k),
+                cache=cache, **self.KW,
+            )
+
+        cache = PlanCache()
+        k1, k10 = plan(1.0, cache), plan(10.0, cache)
+        assert k10.manifest["config_hash"] != k1.manifest["config_hash"]
+        assert cache.stats()["hits"] == 0
+        assert k10.total_cost == plan(10.0).total_cost
+        assert k10.total_cost != k1.total_cost
+        assert k10.tveg is not k1.tveg
+        assert k10.channel == "RicianChannel"
+
+    def test_every_part_of_a_channel_changes_key_and_fingerprint(self):
+        from dataclasses import replace
+
+        from repro.channels import (
+            NakagamiChannel,
+            RayleighChannel,
+            RicianChannel,
+        )
+        from repro.channels.pathloss import PowerLawPathLoss
+        from repro.params import PAPER_PARAMS as P
+
+        channels = [
+            RayleighChannel(P),
+            RayleighChannel(P, gain_model=PowerLawPathLoss(3.0)),
+            RayleighChannel(replace(P, epsilon=P.epsilon / 2)),
+            RicianChannel(P, k_factor=1.0),
+            RicianChannel(P, k_factor=10.0),
+            NakagamiChannel(P, m=1.0),
+            NakagamiChannel(P, m=3.0),
+        ]
+        keys = {
+            plan_cache_key(self.TRACE, 0, 2000.0, channel=c, **self.KW)
+            for c in channels
+        }
+        fingerprints = {
+            tveg_from_trace(self.TRACE, c, seed=5).fingerprint()
+            for c in channels
+        }
+        assert len(keys) == len(fingerprints) == len(channels)
+
+    def test_string_channel_keys_are_unchanged(self):
+        trace = haggle_like_trace(HaggleLikeConfig(num_nodes=12), seed=0)
+        assert plan_cache_key(
+            trace, None, 2000.0, window=9000.0, seed=5
+        ) == "662770e365f77407"
+        assert plan_cache_key(
+            trace, 3, 2000.0, window=(9000.0, 11000.0), channel="rayleigh",
+            algorithm="greed", seed=5,
+        ) == "4c8720fe4d3e7d10"
+
+    def test_unknown_channel_name_rejected_by_the_key(self):
+        with pytest.raises(GraphModelError, match="unknown channel 'bogus'"):
+            plan_cache_key(self.TRACE, 0, 2000.0, channel="bogus")

@@ -562,6 +562,24 @@ class TestPlanningService:
         finally:
             svc.close()
 
+    def test_unknown_channel_is_400_and_submits_nothing(self):
+        trace, _ = make_random_instance(seed=1)
+        svc = PlanningService({"t": trace}, workers=1)
+        try:
+            for path, body in (
+                ("/plan", {"trace": "t", "deadline": 100, "channel": "x"}),
+                ("/plan_many", {"trace": "t", "sources": [0],
+                                "channel": "x"}),
+            ):
+                method, kwargs = parse_plan_request(path, body)
+                status, doc = execute_request(svc, method, kwargs)
+                assert status == 400
+                assert doc["error"].startswith("unknown channel 'x'")
+            assert svc.batcher.stats()["submitted"] == 0
+            assert svc.metrics()["shared_tvegs"] == 0
+        finally:
+            svc.close()
+
     @pytest.mark.parametrize("timeout", ["NaN", "-1", "0", "1e309"])
     def test_bad_timeout_is_400_and_submits_nothing(self, timeout):
         trace, _ = make_random_instance(seed=1)

@@ -15,6 +15,7 @@ import pytest
 
 from repro.errors import ServiceOverloaded
 from repro.service import BackgroundServer, PlanningService, ShardPool
+from repro.service.server import parse_plan_request
 from repro.traces import HaggleLikeConfig, haggle_like_trace
 
 BODY = {"deadline": 600.0, "window": 2000.0, "seed": 3}
@@ -54,10 +55,9 @@ class TestShardPool:
         assert status == 200
         assert 0 <= shard_id < pool.shards
         assert doc["plan"]["feasibility"]["all_informed"] is True
-        # the response carries the plan-cache key (hashes the built TVEG);
-        # the routing key hashes the raw trace — deterministic, but distinct
-        assert len(doc["key"]) == 16
-        assert pool.routing("plan", BODY) == pool.routing("plan", BODY)
+        # one key per plan: the worker answers under the routing key
+        assert doc["key"] == pool.routing("plan", BODY)
+        assert doc["plan"]["manifest"]["config_hash"] == doc["key"]
 
     def test_affinity_and_cached_repeat(self, pool):
         first, _ = pool.submit_request("plan", dict(BODY))
@@ -114,6 +114,21 @@ class TestShardPool:
         status, doc = future.result(timeout=120)
         assert status == 200
         assert doc["cached"] is True
+
+    def test_warm_with_scheduler_kwargs_primes_the_owner_shard(self, pool):
+        # a warm entry is routed as its parsed live request, so nested
+        # scheduler_kwargs land on the shard that later serves it
+        bodies = [
+            {**BODY, "seed": s, "scheduler_kwargs": {"memt_method": "sptree"}}
+            for s in (80, 81, 82, 83)
+        ]
+        assert pool.warm(bodies) == {"warmed": 4, "failed": 0}
+        for body in bodies:
+            method, kwargs = parse_plan_request("/plan", body)
+            _, future = pool.submit_request(method, kwargs)
+            status, doc = future.result(timeout=120)
+            assert status == 200
+            assert doc["cached"] is True
 
     def test_warm_unroutable_counts_failed(self, pool):
         report = pool.warm([{**BODY, "trace": "nope"}])

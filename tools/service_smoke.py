@@ -6,8 +6,9 @@ way a client fleet would, asserting the service's acceptance properties:
 
 1. **cache**: concurrent duplicate ``POST /plan`` requests all succeed,
    return identical plans from one auxiliary-graph build (the batcher
-   joins duplicates to the compute already queued or running), and
-   ``GET /cache/stats`` records at least one hit afterwards;
+   joins duplicates to the compute already queued or running) under the
+   key :func:`repro.api.plan_cache_key` gives the same body on the hosted
+   trace, and ``GET /cache/stats`` records at least one hit afterwards;
 2. **backpressure**: with a deliberately tiny queue bound, a burst of
    *distinct* (uncacheable) requests yields at least one HTTP 429 carrying
    a ``Retry-After`` header, while every admitted request still completes;
@@ -69,6 +70,7 @@ def check(condition: bool, message: str) -> None:
 
 def main() -> int:
     from repro import obs
+    from repro.api import plan_cache_key
     from repro.service import (
         BackgroundServer,
         LocalBackend,
@@ -106,6 +108,12 @@ def main() -> int:
     st, replay, _ = _post(url, body)
     check(st == 200 and replay["cached"],
           "follow-up duplicate request is answered from the cache")
+    library_key = plan_cache_key(
+        trace, None, body["deadline"], window=body["window"],
+        seed=body["seed"],
+    )
+    check({r[1]["key"] for r in dup} == {replay["key"]} == {library_key},
+          f"served /plan key is the library's plan_cache_key ({library_key})")
 
     # --- property 1b: POST /plan_many shares the single-plan cache ------
     many_body = {"sources": [None, None], "deadlines": 2000,
