@@ -212,10 +212,13 @@ def plan_config(
 
     ``source=None`` (auto-pick) is part of the identity as-is; the pick is
     deterministic, so the key remains sound without resolving it here (and
-    the hit path never has to build a graph to find out).  A channel name
-    is recorded as given; a :class:`~repro.channels.models.ChannelModel`
-    instance by its :meth:`~repro.channels.models.ChannelModel.describe`
-    and its own ``params``.
+    the hit path never has to build a graph to find out).  A scalar
+    window is recorded as a float and a window pair as two floats, so an
+    integer and a float spelling of one window key one plan.  A channel
+    name is recorded as given; a
+    :class:`~repro.channels.models.ChannelModel` instance by its
+    :meth:`~repro.channels.models.ChannelModel.describe` and its own
+    ``params``.
 
     Raises :class:`ValueError` for a non-finite or negative ``deadline``
     (:func:`_check_deadline`) or a non-finite window bound, and
@@ -234,7 +237,10 @@ def plan_config(
         eff_params = trace_or_tveg.params
     elif isinstance(trace_or_tveg, ContactTrace):
         if window is not None:
-            _window_bounds(window, deadline)
+            bounds = _window_bounds(window, deadline)
+            # one spelling per window: 9000 and 9000.0 key one plan
+            window = (float(window) if isinstance(window, (int, float))
+                      else list(bounds))
         fingerprint = trace_or_tveg.fingerprint()
         if isinstance(channel, ChannelModel):
             channel_label = channel.describe()

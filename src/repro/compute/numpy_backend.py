@@ -8,15 +8,16 @@ implements them with batched numpy operations and two compiled loops
 construction (``build_aux_graph`` in ``tests/aux_oracle.py``) **byte
 for byte**:
 
-* :func:`build_numpy_aux_graph` takes each node's canonically sorted
-  ``(cost, neighbor)`` *component* rows, each active on one contiguous
-  run of the node's DTS points, from
-  :func:`~repro.tveg.costsets.node_components` — the rows the DCS point
+* :func:`build_numpy_aux_graph` takes every node's canonically sorted
+  ``(cost, neighbor)`` *component* rows as arrays, each active on one
+  contiguous run of the node's DTS points, from
+  :func:`~repro.tveg.costsets.point_runs` — the rows the DCS point
   queries read too.  When link costs are constant within a contact
   (``tveg.cost_cacheable``) a component is a τ-eroded adjacency
-  component, its cost taken once from the TVEG's shared per-contact cost
-  cache; otherwise every active (neighbor, point) cell is its own
-  one-point component, costed at that point.  Either way the costs are
+  component, its cost priced once per contact by the TVEG
+  (:meth:`~repro.tveg.graph.TVEG.components`); otherwise every active
+  (neighbor, point) cell is its own one-point component, costed at that
+  point.  Either way the costs are
   the floats the reference's timeline sweep computes.  The build
   derives every DCS and every auxiliary node from those arrays in one
   compiled pass over all nodes (``_auxfill.c``, O(cells) — a cell is
@@ -67,7 +68,7 @@ from .. import obs
 from ..auxgraph.model import AuxNode, state_node, tx_node
 from ..dts.dts import DiscreteTimeSet, build_dts
 from ..errors import GraphModelError, InfeasibleError
-from ..tveg.costsets import node_components
+from ..tveg.costsets import point_runs
 from ..tveg.graph import TVEG
 from . import native
 
@@ -384,12 +385,12 @@ def build_numpy_aux_graph(
     order and weights are identical to the networkx reference build's
     (``tests/aux_oracle.py``) — pinned row for row by the compute-parity
     suite, on costs constant within each contact and on costs that vary
-    within one (see :func:`~repro.tveg.costsets.node_components`).
+    within one (see :func:`~repro.tveg.costsets.point_runs`).
 
-    Python takes every node's components (so each cost still comes from
-    :meth:`~repro.tveg.graph.TVEG.contact_cost`), joins them into one set
-    of arrays and builds the grid tables; one compiled call
-    (:func:`_fill_rows`) then fills every node's rows.  The components'
+    Python takes every node's components as arrays (each cost from
+    :meth:`~repro.tveg.graph.TVEG.contact_cost`) and builds the grid
+    tables; one compiled call (:func:`_fill_rows`) then fills every
+    node's rows.  The components'
     active (component, point) cells bound both the transmissions and the
     receiver entries, so the per-transmission arrays are allocated once
     at that bound, filled in place and trimmed.  For the build's length
@@ -411,7 +412,6 @@ def build_numpy_aux_graph(
     tau = tveg.tau
 
     labels = list(tveg.nodes)
-    node_index = {n: i for i, n in enumerate(labels)}
     pts_of = {node: d.points(node) for node in labels}
     node_base = np.cumsum([0] + [len(p) for p in pts_of.values()],
                           dtype=np.int64)  # first state id of each node
@@ -444,9 +444,7 @@ def build_numpy_aux_graph(
     hit[hit] = grid[recv_at[hit]] == t_recv[hit]
     recv_at[~hit] = G
 
-    components = [
-        node_components(tveg, node, pts_of[node]) for node in labels
-    ]  # (costs, neighbors, a, b) per node
+    comp_ptr, cost, nbr, a, b = point_runs(tveg, d)
     tx_ptr, recv_ptr, tx_k0, tx_w, tx_cnt, recv, num_edges, dcs_level_total = (
         _fill_rows(
             node_base=node_base,
@@ -454,15 +452,7 @@ def build_numpy_aux_graph(
             recv_at=recv_at,
             # A transmission at a grid point must complete by the deadline.
             can_tx=t_recv <= end,
-            comp_ptr=np.cumsum([0] + [len(n) for _, n, _, _ in components],
-                               dtype=np.int64),
-            cost=np.concatenate([c for c, _, _, _ in components]),
-            nbr=np.array([node_index[v] for _, n, _, _ in components
-                          for v in n], dtype=np.int64),
-            a=np.concatenate([a for _, _, a, _ in components]).astype(
-                np.int64, copy=False),
-            b=np.concatenate([b for _, _, _, b in components]).astype(
-                np.int64, copy=False),
+            comp_ptr=comp_ptr, cost=cost, nbr=nbr, a=a, b=b,
         )
     )
     wait = np.ones(num_states, dtype=np.uint8)

@@ -28,9 +28,11 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
+import numpy as np
+
 from ..errors import IntervalError
 
-__all__ = ["Interval", "IntervalSet"]
+__all__ = ["Interval", "IntervalSet", "least_reaching", "merge_sorted"]
 
 
 @dataclass(frozen=True, order=True)
@@ -136,6 +138,14 @@ class IntervalSet:
     # ------------------------------------------------------------------
     # constructors
     # ------------------------------------------------------------------
+    @classmethod
+    def _of(cls, pairs: Tuple[Tuple[float, float], ...]) -> "IntervalSet":
+        """A set over already normalized ``pairs`` (no check, no merge)."""
+        out = cls.__new__(cls)
+        out._pairs = pairs
+        out._starts = [p[0] for p in pairs]
+        return out
+
     @classmethod
     def empty(cls) -> "IntervalSet":
         return cls(())
@@ -257,10 +267,7 @@ class IntervalSet:
     # set algebra
     # ------------------------------------------------------------------
     def union(self, other: "IntervalSet") -> "IntervalSet":
-        out = IntervalSet.__new__(IntervalSet)
-        out._pairs = _normalize(self._pairs + other._pairs)
-        out._starts = [p[0] for p in out._pairs]
-        return out
+        return IntervalSet._of(_normalize(self._pairs + other._pairs))
 
     def intersection(self, other: "IntervalSet") -> "IntervalSet":
         result: List[Tuple[float, float]] = []
@@ -275,10 +282,7 @@ class IntervalSet:
                 i += 1
             else:
                 j += 1
-        out = IntervalSet.__new__(IntervalSet)
-        out._pairs = tuple(result)
-        out._starts = [p[0] for p in result]
-        return out
+        return IntervalSet._of(tuple(result))
 
     def difference(self, other: "IntervalSet") -> "IntervalSet":
         return self.intersection(other.complement(*self._span_bounds()))
@@ -300,10 +304,7 @@ class IntervalSet:
             cursor = max(cursor, e_c)
         if cursor < hi:
             result.append((cursor, hi))
-        out = IntervalSet.__new__(IntervalSet)
-        out._pairs = tuple(p for p in result if p[0] < p[1])
-        out._starts = [p[0] for p in out._pairs]
-        return out
+        return IntervalSet._of(tuple(p for p in result if p[0] < p[1]))
 
     def _span_bounds(self) -> Tuple[float, float]:
         if not self._pairs:
@@ -347,7 +348,7 @@ class IntervalSet:
         if tau == 0:
             return self
         return IntervalSet(
-            (s, _least_reaching(e, tau)) for s, e in self._pairs if s + tau < e
+            (s, least_reaching(e, tau)) for s, e in self._pairs if s + tau < e
         )
 
     # ------------------------------------------------------------------
@@ -380,7 +381,7 @@ def _float_at(k: int) -> float:
     return struct.unpack("<d", struct.pack("<Q", k if k >= 0 else _SIGN - k))[0]
 
 
-def _least_reaching(e: float, tau: float) -> float:
+def least_reaching(e: float, tau: float) -> float:
     """The least float ``x`` with ``x + tau >= e`` in floating point.
 
     Rounded addition is monotone in ``x``, so the answer is a boundary in
@@ -412,7 +413,36 @@ def merge_all(sets: Sequence[IntervalSet]) -> IntervalSet:
     pairs: List[Tuple[float, float]] = []
     for s in sets:
         pairs.extend(s.pairs)
-    out = IntervalSet.__new__(IntervalSet)
-    out._pairs = _normalize(pairs)
-    out._starts = [p[0] for p in out._pairs]
-    return out
+    return IntervalSet._of(_normalize(pairs))
+
+
+def merge_sorted(
+    group: "np.ndarray", start: "np.ndarray", end: "np.ndarray"
+) -> Tuple["np.ndarray", "np.ndarray"]:
+    """:func:`_normalize`'s merge, for many sets at once.
+
+    The rows ``[start, end)`` must be non-empty and sorted by ``(group,
+    start, end)``, a group's rows contiguous.  Within a group a row whose
+    start is at most the largest end of the rows before it joins their
+    component.  Returns ``(first, reach)``: the row opening each merged
+    component (it gives the component's group and start) and the
+    component's end, the first of its rows' largest ends.
+    """
+    n = len(start)
+    # reach[i]: the largest end of the rows of i's group up to i, the
+    # earlier row's on ties, by doubling: after the pass at offset k it
+    # covers the 2k rows ending at i (a row k back in the same group has
+    # only that group's rows between)
+    reach = end.copy()
+    k = 1
+    while k < n:
+        same = group[k:] == group[:-k]
+        if not same.any():
+            break
+        earlier, later = reach[:-k], reach[k:]
+        reach[k:] = np.where(same & (earlier >= later), earlier, later)
+        k *= 2
+    opens = np.ones(n, dtype=bool)
+    opens[1:] = (group[1:] != group[:-1]) | (start[1:] > reach[:-1])
+    first = np.flatnonzero(opens)
+    return first, reach[np.r_[first[1:] - 1, n - 1]] if n else reach

@@ -20,9 +20,10 @@ point ``t`` when ``t`` lies in one of its merged half-open adjacency
 components (it can transmit), or, for ``τ > 0``, when ``t − τ`` does (a
 neighbor can have transmitted to it).  Every ET-law transmission time
 survives pruning because a transmitting (or receiving) node is by
-definition adjacent to someone at that instant.  One ``searchsorted`` of
-the grid against a node's component boundaries answers each predicate for
-all points at once.
+definition adjacent to someone at that instant.  Every node's components
+are merged at once from the TVG's contact table, and one
+``searchsorted`` of the grid against a node's component boundaries
+answers each predicate for all points at once.
 
 The result is stored in columns (:class:`DiscreteTimeSet`): the grid, the
 per-node membership masks, one ``float64`` array of every node's points,
@@ -31,10 +32,11 @@ node-major, and per-node offsets.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..core.intervals import merge_sorted
 from ..core.partitions import Partition
 from ..temporal.tvg import TVG
 from .status import status_points
@@ -138,33 +140,25 @@ class DiscreteTimeSet:
         )
 
 
-def _components(tvg: TVG) -> Dict[Node, List[Tuple[float, float]]]:
-    """Every node's τ-eroded adjacency components ``[s, e)``, one pass
-    over the edges."""
-    pairs: Dict[Node, List[Tuple[float, float]]] = {n: [] for n in tvg.nodes}
-    for (a, b), pres in tvg.edges_with_presence():
-        adj = pres.erode(tvg.tau).pairs
-        pairs[a].extend(adj)
-        pairs[b].extend(adj)
-    return pairs
-
-
-def _boundaries(pairs: List[Tuple[float, float]]) -> "np.ndarray":
-    """The merged components of non-empty half-open ``pairs``, as their
-    strictly increasing boundaries ``[s₀, e₀, s₁, e₁, …]``: ``t`` lies in
-    the union exactly when an odd number of boundaries are ``<= t``."""
-    if not pairs:
-        return np.empty(0)
-    arr = np.array(pairs, dtype=np.float64)
-    arr = arr[np.argsort(arr[:, 0], kind="stable")]
-    reach = np.maximum.accumulate(arr[:, 1])
-    # A component starts where no earlier pair reaches it; abutting
-    # pairs merge, so the boundaries strictly increase.
-    first = np.flatnonzero(np.r_[True, arr[1:, 0] > reach[:-1]])
-    out = np.empty(2 * len(first))
-    out[0::2] = arr[first, 0]
-    out[1::2] = reach[np.r_[first[1:] - 1, len(arr) - 1]]
-    return out
+def _boundaries(tvg: TVG) -> Tuple["np.ndarray", "np.ndarray"]:
+    """Every node's τ-eroded adjacency components, merged, as strictly
+    increasing boundaries ``[s₀, e₀, s₁, e₁, …]``: node ``i``'s are
+    ``bounds[ptr[i]:ptr[i + 1]]``, and ``t`` lies in its union exactly
+    when an odd number of them are ``<= t``.  Returns ``(bounds, ptr)``.
+    """
+    table = tvg.contact_table()
+    rows = table.adjacent()
+    node = np.concatenate((table.a[rows], table.b[rows]))
+    start = np.tile(table.start[rows], 2)
+    end = np.tile(table.adj_end[rows], 2)
+    order = np.lexsort((end, start, node))
+    node, start, end = node[order], start[order], end[order]
+    first, reach = merge_sorted(node, start, end)
+    bounds = np.empty(2 * len(first))
+    bounds[0::2] = start[first]
+    bounds[1::2] = reach
+    ptr = 2 * np.searchsorted(node[first], np.arange(tvg.num_nodes + 1))
+    return bounds, ptr
 
 
 def build_dts(
@@ -197,11 +191,11 @@ def build_dts(
     anchors = (grid == 0.0) | (grid == end)
     # Receptions test each point minus τ, computed as ``t - tau``.
     queries = [grid] if tvg.tau == 0.0 else [grid, grid - tvg.tau]
-    comps = _components(tvg)
+    bounds, ptr = _boundaries(tvg)
     mask = np.empty((len(nodes), len(grid)), dtype=bool)
-    for row, node in zip(mask, nodes):
-        bounds = _boundaries(comps[node])
+    for i, row in enumerate(mask):
+        own = bounds[ptr[i]:ptr[i + 1]]
         row[:] = anchors
         for x in queries:
-            row |= np.searchsorted(bounds, x, side="right") % 2 == 1
+            row |= np.searchsorted(own, x, side="right") % 2 == 1
     return DiscreteTimeSet(nodes, grid, mask, end, tvg.tau)

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from typing import Hashable, Optional, Set, Tuple
 
+import numpy as np
+
 from ..temporal.tvg import TVG
 
 __all__ = ["status_points"]
@@ -32,19 +34,22 @@ def status_points(
 ) -> Tuple[float, ...]:
     """All time points at which any node's status could change.
 
-    Base points are the adjacency boundaries of every pair (plus 0); with
+    Base points are the adjacency boundaries of every pair (plus 0), read
+    from the TVG's :meth:`~repro.temporal.tvg.TVG.contact_table`; with
     ``τ > 0`` each base point additionally triggers ``t + kτ`` for
     ``k = 1 .. max_depth`` (default ``N − 1``, the maximal circle-free
     journey length).  Points beyond ``deadline`` are dropped.
     """
     end = tvg.horizon if deadline is None else min(tvg.horizon, deadline)
-    base: Set[float] = {0.0}
-    for _, pres in tvg.edges_with_presence():
-        base.update(pres.erode(tvg.tau).boundaries_within(0.0, end))
+    table = tvg.contact_table()
+    rows = table.adjacent()
+    points = np.concatenate(([0.0], table.start[rows], table.adj_end[rows]))
+    # ``+ 0.0`` turns a boundary at -0.0 into the 0.0 every set starts with
+    base = np.unique(points[(points >= 0.0) & (points <= end)] + 0.0).tolist()
 
     tau = tvg.tau
     if tau == 0.0:
-        return tuple(sorted(base))
+        return tuple(base)
 
     depth = (tvg.num_nodes - 1) if max_depth is None else max_depth
     triggered: Set[float] = set(base)

@@ -14,6 +14,11 @@ discretization is introduced at the model layer.
 Edges are undirected (a contact joins both endpoints), matching the contact
 traces of Section VII; the *auxiliary graph* built later for the scheduler is
 directed, but directionality arises there from time, not from the TVG.
+
+Every bulk consumer — the status points and DTS of Section V, the TVEG's
+contact costs and per-node components, the event schedulers' boundaries —
+reads the TVG's contacts as one :class:`ContactTable` of columns, built
+once per :attr:`TVG.version`, instead of walking the presence sets.
 """
 
 from __future__ import annotations
@@ -23,13 +28,15 @@ from typing import (
     Sequence, Tuple,
 )
 
-from ..core.intervals import IntervalSet
+import numpy as np
+
+from ..core.intervals import IntervalSet, least_reaching
 from ..errors import GraphModelError
 
 if TYPE_CHECKING:
     import networkx as nx
 
-__all__ = ["TVG", "edge_key"]
+__all__ = ["TVG", "ContactTable", "edge_key"]
 
 Node = Hashable
 EdgeKey = Tuple[Node, Node]
@@ -48,6 +55,47 @@ def edge_key(u: Node, v: Node) -> EdgeKey:
     except TypeError:
         # Mixed / unorderable node types: fall back to a stable repr order.
         return (u, v) if repr(u) <= repr(v) else (v, u)
+
+
+class ContactTable:
+    """Every contact of a TVG as columns, one row per presence interval.
+
+    Edges come in the order they were added (which is each node's
+    :meth:`TVG.incident` order), each edge's contacts by start.  ``a`` and
+    ``b`` are the endpoints' positions in :attr:`TVG.nodes` (``a < b``);
+    the edge is present on ``[start, end)`` and adjacent (``ρ_τ``) on
+    ``[start, adj_end)``, the interval :meth:`IntervalSet.erode` keeps,
+    which is empty unless ``adj_end > start``.  The arrays are read-only.
+    """
+
+    __slots__ = ("a", "b", "start", "end", "adj_end", "_boundaries")
+
+    def __init__(self, a: "np.ndarray", b: "np.ndarray", start: "np.ndarray",
+                 end: "np.ndarray", tau: float) -> None:
+        self.a = a
+        self.b = b
+        self.start = start
+        self.end = end
+        self.adj_end = end if tau == 0 else np.array(
+            [least_reaching(e, tau) for e in end.tolist()], dtype=np.float64
+        )
+        for arr in (a, b, start, end, self.adj_end):
+            arr.flags.writeable = False
+        self._boundaries: Optional[Tuple[float, ...]] = None
+
+    def adjacent(self) -> "np.ndarray":
+        """The rows whose adjacency interval is not empty."""
+        return np.flatnonzero(self.adj_end > self.start)
+
+    def boundaries(self) -> Tuple[float, ...]:
+        """Every adjacency interval's start and end, sorted, distinct
+        (built on first use)."""
+        if self._boundaries is None:
+            rows = self.adjacent()
+            self._boundaries = tuple(np.unique(np.concatenate(
+                (self.start[rows], self.adj_end[rows])
+            )).tolist())
+        return self._boundaries
 
 
 class TVG:
@@ -80,7 +128,10 @@ class TVG:
             raise GraphModelError("horizon must be positive")
         if tau < 0:
             raise GraphModelError("tau must be non-negative")
-        self._node_set = frozenset(self._nodes)
+        # node → its position in ``nodes`` (and the membership test)
+        self._position: Dict[Node, int] = {
+            n: i for i, n in enumerate(self._nodes)
+        }
         self._horizon = float(horizon)
         self._tau = float(tau)
         self._presence: Dict[EdgeKey, IntervalSet] = {}
@@ -89,8 +140,8 @@ class TVG:
         self._incident: Dict[Node, List[Node]] = {n: [] for n in self._nodes}
         # A version stamp consumers key their derived caches on.
         self._version = 0
-        # (version, sorted adjacency boundaries): adjacency_boundaries()
-        self._adjacency_bounds: Optional[Tuple[int, Tuple[float, ...]]] = None
+        # (version, table): contact_table(), published whole
+        self._table: Optional[Tuple[int, ContactTable]] = None
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -112,11 +163,17 @@ class TVG:
         return self._tau
 
     def has_node(self, node: Node) -> bool:
-        return node in self._node_set
+        return node in self._position
 
     def _check_node(self, node: Node) -> None:
-        if node not in self._node_set:
+        if node not in self._position:
             raise GraphModelError(f"unknown node {node!r}")
+
+    def position(self, node: Node) -> int:
+        """``node``'s position in :attr:`nodes`, the index the
+        :class:`ContactTable` uses; :class:`GraphModelError` if unknown."""
+        self._check_node(node)
+        return self._position[node]
 
     def edges(self) -> Tuple[EdgeKey, ...]:
         """All edges that are present at some time (non-empty presence)."""
@@ -157,6 +214,22 @@ class TVG:
             self._incident[key[1]].append(key[0])
         self._presence[key] = presence.clamp(0.0, self._horizon)
         self._version += 1
+
+    def _load(self, edges: Sequence[Tuple[EdgeKey, IntervalSet]],
+              table: ContactTable) -> None:
+        """Add new edges in bulk, with the contact table they make.
+
+        The bulk :meth:`set_presence` of
+        :meth:`~repro.traces.model.ContactTrace.to_tvg`, for a TVG with no
+        edges yet: ``edges`` are distinct, their presence already clamped
+        to the span, and ``table`` lists exactly their contacts.
+        """
+        for key, presence in edges:
+            self._incident[key[0]].append(key[1])
+            self._incident[key[1]].append(key[0])
+            self._presence[key] = presence
+        self._version += 1
+        self._table = (self._version, table)
 
     # ------------------------------------------------------------------
     # presence queries (ρ and ρ_τ of the paper)
@@ -205,12 +278,43 @@ class TVG:
     def version(self) -> int:
         """Mutation counter; bumps on every contact/presence change.
 
-        Consumers that cache derived structures (the TVEG's per-node
-        contact components with their cost sets, its contact-cost, replay
-        and aux-graph caches) key them on this stamp to stay correct
-        across mutation.
+        Consumers that cache derived structures (the contact table, the
+        TVEG's priced components with their cost sets, its replay and
+        aux-graph caches) key them on this stamp to stay correct across
+        mutation.
         """
         return self._version
+
+    def contact_table(self) -> ContactTable:
+        """Every contact as one :class:`ContactTable`, built once per
+        :attr:`version`.
+
+        A TVG made by :meth:`~repro.traces.model.ContactTrace.to_tvg`
+        comes with its table; any other is tabled from its presence sets
+        on first use, and again after each mutation.  The table is
+        published only when complete.
+        """
+        memo = self._table
+        if memo is None or memo[0] != self._version:
+            memo = self._table = (self._version, self._tabled())
+        return memo[1]
+
+    def _tabled(self) -> ContactTable:
+        """The contact table of the presence sets as they stand."""
+        index = self._position
+        a: List[int] = []
+        b: List[int] = []
+        spans: List[Tuple[float, float]] = []
+        for (u, v), pres in self._presence.items():
+            i, j = sorted((index[u], index[v]))
+            a += [i] * len(pres)
+            b += [j] * len(pres)
+            spans += pres.pairs
+        times = np.array(spans, dtype=np.float64).reshape(-1, 2)
+        return ContactTable(
+            np.array(a, dtype=np.int64), np.array(b, dtype=np.int64),
+            times[:, 0].copy(), times[:, 1].copy(), self._tau,
+        )
 
     # ------------------------------------------------------------------
     # snapshots and events
@@ -241,27 +345,11 @@ class TVG:
         """Every boundary of every edge's adjacency set, sorted, deduplicated.
 
         The union over edges of ``adjacency_set(u, v).boundaries()``: the
-        instants at which some ``ρ_τ`` adjacency begins or ends.  Built once
-        per :attr:`version`, so callers bisect their window out of it
-        instead of eroding every presence set again.
+        instants at which some ``ρ_τ`` adjacency begins or ends.  Kept with
+        the :meth:`contact_table`, so built once per :attr:`version`, and
+        callers bisect their window out of it.
         """
-        memo = self._adjacency_bounds
-        if memo is not None and memo[0] == self._version:
-            return memo[1]
-        points = set()
-        for pres in self._presence.values():
-            points.update(pres.erode(self._tau).boundaries())
-        bounds = tuple(sorted(points))
-        self._adjacency_bounds = (self._version, bounds)
-        return bounds
-
-    def pair_boundaries(self, u: Node, v: Node) -> Tuple[float, ...]:
-        """Adjacency boundaries of the pair ``(u, v)`` inside the span.
-
-        These are the points of the pair partition ``P^ad_{i,j}`` minus the
-        span endpoints (added by the partition constructor).
-        """
-        return self.adjacency_set(u, v).boundaries_within(0.0, self._horizon)
+        return self.contact_table().boundaries()
 
     # ------------------------------------------------------------------
     # iteration helpers
@@ -284,7 +372,7 @@ class TVG:
     def subgraph(self, nodes: Sequence[Node]) -> "TVG":
         """The TVG induced on a subset of nodes (presence restricted)."""
         keep = set(nodes)
-        unknown = keep - self._node_set
+        unknown = keep - self._position.keys()
         if unknown:
             raise GraphModelError(f"unknown nodes {sorted(map(repr, unknown))}")
         out = TVG(nodes, self._horizon, self._tau)

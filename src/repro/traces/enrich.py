@@ -22,77 +22,68 @@ assumption extended to the interval), a documented approximation.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Dict, Hashable, List, Tuple
+from typing import Dict, Hashable, List, Tuple, Union
 
 import numpy as np
 
 from ..core.rng import SeedLike, as_generator
 from ..errors import GraphModelError, TraceFormatError
 from ..temporal.tvg import edge_key
-from .model import Contact, ContactTrace
+from .model import ContactTrace
 
 __all__ = ["DistanceModel", "ContactDistanceProvider"]
 
 Node = Hashable
 
 
-class _Profile:
-    """Distance profile of one contact: piecewise-linear knots over time,
-    or with ``times=None`` the one distance ``values`` throughout, which
-    is what ``np.interp`` between two equal knots returns exactly."""
-
-    __slots__ = ("start", "end", "times", "values")
-
-    def __init__(self, start: float, end: float, times, values):
-        self.start = start
-        self.end = end
-        self.times = times
-        self.values = values
-
-    def at(self, t: float) -> float:
-        if self.times is None:
-            return self.values
-        return float(np.interp(t, self.times, self.values))
+#: one contact's distance profile: the distance itself when constant,
+#: else the ``(times, values)`` knots of a piecewise-linear profile
+Profile = Union[float, Tuple["np.ndarray", "np.ndarray"]]
 
 
 class ContactDistanceProvider:
     """Answers ``distance(u, v, t)`` from per-contact profiles.
 
-    Query times must fall within a recorded contact of the pair; the contact
-    end itself is tolerated so τ-window endpoint queries resolve.
+    Contacts are held as flat columns: ``index`` maps each pair to its
+    rows ``[lo, hi)`` of ``starts`` / ``ends`` (the pair's contacts by
+    start) and ``profiles``.  A profile is a distance, constant over the
+    contact, or the knots ``np.interp`` reads.  Query times must fall
+    within a recorded contact of the pair; the contact end itself is
+    tolerated so τ-window endpoint queries resolve.
 
     ``constant_within_contacts`` advertises whether the distance (hence any
     derived link cost) is invariant across each contact — consumers such as
-    the auxiliary-graph builder use it to cache per-contact costs safely.
+    the auxiliary-graph builder use it to price each contact once.
     """
 
     def __init__(
         self,
-        profiles: Dict[Tuple[Node, Node], List[_Profile]],
+        index: Dict[Tuple[Node, Node], Tuple[int, int]],
+        starts: List[float],
+        ends: List[float],
+        profiles: List[Profile],
         constant_within_contacts: bool = False,
     ):
+        self._index = index
+        self._starts = starts
+        self._ends = ends
         self._profiles = profiles
-        self._starts = {
-            pair: [p.start for p in plist] for pair, plist in profiles.items()
-        }
         self.constant_within_contacts = constant_within_contacts
 
     def distance(self, u: Node, v: Node, t: float) -> float:
         pair = edge_key(u, v)
-        plist = self._profiles.get(pair)
-        if plist:
-            idx = bisect_right(self._starts[pair], t) - 1
-            if idx >= 0:
-                p = plist[idx]
-                if p.start <= t <= p.end:
-                    return p.at(t)
+        rows = self._index.get(pair)
+        if rows is not None:
+            i = bisect_right(self._starts, t, *rows) - 1
+            if i >= rows[0] and self._starts[i] <= t <= self._ends[i]:
+                p = self._profiles[i]
+                return p if isinstance(p, float) else float(np.interp(t, *p))
         raise GraphModelError(
             f"no contact of pair {pair!r} covers time {t!r}; "
             "distance is undefined outside contacts"
         )
 
-    def __call__(self, u: Node, v: Node, t: float) -> float:
-        return self.distance(u, v, t)
+    __call__ = distance
 
 
 class DistanceModel:
@@ -123,21 +114,17 @@ class DistanceModel:
         self.knot_spacing = knot_spacing
 
     # ------------------------------------------------------------------
-    def _constant_profile(self, c: Contact, rng: np.random.Generator) -> _Profile:
-        return _Profile(
-            c.start, c.end, None, float(rng.uniform(self.d_min, self.d_max))
-        )
-
-    def _approach_profile(self, c: Contact, rng: np.random.Generator) -> _Profile:
+    def _approach_profile(self, start: float, end: float,
+                          rng: np.random.Generator) -> Profile:
         d_close = float(rng.uniform(self.d_min, 0.5 * (self.d_min + self.d_max)))
-        mid = c.start + c.duration * float(rng.uniform(0.3, 0.7))
-        times = np.array([c.start, mid, c.end])
-        values = np.array([self.d_max, d_close, self.d_max])
-        return _Profile(c.start, c.end, times, values)
+        mid = start + (end - start) * float(rng.uniform(0.3, 0.7))
+        return (np.array([start, mid, end]),
+                np.array([self.d_max, d_close, self.d_max]))
 
-    def _wander_profile(self, c: Contact, rng: np.random.Generator) -> _Profile:
-        n_knots = max(2, int(c.duration / self.knot_spacing) + 1)
-        times = np.linspace(c.start, c.end, n_knots)
+    def _wander_profile(self, start: float, end: float,
+                        rng: np.random.Generator) -> Profile:
+        n_knots = max(2, int((end - start) / self.knot_spacing) + 1)
+        times = np.linspace(start, end, n_knots)
         mid = 0.5 * (self.d_min + self.d_max)
         span = self.d_max - self.d_min
         vals = [float(rng.uniform(self.d_min, self.d_max))]
@@ -146,26 +133,34 @@ class DistanceModel:
             drift = 0.3 * (mid - vals[-1])
             step = float(rng.normal(drift, self.wander_step * span))
             vals.append(min(self.d_max, max(self.d_min, vals[-1] + step)))
-        return _Profile(c.start, c.end, times, np.array(vals))
+        return (times, np.array(vals))
 
     # ------------------------------------------------------------------
     def attach(self, trace: ContactTrace, seed: SeedLike = None) -> ContactDistanceProvider:
-        """Build a distance provider covering every contact of ``trace``."""
+        """Build a distance provider covering every contact of ``trace``.
+
+        Each profile owns one merged contact of ``trace.pair_presence()``
+        (mirroring TVG presence normalization), drawn pair by pair in its
+        order, each pair's contacts by start.  The constant profile draws
+        every distance in one call, which gives the floats, and leaves the
+        generator in the state, that one draw per contact would; a drawn
+        distance is returned as is, which is what ``np.interp`` between
+        two equal knots returns at every time of the contact.
+        """
         rng = as_generator(seed)
-        make = {
-            "constant": self._constant_profile,
-            "approach": self._approach_profile,
-            "wander": self._wander_profile,
-        }[self.profile]
-        profiles: Dict[Tuple[Node, Node], List[_Profile]] = {}
-        # Merge overlapping contacts per pair first so each profile owns a
-        # maximal interval (mirrors TVG presence normalization).
+        index: Dict[Tuple[Node, Node], Tuple[int, int]] = {}
+        spans: List[Tuple[float, float]] = []
         for pair, pres in trace.pair_presence().items():
-            plist: List[_Profile] = []
-            for iv in pres:
-                merged = Contact(iv.start, iv.end, *pair)
-                plist.append(make(merged, rng))
-            profiles[pair] = plist
+            index[pair] = (len(spans), len(spans) + len(pres))
+            spans += pres.pairs
+        if self.profile == "constant":
+            profiles = rng.uniform(self.d_min, self.d_max,
+                                   size=len(spans)).tolist()
+        else:
+            make = (self._approach_profile if self.profile == "approach"
+                    else self._wander_profile)
+            profiles = [make(s, e, rng) for s, e in spans]
         return ContactDistanceProvider(
-            profiles, constant_within_contacts=(self.profile == "constant")
+            index, [s for s, _ in spans], [e for _, e in spans], profiles,
+            constant_within_contacts=(self.profile == "constant"),
         )

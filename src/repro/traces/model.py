@@ -48,9 +48,9 @@ from typing import (
 
 import numpy as np
 
-from ..core.intervals import IntervalSet
+from ..core.intervals import IntervalSet, merge_sorted
 from ..errors import TraceFormatError
-from ..temporal.tvg import TVG, edge_key
+from ..temporal.tvg import TVG, ContactTable, edge_key
 
 __all__ = ["Contact", "ContactTrace"]
 
@@ -418,15 +418,43 @@ class ContactTrace:
     # ------------------------------------------------------------------
     # bulk queries and transforms
     # ------------------------------------------------------------------
+    def _merged(self):
+        """Every pair's rows merged by :class:`IntervalSet`'s rule, in one
+        pass: the contacts behind :meth:`pair_presence` and :meth:`to_tvg`.
+
+        Returns ``(pairs, ptr, start, end)``.  ``pairs`` holds the ``(P,
+        2)`` node-table positions of every pair (smaller first), in
+        first-occurrence order over the rows; pair ``p``'s merged contacts,
+        by start, are ``start[ptr[p]:ptr[p + 1]]`` and ``end[...]``.  A
+        pair whose rows all have zero length has none.
+        """
+        lo = np.minimum(self._u, self._v)
+        hi = np.maximum(self._u, self._v)
+        keys, first, inverse = np.unique(
+            lo * len(self._nodes) + hi, return_index=True, return_inverse=True
+        )
+        by_first = np.argsort(first)
+        rank = np.empty(len(keys), dtype=np.int64)
+        rank[by_first] = np.arange(len(keys))
+        live = self._start < self._end
+        pair = rank[inverse][live]
+        # canonical rows: a stable sort by pair keeps each pair's by (start, end)
+        order = np.argsort(pair, kind="stable")
+        pair = pair[order]
+        start, end = self._start[live][order], self._end[live][order]
+        opening, reach = merge_sorted(pair, start, end)
+        ptr = np.searchsorted(pair[opening], np.arange(len(keys) + 1))
+        rows = first[by_first]
+        return (np.stack((lo[rows], hi[rows]), axis=1), ptr, start[opening],
+                reach)
+
     def pair_presence(self) -> Dict[Tuple[Node, Node], IntervalSet]:
         """Presence interval set per node pair (merging overlapping
         contacts), pairs in first-occurrence order over the rows — the
         :class:`~repro.traces.enrich.DistanceModel` rng draw order, hence
         every DCS float, depends on it."""
-        out: Dict[Tuple[Node, Node], List[Tuple[float, float]]] = {}
-        for u, v, s, e in self.iter_rows():
-            out.setdefault(edge_key(u, v), []).append((s, e))
-        return {k: IntervalSet(v) for k, v in out.items()}
+        pairs, ptr, start, end = self._merged()
+        return dict(_edges(self._nodes, pairs, ptr, start, end))
 
     def restrict_nodes(self, nodes: Sequence[Node]) -> "ContactTrace":
         """The sub-trace induced on a node subset (paper's varying-N sweeps).
@@ -483,18 +511,36 @@ class ContactTrace:
 
     def to_tvg(self, tau: float = 0.0, horizon: Optional[float] = None) -> TVG:
         """Materialize the trace as a :class:`~repro.temporal.tvg.TVG`:
-        one bulk presence set per edge, edges added in first-occurrence
-        order over the rows (which fixes every node's incident order)."""
-        h = self._horizon if horizon is None else horizon
-        tvg = TVG(self._nodes, h, tau)
-        per_edge: Dict[Tuple[int, int], List[Tuple[float, float]]] = {}
-        for ui, vi, s, e in zip(
-            self._u.tolist(), self._v.tolist(),
-            self._start.tolist(), self._end.tolist(),
-        ):
-            key = (ui, vi) if ui < vi else (vi, ui)
-            per_edge.setdefault(key, []).append((s, e))
-        nodes = self._nodes
-        for (ai, bi), pairs in per_edge.items():
-            tvg.set_presence(nodes[ai], nodes[bi], IntervalSet(pairs))
+        one presence set per pair, pairs added in first-occurrence order
+        over the rows (which fixes every node's incident order), and the
+        TVG's :class:`~repro.temporal.tvg.ContactTable` from the same
+        columns."""
+        tvg = TVG(self._nodes, self._horizon if horizon is None else horizon,
+                  tau)
+        pairs, ptr, start, end = self._merged()
+        # TVG.set_presence's clamp to [0, horizon], as IntervalSet.clamp
+        # takes it: max(start, 0.0), min(end, horizon), kept when non-empty
+        h = tvg.horizon
+        start = np.where(0.0 > start, 0.0, start)
+        end = np.where(h < end, h, end)
+        keep = start < end
+        ptr = np.concatenate(([0], np.cumsum(keep)))[ptr]
+        start, end = start[keep], end[keep]
+        counts = np.diff(ptr)
+        tvg._load(
+            list(_edges(self._nodes, pairs, ptr, start, end)),
+            ContactTable(np.repeat(pairs[:, 0], counts),
+                         np.repeat(pairs[:, 1], counts), start, end, tau),
+        )
         return tvg
+
+
+def _edges(nodes: Sequence[Node], pairs, ptr, start, end
+           ) -> Iterator[Tuple[Tuple[Node, Node], IntervalSet]]:
+    """``(edge key, presence set)`` per pair of :meth:`ContactTrace._merged`
+    columns, in pair order."""
+    spans = list(zip(start.tolist(), end.tolist()))
+    bounds = ptr.tolist()
+    for p, (i, j) in enumerate(pairs.tolist()):
+        yield (edge_key(nodes[i], nodes[j]),
+               IntervalSet._of(tuple(spans[bounds[p]:bounds[p + 1]])))

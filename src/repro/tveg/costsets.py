@@ -8,19 +8,21 @@ Property 6.1(i) — the broadcast nature — says transmitting at ``w^k``
 informs every neighbor whose minimum cost is ≤ ``w^k``.
 
 A node's DCS changes only where one of its own adjacency components starts
-or ends.  Every DCS consumer reads those components, listed once per node
-(:class:`NodeComponents`, cached on the TVEG) in the canonical DCS order
+or ends.  Every DCS consumer reads those components, which the TVEG keeps
+for all nodes as one priced table per TVG version
+(:meth:`~repro.tveg.graph.TVEG.components`) in the canonical DCS order
 that :func:`canonical` defines:
 
 * the auxiliary-graph build
   (:func:`~repro.compute.numpy_backend.build_numpy_aux_graph`) takes from
-  :func:`node_components` the run of DTS points where each component is
-  active;
+  :func:`point_runs` every node's components as arrays, each with the run
+  of DTS points where it is active;
 * :func:`discrete_cost_set` answers one (node, time) query — for the
   event-driven schedulers, the exact oracle and the reduction passes — by
-  bisecting the time into the node's sorted component boundaries.  The
-  active entries of each segment between two boundaries are cached with
-  the components, so no (node, time) pair is ever memoized.
+  bisecting the time into the node's sorted component boundaries
+  (:class:`NodeComponents`, the node's rows as python values, cached on
+  the TVEG).  The active entries of each segment between two boundaries
+  are cached with them, so no (node, time) pair is ever memoized.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Hashable, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -36,11 +38,14 @@ from .. import obs
 from ..errors import ScheduleError
 from .graph import TVEG
 
+if TYPE_CHECKING:
+    from ..dts.dts import DiscreteTimeSet
+
 __all__ = [
     "DiscreteCostSet",
     "discrete_cost_set",
     "NodeComponents",
-    "node_components",
+    "point_runs",
     "canonical",
 ]
 
@@ -131,9 +136,10 @@ def canonical(rows: Iterable[Sequence]) -> List[Sequence]:
 
     Rows whose cost is not finite are dropped; the rest sort by ascending
     cost, ties broken by ``repr(neighbor)`` (the sort is stable).  This is
-    the one definition of the order: the component rows of
-    :func:`node_components` and the per-query costs of contacts whose cost
-    varies are both sorted here.
+    the one definition of the order: the per-query costs of contacts whose
+    cost varies are sorted here, and the priced
+    :meth:`~repro.tveg.graph.TVEG.components` reproduce it with one
+    ``lexsort``.
     """
     out = [r for r in rows if math.isfinite(r[0])]
     out.sort(key=lambda r: (r[0], repr(r[1])))
@@ -143,7 +149,8 @@ def canonical(rows: Iterable[Sequence]) -> List[Sequence]:
 class NodeComponents:
     """One node's adjacency components: every τ-eroded ``[start, end)``
     on which a neighbor is adjacent, one ``(cost, neighbor, start, end)``
-    row each.
+    row each — the node's rows of
+    :meth:`~repro.tveg.graph.TVEG.components` as python values.
 
     When link costs are constant within contacts (``costed``, from
     ``tveg.cost_cacheable``) the rows are in :func:`canonical` order.  At
@@ -181,55 +188,71 @@ def _components(tveg: TVEG, node: Node) -> NodeComponents:
     cache = tveg.compute_cache()
     comps = cache.get(node)
     if comps is None:
-        tvg, costed = tveg.tvg, tveg.cost_cacheable
-        # Erosion preserves component starts, so ``s`` is also the
-        # presence-interval start — the shared cost-cache key.
-        rows = [
-            (tveg.contact_cost(node, v, s, s) if costed else None, v, s, e)
-            for v in tvg.incident(node)
-            for s, e in tvg.adjacency_set(node, v).pairs
-        ]
+        i = tveg.tvg.position(node)
+        every = tveg.components()
+        lo, hi = int(every.ptr[i]), int(every.ptr[i + 1])
+        labels = tveg.nodes
         comps = cache[node] = NodeComponents(
-            canonical(rows) if costed else rows, costed
+            list(zip(
+                every.cost[lo:hi].tolist() if every.costed
+                else [None] * (hi - lo),
+                [labels[j] for j in every.nbr[lo:hi].tolist()],
+                every.start[lo:hi].tolist(),
+                every.end[lo:hi].tolist(),
+            )),
+            every.costed,
         )
     return comps
 
 
-def node_components(
-    tveg: TVEG, node: Node, points: "np.ndarray"
-) -> Tuple["np.ndarray", List[Node], "np.ndarray", "np.ndarray"]:
-    """The node's components as the auxiliary-graph build reads them.
+def point_runs(
+    tveg: TVEG, dts: "DiscreteTimeSet"
+) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray", "np.ndarray",
+           "np.ndarray"]:
+    """Every node's components as runs of its DTS points, as the
+    auxiliary-graph build reads them.
 
-    Returns ``(costs, neighbors, a, b)``, one entry per component in
-    canonical order: the neighbor is adjacent at DTS point ``l`` (of the
-    node's ascending ``points``) at ``costs[j]`` exactly when
-    ``a[j] <= l < b[j]``.
+    Returns ``(ptr, cost, nbr, a, b)``: node ``i``'s components are
+    ``ptr[i]:ptr[i + 1]``, in canonical order, and its neighbor
+    ``nbr[j]`` (a position in ``tveg.nodes``) is adjacent at its
+    ``dts`` point ``l`` at ``cost[j]`` exactly when ``a[j] <= l < b[j]``.
 
-    With ``tveg.cost_cacheable`` these are the node's
-    :class:`NodeComponents` rows, each costed once at its start through
-    :meth:`~repro.tveg.graph.TVEG.contact_cost`.  Otherwise each active
+    With ``tveg.cost_cacheable`` these are the priced
+    :meth:`~repro.tveg.graph.TVEG.components`.  Otherwise each active
     (neighbor, point) cell is a one-point component costed by the same
-    ``contact_cost(node, other, t, start)`` call
-    :func:`discrete_cost_set` makes at that point.
+    ``contact_cost(node, other, t)`` call :func:`discrete_cost_set` makes
+    at that point.
     """
-    comps = _components(tveg, node)
-    if comps.costed:
-        rows = comps.rows
-        return (
-            np.array([r[0] for r in rows], dtype=np.float64),
-            [r[1] for r in rows],
-            np.searchsorted(points, [r[2] for r in rows]),
-            np.searchsorted(points, [r[3] for r in rows]),
+    every = tveg.components()
+    labels = tveg.nodes
+    bounds = every.ptr.tolist()
+    if every.costed:
+        a = np.empty(len(every.start), dtype=np.int64)
+        b = np.empty(len(every.start), dtype=np.int64)
+        for i, node in enumerate(labels):
+            pts, run = dts.points(node), slice(bounds[i], bounds[i + 1])
+            a[run] = np.searchsorted(pts, every.start[run])
+            b[run] = np.searchsorted(pts, every.end[run])
+        return every.ptr, every.cost, every.nbr, a, b
+    ptr, cost, nbr, at = [0], [], [], []
+    for i, node in enumerate(labels):
+        pts = dts.points(node).tolist()
+        run = slice(bounds[i], bounds[i + 1])
+        cells = canonical(
+            (tveg.contact_cost(node, labels[j], pts[l]), labels[j], j, l)
+            for j, s, e in zip(every.nbr[run].tolist(),
+                               every.start[run].tolist(),
+                               every.end[run].tolist())
+            for l in range(bisect_left(pts, s), bisect_left(pts, e))
         )
-    pts = points.tolist()
-    cells = canonical(
-        (tveg.contact_cost(node, v, pts[l], s), v, l)
-        for _, v, s, e in comps.rows
-        for l in range(bisect_left(pts, s), bisect_left(pts, e))
-    )
-    a = np.array([l for _, _, l in cells], dtype=np.int64)
-    return (np.array([c for c, _, _ in cells], dtype=np.float64),
-            [v for _, v, _ in cells], a, a + 1)
+        ptr.append(ptr[-1] + len(cells))
+        for c, _, j, l in cells:
+            cost.append(c)
+            nbr.append(j)
+            at.append(l)
+    a = np.array(at, dtype=np.int64)
+    return (np.array(ptr, dtype=np.int64), np.array(cost, dtype=np.float64),
+            np.array(nbr, dtype=np.int64), a, a + 1)
 
 
 def discrete_cost_set(tveg: TVEG, node: Node, t: float) -> DiscreteCostSet:
@@ -255,6 +278,6 @@ def discrete_cost_set(tveg: TVEG, node: Node, t: float) -> DiscreteCostSet:
         obs.counter("tveg.dcs_levels", len(entries))
     if not comps.costed:
         entries = tuple(canonical(
-            (tveg.contact_cost(node, v, t, s), v) for _, v, s, _ in entries
+            (tveg.contact_cost(node, v, t), v) for _, v, _, _ in entries
         ))
     return DiscreteCostSet(node, t, entries)

@@ -7,25 +7,61 @@ turns a link distance into an ED-function) with a *distance provider* (which
 answers ``d_{i,j,t}`` for any time inside a contact).  Querying an edge that
 is not adjacent at ``t`` yields :class:`~repro.channels.base.AbsentED`
 (Property 3.1(iii)).
+
+A node's discrete cost sets (Prop. 6.1) are its adjacency components
+sorted by cost, so the TVEG keeps every node's components as one
+:class:`Components` table per TVG version, read from the TVG's contact
+table and, when costs are constant within contacts, priced once per
+contact.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import threading
 from collections import OrderedDict
-from typing import Callable, Hashable, Tuple
+from typing import Callable, Hashable, Optional, Tuple
+
+import numpy as np
 
 from ..channels.base import AbsentED, EDFunction
 from ..channels.models import ChannelModel
 from ..params import PhyParams
-from ..temporal.tvg import TVG, edge_key
+from ..temporal.tvg import TVG
 
-__all__ = ["TVEG", "DistanceProvider"]
+__all__ = ["TVEG", "Components", "DistanceProvider"]
 
 Node = Hashable
 #: Anything answering ``distance(u, v, t) -> float`` for in-contact queries.
 DistanceProvider = Callable[[Node, Node, float], float]
+
+
+class Components:
+    """Every node's adjacency components: one row per (node, contact)
+    whose τ-eroded interval is not empty, grouped by node.
+
+    Node ``i``'s rows are ``ptr[i]:ptr[i + 1]``; in each, neighbor
+    ``nbr`` (a position in :attr:`TVEG.nodes`) is adjacent on ``[start,
+    end)``.  When ``costed`` (costs constant within contacts) the link
+    costs ``cost`` there — one float per contact, shared by its two rows —
+    and a node's rows are in :func:`~repro.tveg.costsets.canonical` order:
+    by cost, ties by ``repr`` of the neighbor, then in incident order;
+    rows of non-finite cost are left out.  Otherwise ``cost`` is NaN and
+    the rows are in incident order.  The arrays are read-only.
+    """
+
+    __slots__ = ("ptr", "cost", "nbr", "start", "end", "costed")
+
+    def __init__(self, ptr, cost, nbr, start, end, costed: bool) -> None:
+        self.ptr = ptr
+        self.cost = cost
+        self.nbr = nbr
+        self.start = start
+        self.end = end
+        self.costed = costed
+        for arr in (ptr, cost, nbr, start, end):
+            arr.flags.writeable = False
 
 
 class TVEG:
@@ -52,29 +88,39 @@ class TVEG:
         self._tvg = tvg
         self._channel = channel
         self._distances = distances
-        # Per-contact cost cache: valid only when the provider certifies the
-        # distance constant across each contact (the default trace pipeline);
-        # keyed by (edge, presence-interval start).
+        # Costs constant within each contact (the default trace pipeline)
+        # are priced once per contact, in components().
         self._cost_cacheable = bool(
             getattr(distances, "constant_within_contacts", False)
         )
-        self._cost_cache: dict = {}
-        # Per-node contact components (repro.tveg.costsets), read by the
-        # aux build and every DCS query; valid for one TVG version, and
-        # dropped with the cost cache when it changes.
+        # Every memo below derives from the TVG at version ``_version``;
+        # _current() drops them all once the TVG has moved on.
+        self._version = tvg.version
+        # components(), built under the lock so concurrent plans on a
+        # shared graph share one build
+        self._components: Optional[Components] = None
+        self._lock = threading.Lock()
+        # One node's components as python rows (repro.tveg.costsets), read
+        # by its DCS queries.
         self._compute_cache: dict = {}
-        self._compute_cache_version = tvg.version
         # Auxiliary-graph cache: (deadline, targets) → aux graph.
         # The Section VI-A construction is source-independent, so one build
         # serves every source via NumpyAuxGraph.retarget; bounded LRU.
         self._aux_cache: "OrderedDict" = OrderedDict()
-        self._aux_cache_version = tvg.version
         # Replay memo: one (receiver, failure factor) tuple per distinct
         # schedule row, read by the feasibility checker's causal replay
         # and by the reduce session, whose candidates re-cost the same
         # rows over and over.
         self._replay_cache: dict = {}
-        self._replay_cache_version = tvg.version
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_lock"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # passthrough topology accessors
@@ -144,24 +190,80 @@ class TVEG:
         """
         if not self.adjacent(u, v, t):
             return math.inf
-        self.compute_cache()  # drops the contact costs of an old topology
-        start = self._tvg.presence(u, v).interval_at(t).start
-        return self.contact_cost(u, v, t, start)
+        return self.contact_cost(u, v, t)
+
+    def contact_cost(self, u: Node, v: Node, t: float) -> float:
+        """Backbone cost of a link known to be in contact at ``t``: the
+        channel's ``backbone_weight`` at the link's distance then."""
+        return self._channel.backbone_weight(self._distances(u, v, t))
+
+    def components(self) -> Components:
+        """Every node's adjacency :class:`Components`, built once per TVG
+        version from its :meth:`~repro.temporal.tvg.TVG.contact_table`.
+
+        When :attr:`cost_cacheable`, each contact is priced once, at its
+        start, with :meth:`contact_cost`, and one ``lexsort`` over both
+        directions of every contact, by (node, cost, ``repr`` rank of
+        the neighbor, table row), puts every node's rows in canonical
+        order: the table lists each edge's contacts by start, edges in
+        incident order.  Concurrent callers share one build, and the
+        components are published only when complete.
+        """
+        self._current()
+        comps = self._components
+        if comps is None:
+            with self._lock:
+                comps = self._components
+                if comps is None:
+                    comps = self._components = self._components_now()
+        return comps
+
+    def _components_now(self) -> Components:
+        tvg = self._tvg
+        table = tvg.contact_table()
+        rows = table.adjacent()
+        a, b, start = table.a[rows], table.b[rows], table.start[rows]
+        node = np.concatenate((a, b))
+        nbr = np.concatenate((b, a))
+        row = np.tile(rows, 2)
+        if self._cost_cacheable:
+            nodes, weight = tvg.nodes, self._channel.backbone_weight
+            distance = self._distances
+            cost = np.tile(np.array([  # contact_cost, inlined
+                weight(distance(nodes[i], nodes[j], s))
+                for i, j, s in zip(a.tolist(), b.tolist(), start.tolist())
+            ], dtype=np.float64), 2)
+            reprs = [repr(n) for n in nodes]
+            rank = {r: k for k, r in enumerate(sorted(set(reprs)))}
+            repr_rank = np.array([rank[r] for r in reprs], dtype=np.int64)
+            live = np.flatnonzero(np.isfinite(cost))
+            order = live[np.lexsort((row[live], repr_rank[nbr[live]],
+                                     cost[live], node[live]))]
+        else:
+            cost = np.full(len(node), np.nan)
+            order = np.lexsort((row, node))
+        return Components(
+            np.searchsorted(node[order], np.arange(tvg.num_nodes + 1)),
+            cost[order], nbr[order], np.tile(start, 2)[order],
+            np.tile(table.adj_end[rows], 2)[order], self._cost_cacheable,
+        )
 
     def compute_cache(self) -> dict:
         """Memo of per-node contact components (version-checked).
 
-        Maps each node to its :class:`~repro.tveg.costsets.NodeComponents`,
-        with the DCS segments derived from them.  Accessing it after the
-        underlying TVG mutated clears it, and the per-contact cost cache
-        with it (its contact keys may no longer exist), so stale
-        components and costs are never served.
+        Maps each node to its :class:`~repro.tveg.costsets.NodeComponents`
+        (its rows of :meth:`components` as python values), with the DCS
+        segments derived from them.  Accessing it after the underlying TVG
+        mutated clears it, so stale components are never served.
         """
-        if self._compute_cache_version != self._tvg.version:
-            self._compute_cache.clear()
-            self._cost_cache.clear()
-            self._compute_cache_version = self._tvg.version
+        self._current()
         return self._compute_cache
+
+    def _current(self) -> None:
+        """Drop every memo made from an older version of the TVG."""
+        if self._version != self._tvg.version:
+            self.clear_caches()
+            self._version = self._tvg.version
 
     def replay_cache(self) -> dict:
         """Memo for the feasibility replay's pure lookups (version-checked).
@@ -178,9 +280,7 @@ class TVEG:
         :func:`~repro.schedule.feasibility.check_feasibility` reuses it.
         Dropped automatically when the underlying TVG mutates.
         """
-        if self._replay_cache_version != self._tvg.version:
-            self._replay_cache.clear()
-            self._replay_cache_version = self._tvg.version
+        self._current()
         return self._replay_cache
 
     #: retained auxiliary-graph builds per TVEG (one per (deadline,
@@ -197,57 +297,30 @@ class TVEG:
         change results, only skip rebuilds (the batch-planning and
         service amortization).
         """
-        if self._aux_cache_version != self._tvg.version:
-            self._aux_cache.clear()
-            self._aux_cache_version = self._tvg.version
+        self._current()
         return self._aux_cache
 
     @property
     def cost_cacheable(self) -> bool:
-        """True when link costs are constant within each contact, so
-        per-contact caching (and one cost per contact component in the
+        """True when link costs are constant within each contact, so one
+        cost per contact (and per contact component in the
         auxiliary-graph build) is sound."""
         return self._cost_cacheable
 
     def clear_caches(self) -> None:
         """Drop every layer of memoized state derived from the topology.
 
-        Covers the per-contact cost cache, the per-node contact components
+        Covers the priced :meth:`components`, the per-node python rows
         (with their DCS segments), the replay memo and retained
         auxiliary-graph builds.  Results are unaffected (the caches are
         pure memoization); used by the benchmark suite to time cold
-        builds.  The TVG's own memo of sorted adjacency boundaries
-        (:meth:`~repro.temporal.tvg.TVG.adjacency_boundaries`) stays; it
-        is rebuilt whenever the TVG's version moves.
+        builds.  The TVG's own contact table and sorted adjacency
+        boundaries stay; they are rebuilt whenever its version moves.
         """
-        self._cost_cache.clear()
+        self._components = None
         self._compute_cache.clear()
         self._aux_cache.clear()
         self._replay_cache.clear()
-
-    def contact_cost(self, node: Node, other: Node, t: float,
-                     contact_start: float) -> float:
-        """Backbone cost of a link known to be in contact at ``t``, within
-        the presence interval starting at ``contact_start``.
-
-        Every backbone cost goes through this: the contact components of
-        :mod:`repro.tveg.costsets` (so the aux build and every DCS) and
-        :meth:`min_cost`.  When costs are constant within contacts it is
-        cached per ``(edge, presence-interval start)``, so each contact's
-        cost is one float object.  The cache is dropped by
-        :meth:`compute_cache` when the TVG mutates, and those callers go
-        through that first.
-        """
-        if not self._cost_cacheable:
-            return self._channel.backbone_weight(self.distance(node, other, t))
-        key = (edge_key(node, other), contact_start)
-        cached = self._cost_cache.get(key)
-        if cached is None:
-            cached = self._channel.backbone_weight(
-                self.distance(node, other, t)
-            )
-            self._cost_cache[key] = cached
-        return cached
 
     def fingerprint(self) -> str:
         """Short content hash of the *realized* energy-demand graph.
@@ -256,8 +329,8 @@ class TVEG:
         :meth:`~repro.channels.models.ChannelModel.describe` (model, shape
         parameters, gain model, physical-layer parameters), ``τ``, and the
         link geometry (each contact's distance sampled at its interval
-        start — the value the constant-within-contact cost cache keys
-        on).  Two TVEGs built
+        start — where :meth:`components` prices a contact whose cost is
+        constant).  Two TVEGs built
         from the same trace with the same channel/params/seed hash
         identically; changing any of those changes the hash.  Memoized per
         TVG version, so repeated cache lookups cost one dict read.

@@ -156,10 +156,8 @@ def discrete_cost_sets(
     queries — ``O(points + events)`` instead of ``O(points × incident
     edges)`` repeated interval scans.  Produces exactly the cost sets
     :func:`repro.tveg.costsets.discrete_cost_set` would (same costs, same
-    ordering; the per-contact cost cache is shared); a repeated time is
-    answered from a local memo.
+    ordering); a repeated time is answered from a local memo.
     """
-    tveg.compute_cache()  # drops the contact costs of an old topology
     memo: Dict[float, DiscreteCostSet] = {}
     out: List[DiscreteCostSet] = []
     sweep = None
@@ -183,8 +181,8 @@ def discrete_cost_sets(
             entries = last_entries
         else:
             entries = tuple(canonical(
-                (tveg.contact_cost(node, other, t, start), other)
-                for other, start in active.items()
+                (tveg.contact_cost(node, other, t), other)
+                for other in active
             ))
             last_pos, last_entries = sweep.position, entries
         dcs = DiscreteCostSet(node=node, time=t, entries=entries)

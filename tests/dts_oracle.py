@@ -5,9 +5,9 @@ one membership mask over a shared grid.  This is the construction it
 replaced, kept as the independent side of the DTS parity tests, of
 :func:`tests.conftest.reference_pipeline` and of ``tools/scale_smoke.py``'s
 dict leg: it builds every node's adjacent partition (Eq. 9) and the status
-points, merges them per node, and prunes each node's candidates with a
-forward :class:`~tests.aux_oracle.NodeSweep` over its contact
-boundaries.
+points (eroding every edge, :func:`tests.table_oracle.status_points`),
+merges them per node, and prunes each node's candidates with a forward
+:class:`~tests.aux_oracle.NodeSweep` over its contact boundaries.
 """
 
 from __future__ import annotations
@@ -15,10 +15,11 @@ from __future__ import annotations
 from typing import Dict, Hashable, Optional, Tuple
 
 from repro.core.partitions import Partition
-from repro.dts import DiscreteTimeSet, all_adjacent_partitions, status_points
+from repro.dts import DiscreteTimeSet, all_adjacent_partitions
 from repro.temporal.tvg import TVG
 
 from .aux_oracle import NodeSweep, adjacency_events
+from .table_oracle import status_points
 
 Node = Hashable
 

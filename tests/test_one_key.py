@@ -11,12 +11,14 @@ call.  Pinned here:
 * a plan the service stored on disk is a disk hit for the library call
   in a fresh cache, and replays its schedule and manifest;
 * the TVEGs the plan cache shares live only as long as their plans, and
-  concurrent computes on one instance run on one of them.
+  concurrent computes on one instance run on one of them, which builds
+  its contact table and priced components once.
 """
 
 import gc
 import sys
 import threading
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -25,7 +27,9 @@ from hypothesis import strategies as st
 from repro.api import plan_broadcast, plan_cache_key
 from repro.service import Batcher, LocalBackend, PlanCache, PlanningService
 from repro.service.server import execute_request, parse_plan_request
+from repro.temporal.tvg import TVG
 from repro.traces import HaggleLikeConfig, haggle_like_trace
+from repro.tveg import TVEG
 
 from .conftest import make_random_instance
 
@@ -86,6 +90,13 @@ def _library_kwargs(kwargs):
     return {k: v for k, v in kwargs.items() if k not in _REQUEST_ONLY}
 
 
+def _respelled(window):
+    """The window with every bound in the other spelling: 20 ↔ 20.0."""
+    if isinstance(window, list):
+        return [_respelled(w) for w in window]
+    return float(window) if isinstance(window, int) else int(window)
+
+
 @given(body=plan_bodies)
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -106,6 +117,17 @@ def test_plan_answers_under_the_library_key(backend, body):
     assert doc["plan"]["manifest"]["config_hash"] == library
     assert service.batcher.keys[submitted:] == [library]
     assert library in service.cache
+    if "window" in body:
+        # the other spelling of the window is the same plan: one key, and
+        # the cached plan answers it without a second compute
+        twin = dict(body, window=_respelled(body["window"]))
+        method, kwargs = parse_plan_request("/plan", twin)
+        misses = service.cache.stats()["misses"]
+        status, doc = execute_request(service, method, kwargs)
+        assert status == 200
+        assert backend.routing(method, kwargs) == library
+        assert doc["key"] == library
+        assert service.cache.stats()["misses"] == misses
 
 
 @given(body=many_bodies)
@@ -162,17 +184,38 @@ def test_shared_tvegs_live_as_long_as_their_plans():
         assert svc.metrics()["shared_tvegs"] == 0
 
 
-def test_concurrent_computes_share_one_tveg():
+def test_concurrent_computes_share_one_tveg(monkeypatch):
     # more batcher workers than cores and a short switch interval: a lost
-    # update in the shared-TVEG map would hand some plan a second graph
+    # update in the shared-TVEG map would hand some plan a second graph,
+    # and a race on the graph's contact table or priced components would
+    # build one twice or let a plan read one half-built
+    requests = [
+        dict(source=s, algorithm=a)
+        for s in (0, 2, 4) for a in ("eedcb", "greed", "rand")
+    ]
+    serial = [
+        plan_broadcast(TRACE, window=[0, 250], seed=2, deadline=250.0, **r)
+        for r in requests
+    ]
+    builds = []  # (what, graph, version), appended by the building thread
+
+    def recorded(what, build):
+        def wrapper(self, *args):
+            out = build(self, *args)
+            tvg = self if isinstance(self, TVG) else self.tvg
+            builds.append((what, tvg, tvg.version))
+            time.sleep(0.05)  # a slow build: concurrent plans meet in it
+            return out
+        return wrapper
+
+    monkeypatch.setattr(TVG, "_load", recorded("table", TVG._load))
+    monkeypatch.setattr(TVG, "_tabled", recorded("table", TVG._tabled))
+    monkeypatch.setattr(TVEG, "_components_now",
+                        recorded("components", TVEG._components_now))
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         with PlanningService({"t": TRACE}, workers=4) as svc:
-            requests = [
-                dict(source=s, algorithm=a)
-                for s in (0, 2, 4) for a in ("eedcb", "greed", "rand")
-            ]
             plans = [None] * len(requests)
 
             def run(i):
@@ -180,12 +223,22 @@ def test_concurrent_computes_share_one_tveg():
                     "t", 250.0, window=[0, 250], seed=2, **requests[i]
                 ).plan
 
+            # hold the batcher on one job until every plan is queued, so
+            # the plans run as one batch on a graph no plan has built yet
+            gate = threading.Event()
+            held = svc.batcher.submit("gate", lambda: gate.wait(60))
             threads = [
                 threading.Thread(target=run, args=(i,))
                 for i in range(len(requests))
             ]
             for t in threads:
                 t.start()
+            deadline = time.monotonic() + 60
+            while (svc.batcher.queue_depth < len(requests)
+                   and time.monotonic() < deadline):
+                time.sleep(0.001)
+            gate.set()
+            assert held.result(timeout=60)
             for t in threads:
                 t.join(timeout=60)
             assert not any(t.is_alive() for t in threads)
@@ -193,3 +246,8 @@ def test_concurrent_computes_share_one_tveg():
             assert svc.metrics()["shared_tvegs"] == 1
     finally:
         sys.setswitchinterval(old)
+    shared = plans[0].tveg.tvg
+    for what in ("table", "components"):
+        assert [(w, v) for w, tvg, v in builds
+                if w == what and tvg is shared] == [(what, shared.version)]
+    assert [p.schedule for p in plans] == [p.schedule for p in serial]

@@ -23,7 +23,7 @@ from repro.traces import (
     write_crawdad,
     write_csv,
 )
-from repro.traces.enrich import _Profile
+from repro.traces.enrich import ContactDistanceProvider
 
 
 class TestContactModel:
@@ -240,7 +240,9 @@ class TestDistanceModel:
         end = start + length
         t = min(max(start + frac * (end - start), start), end)
         knots = np.interp(t, np.array([start, end]), np.array([d, d]))
-        assert _Profile(start, end, None, d).at(t).hex() == float(knots).hex()
+        provider = ContactDistanceProvider({(0, 1): (0, 1)}, [start], [end],
+                                           [d], constant_within_contacts=True)
+        assert provider(0, 1, t).hex() == float(knots).hex()
 
     def test_outside_contact_raises(self, det_trace):
         provider = DistanceModel().attach(det_trace, seed=0)
