@@ -33,6 +33,7 @@ import numpy as np
 from ..channels.base import EDFunction
 from ..channels.rayleigh import RayleighED
 from ..errors import InfeasibleError, SolverError
+from ..schedule.feasibility import time_groups
 from ..schedule.schedule import Schedule
 from ..tveg.graph import TVEG
 
@@ -206,12 +207,8 @@ def causal_order(tveg: TVEG, backbone: Schedule, source: Node) -> Dict[int, int]
     informed = {source}
     seq: Dict[int, int] = {}
     counter = 0
-    i = 0
-    while i < len(rows):
-        j = i
-        while j < len(rows) and rows[j].time == rows[i].time:
-            j += 1
-        pending = list(range(i, j))
+    for positions in time_groups(rows):
+        pending = list(positions)
         progress = True
         while pending and progress:
             progress = False
@@ -231,7 +228,6 @@ def causal_order(tveg: TVEG, backbone: Schedule, source: Node) -> Dict[int, int]
                 f"relay {rows[k].relay!r} cannot be informed by its "
                 f"transmission at t={rows[k].time:g} in any causal order"
             )
-        i = j
     return seq
 
 

@@ -17,7 +17,7 @@ writing Python:
 * ``experiment`` — regenerate one of the paper's figures (4–7);
 * ``bench``      — micro-benchmarks with a committed-baseline regression gate;
 * ``report``     — render a recorded run ledger as a self-contained HTML page;
-* ``serve``      — run the HTTP planning service (plan cache + batch queue);
+* ``serve``      — run the HTTP planning service (plan cache + request queue);
 * ``cache``      — inspect or clear a persistent plan-cache directory.
 
 Observability flags shared by the pipeline subcommands: ``--trace-out`` /
@@ -306,11 +306,10 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--seed", type=int, default=0,
                    help="seed for the synthetic trace")
     v.add_argument("--workers", type=int, default=None,
-                   help="batch-executor threads (default: auto)")
+                   help="threads computing distinct plans at once "
+                   "(default: 1)")
     v.add_argument("--max-queue", type=int, default=256,
                    help="admission bound; requests past it get HTTP 429")
-    v.add_argument("--max-batch", type=int, default=32,
-                   help="most requests drained per batch flush")
     v.add_argument("--timeout", type=_timeout_arg, default=30.0,
                    help="per-request seconds before HTTP 504")
     v.add_argument("--cache-capacity", type=int, default=128,
@@ -690,8 +689,8 @@ def _cmd_serve(args) -> int:
         disk_dir=args.cache_dir,
     )
     service_kwargs = dict(
-        workers=args.workers, max_batch=args.max_batch,
-        max_queue=args.max_queue, timeout=args.timeout,
+        workers=args.workers, max_queue=args.max_queue,
+        timeout=args.timeout,
     )
     logger = (logging.getLogger("repro.serve")
               if (args.verbose or args.log_level) else None)

@@ -94,8 +94,8 @@ EV_RUN_SUMMARY = "run_summary"
 EV_PLAN_CACHE_HIT = "plan_cache_hit"
 #: a plan request missed the cache and was computed (key)
 EV_PLAN_CACHE_MISS = "plan_cache_miss"
-#: the batcher executed one group of queued requests (size, unique, deduped,
-#: groups: per-key request-id lists — first id is the leader that computed)
+#: the batcher ran one compute (size: requests it served, deduped, failures,
+#: groups: key -> request ids — first id is the leader that computed)
 EV_BATCH_FLUSHED = "batch_flushed"
 #: admission control turned a request away (reason: queue_full | timeout)
 EV_REQUEST_REJECTED = "request_rejected"

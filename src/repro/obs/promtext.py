@@ -231,7 +231,8 @@ def _emit_service_doc(
     batcher = doc.get("batcher")
     if isinstance(batcher, Mapping):
         w.family("repro_batcher_events_total", "counter", "Batcher queue outcomes.")
-        for key in ("submitted", "deduped", "flushed", "rejected", "batches"):
+        for key in ("submitted", "deduped", "executed", "failures",
+                    "rejected"):
             if key in batcher:
                 w.sample(
                     "repro_batcher_events_total",

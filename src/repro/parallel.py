@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, List, Optional, Sequence, TypeVar
 
 from . import obs
@@ -33,7 +33,6 @@ __all__ = [
     "derive_seeds",
     "mp_context",
     "parallel_map",
-    "thread_map",
     "resolve_workers",
     "chunk_indices",
 ]
@@ -130,26 +129,3 @@ def parallel_map(
             chunksize = max(1, n // (w * 4))
             return list(pool.map(fn, items, chunksize=chunksize))
 
-
-def thread_map(
-    fn: Callable[[T], R],
-    items: Sequence[T],
-    workers: Optional[int] = None,
-) -> List[R]:
-    """``[fn(x) for x in items]`` on a bounded *thread* pool.
-
-    The shared-memory sibling of :func:`parallel_map`, for work that must
-    see the caller's live state — the planning service's batch executor
-    runs jobs here so every job shares one TVEG object (and its component
-    and cost caches), one plan cache, and the process-global obs tracer and ledger,
-    none of which survive a hop across a process boundary.  Results come
-    back in item order; nothing needs to be picklable.
-    """
-    n = len(items)
-    w = min(resolve_workers(workers), n) if n else 1
-    obs.counter("parallel.thread_tasks", n)
-    if w <= 1:
-        return [fn(x) for x in items]
-    with obs.span("parallel.thread_map", tasks=n, workers=w):
-        with ThreadPoolExecutor(max_workers=w) as pool:
-            return list(pool.map(fn, items))

@@ -1,4 +1,4 @@
-"""Planning service: plan cache, batched scheduling queue, HTTP front-end.
+"""Planning service: plan cache, single-flight request queue, HTTP front-end.
 
 The schedulers in this package are deterministic: the same problem
 instance always yields the same plan.  This subpackage turns that into a
@@ -10,7 +10,8 @@ serving layer — compute once, answer many:
   ``manifest["config_hash"]``;
 * :mod:`~repro.service.batcher` — :class:`Batcher`, a bounded
   single-flight request queue: a duplicate of a queued or running
-  request joins its future, and unique requests run on a thread pool;
+  request joins its future, and each of ``workers`` threads takes the
+  next unique request as soon as it is free;
 * :mod:`~repro.service.server` — :class:`PlanningService`, the embeddable
   facade combining both over a set of named traces, plus the request
   parsing and status-code rules every deployment shape shares;

@@ -1,4 +1,4 @@
-"""Batched scheduling queue: single-flight dedupe and amortized plan requests.
+"""Single-flight scheduling queue: one compute per plan key, a worker pool.
 
 Serving traffic one request at a time repeats the work the planner is
 built to do *once*: the auxiliary-graph build and the per-node contact
@@ -7,7 +7,7 @@ requests against the same TVEG share those through the graph's component
 and cost caches — but only if they run in one process against one TVEG object, and
 only the *first* of K identical requests needs to run at all.
 
-:class:`Batcher` provides both amortizations:
+:class:`Batcher` provides both:
 
 * requests enqueue as ``(key, compute)`` pairs and return a
   :class:`concurrent.futures.Future`;
@@ -15,13 +15,12 @@ only the *first* of K identical requests needs to run at all.
   already queued or computing joins that job's future instead of
   queueing, so duplicates share one compute for its whole run and every
   queued job is unique;
-* the flush loop takes the first job plus whatever else is already
-  queued (up to ``max_batch``) without waiting for more, and executes the
-  batch on a bounded thread pool (:func:`repro.parallel.thread_map` —
-  threads, not processes, so every job shares the live TVEG caches, plan
-  cache, and obs state).  K identical requests therefore perform exactly
-  one auxiliary-graph build — the property the service smoke test
-  asserts via the ``auxgraph.numpy_builds`` counter.
+* ``workers`` daemon threads each pop the next queued job and run it, so
+  a job starts as soon as any worker is free (threads, not processes, so
+  every job shares the live TVEG caches, plan cache, and obs state).
+  K identical requests therefore perform exactly one auxiliary-graph
+  build — the property the service smoke test asserts via the
+  ``auxgraph.numpy_builds`` counter.
 
 A job leaves the single-flight table before its future resolves, so a
 duplicate submitted after the result is out computes afresh.
@@ -29,13 +28,15 @@ duplicate submitted after the result is out computes afresh.
 Admission control is the queue bound: ``submit`` on a full queue raises
 :class:`~repro.errors.ServiceOverloaded` immediately (the HTTP layer maps
 it to 429 + ``Retry-After``) instead of letting latency grow without
-bound; a request that joins a job takes no queue slot.  Every flush emits
-an :data:`~repro.obs.EV_BATCH_FLUSHED` event and ``service.*`` counters.
+bound; a request that joins a job takes no queue slot.  Every compute
+emits an :data:`~repro.obs.EV_BATCH_FLUSHED` event and ``service.*``
+counters.
 """
 
 from __future__ import annotations
 
 import collections
+import dataclasses
 import threading
 import time
 from concurrent.futures import Future
@@ -46,7 +47,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional
 from .. import obs
 from ..errors import ServiceOverloaded
 from ..obs.histogram import MetricsRegistry
-from ..parallel import resolve_workers, thread_map
+from ..parallel import resolve_workers
 
 __all__ = ["Batcher", "BatcherStats"]
 
@@ -57,20 +58,12 @@ class BatcherStats:
 
     submitted: int = 0
     rejected: int = 0
-    batches: int = 0
     executed: int = 0
     deduped: int = 0
     failures: int = 0
 
     def as_dict(self) -> Dict[str, Any]:
-        return {
-            "submitted": self.submitted,
-            "rejected": self.rejected,
-            "batches": self.batches,
-            "executed": self.executed,
-            "deduped": self.deduped,
-            "failures": self.failures,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass
@@ -79,7 +72,7 @@ class _Job:
     compute: Callable[[], Any]
     future: "Future[Any]"
     # Trace context travels with the job, not the thread: the leader's
-    # request id re-enters scope on the flush pool so the compute's ledger
+    # request id re-enters scope on the worker so the compute's ledger
     # events stay attributable, and the enqueue timestamp feeds the
     # queue-wait histogram.  ``request_ids`` lists every request the
     # compute serves, leader first (``None`` outside any request scope).
@@ -93,57 +86,56 @@ class Batcher:
     Parameters
     ----------
     workers:
-        Thread-pool width for executing a batch's jobs (normalized by
+        Threads computing distinct jobs at once (normalized by
         :func:`repro.parallel.resolve_workers`; the GIL serializes
         pure-Python scheduling work, so the pool mainly overlaps distinct
         jobs' I/O and native searches — the real wins are dedupe and the
         shared caches).
-    max_batch:
-        Most queued jobs drained per flush.
     max_queue:
         Admission bound on queued (unique) jobs; ``submit`` past it raises
         :class:`~repro.errors.ServiceOverloaded`.  ``0`` means unbounded.
     metrics:
         Optional :class:`~repro.obs.histogram.MetricsRegistry` receiving
-        the ``stage.queue_wait`` / ``stage.batch_wait`` /
-        ``stage.compute`` histograms (a private registry when omitted).
+        the ``stage.queue_wait`` / ``stage.compute`` histograms (a
+        private registry when omitted).
     """
 
     def __init__(
         self,
         workers: Optional[int] = None,
-        max_batch: int = 32,
         max_queue: int = 256,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         if max_queue < 0:
             raise ValueError(f"max_queue must be >= 0, got {max_queue}")
         self._workers = resolve_workers(workers)
-        self._max_batch = int(max_batch)
         self._max_queue = int(max_queue)
         # One lock guards the queue, the single-flight table, the stats
-        # and the closed flag; the flush loop sleeps on its condition.
+        # and the closed flag; idle workers sleep on its condition.
         self._cond = threading.Condition()
         self._queue: Deque[_Job] = collections.deque()
         #: key -> the job queued or computing for it
         self._inflight: Dict[str, _Job] = {}
         self._stats = BatcherStats()
         self._closed = False
-        # Stage-latency sink (queue_wait / batch_wait / compute); the
-        # owning PlanningService passes its registry so all stages land
-        # in one mergeable document.
+        # Stage-latency sink (queue_wait / compute); the owning
+        # PlanningService passes its registry so all stages land in one
+        # mergeable document.
         self._metrics = metrics if metrics is not None else MetricsRegistry()
-        self._thread = threading.Thread(
-            target=self._run, name="repro-batcher", daemon=True
-        )
-        self._thread.start()
+        # Daemon threads, unlike a ThreadPoolExecutor's: a wedged compute
+        # must not hold the interpreter open after close() gave up on it.
+        self._threads = [
+            threading.Thread(target=self._run, name=f"repro-batcher-{i}",
+                             daemon=True)
+            for i in range(self._workers)
+        ]
+        for thread in self._threads:
+            thread.start()
 
     # ------------------------------------------------------------------
     @property
     def queue_depth(self) -> int:
-        """Jobs currently waiting for a flush (approximate by nature)."""
+        """Jobs currently waiting for a worker (approximate by nature)."""
         return len(self._queue)
 
     def stats(self) -> Dict[str, Any]:
@@ -151,7 +143,6 @@ class Batcher:
             doc = self._stats.as_dict()
         doc["queue_depth"] = self.queue_depth
         doc["workers"] = self._workers
-        doc["max_batch"] = self._max_batch
         doc["max_queue"] = self._max_queue
         return doc
 
@@ -190,22 +181,26 @@ class Batcher:
                 obs.EV_REQUEST_REJECTED, key=key, reason="queue_full",
                 queue_depth=depth,
             )
-        raise ServiceOverloaded(f"batch queue full ({depth} pending)")
+        raise ServiceOverloaded(f"request queue full ({depth} pending)")
 
     def close(self, timeout: Optional[float] = 5.0) -> None:
-        """Stop accepting work, drain what's queued, and join the thread.
+        """Stop accepting work, drain what's queued, and join the workers.
 
         Shutdown ordering guarantee: every future handed out by
-        :meth:`submit` **resolves** — jobs the flush loop drains before
+        :meth:`submit` **resolves** — jobs the workers drain before
         exiting complete normally; anything still queued when the join
-        times out (a compute is wedged) fails with
+        times out (every worker is wedged in a compute) fails with
         :class:`~repro.errors.ServiceOverloaded` rather than pending
-        forever.  Safe to call more than once.
+        forever.  ``timeout`` bounds the whole join, not each worker's.
+        Safe to call more than once.
         """
         with self._cond:
             self._closed = True
-            self._cond.notify()
-        self._thread.join(timeout=timeout)
+            self._cond.notify_all()
+        deadline = None if timeout is None else time.monotonic() + timeout
+        for thread in self._threads:
+            thread.join(None if deadline is None
+                        else max(0.0, deadline - time.monotonic()))
         with self._cond:
             pending = list(self._queue)
             self._queue.clear()
@@ -232,67 +227,50 @@ class Batcher:
                     self._cond.wait()
                 if not self._queue:
                     return
-                n = min(len(self._queue), self._max_batch)
-                batch = [self._queue.popleft() for _ in range(n)]
-            self._flush(batch)
-            del batch  # its futures hold plans: don't pin them while idle
+                job = self._queue.popleft()
+            self._execute(job)
+            del job  # its future holds a plan: don't pin it while idle
 
-    def _flush(self, batch: List[_Job]) -> None:
-        flush_started = time.monotonic()
-        metrics = self._metrics
-        for job in batch:
-            metrics.observe("stage.queue_wait", flush_started - job.enqueued_at)
-
-        def run(job: _Job) -> bool:
-            started = time.monotonic()
-            metrics.observe("stage.batch_wait", started - flush_started)
-            # Re-enter the leader's request scope on this pool thread so the
-            # compute's cache/plan events carry the originating request id.
-            # Jobs submitted outside any request scope run without one —
-            # no id is invented for them.
-            leader = job.request_ids[0]
-            ctx = (obs.request_context(leader) if leader is not None
-                   else nullcontext())
-            error: Optional[BaseException] = None
-            with ctx:
-                try:
-                    result = job.compute()
-                except BaseException as exc:  # delivered via the future
-                    error = exc
-            metrics.observe("stage.compute", time.monotonic() - started)
-            # Leave the single-flight table before resolving, so a
-            # duplicate that sees the result can only start a new compute.
-            with self._cond:
-                del self._inflight[job.key]
-            if error is not None:
-                job.future.set_exception(error)
-            else:
-                job.future.set_result(result)
-            return error is not None
-
-        failures = sum(thread_map(run, batch, workers=self._workers))
-
-        served = sum(len(job.request_ids) for job in batch)
-        deduped = served - len(batch)
+    def _execute(self, job: _Job) -> None:
+        started = time.monotonic()
+        self._metrics.observe("stage.queue_wait", started - job.enqueued_at)
+        # Re-enter the leader's request scope on this worker so the
+        # compute's cache/plan events carry the originating request id.
+        # Jobs submitted outside any request scope run without one — no
+        # id is invented for them.
+        leader = job.request_ids[0]
+        ctx = (obs.request_context(leader) if leader is not None
+               else nullcontext())
+        error: Optional[BaseException] = None
+        with ctx:
+            try:
+                result = job.compute()
+            except BaseException as exc:  # delivered via the future
+                error = exc
+        self._metrics.observe("stage.compute", time.monotonic() - started)
+        # Leave the single-flight table before resolving, so a duplicate
+        # that sees the result can only start a new compute; the stats
+        # count the compute before any caller sees its outcome.
         with self._cond:
-            self._stats.batches += 1
-            self._stats.executed += len(batch)
-            self._stats.failures += failures
-        obs.counter("service.batches")
+            del self._inflight[job.key]
+            self._stats.executed += 1
+            self._stats.failures += error is not None
+        served = len(job.request_ids)
         obs.counter("service.batched_requests", served)
-        if deduped:
-            obs.counter("service.deduped_requests", deduped)
+        if served > 1:
+            obs.counter("service.deduped_requests", served - 1)
         led = obs.get_ledger()
         if led.enabled:
-            # Per-job request attribution: each key maps to the ids of
-            # every request its compute served, leader first — the ledger
-            # record that lets a dedupe victim find whose compute served it.
-            groups = {
-                job.key: [rid for rid in job.request_ids if rid is not None]
-                for job in batch
-            }
+            # Request attribution: the ids of every request this compute
+            # served, leader first — the ledger record that lets a dedupe
+            # victim find whose compute served it.
+            rids = [rid for rid in job.request_ids if rid is not None]
             led.emit(
-                obs.EV_BATCH_FLUSHED, size=served, unique=len(batch),
-                deduped=deduped, failures=failures,
-                groups={k: v for k, v in groups.items() if v},
+                obs.EV_BATCH_FLUSHED, size=served, deduped=served - 1,
+                failures=int(error is not None),
+                groups={job.key: rids} if rids else {},
             )
+        if error is not None:
+            job.future.set_exception(error)
+        else:
+            job.future.set_result(result)

@@ -22,7 +22,7 @@ code, and :func:`execute_request` folds one parsed request into
 :class:`~repro.service.asgi.LocalBackend` and the shard workers all call
 them, so every deployment shape judges a request the same way.
 
-Admission control surfaces as status codes: a full batch queue is **429**
+Admission control surfaces as status codes: a full request queue is **429**
 with a ``Retry-After`` header, a request that waited past the per-request
 timeout is **504** (the computation keeps running and lands in the cache,
 so the retry is usually a hit), an infeasible instance is **422**, and
@@ -308,7 +308,7 @@ def _check_timeout(timeout: Any) -> float:
 
 
 class PlanningService:
-    """Cache- and batch-backed broadcast planning over named traces.
+    """Cache- and queue-backed broadcast planning over named traces.
 
     Parameters
     ----------
@@ -321,10 +321,10 @@ class PlanningService:
         Plan cache to consult/populate; defaults to a fresh in-memory
         :class:`PlanCache`.
     batcher:
-        Request batcher; defaults to a fresh :class:`Batcher` built from
-        ``workers`` / ``max_batch`` / ``max_queue``.
+        Request queue; defaults to a fresh :class:`Batcher` built from
+        ``workers`` / ``max_queue``.
     timeout:
-        Default seconds a :meth:`plan` call waits for its batched result
+        Default seconds a :meth:`plan` call waits for its queued result
         before raising :class:`TimeoutError` (HTTP 504).
     """
 
@@ -335,7 +335,6 @@ class PlanningService:
         cache: Optional[PlanCache] = None,
         batcher: Optional[Batcher] = None,
         workers: Optional[int] = None,
-        max_batch: int = 32,
         max_queue: int = 256,
         timeout: float = 30.0,
     ) -> None:
@@ -347,8 +346,7 @@ class PlanningService:
         # processes and rendered by both /metrics representations.
         self.telemetry = MetricsRegistry()
         self._batcher = batcher if batcher is not None else Batcher(
-            workers=workers, max_batch=max_batch, max_queue=max_queue,
-            metrics=self.telemetry,
+            workers=workers, max_queue=max_queue, metrics=self.telemetry,
         )
         self._timeout = timeout
         self._lock = threading.Lock()
@@ -403,9 +401,9 @@ class PlanningService:
         timeout: Optional[float] = None,
         **scheduler_kwargs,
     ) -> PlanResponse:
-        """Plan one broadcast through the cache and the batch queue.
+        """Plan one broadcast through the cache and the request queue.
 
-        The batch queue runs :func:`repro.plan_broadcast` on the hosted
+        The request queue runs :func:`repro.plan_broadcast` on the hosted
         trace, so the response ``key`` — the plan's
         ``manifest["config_hash"]`` — is :func:`repro.api.plan_cache_key`
         of the same arguments.
@@ -466,7 +464,7 @@ class PlanningService:
         batch and single requests share hits both ways.
 
         The batch runs inline through one :func:`repro.plan_broadcast_many`
-        call rather than the batch queue: the point of the batch API is
+        call rather than the request queue: the point of the batch API is
         amortizing graph construction across the member requests, which a
         per-request queue would undo.  Deduplication against concurrent
         single requests still happens at the plan cache.

@@ -2,7 +2,7 @@
 
 One process caps this service twice over: the GIL serializes every
 scheduler's pure-Python work, and a single :class:`~repro.service.batcher.
-Batcher` flush thread is one queue for all traffic.  A
+Batcher` is one queue for all traffic.  A
 :class:`ShardPool` runs N worker processes instead — each owns a full
 :class:`~repro.service.server.PlanningService` (its own hot plan-cache
 memory tier with its shared TVEGs, and batcher) — and routes every
@@ -372,7 +372,7 @@ class ShardPool:
         pass the same ``disk_dir`` to share the persistent tier.
     service_kwargs:
         Forwarded to each shard's :class:`PlanningService` (workers,
-        max_batch, max_queue, timeout).
+        max_queue, timeout).
     max_inflight:
         Per-shard in-flight request bound (HTTP 429 past it).
     request_threads:

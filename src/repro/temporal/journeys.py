@@ -143,68 +143,24 @@ def _earliest_departure(tvg: TVG, u: Node, v: Node, ready: float) -> float:
     return nxt
 
 
-def earliest_arrivals(
-    tvg: TVG, source: Node, start_time: float = 0.0
+#: ``_foremost_search``'s "no destination": node labels are arbitrary
+#: hashables, so ``None`` could be a node.
+_NO_DESTINATION = object()
+
+
+def _foremost_search(
+    tvg: TVG, source: Node, start_time: float, destination: Node,
+    pred: Optional[Dict[Node, Hop]],
 ) -> Dict[Node, float]:
-    """Earliest arrival time at every node for journeys departing ≥ start.
-
-    This is temporal Dijkstra: arrival times only improve monotonically, and
-    relaxing an edge from a settled node uses the earliest feasible departure
-    after that node's arrival.  Unreachable nodes map to ``math.inf``.
-    """
-    if not tvg.has_node(source):
-        raise GraphModelError(f"unknown source {source!r}")
+    """The temporal Dijkstra of :func:`earliest_arrivals`, stopping once
+    ``destination`` settles; a ``pred`` dict receives each improved
+    node's last hop."""
     tau = tvg.tau
     arrival: Dict[Node, float] = {n: math.inf for n in tvg.nodes}
     arrival[source] = start_time
     heap: List[Tuple[float, int, Node]] = [(start_time, 0, source)]
     counter = 1
     settled = set()
-    # Precompute each node's incident edges once; the inner loop is then
-    # O(deg · log) per settle.
-
-    while heap:
-        t, _, u = heapq.heappop(heap)
-        if u in settled:
-            continue
-        settled.add(u)
-        for v in tvg.incident(u):
-            if v in settled:
-                continue
-            dep = _earliest_departure(tvg, u, v, t)
-            if dep == math.inf:
-                continue
-            arr = dep + tau
-            if arr < arrival[v] and arr <= tvg.horizon:
-                arrival[v] = arr
-                heapq.heappush(heap, (arr, counter, v))
-                counter += 1
-    # One bump per search, not per settle — keeps the hot loop clean.
-    obs.counter("temporal.journeys_expanded", len(settled))
-    return arrival
-
-
-def foremost_journey(
-    tvg: TVG, source: Node, destination: Node, start_time: float = 0.0
-) -> Optional[Journey]:
-    """A foremost (earliest-arrival) journey from source to destination.
-
-    Returns ``None`` when the destination is unreachable by the horizon.
-    Runs the same temporal Dijkstra as :func:`earliest_arrivals` but records
-    predecessor hops so the journey can be reconstructed.
-    """
-    if not tvg.has_node(destination):
-        raise GraphModelError(f"unknown destination {destination!r}")
-    if source == destination:
-        raise GraphModelError("source and destination coincide")
-    tau = tvg.tau
-    arrival: Dict[Node, float] = {n: math.inf for n in tvg.nodes}
-    pred: Dict[Node, Hop] = {}
-    arrival[source] = start_time
-    heap: List[Tuple[float, int, Node]] = [(start_time, 0, source)]
-    counter = 1
-    settled = set()
-
     while heap:
         t, _, u = heapq.heappop(heap)
         if u in settled:
@@ -221,11 +177,44 @@ def foremost_journey(
             arr = dep + tau
             if arr < arrival[v] and arr <= tvg.horizon:
                 arrival[v] = arr
-                pred[v] = Hop(u, v, dep)
+                if pred is not None:
+                    pred[v] = Hop(u, v, dep)
                 heapq.heappush(heap, (arr, counter, v))
                 counter += 1
-
+    # One bump per search, not per settle — keeps the hot loop clean.
     obs.counter("temporal.journeys_expanded", len(settled))
+    return arrival
+
+
+def earliest_arrivals(
+    tvg: TVG, source: Node, start_time: float = 0.0
+) -> Dict[Node, float]:
+    """Earliest arrival time at every node for journeys departing ≥ start.
+
+    This is temporal Dijkstra: arrival times only improve monotonically, and
+    relaxing an edge from a settled node uses the earliest feasible departure
+    after that node's arrival.  Unreachable nodes map to ``math.inf``.
+    """
+    if not tvg.has_node(source):
+        raise GraphModelError(f"unknown source {source!r}")
+    return _foremost_search(tvg, source, start_time, _NO_DESTINATION, None)
+
+
+def foremost_journey(
+    tvg: TVG, source: Node, destination: Node, start_time: float = 0.0
+) -> Optional[Journey]:
+    """A foremost (earliest-arrival) journey from source to destination.
+
+    Returns ``None`` when the destination is unreachable by the horizon.
+    Runs the same temporal Dijkstra as :func:`earliest_arrivals` but records
+    predecessor hops so the journey can be reconstructed.
+    """
+    if not tvg.has_node(destination):
+        raise GraphModelError(f"unknown destination {destination!r}")
+    if source == destination:
+        raise GraphModelError("source and destination coincide")
+    pred: Dict[Node, Hop] = {}
+    arrival = _foremost_search(tvg, source, start_time, destination, pred)
     if arrival[destination] == math.inf:
         return None
     hops: List[Hop] = []

@@ -223,10 +223,15 @@ def test_concurrent_computes_share_one_tveg(monkeypatch):
                     "t", 250.0, window=[0, 250], seed=2, **requests[i]
                 ).plan
 
-            # hold the batcher on one job until every plan is queued, so
-            # the plans run as one batch on a graph no plan has built yet
+            # hold each of the four workers on a gate job until every plan
+            # is queued, so the plans start together on a graph no plan
+            # has built yet
             gate = threading.Event()
-            held = svc.batcher.submit("gate", lambda: gate.wait(60))
+            held = [svc.batcher.submit(f"gate-{i}", lambda: gate.wait(60))
+                    for i in range(4)]
+            deadline = time.monotonic() + 60
+            while svc.batcher.queue_depth and time.monotonic() < deadline:
+                time.sleep(0.001)
             threads = [
                 threading.Thread(target=run, args=(i,))
                 for i in range(len(requests))
@@ -238,7 +243,7 @@ def test_concurrent_computes_share_one_tveg(monkeypatch):
                    and time.monotonic() < deadline):
                 time.sleep(0.001)
             gate.set()
-            assert held.result(timeout=60)
+            assert all(h.result(timeout=60) for h in held)
             for t in threads:
                 t.join(timeout=60)
             assert not any(t.is_alive() for t in threads)

@@ -10,6 +10,7 @@ Covers the service acceptance properties directly:
 """
 
 import json
+import sys
 import threading
 import time
 import urllib.error
@@ -251,7 +252,7 @@ class TestBatcher:
 
     def test_queue_full_raises_service_overloaded(self):
         release = threading.Event()
-        b = Batcher(max_queue=1, max_batch=1, workers=1)
+        b = Batcher(max_queue=1, workers=1)
         try:
             blocker = b.submit("aa", lambda: release.wait(10))
             deadline = time.time() + 5.0
@@ -273,12 +274,11 @@ class TestBatcher:
             b.submit("aa", lambda: 1)
 
     def test_close_mid_queue_resolves_every_future(self):
-        # A wedged compute occupies the flush loop (max_batch=1 so it is
-        # its own batch) while more jobs queue behind it; close() must
-        # settle every queued future — completed or ServiceOverloaded —
-        # instead of leaving them pending forever.
+        # A wedged compute occupies the only worker while more jobs queue
+        # behind it; close() must settle every queued future — completed
+        # or ServiceOverloaded — instead of leaving them pending forever.
         release = threading.Event()
-        b = Batcher(workers=1, max_batch=1)
+        b = Batcher(workers=1)
         blocker = b.submit("aa", lambda: release.wait(10) and 1)
         deadline = time.time() + 5.0
         while b.queue_depth > 0 and time.time() < deadline:
@@ -295,7 +295,7 @@ class TestBatcher:
                 assert f.result(0) in (0, 10, 20, 30)
             except ServiceOverloaded:
                 settled += 1
-        assert settled >= 1  # the wedged flush can't have run them all
+        assert settled >= 1  # the wedged worker can't have run them all
         assert b.stats()["rejected"] >= settled
         release.set()
         assert blocker.result(5) == 1  # in-flight work still completes
@@ -313,7 +313,7 @@ class TestBatcher:
             return "done"
 
         future = b.submit(key, compute)
-        assert started.wait(10), "the flush loop never started the compute"
+        assert started.wait(10), "no worker started the compute"
         assert b.queue_depth == 0
         return future, calls
 
@@ -331,7 +331,20 @@ class TestBatcher:
         assert stats["submitted"] == 5
         assert stats["deduped"] == 4
         assert stats["executed"] == 1
-        assert stats["batches"] == 1
+
+    def test_free_worker_starts_a_job_while_another_computes(self):
+        # A distinct job must not wait for a running one while a worker
+        # is idle: the second worker takes it at once.
+        gate = threading.Event()
+        with Batcher(workers=2) as b:
+            held, _ = self._running(b, "aa", gate)
+            try:
+                assert b.submit("bb", lambda: "free").result(5) == "free"
+                assert not held.done()
+            finally:
+                gate.set()
+            assert held.result(5) == "done"
+        assert b.stats()["executed"] == 2
 
     def test_exception_reaches_every_joined_caller(self):
         gate = threading.Event()
@@ -375,7 +388,7 @@ class TestBatcher:
         assert len(flushes) == 1
         fields = flushes[0].fields
         assert fields["groups"] == {"aa": [leader_id, *joined_ids]}
-        assert (fields["size"], fields["unique"], fields["deduped"]) == (4, 1, 3)
+        assert (fields["size"], fields["deduped"]) == (4, 3)
 
     def test_duplicate_after_result_runs_again(self):
         calls = []
@@ -390,6 +403,46 @@ class TestBatcher:
         assert b.stats()["deduped"] == 0
         assert b.stats()["executed"] == 2
 
+    def test_concurrent_submitters_get_one_compute_per_key(self):
+        # More workers than cores and a short switch interval: a lost
+        # update to the single-flight table or the stats would start a
+        # key twice or miscount.  Computes hold on a gate until every
+        # request is in, so each key's duplicates must all join.
+        gate = threading.Event()
+        calls = []
+
+        def compute(key):
+            calls.append(key)
+            gate.wait(10)
+            return key
+
+        futures = []
+
+        def submit_all(b):
+            for i in range(10):
+                key = f"{i % 6:02x}"
+                futures.append((key, b.submit(key, lambda k=key: compute(k))))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with Batcher(workers=4) as b:
+                threads = [threading.Thread(target=submit_all, args=(b,))
+                           for _ in range(6)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=10)
+                assert not any(t.is_alive() for t in threads)
+                gate.set()
+                assert all(f.result(10) == key for key, f in futures)
+        finally:
+            sys.setswitchinterval(old)
+        assert sorted(calls) == [f"{i:02x}" for i in range(6)]
+        stats = b.stats()
+        assert (stats["submitted"], stats["deduped"], stats["executed"],
+                stats["rejected"]) == (60, 54, 6, 0)
+
     def test_lone_requests_start_without_lingering(self):
         metrics = MetricsRegistry()
         with Batcher(workers=1, metrics=metrics) as b:
@@ -400,8 +453,6 @@ class TestBatcher:
         assert waits.quantile(0.5) < 0.0025
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            Batcher(max_batch=0)
         with pytest.raises(ValueError):
             Batcher(max_queue=-1)
 

@@ -30,6 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
+from repro.errors import InfeasibleError
 from repro.obs import (
     DEFAULT_LATENCY_BUCKETS,
     FixedHistogram,
@@ -394,7 +395,7 @@ class TestBatcherPropagation:
         groups = flushes[0].fields["groups"]
         assert groups == {"k1": [rid]}
         # per-stage timings observed into the service registry
-        for stage in ("stage.queue_wait", "stage.batch_wait", "stage.compute"):
+        for stage in ("stage.queue_wait", "stage.compute"):
             assert metrics.histogram(stage).count >= 1, stage
 
     def test_contextless_jobs_stay_untagged(self):
@@ -438,6 +439,20 @@ class TestServiceTelemetry:
             hists = doc["telemetry"]["histograms"]
             assert hists["request.plan"]["count"] == 2
             assert svc.telemetry.histogram("request.plan").count == 2
+
+    def test_exposition_counts_computes_and_failures(self, trace):
+        with PlanningService({"demo": trace}, workers=2) as svc:
+            svc.plan("demo", 600.0, window=2000.0, seed=3)
+            with pytest.raises(InfeasibleError):
+                svc.plan("demo", 1.0, window=2000.0, seed=3)
+            samples, _ = parse_prometheus_text(render_prometheus(svc.metrics()))
+        events = {
+            dict(labels)["event"]: value
+            for (name, labels), value in samples.items()
+            if name == "repro_batcher_events_total"
+        }
+        assert events == {"submitted": 2.0, "deduped": 0.0, "executed": 2.0,
+                          "failures": 1.0, "rejected": 0.0}
 
     def test_http_negotiation_and_request_id_header(self, server):
         # POST mints an id and echoes it; a supplied one is honoured

@@ -12,7 +12,9 @@ way a client fleet would, asserting the service's acceptance properties:
 2. **backpressure**: with a deliberately tiny queue bound, a burst of
    *distinct* (uncacheable) requests yields at least one HTTP 429 carrying
    a ``Retry-After`` header, while every admitted request still completes;
-3. **shutdown**: each server drains and its event-loop thread exits.
+3. **shutdown**: each server drains and its event-loop thread exits;
+4. **free worker**: with one of two workers held on a blocked job, a cold
+   ``POST /plan`` is answered by the other while the first stays held.
 
 Usage::
 
@@ -149,7 +151,7 @@ def main() -> int:
     service = PlanningService(
         {"synthetic": trace},
         cache=PlanCache(capacity=4),
-        workers=1, max_batch=1, max_queue=1,
+        workers=1, max_queue=1,
     )
     server = BackgroundServer(LocalBackend(service), port=0)
     url = "http://%s:%d" % server.address
@@ -170,6 +172,25 @@ def main() -> int:
 
     server.stop()
     check(not server._thread.is_alive(), "second server shut down cleanly")
+
+    # --- property 4: a free worker takes a cold plan at once -------------
+    service = PlanningService({"synthetic": trace}, workers=2)
+    server = BackgroundServer(LocalBackend(service), port=0)
+    url = "http://%s:%d" % server.address
+
+    started, release = threading.Event(), threading.Event()
+    held = service.batcher.submit(
+        "held", lambda: started.set() or release.wait(60)
+    )
+    check(started.wait(30), "one worker is held on a blocked job")
+    st, cold, _ = _post(url, {"deadline": 2000, "window": 9000, "seed": 4})
+    check(st == 200 and not cold["cached"] and not release.is_set(),
+          "the other worker answered a cold /plan while the first was held")
+    release.set()
+    held.result(30)
+
+    server.stop()
+    check(not server._thread.is_alive(), "third server shut down cleanly")
 
     print("service smoke test passed")
     return 0
