@@ -33,7 +33,8 @@ def extract_schedule(aux, tree_edges: Iterable[Edge]) -> Schedule:
     read as node ids.  Transmission ``j`` (id ``num_states + j``) is used
     when the tree enters it and it has a coverage child.  Within a state,
     ids rise with the level, so the highest used id per state is its best
-    level, and its cost is ``tx_w[j]``.
+    level, and its cost is its :meth:`level_costs
+    <repro.compute.numpy_backend.NumpyAuxGraph.level_costs>` entry.
     """
     ids = aux.tree_ids(tree_edges)
     S = aux.num_states
@@ -45,5 +46,5 @@ def extract_schedule(aux, tree_edges: Iterable[Edge]) -> Schedule:
     return Schedule(
         Transmission(node, aux.time_of(node, l), w)
         for (_, node, l), w in zip(aux.aux_nodes.decode(owners[best]),
-                                   aux.tx_w[used[best]].tolist())
+                                   aux.level_costs(used[best]).tolist())
     )

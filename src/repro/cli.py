@@ -71,15 +71,24 @@ def _algorithm_arg(value: str) -> str:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _timeout_arg(value: str) -> float:
-    """argparse type: the service's own per-request timeout check, so a
-    bad ``--timeout`` fails before any backend or shard starts."""
-    from .service.server import _check_timeout
+def _checked(convert, module: str, check: str):
+    """argparse type: ``convert(value)`` once ``check`` in
+    ``repro.<module>``, the check the service itself runs on it, accepts
+    it, so a bad ``serve`` size or timeout exits 2 with a usage message
+    before any trace loads or shard starts.  The module is imported only
+    when the flag is given."""
 
-    try:
-        return _check_timeout(float(value))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+    def parse(value: str):
+        from importlib import import_module
+
+        try:
+            x = convert(value)
+            getattr(import_module(f"repro.{module}"), check)(x)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+        return x
+
+    return parse
 
 
 def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
@@ -305,14 +314,18 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--port", type=int, default=8437)
     v.add_argument("--seed", type=int, default=0,
                    help="seed for the synthetic trace")
-    v.add_argument("--workers", type=int, default=None,
+    v.add_argument("--workers", default=None,
+                   type=_checked(int, "parallel", "resolve_workers"),
                    help="threads computing distinct plans at once "
                    "(default: 1)")
-    v.add_argument("--max-queue", type=int, default=256,
+    v.add_argument("--max-queue", default=256,
+                   type=_checked(int, "service.batcher", "check_max_queue"),
                    help="admission bound; requests past it get HTTP 429")
-    v.add_argument("--timeout", type=_timeout_arg, default=30.0,
+    v.add_argument("--timeout", default=30.0,
+                   type=_checked(float, "service.server", "_check_timeout"),
                    help="per-request seconds before HTTP 504")
-    v.add_argument("--cache-capacity", type=int, default=128,
+    v.add_argument("--cache-capacity", default=128,
+                   type=_checked(int, "service.cache", "check_capacity"),
                    help="in-memory plan-cache entries")
     v.add_argument("--cache-ttl", type=float, default=None,
                    help="plan-cache expiry in seconds (default: none)")
@@ -326,7 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--warm", default=None, metavar="FILE",
                    help="JSON array of /plan request bodies replayed into "
                    "the cache at boot (optional \"op\": \"plan_many\")")
-    v.add_argument("--max-inflight", type=int, default=64,
+    v.add_argument("--max-inflight", default=64,
+                   type=_checked(int, "service.server", "check_max_inflight"),
                    help="per-shard in-flight request bound; past it that "
                    "shard answers 429 (default 64)")
     v.add_argument("--edge-cache", type=int, default=1024,

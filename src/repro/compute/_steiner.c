@@ -10,10 +10,15 @@
  * cost level.  Compiled with -ffp-contract=off, so no comparison sees a
  * fused multiply-add or other re-associated sum.
  *
- * Ids: states 0 .. S-1, then transmission j as S + j.  The caller checks
- * array types, lengths, that S + T fits the heap's int32 ids, and the
- * root and terminal ids; the search trusts the build's other invariants
- * (monotone pointers, receivers below S).
+ * Ids: states 0 .. S-1, then transmission j as S + j.  Transmission j
+ * of state s is level k = tx_k0[s] + j - tx_ptr[s] of the segment list
+ * at act + seg[s] and costs cost[act[seg[s] + k]]; its receivers are the
+ * valid states state[nbr[c] * width + col[s]] of the list's components c
+ * up to the end of level k's equal-cost run.  The caller checks array
+ * types, lengths, that S + T fits the heap's int32 ids, and every index
+ * read here: monotone tx_ptr, each state's list inside act, components,
+ * neighbor rows, columns and receivers in range, and the root and
+ * terminal ids.
  */
 
 #include <math.h>
@@ -102,6 +107,13 @@ static int64_t owner(const int64_t *tx_ptr, int64_t S, int64_t j)
     return lo - 1;
 }
 
+/* act[lv(..., s) + j] is the component of state s's transmission j. */
+static int64_t lv(const int64_t *tx_ptr, const int32_t *tx_k0,
+                  const int64_t *seg, int64_t s)
+{
+    return seg[s] + tx_k0[s] - tx_ptr[s];
+}
+
 /* The first pending transmission in [lo, hi), or hi. */
 static int64_t first_pending(const uint8_t *tflag, int64_t lo, int64_t hi)
 {
@@ -147,10 +159,11 @@ void repro_steiner_free(int64_t *tree)
  */
 int repro_steiner_search(
     int64_t S, int64_t T, const uint8_t *wait, const int64_t *tx_ptr,
-    const int64_t *recv_ptr, const double *tx_w, const int32_t *tx_cnt,
-    const int32_t *recv, int64_t root, const int64_t *terminals,
-    int64_t num_terminals, int64_t **tree, int64_t *tree_len,
-    int64_t *expansions, int64_t *grafts)
+    const int32_t *tx_k0, const int64_t *seg, const int32_t *col,
+    const int32_t *act, const double *cost, const int64_t *nbr,
+    const int32_t *state, int64_t width, int64_t root,
+    const int64_t *terminals, int64_t num_terminals, int64_t **tree,
+    int64_t *tree_len, int64_t *expansions, int64_t *grafts)
 {
     const double INF = INFINITY;
     int rc = STEINER_NO_MEMORY;
@@ -201,13 +214,14 @@ int repro_steiner_search(
                     }
                     int64_t lo = tx_ptr[u], hi = tx_ptr[u + 1];
                     if (lo < hi) {
+                        const int64_t c = lv(tx_ptr, tx_k0, seg, u);
                         double old = dlast[u];
                         dlast[u] = dd;
                         if (dd < old && old < INF) {
                             /* a lower-distance re-expansion */
                             for (int64_t j = lo; j < hi; j++) {
                                 if ((s.tflag[j] & LIVE) == EXPANDED) {
-                                    double w = tx_w[j];
+                                    double w = cost[act[c + j]];
                                     if (dd + w < old + w)
                                         s.tflag[j] &= (uint8_t)~EXPANDED;
                                 }
@@ -215,7 +229,7 @@ int repro_steiner_search(
                         }
                         int64_t j = first_pending(s.tflag, lo, hi);
                         if (j < hi) {
-                            double nd = dd + tx_w[j];
+                            double nd = dd + cost[act[c + j]];
                             if (nd < INF && heap_push(&s.h, nd, S + j, u))
                                 goto done;
                         }
@@ -235,6 +249,7 @@ int repro_steiner_search(
             if (f & EXPANDED)
                 continue; /* an equal-key duplicate */
             int64_t st = e.st;
+            const int64_t c = lv(tx_ptr, tx_k0, seg, st);
             if (f & IN_TREE) {
                 /* in the tree: only its graft entry (0.0, u) is live */
                 if (dd > 0.0)
@@ -242,13 +257,13 @@ int repro_steiner_search(
                 s.tflag[j] |= EXPANDED;
             } else {
                 double d = dlast[st];
-                if (dd > d + tx_w[j])
+                if (dd > d + cost[act[c + j]])
                     continue; /* stale entry */
                 s.tflag[j] |= EXPANDED;
                 int64_t end = tx_ptr[st + 1];
                 int64_t nxt = first_pending(s.tflag, j + 1, end);
                 if (nxt < end) {
-                    double nd = d + tx_w[nxt];
+                    double nd = d + cost[act[c + nxt]];
                     if (nd < INF && heap_push(&s.h, nd, S + nxt, st))
                         goto done;
                 }
@@ -258,10 +273,16 @@ int repro_steiner_search(
                 target = u;
                 break;
             }
-            int64_t lo = recv_ptr[st];
-            for (int64_t k = lo; k < lo + tx_cnt[j]; k++) {
-                int64_t v = recv[k];
-                if (dd < s.dist[v]) {
+            /* The level covers the valid receivers of its segment list
+             * up to the end of its equal-cost run. */
+            const int32_t *rs = state + col[st];
+            int64_t last = j, hi = tx_ptr[st + 1];
+            while (last + 1 < hi
+                   && cost[act[c + last + 1]] == cost[act[c + last]])
+                last++;
+            for (int64_t k = seg[st]; k <= c + last; k++) {
+                int64_t v = rs[nbr[act[k]] * width];
+                if (v >= 0 && dd < s.dist[v]) {
                     s.dist[v] = dd;
                     pred[v] = u;
                     if (heap_push(&s.h, dd, v, v))

@@ -99,13 +99,13 @@ def _load(path: str) -> ctypes.CDLL:
     p64 = ctypes.POINTER(i64)
     ptr = ctypes.c_void_p
     lib.repro_steiner_search.argtypes = [
-        i64, i64, ctypes.c_char_p, ptr, ptr, ptr, ptr, ptr,
+        i64, i64, ctypes.c_char_p, *[ptr] * 8, i64,
         i64, ptr, i64, ctypes.POINTER(p64), p64, p64, p64,
     ]
     lib.repro_steiner_search.restype = ctypes.c_int
     lib.repro_steiner_free.argtypes = [p64]
     lib.repro_steiner_free.restype = None
     lib.repro_aux_fill.argtypes = [i64, i64, *[ptr] * 10, i64,
-                                   *[ptr] * 6, i64, ptr]
+                                   *[ptr] * 5, i64, ptr]
     lib.repro_aux_fill.restype = ctypes.c_int
     return lib

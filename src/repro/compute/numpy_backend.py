@@ -20,18 +20,18 @@ for byte**:
   point.  Either way the costs are
   the floats the reference's timeline sweep computes.  The build
   derives every DCS and every auxiliary node from those arrays in one
-  compiled pass over all nodes (``_auxfill.c``, O(cells) — a cell is
-  one (component, DTS point) pair where the component is active), with
-  no per-neighbor loop and no search per cell: it reads the columnar DTS
-  (:class:`~repro.dts.dts.DiscreteTimeSet`) by grid position, finds each
-  cell's receiver state in one node-major state table, sweeps each
-  node's points with its active components kept in canonical order, and
-  takes coverage counts from a running count of valid receivers.  It returns the graph in *implicit*
-  form (:class:`NumpyAuxGraph`): per-state and per-transmission arrays,
-  about 16 bytes per transmission node, allocated once and filled in
-  place, from which each adjacency row, node tuple and cost set is
-  derived on demand, with the exact node ids, row order and weights of
-  the reference.  Insertion order is part of the contract: the greedy
+  compiled counting sweep over all nodes (``_auxfill.c``, O(cells) — a
+  cell is one (component, DTS point) pair where the component is
+  active), with no per-neighbor loop and no search per cell: it reads
+  the columnar DTS (:class:`~repro.dts.dts.DiscreteTimeSet`) by grid
+  position, sweeps each node's points with its active components kept
+  in canonical order and finds each cell's receiver in one node-major
+  state table.  It returns the graph in *implicit* form
+  (:class:`NumpyAuxGraph`): per-state arrays and each node's active
+  list once per *segment* of points where none starts or ends, no
+  per-transmission array, from which each adjacency row, node tuple and
+  cost set is derived on demand, with the exact node ids, row order and
+  weights of the reference.  Insertion order is part of the contract: the greedy
   Steiner search breaks distance ties by node id and row order.  The
   search expands about a tenth of the nodes, so no per-edge array is
   ever materialized.
@@ -186,32 +186,35 @@ class NumpyAuxGraph:
 
     Same node ids, per-row edge order and weights as the networkx
     reference (``build_aux_graph`` in ``tests/aux_oracle.py``), but no
-    per-edge array.  The construction is local to each (node, DTS point),
-    and Property 6.1(i) makes the coverage of cost level ``k`` a prefix of
-    the point's receivers in DCS order, so every row follows from 12
-    bytes per transmission node, 4 per receiver entry and 21 per state:
+    per-edge and no per-transmission array.  The construction is local
+    to each (node, DTS point), and a point's DCS is its node's active
+    components in canonical order, a list that changes only where one
+    of them starts or ends; so each node's list is stored once per
+    *segment* of points where none does, and every row follows from 25
+    bytes per state, 4 per segment entry and 4 per state-table cell:
 
     * per state ``s`` (``num_states`` of them): ``tx_ptr[s]``, the first
       transmission index of its point.  Transmission nodes are numbered
       point-major and level-minor after the states, so the row is the
       0-weight waiting edge to ``s + 1`` (unless ``s`` is its node's last
       point, ``wait[s] == 0``), then the edges to ids
-      ``num_states + tx_ptr[s] … num_states + tx_ptr[s+1] - 1``,
-      weighted by their cost levels ``tx_w``.  Transmission ``j`` of
-      ``s`` is DCS level ``k = tx_k0[s] + (j - tx_ptr[s])``: levels
-      that cover no receiver have no node, and since coverage grows
-      with the level they are a prefix of ``tx_k0[s]`` levels;
-    * per transmission node ``j`` of state ``s``: the 0-weight coverage
-      edges to the receiver states ``recv[recv_ptr[s] : recv_ptr[s] +
-      tx_cnt[j]]``.  ``recv`` holds each transmitting point's valid
-      receivers, point-major and DCS-order-minor, so every level of a
-      point starts its coverage at the same place.
+      ``num_states + tx_ptr[s] … num_states + tx_ptr[s+1] - 1``.
+      Transmission ``j`` of ``s`` is DCS level ``k = tx_k0[s] + (j -
+      tx_ptr[s])``: levels that cover no receiver have no node, and
+      since coverage grows with the level they are a prefix of
+      ``tx_k0[s]`` levels.  Level ``k`` is component ``act[seg[s] +
+      k]`` and weighs its ``cost``;
+    * per transmission node of state ``s`` at level ``k``: the 0-weight
+      coverage edges to the valid receivers ``state[nbr[c], col[s]]``
+      (-1 where the neighbor's DTS lacks the reception point) of the
+      list's components ``c`` up to the end of level ``k``'s equal-cost
+      run, in list order.
 
     ``num_edges`` and ``dcs_levels`` are counted during the build;
     ``aux_nodes`` decodes on access.  The id lookup :meth:`index_of` is
-    arithmetic.  A level's DCS cost is its ``tx_w`` entry, so schedule
-    extraction and :meth:`tree_cost` read a tree's ids
-    (:meth:`tree_ids`) and never build a cost set.
+    arithmetic.  Schedule extraction and :meth:`tree_cost` read a tree's
+    ids (:meth:`tree_ids`) and their costs through :meth:`level_costs`,
+    and never build a cost set.
     """
 
     aux_nodes: LazyAuxNodes
@@ -224,18 +227,22 @@ class NumpyAuxGraph:
     state_base: Dict[Node, int]
     #: (S+1,) int64 — first transmission index of each state's point
     tx_ptr: "np.ndarray"
-    #: (S+1,) int64 — first ``recv`` entry of each state's point
-    recv_ptr: "np.ndarray"
     #: (S,) int32 — DCS level index of each state's first transmission
     tx_k0: "np.ndarray"
+    #: (S,) int64 — where each state's segment list starts in ``act``
+    seg: "np.ndarray"
+    #: (S,) int32 — each state's reception column of ``state``
+    col: "np.ndarray"
     #: S bytes — 1 where the state has a waiting edge
     wait: bytes
-    #: (T,) float64 — each transmission's cost level (its in-edge weight)
-    tx_w: "np.ndarray"
-    #: (T,) int32 — each transmission's coverage count
-    tx_cnt: "np.ndarray"
-    #: int32 — valid receiver state ids, point-major, DCS-order-minor
-    recv: "np.ndarray"
+    #: int32 — every segment's list: its active components, canonical order
+    act: "np.ndarray"
+    #: (C,) float64 — each component's cost
+    cost: "np.ndarray"
+    #: (C,) int64 — each component's neighbor, a row of ``state``
+    nbr: "np.ndarray"
+    #: (rows, G+1) int32 — state id of a row's node at a grid column, or -1
+    state: "np.ndarray"
     num_edges: int
     dcs_levels: int
 
@@ -280,6 +287,14 @@ class NumpyAuxGraph:
                         return self.num_states + j
         raise KeyError(aux)
 
+    def level_costs(self, j) -> "np.ndarray":
+        """The cost levels (in-edge weights) of the transmissions ``j``
+        (indices ``id - num_states``, all in range), as float64."""
+        j = np.asarray(j, dtype=np.int64)
+        s = np.searchsorted(self.tx_ptr, j, "right") - 1
+        return self.cost[self.act[self.seg[s] + self.tx_k0[s]
+                                  + (j - self.tx_ptr[s])]]
+
     def out_edges(self, i: int) -> List[Tuple[int, float]]:
         """``(target id, weight)`` pairs of node id ``i``, reference order."""
         num_states = self.num_states
@@ -287,13 +302,19 @@ class NumpyAuxGraph:
             lo, hi = int(self.tx_ptr[i]), int(self.tx_ptr[i + 1])
             row = [(i + 1, 0.0)] if self.wait[i] else []
             row.extend(zip(range(num_states + lo, num_states + hi),
-                           self.tx_w[lo:hi].tolist()))
+                           self.level_costs(range(lo, hi)).tolist()))
             return row
         j = i - num_states
         s = int(np.searchsorted(self.tx_ptr, j, "right")) - 1
-        lo = int(self.recv_ptr[s])
-        hi = lo + int(self.tx_cnt[j])
-        return [(v, 0.0) for v in self.recv[lo:hi].tolist()]
+        k0, lo = int(self.tx_k0[s]), int(self.tx_ptr[s])
+        head = int(self.seg[s])
+        lst = self.act[head:head + k0 + int(self.tx_ptr[s + 1]) - lo]
+        w = self.cost[lst].tolist()
+        end = k0 + j - lo + 1  # past the end of the level's equal-cost run
+        while end < len(w) and w[end] == w[end - 1]:
+            end += 1
+        heard = self.state[self.nbr[lst[:end]], self.col[s]]
+        return [(v, 0.0) for v in heard[heard >= 0].tolist()]
 
     def tree_ids(self, edges) -> "np.ndarray":
         """The flat ``[parent, child, …]`` id array of an edge set: a
@@ -304,10 +325,10 @@ class NumpyAuxGraph:
                         dtype=np.int64)
 
     def tree_cost(self, edges) -> float:
-        """Summed edge weights, read from ``tx_w`` by id.
+        """Summed edge weights, read through :meth:`level_costs` by id.
 
         Only state → transmission edges carry weight: the child's cost
-        level, ``tx_w[j]``.  Adding 0.0 for the waiting and coverage
+        level.  Adding 0.0 for the waiting and coverage
         edges is exact, so summing the child transmissions' levels
         reproduces the reference graph's :func:`math.fsum` over every
         edge bit for bit; fsum's exact rounding also makes the result
@@ -315,7 +336,7 @@ class NumpyAuxGraph:
         """
         child = self.tree_ids(edges)[1::2]
         j = child[child >= self.num_states] - self.num_states
-        return float(math.fsum(self.tx_w[j].tolist()))
+        return float(math.fsum(self.level_costs(j).tolist()))
 
     def retarget(
         self, source: Node, targets: Optional[Tuple[Node, ...]] = None
@@ -389,17 +410,15 @@ def build_numpy_aux_graph(
 
     Python takes every node's components as arrays (each cost from
     :meth:`~repro.tveg.graph.TVEG.contact_cost`) and builds the grid
-    tables; one compiled call (:func:`_fill_rows`) then fills every
-    node's rows.  The components'
-    active (component, point) cells bound both the transmissions and the
-    receiver entries, so the per-transmission arrays are allocated once
-    at that bound, filled in place and trimmed.  For the build's length
-    it also holds an int32 state id per (node, DTS grid point), through
-    which every cell finds its receiver: 1.1 MB on the N=50 benchmark
-    windows, 56 MB at N=1000.  Raises
-    :class:`~repro.errors.GraphModelError` when the state ids would not
-    fit ``recv``'s int32, and :class:`~repro.errors.NativeBuildError`
-    when the fill cannot be compiled.
+    tables; one compiled call (:func:`_fill_rows`) then sweeps every
+    node's points, writing each state's row pointers and each segment's
+    list.  The graph keeps an int32 state id per (node, DTS grid point),
+    through which every level finds its receivers: 1.1 MB on the N=50
+    benchmark windows, 56 MB at N=1000.  Raises
+    :class:`~repro.errors.GraphModelError` when the state ids or
+    components would not fit the int32 tables, and
+    :class:`~repro.errors.NativeBuildError` when the fill cannot be
+    compiled.
     """
     if not tveg.tvg.has_node(source):
         raise GraphModelError(f"unknown source {source!r}")
@@ -422,13 +441,13 @@ def build_numpy_aux_graph(
             f"{num_states} auxiliary states exceed the int32 state ids"
         )
 
-    # Receivers are found by grid position.  ``state[i * (G + 1) + g]`` is
-    # the state id of ``labels[i]`` at grid point ``g``, -1 where its DTS
-    # lacks the point; column ``G`` is -1 throughout, for receptions at no
-    # grid point.  ``recv_at[g]`` is the grid position of the reception
-    # time ``t + tau`` of a transmission at grid point ``g``, by exact float
-    # equality (as the reference build's ``_point_index``), else ``G``.  A
-    # cell's receiver state is then one read: no search per cell.
+    # Receivers are found by grid position.  ``state[i, g]`` is the state
+    # id of ``labels[i]`` at grid point ``g``, -1 where its DTS lacks the
+    # point; column ``G`` is -1 throughout, for receptions at no grid
+    # point.  ``recv_at[g]`` is the grid position of the reception time
+    # ``t + tau`` of a transmission at grid point ``g``, by exact float
+    # equality (as the reference build's ``_point_index``), else ``G``.
+    # A level's receiver states are then one read each: no search.
     grid = d.grid
     G, N = len(grid), len(labels)
     state = np.full((N, G + 1), -1, dtype=np.int32)
@@ -437,7 +456,6 @@ def build_numpy_aux_graph(
         state[i, :G][d.grid_mask(node)] = np.arange(
             base, base + len(pts_of[node]), dtype=np.int32
         )
-    state = state.ravel()
     t_recv = grid + tau
     recv_at = np.searchsorted(grid, t_recv)
     hit = recv_at < G
@@ -445,15 +463,13 @@ def build_numpy_aux_graph(
     recv_at[~hit] = G
 
     comp_ptr, cost, nbr, a, b = point_runs(tveg, d)
-    tx_ptr, recv_ptr, tx_k0, tx_w, tx_cnt, recv, num_edges, dcs_level_total = (
-        _fill_rows(
-            node_base=node_base,
-            state=state,
-            recv_at=recv_at,
-            # A transmission at a grid point must complete by the deadline.
-            can_tx=t_recv <= end,
-            comp_ptr=comp_ptr, cost=cost, nbr=nbr, a=a, b=b,
-        )
+    tx_ptr, tx_k0, seg, col, act, num_edges, dcs_level_total = _fill_rows(
+        node_base=node_base,
+        state=state,
+        recv_at=recv_at,
+        # A transmission at a grid point must complete by the deadline.
+        can_tx=t_recv <= end,
+        comp_ptr=comp_ptr, cost=cost, nbr=nbr, a=a, b=b,
     )
     wait = np.ones(num_states, dtype=np.uint8)
     last = node_base[1:] - 1
@@ -483,12 +499,14 @@ def build_numpy_aux_graph(
         ),
         state_base=state_base,
         tx_ptr=tx_ptr,
-        recv_ptr=recv_ptr,
         tx_k0=tx_k0,
+        seg=seg,
+        col=col,
         wait=wait.tobytes(),
-        tx_w=tx_w,
-        tx_cnt=tx_cnt,
-        recv=recv,
+        act=act,
+        cost=cost,
+        nbr=nbr,
+        state=state,
         num_edges=num_edges,
         dcs_levels=dcs_level_total,
     )
@@ -496,79 +514,86 @@ def build_numpy_aux_graph(
 
 def _fill_rows(*, node_base, state, recv_at, can_tx, comp_ptr, cost, nbr,
                a, b):
-    """Fill every node's rows in one compiled call (``_auxfill.c``).
+    """Sweep every node's points in one compiled call (``_auxfill.c``).
 
     Node ``i`` has states ``node_base[i] : node_base[i + 1]``, one per
     grid point where its row of ``state`` holds one, and the canonical
     components ``comp_ptr[i] : comp_ptr[i + 1]`` of ``cost``, ``nbr``
     (neighbor index) and the point runs ``[a, b)``.  ``state``,
     ``recv_at`` and ``can_tx`` are the build's grid tables.  Every array
-    the call writes, its int32 scratch included, is allocated here, so
-    :mod:`tracemalloc` sees the whole build.
+    the call writes, its int32 scratch and exactly sized segment lists
+    included, is allocated here, so :mod:`tracemalloc` sees the build.
 
-    Returns ``(tx_ptr, recv_ptr, tx_k0, tx_w, tx_cnt, recv, num_edges,
-    dcs_levels)``, the per-transmission arrays trimmed.  Raises
-    :class:`GraphModelError` before the call when an array has the wrong
-    type, layout or length, or a run or index is out of range.
+    Returns ``(tx_ptr, tx_k0, seg, col, act, num_edges, dcs_levels)``.
+    Raises :class:`GraphModelError` before the call when an array has
+    the wrong type, layout or length, or a run or index is out of range.
     """
     for name, arr, dtype in (
-        ("node_base", node_base, np.int64),
-        ("state", state, np.int32), ("recv_at", recv_at, np.int64),
+        ("node_base", node_base, np.int64), ("recv_at", recv_at, np.int64),
         ("can_tx", can_tx, np.bool_), ("comp_ptr", comp_ptr, np.int64),
         ("cost", cost, np.float64), ("nbr", nbr, np.int64),
         ("a", a, np.int64), ("b", b, np.int64),
     ):
-        _need_vector("the aux fill", name, arr, dtype)
+        _need_array("the aux fill", name, arr, dtype)
+    _need_array("the aux fill", "state", state, np.int32, ndim=2)
     N, G = len(node_base) - 1, len(recv_at)
     points, sizes = np.diff(node_base), np.diff(comp_ptr)
     if not (N >= 0 and len(comp_ptr) == N + 1
             and node_base[0] == comp_ptr[0] == 0
             and (points >= 0).all() and (sizes >= 0).all()
             and len(cost) == len(nbr) == len(a) == len(b) == comp_ptr[-1]
-            and len(can_tx) == G and len(state) == N * (G + 1)):
+            and len(can_tx) == G and state.shape == (N, G + 1)):
         raise GraphModelError(
             f"inconsistent aux-fill arrays for {N} nodes and {G} grid points"
         )
     limit = np.repeat(points, sizes)  # per component, its node's points
     if not ((a >= 0) & (a <= limit) & (b >= 0) & (b <= limit)).all():
         raise GraphModelError("component runs outside their node's points")
-    if not (((nbr >= 0) & (nbr < N)).all()
-            and ((recv_at >= 0) & (recv_at <= G)).all()):
+    if not (_within(nbr, N) and _within(recv_at, G + 1)):
         raise GraphModelError("aux-fill index out of range")
-    # Cells bound the transmissions and receiver entries; per node the
-    # scratch holds one int32 per point and three per component.
-    bound = int(np.maximum(b - a, 0).sum())
+    # Per node the scratch holds one int32 per point and three per
+    # component; ``act`` holds component indices as int32.
     scratch_len = int((points + 1 + 3 * sizes).max(initial=1))
-    if scratch_len >= 2**31:
-        raise GraphModelError("a node's components exceed the int32 scratch")
+    if max(scratch_len, len(cost)) >= 2**31:
+        raise GraphModelError("a node's components exceed the int32 tables")
+    act_len = _segment_entries(node_base, comp_ptr, a, b)
     lib = native.library()
     S = int(node_base[-1])
     tx_ptr = np.empty(S + 1, dtype=np.int64)
-    recv_ptr = np.empty(S + 1, dtype=np.int64)
     tx_k0 = np.empty(S, dtype=np.int32)
-    tx_w = np.empty(bound, dtype=np.float64)
-    tx_cnt = np.empty(bound, dtype=np.int32)
-    recv = np.empty(bound, dtype=np.int32)
+    seg = np.empty(S, dtype=np.int64)
+    col = np.empty(S, dtype=np.int32)
+    act = np.empty(act_len, dtype=np.int32)
     scratch = np.empty(scratch_len, dtype=np.int32)
-    out = np.zeros(4, dtype=np.int64)
+    out = np.zeros(3, dtype=np.int64)
     rc = lib.repro_aux_fill(
         N, G, *(x.ctypes.data for x in (
             node_base, state, recv_at, can_tx, comp_ptr, cost, nbr, a, b,
             scratch,
         )),
         scratch_len,
-        *(x.ctypes.data for x in (tx_ptr, recv_ptr, tx_k0, tx_w, tx_cnt,
-                                  recv)),
-        bound, out.ctypes.data,
+        *(x.ctypes.data for x in (tx_ptr, tx_k0, seg, col, act)),
+        act_len, out.ctypes.data,
     )
     if rc:
         raise GraphModelError("a state-table row has fewer points than states")
-    num_tx, num_recv, num_edges, dcs_levels = out.tolist()
-    # Shrinking reallocates in place: no second copy of the arrays.
-    tx_w.resize(num_tx, refcheck=False)
-    tx_cnt.resize(num_tx, refcheck=False)
-    recv.resize(num_recv, refcheck=False)
-    return tx_ptr, recv_ptr, tx_k0, tx_w, tx_cnt, recv, num_edges, dcs_levels
+    num_tx, num_edges, dcs_levels = out.tolist()
+    return tx_ptr, tx_k0, seg, col, act, num_edges, dcs_levels
+
+
+def _segment_entries(node_base, comp_ptr, a, b) -> int:
+    """The length of every node's segment lists together: over the
+    components, the points in their runs ``[a, b)`` where a component of
+    their node starts or ends, counted in one prefix sum over every
+    node's points (node ``i``'s point ``l`` at ``node_base[i] + l``)."""
+    live = a < b
+    base = np.repeat(node_base[:-1], np.diff(comp_ptr))[live]
+    lo, hi = base + a[live], base + b[live]
+    marks = np.zeros(int(node_base[-1]) + 2, dtype=np.int32)
+    marks[lo + 1] = 1
+    marks[hi + 1] = 1
+    np.cumsum(marks, out=marks)  # marks[x]: change points before x
+    return int(np.subtract(marks[hi], marks[lo], dtype=np.int64).sum())
 
 
 def greedy_incremental_dst_numpy(
@@ -584,7 +609,9 @@ def greedy_incremental_dst_numpy(
     same ``expansions`` / ``grafts`` counters, same tree — but it keeps
     distances for the state nodes only and queues at most one pending
     cost level per state instead of every transmission node.  Rows are
-    read straight from the build's arrays, in place.
+    read straight from the build's arrays, in place: a level's cost and
+    its receivers from its state's segment list
+    (:class:`NumpyAuxGraph`).
 
     **Why only states need distances.**  A transmission node ``j`` of
     state ``s`` has exactly one in-edge, ``s → j``, weighted by its cost
@@ -670,7 +697,9 @@ def greedy_incremental_dst_numpy(
     transmission one flag byte, whose "uncovered terminal" bit no
     pending test reads.  Raises :class:`~repro.errors.GraphModelError`
     before the call when an array has the wrong type, layout or length,
-    or an id is out of range, and
+    or any index the search follows (row pointers, segment lists,
+    components, neighbor rows, columns, receivers, node ids) is out of
+    range, and
     :class:`~repro.errors.NativeBuildError` when the search cannot be
     compiled.
     """
@@ -693,44 +722,60 @@ def greedy_incremental_dst_numpy(
     return LazyTreeEdges(tree_ids, graph.aux_nodes)
 
 
-#: (attribute, dtype) of every array the compiled search reads
+#: (attribute, dtype, ndim) of every array the compiled search reads,
+#: in the order it takes them
 _SEARCH_ARRAYS = (
-    ("tx_ptr", np.int64), ("recv_ptr", np.int64), ("tx_w", np.float64),
-    ("tx_cnt", np.int32), ("recv", np.int32),
+    ("tx_ptr", np.int64, 1), ("tx_k0", np.int32, 1), ("seg", np.int64, 1),
+    ("col", np.int32, 1), ("act", np.int32, 1), ("cost", np.float64, 1),
+    ("nbr", np.int64, 1), ("state", np.int32, 2),
 )
 
 
-def _need_vector(what: str, name: str, arr, dtype) -> None:
+def _need_array(what: str, name: str, arr, dtype, ndim: int = 1) -> None:
     """Raise :class:`GraphModelError` unless C code can read ``arr`` as a
-    C-contiguous vector of ``dtype``."""
+    C-contiguous ``ndim``-dimensional array of ``dtype``."""
     if not (isinstance(arr, np.ndarray) and arr.dtype == dtype
-            and arr.ndim == 1 and arr.flags.c_contiguous):
+            and arr.ndim == ndim and arr.flags.c_contiguous):
         raise GraphModelError(
-            f"{what} needs {name} as a C-contiguous {np.dtype(dtype)} "
-            f"vector, got {getattr(arr, 'dtype', arr)!r}"
+            f"{what} needs {name} as a C-contiguous {ndim}-d "
+            f"{np.dtype(dtype)} array, got {getattr(arr, 'dtype', arr)!r}"
         )
+
+
+def _within(arr, n: int) -> bool:
+    return arr.size == 0 or (int(arr.min()) >= 0 and int(arr.max()) < n)
 
 
 def _check_search_arrays(graph: NumpyAuxGraph, ids: List[int]) -> None:
     """Raise :class:`GraphModelError` unless the compiled search can read
-    ``graph``'s arrays and the node ids ``ids`` as they are."""
+    ``graph``'s arrays and the node ids ``ids`` as they are: it trusts
+    no index that is not checked here."""
     if not isinstance(graph.wait, bytes):
         raise GraphModelError("the search needs wait as bytes")
     S = len(graph.wait)
-    for name, dtype in _SEARCH_ARRAYS:
-        _need_vector("the search", name, getattr(graph, name), dtype)
-    T = len(graph.tx_w)
+    for name, dtype, ndim in _SEARCH_ARRAYS:
+        _need_array("the search", name, getattr(graph, name), dtype, ndim)
+    tx_ptr, act, (rows, width) = graph.tx_ptr, graph.act, graph.state.shape
     # The last state has no waiting edge: the search reads dist[u + 1].
-    if not (len(graph.tx_ptr) == len(graph.recv_ptr) == S + 1
-            and len(graph.tx_cnt) == T and graph.tx_ptr[-1] == T
-            and graph.recv_ptr[-1] <= len(graph.recv)
+    if not (len(tx_ptr) == S + 1 and tx_ptr[0] == 0
+            and len(graph.tx_k0) == len(graph.seg) == len(graph.col) == S
+            and len(graph.cost) == len(graph.nbr)
             and graph.wait[-1:] in (b"", b"\0")):
-        raise GraphModelError(
-            f"inconsistent aux-graph arrays for {S} states and {T} "
-            "transmissions"
-        )
+        raise GraphModelError(f"inconsistent aux-graph arrays for {S} states")
+    T = int(tx_ptr[-1])
     if S + T >= 2**31:
         raise GraphModelError(f"{S + T} aux nodes exceed the heap's int32 ids")
+    ends = np.diff(tx_ptr)  # then where each state's list ends in act
+    ok = (_within(ends, T + 1) and _within(graph.tx_k0, 2**31)
+          and _within(graph.seg, len(act) + 1))
+    if ok:
+        ends += graph.tx_k0
+        ends += graph.seg
+    if not (ok and _within(ends, len(act) + 1)
+            and _within(act, len(graph.cost)) and _within(graph.nbr, rows)
+            and _within(graph.col, width)
+            and int(graph.state.max(initial=-1)) < S):
+        raise GraphModelError("aux-graph index out of range")
     bad = [i for i in ids if not 0 <= i < S + T]
     if bad:
         raise GraphModelError(f"node ids {bad!r} out of range")
@@ -748,10 +793,9 @@ def _greedy_search(
     tree = ctypes.POINTER(ctypes.c_int64)()
     n, expansions, grafts = (ctypes.c_int64() for _ in range(3))
     rc = lib.repro_steiner_search(
-        len(graph.wait), len(graph.tx_w), graph.wait,
-        graph.tx_ptr.ctypes.data, graph.recv_ptr.ctypes.data,
-        graph.tx_w.ctypes.data, graph.tx_cnt.ctypes.data,
-        graph.recv.ctypes.data, root_i, terminals.ctypes.data,
+        len(graph.wait), int(graph.tx_ptr[-1]), graph.wait,
+        *(getattr(graph, name).ctypes.data for name, *_ in _SEARCH_ARRAYS),
+        graph.state.shape[1], root_i, terminals.ctypes.data,
         len(terminals), ctypes.byref(tree), ctypes.byref(n),
         ctypes.byref(expansions), ctypes.byref(grafts),
     )

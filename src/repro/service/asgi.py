@@ -64,6 +64,7 @@ from .router import routing_key
 from .server import (
     PlanningService,
     _check_timeout,
+    check_max_inflight,
     exception_status,
     execute_request,
     parse_plan_request,
@@ -116,8 +117,7 @@ class LocalBackend:
         max_inflight: int = 64,
         request_threads: int = 16,
     ) -> None:
-        if max_inflight < 1:
-            raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
+        check_max_inflight(max_inflight)
         self.service = service
         self._max_inflight = int(max_inflight)
         self._inflight = 0

@@ -52,6 +52,12 @@ from ..parallel import resolve_workers
 __all__ = ["Batcher", "BatcherStats"]
 
 
+def check_max_queue(max_queue: int) -> None:
+    """Raise :class:`ValueError` unless :class:`Batcher` takes it."""
+    if max_queue < 0:
+        raise ValueError(f"max_queue must be >= 0, got {max_queue}")
+
+
 @dataclass
 class BatcherStats:
     """Counters one :class:`Batcher` accumulated since construction."""
@@ -106,8 +112,7 @@ class Batcher:
         max_queue: int = 256,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        if max_queue < 0:
-            raise ValueError(f"max_queue must be >= 0, got {max_queue}")
+        check_max_queue(max_queue)
         self._workers = resolve_workers(workers)
         self._max_queue = int(max_queue)
         # One lock guards the queue, the single-flight table, the stats

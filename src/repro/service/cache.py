@@ -117,6 +117,12 @@ def _is_key(key: str) -> bool:
     )
 
 
+def check_capacity(capacity: int) -> None:
+    """Raise :class:`ValueError` unless :class:`PlanCache` takes it."""
+    if capacity < 1:
+        raise ValueError(f"cache capacity must be >= 1, got {capacity}")
+
+
 class PlanCache:
     """Two-tier content-addressed cache of :class:`~repro.api.BroadcastPlan`.
 
@@ -140,8 +146,7 @@ class PlanCache:
         ttl: Optional[float] = None,
         disk_dir: Optional[str] = None,
     ) -> None:
-        if capacity < 1:
-            raise ValueError(f"cache capacity must be >= 1, got {capacity}")
+        check_capacity(capacity)
         if ttl is not None and ttl <= 0:
             raise ValueError(f"cache ttl must be positive, got {ttl}")
         self._capacity = int(capacity)

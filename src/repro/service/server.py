@@ -307,6 +307,12 @@ def _check_timeout(timeout: Any) -> float:
     return float(timeout)
 
 
+def check_max_inflight(max_inflight: int) -> None:
+    """Raise :class:`ValueError` unless the front ends take it."""
+    if max_inflight < 1:
+        raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
+
+
 class PlanningService:
     """Cache- and queue-backed broadcast planning over named traces.
 

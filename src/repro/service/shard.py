@@ -55,6 +55,7 @@ from .cache import PlanCache
 from .router import HashRing, routing_key
 from .server import (
     PlanningService,
+    check_max_inflight,
     execute_request,
     parse_plan_request,
     resolve_trace,
@@ -203,10 +204,7 @@ class ShardHandle:
     """
 
     def __init__(self, shard_id: int, proc, conn, max_inflight: int) -> None:
-        if max_inflight < 1:
-            raise ValueError(
-                f"max_inflight must be >= 1, got {max_inflight}"
-            )
+        check_max_inflight(max_inflight)
         self.shard_id = shard_id
         self.proc = proc
         self._conn = conn

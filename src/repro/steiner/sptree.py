@@ -53,7 +53,7 @@ def tree_cost(graph, edges: Set[Edge]) -> float:
     a naive left-fold would drift by an ulp between processes with
     different hash seeds — visible as byte-nonidentical plans from a
     sharded service whose workers are separate processes.  The implicit
-    graph sums the child transmissions' ``tx_w`` levels by node id
+    graph sums the child transmissions' cost levels by node id
     (:meth:`~repro.compute.numpy_backend.NumpyAuxGraph.tree_cost`).
     """
     if isinstance(graph, NumpyAuxGraph):

@@ -109,7 +109,7 @@ def assert_cost_sets_match(na, nxa):
     ``na`` with ``tx_ptr[s] < tx_ptr[s + 1]``.  For each, the set's level
     count is ``tx_k0[s]`` (the levels that cover no receiver, a prefix)
     plus the state's transmissions, and each kept level ``k`` costs what
-    ``tx_w`` holds at ``index_of(("tx", node, l, k))``.
+    :meth:`level_costs` reads for ``index_of(("tx", node, l, k))``.
     """
     S = na.num_states
     ptr, k0 = na.tx_ptr.tolist(), na.tx_k0.tolist()
@@ -123,9 +123,11 @@ def assert_cost_sets_match(na, nxa):
     for (node, l), dcs in nxa.cost_sets.items():
         s = na.index_of(("state", node, l))
         assert len(dcs) == k0[s] + ptr[s + 1] - ptr[s]
-        for k in range(k0[s], len(dcs)):
-            j = na.index_of(("tx", node, l, k)) - S
-            assert dcs.entries[k][0] == na.tx_w[j]
+        j = [na.index_of(("tx", node, l, k)) - S
+             for k in range(k0[s], len(dcs))]
+        assert na.level_costs(j).tolist() == [
+            w for w, _ in dcs.entries[k0[s]:]
+        ]
 
 
 def assert_matches_reference(result, ref):

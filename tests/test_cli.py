@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from repro import obs
+from repro import cli, obs
 from repro.cli import build_parser, main
 from repro.traces import deterministic_trace, write_crawdad
 
@@ -307,6 +307,28 @@ class TestServeBootFailures:
                   f"--timeout={value}"])
         assert exc.value.code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--workers", "-5", "invalid worker count -5"),
+        ("--max-queue", "-1", "max_queue must be >= 0, got -1"),
+        ("--cache-capacity", "-1", "cache capacity must be >= 1, got -1"),
+        ("--max-inflight", "0", "max_inflight must be >= 1, got 0"),
+    ])
+    def test_bad_size_is_a_usage_error_before_any_trace_loads(
+        self, flag, value, message, capsys, monkeypatch
+    ):
+        """Each size runs the service's own check as its argparse type,
+        so a bad one exits 2 naming it instead of a traceback after
+        boot."""
+        def no_trace(*args, **kwargs):
+            raise AssertionError("loaded a trace before checking the flags")
+
+        monkeypatch.setattr(cli, "haggle_like_trace", no_trace)
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--synthetic", "4", "--port", "0", flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: {message}" in err
 
     def test_taken_port_exits_and_leaves_no_worker(self):
         """A shard pool whose front-end cannot bind is drained: the

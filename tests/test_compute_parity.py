@@ -222,9 +222,10 @@ def test_point_whose_cheapest_level_covers_no_receiver():
 
 def test_n50_build_memory():
     """The eedcb-n50 benchmark's w9000 graph (N=50 Haggle-like trace,
-    seed 99) takes at most 16 bytes per transmission node plus 20 per
-    state, and its build, which fills its arrays in place, peaks below
-    1.5× them.  Per-node parts joined at the end peak at 1.6×."""
+    seed 99) holds no per-transmission array: at most 24 bytes per state
+    plus 4 per segment entry and 4 per state-table cell, and its build,
+    which fills its arrays in place, peaks below 1.5× them.  Per-node
+    parts joined at the end peak at 1.6×."""
     trace = haggle_like_trace(HaggleLikeConfig(num_nodes=50), seed=99)
     tveg = tveg_from_trace(
         trace.restrict_window(9000.0, 11000.0).shift(-9000.0), "static",
@@ -238,10 +239,10 @@ def test_n50_build_memory():
     finally:
         tracemalloc.stop()
     assert (na.num_nodes, na.num_edges) == (3_025_996, 19_041_957)
-    arrays = sum(a.nbytes for a in (na.tx_ptr, na.recv_ptr, na.tx_k0,
-                                    na.tx_w, na.tx_cnt, na.recv))
-    num_tx = na.num_nodes - na.num_states
-    assert arrays <= 16 * num_tx + 20 * (na.num_states + 1)
+    arrays = sum(a.nbytes for a in (na.tx_ptr, na.tx_k0, na.seg, na.col,
+                                    na.act, na.state))
+    assert arrays <= (24 * (na.num_states + 1) + 4 * len(na.act)
+                      + 4 * na.state.size)
     assert peak < 1.5 * arrays
 
 
@@ -311,27 +312,28 @@ def test_numpy_search_matches_networkx_search(graph):
 
 def _hand_built_graph(points, levels, source):
     """A :class:`NumpyAuxGraph` from per-node point counts and, per state
-    (node-major, point-minor), its ``(weight, receiver state ids)``
-    levels in ascending weight order.
+    (node-major, point-minor), its segment list as ``(weight, receiver
+    state id or -1)`` levels in ascending weight order.
 
-    The graph stores each state's coverage as prefixes of one receiver
-    list (Property 6.1(i), the only shape the build emits), so a level
-    covers the ordered union of its own and every cheaper level's
-    receivers."""
+    The search reads a level's receivers as ``state[nbr[c], col[s]]``
+    over the list's components ``c``, so giving the state table one row
+    per component lets a level reach any state.  A level covers the
+    valid receivers up to the end of its equal-cost run (Property
+    6.1(i), the only shape the build emits), and the levels that cover
+    no one are a prefix with no transmission node."""
     node_base = np.cumsum([0] + list(points))
     num_states = int(node_base[-1])
-    tx_ptr = np.cumsum([0] + [len(lv) for lv in levels])
-    receivers, counts = [], []
-    for lv in levels:
-        union = []
-        for _, r in lv:
-            union += [v for v in r if v not in union]
-            counts.append(len(union))
-        receivers.append(union)
+    seg = np.cumsum([0] + [len(lv) for lv in levels[:-1]], dtype=np.int64)
+    receivers = [v for lv in levels for _, v in lv]
+    tx_k0 = np.array([next((k for k, (_, v) in enumerate(lv) if v >= 0),
+                           len(lv)) for lv in levels], dtype=np.int32)
+    for s, lv in enumerate(levels):  # back to the start of the run
+        while 0 < tx_k0[s] < len(lv) and lv[tx_k0[s] - 1][0] == lv[tx_k0[s]][0]:
+            tx_k0[s] -= 1
+    tx_ptr = np.cumsum([0] + [len(lv) - k0 for lv, k0 in zip(levels, tx_k0)])
     labels = list(range(len(points)))
     wait = np.ones(num_states, dtype=np.uint8)
     wait[node_base[1:] - 1] = 0
-    tx_k0 = np.zeros(num_states, dtype=np.int32)
     graph = NumpyAuxGraph(
         aux_nodes=LazyAuxNodes(labels, node_base, tx_ptr, tx_k0),
         dts=DiscreteTimeSet.from_points(
@@ -342,14 +344,16 @@ def _hand_built_graph(points, levels, source):
         terminal_indices=(),
         state_base={n: int(node_base[n]) for n in labels},
         tx_ptr=tx_ptr,
-        recv_ptr=np.cumsum([0] + [len(r) for r in receivers]),
         tx_k0=tx_k0,
+        seg=seg,
+        col=np.zeros(num_states, dtype=np.int32),
         wait=wait.tobytes(),
-        tx_w=np.array([w for lv in levels for w, _ in lv], dtype=np.float64),
-        tx_cnt=np.array(counts, dtype=np.int32),
-        recv=np.array([v for r in receivers for v in r], dtype=np.int32),
+        act=np.arange(len(receivers), dtype=np.int32),
+        cost=np.array([w for lv in levels for w, _ in lv], dtype=np.float64),
+        nbr=np.arange(len(receivers), dtype=np.int64),
+        state=np.array(receivers, dtype=np.int32).reshape(-1, 1),
         num_edges=0,
-        dcs_levels=len(counts),
+        dcs_levels=len(receivers),
     )
     return graph.retarget(source)
 
@@ -357,19 +361,16 @@ def _hand_built_graph(points, levels, source):
 @st.composite
 def hand_built_specs(draw):
     """``(points, levels, source)`` for :func:`_hand_built_graph`: 2–4
-    nodes of 2–4 points, up to three levels per state, each covering up
-    to three arbitrary states."""
+    nodes of 2–4 points, up to four levels per state, each reaching an
+    arbitrary state or no one."""
     points = draw(st.lists(st.integers(2, 4), min_size=2, max_size=4))
     num_states = sum(points)
     levels = []
     for _ in range(num_states):
         weights = sorted(draw(st.lists(st.sampled_from(LEVEL_WEIGHTS),
-                                       max_size=3)))
-        levels.append([
-            (w, draw(st.lists(st.integers(0, num_states - 1), min_size=1,
-                              max_size=3, unique=True)))
-            for w in weights
-        ])
+                                       max_size=4)))
+        levels.append([(w, draw(st.integers(-1, num_states - 1)))
+                       for w in weights])
     return points, levels, draw(st.integers(0, len(points) - 1))
 
 
@@ -377,10 +378,12 @@ def hand_built_specs(draw):
 @example(spec=(
     # A graft re-expands state 6 at distance 0 instead of 0.5, and
     # 0.5 + 2^53 rounds to 2^53: its level must stay expanded, or it
-    # is expanded again (24 expansions instead of 23).
+    # is expanded again (25 expansions instead of 24) before state 9's
+    # last level reaches state 4.
     [2, 3, 3, 4],
-    [[], [], [], [], [], [], [(2.0**53, [6])], [], [],
-     [(0.5, [5]), (2.0**53, [1, 6]), (2.0**53, [4])], [], [(1e-3, [7])]],
+    [[], [], [], [], [], [], [(2.0**53, 6)], [], [],
+     [(0.5, 5), (2.0**53, 1), (2.0**53, 6), (1.5 * 2.0**53, 4)], [],
+     [(1e-3, 7)]],
     3,
 ))
 @settings(max_examples=150, deadline=None)

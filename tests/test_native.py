@@ -82,6 +82,9 @@ def test_concurrent_first_plans_share_one_library(tmp_path):
 
 
 def test_bad_arrays_raise_graph_model_error(tmp_path):
+    """Each array the search reads is rejected before the call when its
+    type, layout or length is wrong, and so is every index it follows:
+    components, neighbor rows, columns, segment lists and receivers."""
     out = _run("""
         import dataclasses
         import numpy as np
@@ -94,12 +97,33 @@ def test_bad_arrays_raise_graph_model_error(tmp_path):
 
         tveg = tveg_from_trace(deterministic_trace(), "static", seed=1)
         g = build_numpy_aux_graph(tveg, 0, 100.0)
-        recv = np.repeat(g.recv, 2)[::2]
-        assert np.array_equal(recv, g.recv) and not recv.flags.c_contiguous
+        act = np.repeat(g.act, 2)[::2]
+        assert np.array_equal(act, g.act) and not act.flags.c_contiguous
+        rows, width = g.state.shape
+
+        def poke(arr, value, at=-1):
+            arr = arr.copy()
+            arr[at] = value
+            return arr
+
+        sender = int(np.flatnonzero(np.diff(g.tx_ptr))[0])
+
         bad = {
-            "float32 tx_w": dict(tx_w=g.tx_w.astype(np.float32)),
-            "non-contiguous recv": dict(recv=recv),
             "short tx_ptr": dict(tx_ptr=g.tx_ptr[:-1]),
+            "negative tx_k0": dict(tx_k0=poke(g.tx_k0, -1)),
+            "int32 seg": dict(seg=g.seg.astype(np.int32)),
+            "short col": dict(col=g.col[:-1]),
+            "non-contiguous act": dict(act=act),
+            "float32 cost": dict(cost=g.cost.astype(np.float32)),
+            "short nbr": dict(nbr=g.nbr[:-1]),
+            "flat state": dict(state=g.state.ravel()),
+            "segment past act": dict(seg=poke(g.seg, len(g.act), sender)),
+            "component out of range": dict(act=poke(g.act, len(g.cost))),
+            "neighbor out of range": dict(nbr=poke(g.nbr, rows)),
+            "column out of range": dict(col=poke(g.col, width)),
+            "receiver out of range": dict(
+                state=poke(g.state.ravel(), len(g.wait)).reshape(g.state.shape)
+            ),
             "terminal out of range": dict(
                 terminal_indices=(len(g.aux_nodes),)
             ),
@@ -117,8 +141,13 @@ def test_bad_arrays_raise_graph_model_error(tmp_path):
         print(len(greedy_incremental_dst_numpy(g, g.root, g.terminals)) > 0)
     """, tmp_path / "cache")
     assert out.splitlines() == [
-        "rejected float32 tx_w", "rejected non-contiguous recv",
-        "rejected short tx_ptr", "rejected terminal out of range",
+        "rejected short tx_ptr", "rejected negative tx_k0",
+        "rejected int32 seg", "rejected short col",
+        "rejected non-contiguous act", "rejected float32 cost",
+        "rejected short nbr", "rejected flat state",
+        "rejected segment past act", "rejected component out of range",
+        "rejected neighbor out of range", "rejected column out of range",
+        "rejected receiver out of range", "rejected terminal out of range",
         "rejected last state waits", "True",
     ]
 
@@ -166,8 +195,8 @@ def test_bad_fill_arrays_raise_graph_model_error(tmp_path):
                 print("accepted", name)
         rows = fill(**seen)
         print(all(np.array_equal(x, getattr(g, name)) for x, name in zip(
-            rows, ("tx_ptr", "recv_ptr", "tx_k0", "tx_w", "tx_cnt", "recv")
-        )) and rows[6:] == (g.num_edges, g.dcs_levels))
+            rows, ("tx_ptr", "tx_k0", "seg", "col", "act")
+        )) and rows[5:] == (g.num_edges, g.dcs_levels))
     """, tmp_path / "cache")
     assert out.splitlines() == [
         "rejected float32 costs", "rejected non-contiguous runs",

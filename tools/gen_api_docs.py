@@ -101,10 +101,12 @@ node's canonical contact components (from `repro.tveg.costsets`, the
 rows the DCS point queries read too) batched into arrays (one component
 per contact when costs are constant within it, one per active
 (neighbor, point) cell when they vary), the auxiliary graph in implicit
-form — per-state and per-transmission arrays from which each row, node
-tuple and cost set is derived on demand — and the greedy Steiner search
-reading those rows directly, with search state for the state nodes only
-and its tree kept in node ids until one vectorized decode at the end.
+form — per-state arrays and each node's active components listed once
+per segment of its DTS points where none starts or ends, with no
+per-transmission array, from which each row, node tuple and cost set is
+derived on demand — and the greedy Steiner search reading those rows
+directly, with search state for the state nodes only and its tree kept
+in node ids until one vectorized decode at the end.
 It reproduces the networkx reference build and search **byte for byte**
 (same node ids, edge order, floats, expansion order and counters;
 `tests/test_compute_parity.py` checks this property-based). EEDCB uses

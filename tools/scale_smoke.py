@@ -23,14 +23,16 @@ and asserts the three scale acceptance properties:
    using more RAM.
    ``--algorithm eedcb`` guards the Section VI-A auxiliary graph and
    the Steiner search instead: on the quick instance (6.1M aux nodes,
-   19.1M edges) the implicit graph at 16 bytes per transmission node
-   and the compiled search plan under a 384 MB ceiling (576 MB while
+   19.1M edges) the implicit graph, which lists each node's active
+   components once per segment of its DTS points and stores nothing
+   per transmission node, and the compiled search plan under a 320 MB
+   ceiling (384 MB at 16 bytes per transmission node, 576 MB while
    every process imported scipy and networkx at start-up), while the
    Python search needed 768 MB, the 40-byte layout joined from
    per-node parts more than 896 MB, queueing every transmission node
    more than 1408 MB and materializing every edge as arrays about
-   2600 MB, so ``--limit-mb 512`` trips if any of them comes back.
-   On the full instance EEDCB plans under ``--limit-mb 1600``;
+   2600 MB, so ``--limit-mb 448`` trips if any of them comes back.
+   On the full instance EEDCB plans under ``--limit-mb 1408``;
 3. **parity**: the store-backed schedule is byte-identical (relay ids,
    ``float.hex()`` times/costs, total cost) to the dict-backed oracle
    (``tests/trace_oracle.py``) planned from the same text file in an
@@ -48,20 +50,21 @@ and asserts the three scale acceptance properties:
 99, as for the N=50 scaling trace) over the 9000–11000 s window with a
 2000 s deadline, and runs it through the same three checks.  Its
 auxiliary graph is the largest of the three instances (43.5M nodes,
-471.7M edges): EEDCB plans it at about 0.86 GB peak RSS, so
-``--limit-mb 1280`` trips if the Python search (1.26 GB) or the 3.9 GB
-aux-graph layout comes back.
+471.7M edges): EEDCB plans it at about 0.25 GB peak RSS (0.85 GB at
+16 bytes per transmission node), so ``--limit-mb 704`` trips if those
+rows, the Python search (1.26 GB) or the 3.9 GB aux-graph layout come
+back.
 
 Usage::
 
     PYTHONPATH=src python tools/scale_smoke.py             # full instance
     PYTHONPATH=src python tools/scale_smoke.py --quick     # 50k contacts
     PYTHONPATH=src python tools/scale_smoke.py --quick --algorithm eedcb \
-        --limit-mb 512                                     # aux-graph guard
+        --limit-mb 448                                     # aux-graph guard
     PYTHONPATH=src python tools/scale_smoke.py --algorithm eedcb \
-        --limit-mb 1600 --timeout 1500                     # EEDCB at N=1000
+        --limit-mb 1408 --timeout 1500                     # EEDCB at N=1000
     PYTHONPATH=src python tools/scale_smoke.py --haggle-n100 \
-        --algorithm eedcb --limit-mb 1280                  # EEDCB at N=100
+        --algorithm eedcb --limit-mb 704                   # EEDCB at N=100
 
 Exits nonzero with a diagnostic on the first violated property.
 """
